@@ -27,9 +27,8 @@ from hardsphere.dynamics import (
     EventKind,
     Limit,
     evolve,
-    pair_collide,
+    evolve_batch,
     reverse_momenta,
-    wall_reflect,
 )
 from hardsphere.dynamics import EPS_EVENT_REL
 from hardsphere.geometry import Domain, Vec3
@@ -38,9 +37,11 @@ from hardsphere.hierarchy import (
     HistoryStatus,
     PhaseBox,
     SeriesParams,
+    _uniform_sphere,
     build_history,
     empirical_chunk_fixed,
     empirical_chunk_grand,
+    evolve_resampled,
     pair_collision_rate,
     series_stratum_chunk,
 )
@@ -286,21 +287,15 @@ def _w_lemma2(args):
     (spec, domain, proposals, t, count, seed) = args
     ms = get_measure(spec, domain, norm_proposals=proposals)
     rng = np.random.default_rng(np.random.SeedSequence(tuple(seed)))
-    stats = RunningStats()
     counter = RejectionCounter()
     qs, ps = ms.sample_batch(rng, count)
-    for i in range(count):
-        while True:
-            cfg = config_from_arrays(qs[i], ps[i], domain)
-            try:
-                _, log = evolve(cfg, t)
-                break
-            except DegeneracyError:
-                counter.degenerate += 1
-                q1, p1 = ms.sample_batch(rng, 1)
-                qs[i], ps[i] = q1[0], p1[0]
-        stats.add(float(log.n_pair))
-        counter.accepted += 1
+    _, _, n_pair, _, flagged = evolve_batch(qs, ps, domain, t)
+    for i in np.flatnonzero(flagged):
+        _, log = evolve_resampled(ms, qs, ps, i, t, Limit.FROM_FUTURE, rng, counter)
+        n_pair[i] = log.n_pair
+    stats = RunningStats()
+    stats.add_many(n_pair)
+    counter.accepted += count
     return (stats, counter)
 
 
@@ -377,7 +372,7 @@ def _w_prop5_collision(args):
             continue
         s = float(rng.random()) * t
         p_hat = Vec3(*prop.sample(rng, 3))
-        omega = _sphere_dir(rng)
+        omega = _uniform_sphere(rng)
         total = 0.0
         degenerate = False
         cfg = config_from_arrays(qs[i], ps[i], domain)
@@ -402,14 +397,6 @@ def _w_prop5_collision(args):
         counter.accepted += 1
         stats.add(vol * t * 4.0 * math.pi * total / prop.pdf_vec(p_hat))
     return (stats, counter)
-
-
-def _sphere_dir(rng) -> Vec3:
-    while True:
-        v = rng.normal(size=3)
-        r = math.sqrt(float(v @ v))
-        if r > 1e-12:
-            return Vec3(v[0] / r, v[1] / r, v[2] / r)
 
 
 def _w_reversibility(args):
@@ -525,6 +512,18 @@ def _run_stats_worker(exp, worker, payload_builder, samples, key, role):
 # the checks
 # ---------------------------------------------------------------------------
 
+def _norm2(x, y, z):
+    return x * x + y * y + z * z
+
+
+def _norm(x, y, z):
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _worst(values: np.ndarray) -> float:
+    return float(values.max(initial=0.0))
+
+
 def _run_conservation(exp, label, params, key):
     samples = int(params.get("samples", 600_000))
     rng = _rng(exp.seed, key, 1)
@@ -534,32 +533,44 @@ def _run_conservation(exp, label, params, key):
     om_arr = rng.normal(size=(samples, 3))
     om_arr /= np.linalg.norm(om_arr, axis=1)[:, None]
 
-    worst_mom = worst_en = worst_inv = worst_flip = 0.0
-    for k in range(samples):
-        p_i = Vec3(*pi_arr[k])
-        p_j = Vec3(*pj_arr[k])
-        om = Vec3(*om_arr[k])
-        pi2, pj2 = pair_collide(p_i, p_j, om)
-        dp = (pi2 + pj2) - (p_i + p_j)
-        pscale = max(1.0, (p_i + p_j).norm())
-        worst_mom = max(worst_mom, dp.norm() / pscale)
-        e0 = p_i.norm2() + p_j.norm2()
-        worst_en = max(worst_en, abs(pi2.norm2() + pj2.norm2() - e0) / e0)
-        pi3, pj3 = pair_collide(pi2, pj2, om)
-        worst_inv = max(worst_inv, (pi3 - p_i).norm() + (pj3 - p_j).norm())
-        flip = om.dot(pi2 - pj2) + om.dot(p_i - p_j)
-        worst_flip = max(worst_flip, abs(flip) / max(1.0, abs(om.dot(p_i - p_j))))
+    # column arithmetic in the operation order of pair_collide,
+    # wall_reflect and Vec3.dot/norm, so the worst cases match the
+    # per-sample Vec3 evaluation bit for bit
+    ix, iy, iz = pi_arr.T
+    jx, jy, jz = pj_arr.T
+    ox, oy, oz = om_arr.T
 
-    worst_wall = worst_wall_inv = 0.0
+    def collide(ix, iy, iz, jx, jy, jz):
+        c = ox * (ix - jx) + oy * (iy - jy) + oz * (iz - jz)
+        return ix - c * ox, iy - c * oy, iz - c * oz, jx + c * ox, jy + c * oy, jz + c * oz
+
+    ix2, iy2, iz2, jx2, jy2, jz2 = collide(ix, iy, iz, jx, jy, jz)
+    pscale = np.maximum(1.0, _norm(ix + jx, iy + jy, iz + jz))
+    worst_mom = _worst(_norm((ix2 + jx2) - (ix + jx), (iy2 + jy2) - (iy + jy),
+                             (iz2 + jz2) - (iz + jz)) / pscale)
+    e0 = _norm2(ix, iy, iz) + _norm2(jx, jy, jz)
+    worst_en = _worst(np.abs(_norm2(ix2, iy2, iz2) + _norm2(jx2, jy2, jz2) - e0) / e0)
+    ix3, iy3, iz3, jx3, jy3, jz3 = collide(ix2, iy2, iz2, jx2, jy2, jz2)
+    worst_inv = _worst(_norm(ix3 - ix, iy3 - iy, iz3 - iz) + _norm(jx3 - jx, jy3 - jy, jz3 - jz))
+    normal_in = ox * (ix - jx) + oy * (iy - jy) + oz * (iz - jz)
+    flip = ox * (ix2 - jx2) + oy * (iy2 - jy2) + oz * (iz2 - jz2) + normal_in
+    worst_flip = _worst(np.abs(flip) / np.maximum(1.0, np.abs(normal_in)))
+
     p_arr = rng.normal(0, sig, (samples // 4, 3))
     n_arr = rng.normal(size=(samples // 4, 3))
     n_arr /= np.linalg.norm(n_arr, axis=1)[:, None]
-    for k in range(len(p_arr)):
-        p = Vec3(*p_arr[k])
-        nv = Vec3(*n_arr[k])
-        p2 = wall_reflect(p, nv)
-        worst_wall = max(worst_wall, abs(p2.norm() - p.norm()) / max(1.0, p.norm()))
-        worst_wall_inv = max(worst_wall_inv, (wall_reflect(p2, nv) - p).norm())
+    px, py, pz = p_arr.T
+    nx, ny, nz = n_arr.T
+
+    def reflect(px, py, pz):
+        c = 2.0 * (nx * px + ny * py + nz * pz)
+        return px - c * nx, py - c * ny, pz - c * nz
+
+    px2, py2, pz2 = reflect(px, py, pz)
+    speed = _norm(px, py, pz)
+    worst_wall = _worst(np.abs(_norm(px2, py2, pz2) - speed) / np.maximum(1.0, speed))
+    px3, py3, pz3 = reflect(px2, py2, pz2)
+    worst_wall_inv = _worst(_norm(px3 - px, py3 - py, pz3 - pz))
 
     base = dict(seed=exp.seed, config_hash=exp.config_hash, samples=samples)
     return [
@@ -590,6 +601,9 @@ def _run_reversibility(exp, label, params, key):
                 ev.append(log.n_events)
             except DegeneracyError:
                 continue
+        if not ev:
+            raise RuntimeError(f"reversibility: every pilot trajectory for n={n} "
+                               "was degenerate")
         rate = max(sum(ev) / len(ev), 1e-9) / pilot_t
         t = target_events / rate
         payloads = [
@@ -855,6 +869,7 @@ def _run_series_identity(exp, label, params, key):
         beta0=params.get("beta0"),
         inner_samples=int(params.get("inner_samples", 128)),
         antithetic=bool(params.get("antithetic", True)),
+        direction_draws=int(params.get("direction_draws", 1)),
     )
     reports = []
     for entry in params.get("deltas", ["bulk", "near_wall"]):

@@ -58,7 +58,7 @@ def cmd_run(args) -> int:
                 print(f"config error: {p}", file=sys.stderr)
             return 2
         reports = checks_mod.run_all(exp, only=args.check or None)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     checks_mod.write_report(reports, exp.out)

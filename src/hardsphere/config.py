@@ -24,18 +24,24 @@ from hardsphere.measures import (
 
 SCHEMA_VERSION = 1
 
-CHECK_IDS = (
-    "conservation",
-    "reversibility",
-    "liouville",
-    "special_flow",
-    "lemma2_rate",
-    "prop1_decomposition",
-    "prop5_onestep",
-    "series_identity",
-    "grand_canonical_identity",
-    "map_roundtrip",
-)
+# The parameters each check's runner reads (checks._RUNNERS); any other
+# key in a [check.<id>] section is reported as a config error.
+CHECK_PARAMS = {
+    "conservation": {"samples"},
+    "reversibility": {"trajectories", "n_list", "events_target"},
+    "liouville": {"n", "t", "times", "samples", "delta"},
+    "special_flow": {"resolution", "t", "flows"},
+    "lemma2_rate": {"t", "trajectories", "rate_samples", "n_list"},
+    "prop1_decomposition": {"n", "t", "samples", "inner_samples", "deltas"},
+    "prop5_onestep": {"n", "t", "samples", "inner_samples", "beta0", "deltas"},
+    "series_identity": {"n", "t", "samples", "m_max", "allocation", "beta0",
+                        "inner_samples", "antithetic", "direction_draws", "deltas"},
+    "grand_canonical_identity": {"micro_box", "z", "n", "t", "samples", "inner_samples",
+                                 "allocation", "direction_draws"},
+    "map_roundtrip": {"micro_box", "z", "inner_samples", "outer_samples", "points"},
+}
+
+CHECK_IDS = tuple(CHECK_PARAMS)
 
 
 @dataclass(slots=True)
@@ -78,6 +84,9 @@ class ExperimentConfig:
         for cid, label, params in self.checks:
             if cid not in CHECK_IDS:
                 problems.append(f"unknown check id {cid!r}")
+            else:
+                for key in sorted(set(params) - CHECK_PARAMS[cid]):
+                    problems.append(f"{cid}: unknown parameter {key!r}")
             for key in ("samples", "trajectories", "inner_samples"):
                 if key in params and not params[key] > 0:
                     problems.append(f"{cid}: {key} must be positive")

@@ -14,6 +14,13 @@ limit keeps the pre-event momenta and FROM_FUTURE applies the event law.
 A configuration that starts with a touching pair is legitimate input; the
 pair collides immediately when it is approaching in the direction of
 integration and simply separates otherwise.
+
+Two engines share these rules.  ``evolve`` integrates one configuration
+on plain floats and is the reference.  ``evolve_batch`` integrates many
+independent configurations of the same particle number in lockstep on
+arrays, bit for bit as ``evolve`` would, and hands every row that needs a
+decision about contacts, degeneracies or the event cap back to the
+caller, who re-runs it through ``evolve``.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from hardsphere.geometry import (
     EPS_CONTACT_REL,
@@ -477,3 +486,176 @@ def evolve(config: Configuration, t: float, limit: Limit = Limit.FROM_FUTURE,
     eng = _Engine(config, collect_log=collect_log, max_events=max_events)
     eng.run(t, limit)
     return _to_config(eng, config.domain), eng.log
+
+
+# ---------------------------------------------------------------------------
+# lockstep engine over independent replicas
+# ---------------------------------------------------------------------------
+
+# The batch flags a pair event for the scalar grazing test when its
+# discriminant is within this relative margin of the threshold: the scalar
+# test squares with ``**`` (libm pow), which may differ from x*x in the
+# last bit.
+_GRAZE_FLAG_MARGIN = 1.0 + 1e-9
+
+
+def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t: float,
+                 limit: Limit = Limit.FROM_FUTURE):
+    """Flow B independent N-sphere configurations by a signed time t.
+
+    ``q`` and ``p`` have shape (B, N, 3).  Every row follows the scalar
+    engine's arithmetic and candidate order exactly, so each unflagged row
+    of the result equals ``evolve`` on that row bit for bit.  Returns
+    ``(q_final, p_final, n_pair, n_wall, flagged)``.
+
+    The batch decides no special case itself.  A row is flagged, and its
+    outputs hold NaN, when the scalar engine would settle a contact at the
+    start (or refuse an overlap), raise DegeneracyError, or exceed the
+    event cap; the caller re-runs such rows through ``evolve``, which
+    then returns or raises exactly as it always does.
+    """
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    bsz, n, _ = q.shape
+    n_pair = np.zeros(bsz, dtype=np.int64)
+    n_wall = np.zeros(bsz, dtype=np.int64)
+    flagged = np.zeros(bsz, dtype=bool)
+    if t == 0.0 or n == 0 or bsz == 0:
+        return q.copy(), p.copy(), n_pair, n_wall, flagged
+    backward = t < 0.0
+    if backward:
+        # momentum reversal, forward flow, reversal, with the limit mapped
+        p = -p
+        limit = Limit.FROM_PAST if limit is Limit.FROM_FUTURE else Limit.FROM_FUTURE
+    from_future = limit is Limit.FROM_FUTURE
+
+    a = domain.a
+    a2 = a * a
+    eps_len = EPS_CONTACT_REL * a
+    graze = (EPS_GRAZE_REL * a) ** 2 * _GRAZE_FLAG_MARGIN
+    lo = np.array(domain.inset_lower).reshape(3, 1, 1)
+    hi = np.array(domain.inset_upper).reshape(3, 1, 1)
+    lo_eps = np.array([x + eps_len for x in domain.inset_lower]).reshape(3, 1, 1)
+    hi_eps = np.array([x - eps_len for x in domain.inset_upper]).reshape(3, 1, 1)
+
+    # candidate columns in the scalar order: for each i the pairs (i, j > i),
+    # then the walls of i along x, y, z; a column is (is_pair, i, j or axis)
+    cols = []
+    for i in range(n):
+        cols += [(True, i, j) for j in range(i + 1, n)] + [(False, i, ax) for ax in range(3)]
+    col_pair = np.array([c[0] for c in cols])
+    col_i = np.array([c[1] for c in cols])
+    col_jax = np.array([c[2] for c in cols])
+    pair_cols, wall_cols = np.flatnonzero(col_pair), np.flatnonzero(~col_pair)
+    pi_idx, pj_idx = col_i[pair_cols], col_jax[pair_cols]
+    # index of each pair column within the pair arrays
+    col_pairnum = np.cumsum(col_pair) - 1
+
+    # component-major working state (3, rows, N)
+    qw = np.ascontiguousarray(q.transpose(2, 0, 1))
+    pw = np.ascontiguousarray(p.transpose(2, 0, 1))
+    out_q = np.full_like(q, np.nan)
+    out_p = np.full_like(p, np.nan)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # eps_t from the left-to-right sum of all squared components
+        v2 = pw[0, :, 0] * pw[0, :, 0]
+        for i in range(n):
+            for ax in range(3):
+                if i or ax:
+                    v2 = v2 + pw[ax, :, i] * pw[ax, :, i]
+        eps_t = (EPS_EVENT_REL * a) / np.sqrt(v2)
+
+        # rows settle_contacts would touch: a pair within the contact band
+        # (or overlapping), or a center on a wall margin moving outward
+        start = (((qw <= lo_eps) & (pw < 0.0)) | ((qw >= hi_eps) & (pw > 0.0))).any(axis=(0, 2))
+        rx = qw[:, :, pj_idx] - qw[:, :, pi_idx]
+        dist = np.sqrt(rx[0] * rx[0] + rx[1] * rx[1] + rx[2] * rx[2])
+        start |= ~(dist > a + eps_len).all(axis=1)
+        flagged[start] = True
+
+        keep = ~start
+        idx = np.flatnonzero(keep)
+        qw, pw, eps_t = qw[:, keep], pw[:, keep], eps_t[keep]
+        remaining = np.full(len(idx), abs(t))
+        cnt_pair = np.zeros(len(idx), dtype=np.int64)
+        cnt_wall = np.zeros(len(idx), dtype=np.int64)
+
+        while len(idx):
+            rows = np.arange(len(idx))
+            cand = np.empty((len(idx), len(cols)))
+            rx = qw[:, :, pi_idx] - qw[:, :, pj_idx]
+            wx = pw[:, :, pi_idx] - pw[:, :, pj_idx]
+            b = rx[0] * wx[0] + rx[1] * wx[1] + rx[2] * wx[2]
+            c = rx[0] * rx[0] + rx[1] * rx[1] + rx[2] * rx[2] - a2
+            w2 = wx[0] * wx[0] + wx[1] * wx[1] + wx[2] * wx[2]
+            disc = b * b - w2 * c
+            tau = np.where(c <= 0.0, 0.0, c / (-b + np.sqrt(disc)))
+            cand[:, pair_cols] = np.where((b < 0.0) & (disc > 0.0), tau, np.inf)
+            tau = np.where(pw > 0.0, (hi - qw) / pw,
+                           np.where(pw < 0.0, (lo - qw) / pw, np.inf))
+            cand[:, wall_cols] = tau.transpose(1, 2, 0).reshape(len(idx), -1)
+
+            best = np.argmin(cand, axis=1)
+            best_t = cand[rows, best]
+            cand[rows, best] = np.inf
+            second_t = cand.min(axis=1)
+
+            none = best_t == np.inf
+            flag = ~none & (second_t - best_t <= eps_t)
+            is_pair = col_pair[best]
+            pr = np.flatnonzero(is_pair & ~none)
+            k = col_pairnum[best[pr]]
+            flag[pr] |= disc[pr, k] <= graze * w2[pr, k]
+            beyond = none | (best_t > remaining + eps_t)
+            on_event = ~beyond & (best_t >= remaining - eps_t)
+            cont = ~beyond & ~on_event & ~flag
+            apply = cont | (on_event & ~flag & from_future)
+            over = apply & (cnt_pair + cnt_wall >= _MAX_EVENTS_DEFAULT)
+            flag |= over
+            cont &= ~over
+            apply &= ~over
+
+            dt = np.where(beyond, remaining, np.where(flag, 0.0, best_t))
+            qw += dt[None, :, None] * pw
+
+            r = np.flatnonzero(apply & is_pair)
+            if len(r):
+                i, j = col_i[best[r]], col_jax[best[r]]
+                qi, qj = qw[:, r, i], qw[:, r, j]
+                ox, oy, oz = qj - qi
+                dist = np.sqrt(ox * ox + oy * oy + oz * oz)
+                ox, oy, oz = ox / dist, oy / dist, oz / dist
+                pi, pj = pw[:, r, i], pw[:, r, j]
+                cc = ox * (pi[0] - pj[0]) + oy * (pi[1] - pj[1]) + oz * (pi[2] - pj[2])
+                pw[0, r, i] = pi[0] - cc * ox
+                pw[1, r, i] = pi[1] - cc * oy
+                pw[2, r, i] = pi[2] - cc * oz
+                pw[0, r, j] = pj[0] + cc * ox
+                pw[1, r, j] = pj[1] + cc * oy
+                pw[2, r, j] = pj[2] + cc * oz
+                cnt_pair[r] += 1
+            r = np.flatnonzero(apply & ~is_pair)
+            if len(r):
+                i, ax = col_i[best[r]], col_jax[best[r]]
+                pw[ax, r, i] = -pw[ax, r, i]
+                cnt_wall[r] += 1
+
+            done = ~cont
+            if done.any():
+                ok = done & ~flag
+                dest = idx[ok]
+                out_q[dest] = qw[:, ok].transpose(1, 2, 0)
+                out_p[dest] = pw[:, ok].transpose(1, 2, 0)
+                n_pair[dest] = cnt_pair[ok]
+                n_wall[dest] = cnt_wall[ok]
+                flagged[idx[flag]] = True
+                idx = idx[cont]
+                qw, pw = qw[:, cont], pw[:, cont]
+                eps_t, best_t, remaining = eps_t[cont], best_t[cont], remaining[cont]
+                cnt_pair, cnt_wall = cnt_pair[cont], cnt_wall[cont]
+            remaining = remaining - best_t
+
+    if backward:
+        out_p = -out_p
+    return out_q, out_p, n_pair, n_wall, flagged

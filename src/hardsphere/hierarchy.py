@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from hardsphere.dynamics import DegeneracyError, Limit, evolve
+from hardsphere.dynamics import DegeneracyError, Limit, evolve, evolve_batch
 from hardsphere.geometry import Configuration, PhasePoint, Vec3, omega_admissible
 from hardsphere.measures import (
     INNER_SAMPLES,
@@ -36,6 +36,7 @@ from hardsphere.measures import (
     InitialMeasure,
     Maxwellian,
     config_from_arrays,
+    config_to_arrays,
 )
 from hardsphere.stats import (
     RejectionCounter,
@@ -403,7 +404,7 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
                     counter.blocked += 1
                     combo_vals.append(0.0)
                     continue
-                rho_val, _ = rho0.eval_arrays(*_config_arrays(outcome.terminal),
+                rho_val, _ = rho0.eval_arrays(*config_to_arrays(outcome.terminal),
                                               rng, inner_samples)
                 combo_vals.append(scale * outcome.weight * rho_val)
             if degenerate:
@@ -425,12 +426,6 @@ def _sign_combos(m: int):
 
 # chunk-level entry point used by the parallel harness
 series_stratum_chunk = _series_stratum_stats
-
-
-def _config_arrays(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
-    q = np.array([pt.q.as_tuple() for pt in config.particles], dtype=float).reshape(-1, 3)
-    p = np.array([pt.p.as_tuple() for pt in config.particles], dtype=float).reshape(-1, 3)
-    return q, p
 
 
 def series_eval(rho0: CorrelationVector, n: int, t: float, box: PhaseBox,
@@ -477,11 +472,35 @@ class EmpiricalResult:
     counter: RejectionCounter
 
 
+def evolve_resampled(measure: InitialMeasure, qs: np.ndarray, ps: np.ndarray, i: int,
+                     t: float, limit: Limit, rng: np.random.Generator,
+                     counter: RejectionCounter, max_degenerate: float = math.inf):
+    """Scalar ``evolve`` of row i of a sampled batch.  While the row is
+    degenerate it is counted and replaced in place by a fresh draw from
+    the measure; raises RuntimeError once the chunk's degenerate count
+    exceeds ``max_degenerate``."""
+    while True:
+        config = config_from_arrays(qs[i], ps[i], measure.domain)
+        try:
+            return evolve(config, t, limit)
+        except DegeneracyError:
+            counter.degenerate += 1
+            if counter.degenerate > max_degenerate:
+                raise RuntimeError("excessive degenerate-trajectory rate")
+            q1, p1 = measure.sample_batch(rng, 1)
+            qs[i], ps[i] = q1[0], p1[0]
+
+
 def empirical_chunk_fixed(measure: InitialMeasure, n: int, t: float, box: PhaseBox,
                           limit: Limit, count: int, rng: np.random.Generator,
                           max_resample: int = 200) -> tuple[int, RejectionCounter]:
     """Hit count for one chunk of forward trajectories of a fixed-N
-    measure; degenerate trajectories are re-sampled and counted."""
+    measure; degenerate trajectories are re-sampled and counted.
+
+    Each batch runs on the lockstep engine.  Rows it flags go through the
+    scalar ``evolve`` in index order, and a degenerate row draws its
+    replacement there, before the next batch is drawn, so the random
+    stream is consumed exactly as by a row-by-row loop."""
     counter = RejectionCounter()
     hits = 0
     done = 0
@@ -489,22 +508,13 @@ def empirical_chunk_fixed(measure: InitialMeasure, n: int, t: float, box: PhaseB
     while done < count:
         want = min(batch, count - done)
         qs, ps = measure.sample_batch(rng, want)
-        for i in range(want):
-            while True:
-                config = config_from_arrays(qs[i], ps[i], measure.domain)
-                try:
-                    final, _ = evolve(config, t, limit)
-                    break
-                except DegeneracyError:
-                    counter.degenerate += 1
-                    if counter.degenerate > max_resample + count:
-                        raise RuntimeError("excessive degenerate-trajectory rate")
-                    q1, p1 = measure.sample_batch(rng, 1)
-                    qs[i], ps[i] = q1[0], p1[0]
-            qf, pf = _config_arrays(final)
-            if box.contains(qf[:n], pf[:n]):
-                hits += 1
-            counter.accepted += 1
+        qf, pf, _, _, flagged = evolve_batch(qs, ps, measure.domain, t, limit)
+        for i in np.flatnonzero(flagged):
+            final, _ = evolve_resampled(measure, qs, ps, i, t, limit, rng, counter,
+                                        max_resample + count)
+            qf[i], pf[i] = config_to_arrays(final)
+        hits += int(box.contains_batch(qf[:, :n], pf[:, :n]).sum())
+        counter.accepted += want
         done += want
     return hits, counter
 
@@ -567,7 +577,7 @@ def _evolved_tuple_count(config: Configuration, n: int, t: float, box: PhaseBox,
         final, _ = evolve(config, t, limit)
     except DegeneracyError:
         return 0.0, False
-    qf, pf = _config_arrays(final)
+    qf, pf = config_to_arrays(final)
     count = 0
     for perm in permutations(range(config.n), n):
         idx = list(perm)

@@ -1,0 +1,258 @@
+"""Differential tests: the lockstep batch engine against the scalar engine.
+
+Every row the batch does not flag must equal scalar ``evolve`` on the same
+input bit for bit (final positions, momenta and event counts); every row
+the scalar engine would treat specially must be flagged, so that its
+scalar re-run raises or returns exactly as before.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import hardsphere.dynamics as dyn
+from hardsphere import hierarchy
+from hardsphere.checks import delta_preset
+from hardsphere.dynamics import (
+    DegeneracyError,
+    DegeneracyKind,
+    Limit,
+    evolve,
+    evolve_batch,
+)
+from hardsphere.geometry import Domain, Vec3
+from hardsphere.measures import (
+    InitialMeasure,
+    ModulatedProduct,
+    config_from_arrays,
+    config_to_arrays,
+)
+from hardsphere.stats import RejectionCounter
+
+A = 1.0
+BOX = Domain(Vec3(0, 0, 0), Vec3(5, 5, 5), A)
+HUGE = Domain(Vec3(-500, -500, -500), Vec3(500, 500, 500), A)
+
+
+def sample_starts(rng, rows, n):
+    """Non-overlapping uniform centers in the 5a box, normal momenta."""
+    qs = np.empty((rows, n, 3))
+    for r in range(rows):
+        while True:
+            q = rng.uniform(0.5, 4.5, size=(n, 3))
+            if all(np.linalg.norm(q[i] - q[j]) > A
+                   for i in range(n) for j in range(i + 1, n)):
+                break
+        qs[r] = q
+    return qs, rng.normal(size=(rows, n, 3))
+
+
+def scalar_rows(q, p, domain, t, limit):
+    """Scalar evolve per row: (q, p, n_pair, n_wall) or the raised kind."""
+    out = []
+    for r in range(len(q)):
+        try:
+            fin, log = evolve(config_from_arrays(q[r], p[r], domain), t, limit)
+        except DegeneracyError as exc:
+            out.append(exc.kind)
+            continue
+        qf, pf = config_to_arrays(fin)
+        out.append((qf, pf, log.n_pair, log.n_wall))
+    return out
+
+
+def assert_rows_match(q, p, domain, t, limit):
+    """Compare the batch with the scalar engine row by row; returns the
+    flag mask."""
+    qf, pf, n_pair, n_wall, flagged = evolve_batch(q, p, domain, t, limit)
+    for r, ref in enumerate(scalar_rows(q, p, domain, t, limit)):
+        if isinstance(ref, DegeneracyKind):
+            assert flagged[r], f"row {r} raises {ref} but was not flagged"
+            continue
+        if flagged[r]:
+            continue
+        q_ref, p_ref, pair_ref, wall_ref = ref
+        assert np.array_equal(qf[r], q_ref), f"row {r}: positions differ"
+        assert np.array_equal(pf[r], p_ref), f"row {r}: momenta differ"
+        assert (n_pair[r], n_wall[r]) == (pair_ref, wall_ref), f"row {r}: counts differ"
+    return flagged
+
+
+@pytest.mark.parametrize("n, rows", [(2, 120), (3, 80), (5, 40)])
+@pytest.mark.parametrize("t", [12.0, -7.5])
+@pytest.mark.parametrize("limit", list(Limit))
+def test_sampled_rows_match_scalar(n, rows, t, limit):
+    rng = np.random.default_rng(1000 * n + int(abs(t)))
+    q, p = sample_starts(rng, rows, n)
+    flagged = assert_rows_match(q, p, BOX, t, limit)
+    assert flagged.sum() <= rows // 20   # flags are the rare exception
+
+
+def test_zero_time_is_identity():
+    q, p = sample_starts(np.random.default_rng(2), 5, 3)
+    qf, pf, n_pair, n_wall, flagged = evolve_batch(q, p, BOX, 0.0)
+    assert np.array_equal(qf, q) and np.array_equal(pf, p)
+    assert not flagged.any() and not n_pair.any() and not n_wall.any()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rows_ending_on_an_event(sign):
+    # end times taken from the scalar log land on an event within eps_t,
+    # where the two one-sided limits part
+    rng = np.random.default_rng(7)
+    q, p = sample_starts(rng, 4, 3)
+    limits_differ = 0
+    for r in range(len(q)):
+        try:
+            _, log = evolve(config_from_arrays(q[r], p[r], BOX), sign * 6.0,
+                            collect_log=True)
+        except DegeneracyError:
+            continue
+        for entry in log.entries[:4]:
+            t = sign * entry.time
+            ends = []
+            for limit in Limit:
+                flagged = assert_rows_match(q[r:r + 1], p[r:r + 1], BOX, t, limit)
+                assert not flagged.any()
+                ends.append(evolve_batch(q[r:r + 1], p[r:r + 1], BOX, t, limit)[1])
+            limits_differ += not np.array_equal(*ends)
+    assert limits_differ > 0
+
+
+def with_benign_row(q_forced, p_forced, q_benign, p_benign):
+    return (np.array([q_forced, q_benign], dtype=float),
+            np.array([p_forced, p_benign], dtype=float))
+
+
+FORCED = {
+    # center on the corner diagonal: two walls at the same time
+    "corner": (BOX, [[1.0, 1.0, 2.5]], [[-1.0, -1.0, 0.0]],
+               [[2.5, 2.5, 2.5]], [[0.3, 0.2, 0.1]], DegeneracyKind.CORNER_CONTACT),
+    # both spheres reach opposite walls at t = 0.5
+    "simultaneous": (BOX, [[1.0, 2.5, 2.5], [4.0, 2.5, 2.5]], [[-1.0, 0, 0], [1.0, 0, 0]],
+                     [[1.5, 1.5, 1.5], [3.5, 3.5, 3.5]], [[0.4, -0.2, 0.7], [-0.3, 0.5, 0.1]],
+                     DegeneracyKind.SIMULTANEOUS_EVENTS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCED))
+def test_degenerate_rows_are_flagged(case):
+    domain, qf_, pf_, qb, pb, kind = FORCED[case]
+    q, p = with_benign_row(qf_, pf_, qb, pb)
+    flagged = assert_rows_match(q, p, domain, 2.0, Limit.FROM_FUTURE)
+    assert flagged.tolist() == [True, False]
+    with pytest.raises(DegeneracyError) as err:
+        evolve(config_from_arrays(q[0], p[0], domain), 2.0)
+    assert err.value.kind is kind
+
+
+def test_grazing_row_is_flagged(monkeypatch):
+    # widen the grazing band as the scalar grazing test does
+    monkeypatch.setattr(dyn, "EPS_GRAZE_REL", 1e-3)
+    off = A * math.sqrt(1.0 - 1e-8)
+    q, p = with_benign_row([[0, 0, 0], [5, off, 0]], [[1, 0, 0], [-1, 0, 0]],
+                           [[0, 0, 0], [5, 0.3, 0]], [[1, 0, 0], [-1, 0, 0]])
+    flagged = assert_rows_match(q, p, HUGE, 4.0, Limit.FROM_FUTURE)
+    assert flagged.tolist() == [True, False]
+    with pytest.raises(DegeneracyError) as err:
+        evolve(config_from_arrays(q[0], p[0], HUGE), 4.0)
+    assert err.value.kind is DegeneracyKind.GRAZING_CONTACT
+
+
+def test_at_contact_start_is_flagged():
+    # the scalar engine collides a touching, approaching pair first
+    q, p = with_benign_row([[2.0, 2.5, 2.5], [3.0, 2.5, 2.5]], [[1, 0.2, 0], [-0.5, 0, 0.1]],
+                           [[1.2, 2.1, 2.6], [3.6, 2.4, 2.3]], [[0.7, 0.1, -0.2], [-0.9, 0.3, 0.2]])
+    flagged = assert_rows_match(q, p, BOX, 0.5, Limit.FROM_FUTURE)
+    assert flagged.tolist() == [True, False]
+    _, log = evolve(config_from_arrays(q[0], p[0], BOX), 0.5)
+    assert log.n_pair == 1
+
+
+def test_event_cap_row_is_flagged(monkeypatch):
+    monkeypatch.setattr(dyn, "_MAX_EVENTS_DEFAULT", 3)
+    q, p = with_benign_row([[2.5, 2.5, 2.5]], [[1.0, 0.7, 0.3]],
+                           [[2.5, 2.5, 2.5]], [[0.1, 0.05, 0.02]])
+    _, _, _, n_wall, flagged = evolve_batch(q, p, BOX, 10.0)
+    assert flagged.tolist() == [True, False]
+    assert n_wall[1] == 0
+    with pytest.raises(RuntimeError):
+        evolve(config_from_arrays(q[0], p[0], BOX), 10.0, max_events=3)
+
+
+# -- the forward-simulation chunk keeps its degeneracy bookkeeping -------------
+
+def _forced_degenerate(x: float) -> bool:
+    return int(x * 1e4) % 5 == 0
+
+
+def reference_chunk_fixed(measure, n, t, box, limit, count, rng, max_resample=200):
+    """Row-by-row forward chunk through scalar evolve (the loop the batch
+    engine replaced)."""
+    counter = RejectionCounter()
+    hits = 0
+    done = 0
+    while done < count:
+        want = min(4096, count - done)
+        qs, ps = measure.sample_batch(rng, want)
+        for i in range(want):
+            while True:
+                config = config_from_arrays(qs[i], ps[i], measure.domain)
+                try:
+                    final, _ = hierarchy.evolve(config, t, limit)
+                    break
+                except DegeneracyError:
+                    counter.degenerate += 1
+                    if counter.degenerate > max_resample + count:
+                        raise RuntimeError("excessive degenerate-trajectory rate")
+                    q1, p1 = measure.sample_batch(rng, 1)
+                    qs[i], ps[i] = q1[0], p1[0]
+            qf, pf = config_to_arrays(final)
+            hits += box.contains(qf[:n], pf[:n])
+            counter.accepted += 1
+        done += want
+    return hits, counter
+
+
+@pytest.fixture(scope="module")
+def mod2():
+    return InitialMeasure(ModulatedProduct(2, 1.0), BOX, norm_proposals=20_000)
+
+
+def force_degeneracies(monkeypatch, always=False):
+    """Scalar evolve raises, and the batch flags, for a fixed subset of
+    starts (all of them with ``always``)."""
+    real_evolve, real_batch = hierarchy.evolve, hierarchy.evolve_batch
+
+    def fake_evolve(config, t, limit=Limit.FROM_FUTURE, **kw):
+        if always or _forced_degenerate(config.particles[0].q.x):
+            raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
+        return real_evolve(config, t, limit, **kw)
+
+    def fake_batch(q, p, domain, t, limit=Limit.FROM_FUTURE):
+        qf, pf, n_pair, n_wall, flagged = real_batch(q, p, domain, t, limit)
+        forced = np.array([always or _forced_degenerate(x) for x in q[:, 0, 0]], dtype=bool)
+        return qf, pf, n_pair, n_wall, flagged | forced
+
+    monkeypatch.setattr(hierarchy, "evolve", fake_evolve)
+    monkeypatch.setattr(hierarchy, "evolve_batch", fake_batch)
+
+
+def test_chunk_fixed_matches_row_by_row_under_degeneracies(monkeypatch, mod2):
+    force_degeneracies(monkeypatch)
+    box = delta_preset("bulk", BOX, 1.0)
+    # 4200 rows cross the 4096-row batch boundary
+    args = (mod2, 1, 2.0, box, Limit.FROM_FUTURE, 4200)
+    hits, counter = hierarchy.empirical_chunk_fixed(*args, np.random.default_rng(9))
+    ref_hits, ref_counter = reference_chunk_fixed(*args, np.random.default_rng(9))
+    assert counter.degenerate > 500
+    assert (hits, counter) == (ref_hits, ref_counter)
+
+
+def test_chunk_fixed_raises_past_resample_budget(monkeypatch, mod2):
+    force_degeneracies(monkeypatch, always=True)
+    box = delta_preset("bulk", BOX, 1.0)
+    with pytest.raises(RuntimeError, match="excessive degenerate"):
+        hierarchy.empirical_chunk_fixed(mod2, 1, 2.0, box, Limit.FROM_FUTURE, 10,
+                                        np.random.default_rng(3), max_resample=5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,8 @@ from hardsphere.config import CHECK_IDS, dump_config, loads_config
 from hardsphere.geometry import Domain, Vec3
 from hardsphere.measures import ModulatedProduct
 from hardsphere.cli import default_experiment, main
+from hardsphere.dynamics import DegeneracyError, DegeneracyKind
+from hardsphere.stats import RejectionCounter, SignedEstimate
 
 SMALL_INI = """
 [experiment]
@@ -67,9 +70,11 @@ def test_config_validation_catches_problems():
     exp = small_exp()
     exp.checks.append(("no_such_check", "", {}))
     exp.checks.append(("series_identity", "bad", {"samples": -1}))
+    exp.checks.append(("lemma2_rate", "typo", {"sampels": 10}))
     problems = exp.validate()
     assert any("no_such_check" in p for p in problems)
     assert any("samples" in p for p in problems)
+    assert any("lemma2_rate" in p and "'sampels'" in p for p in problems)
 
 
 def test_density_box_mismatch_rejected():
@@ -192,3 +197,88 @@ def test_exit_code_on_failure(tmp_path, monkeypatch):
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl"))
     assert main(["run", "--config", str(cfg_path)]) == 1
+
+
+def test_runtime_error_exits_2(tmp_path, monkeypatch, capsys):
+    def raising_runner(exp, label, params, key):
+        raise RuntimeError("excessive degenerate-trajectory rate")
+
+    monkeypatch.setitem(C._RUNNERS, "special_flow", raising_runner)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl"))
+    assert main(["run", "--config", str(cfg_path), "--check", "special_flow"]) == 2
+    assert "error: excessive degenerate-trajectory rate" in capsys.readouterr().err
+
+
+def test_reversibility_pilot_without_usable_trajectory(monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
+
+    monkeypatch.setattr(C, "evolve", degenerate)
+    with pytest.raises(RuntimeError, match=r"reversibility.*n=2"):
+        C.run_check(small_exp(), "reversibility", params={"trajectories": 4, "n_list": [2]})
+
+
+def test_series_identity_passes_direction_draws(monkeypatch):
+    seen = []
+
+    def fake_series(exp, spec, domain, n, t, box, params, key, role, n_max):
+        seen.append(params)
+        return SignedEstimate(0.1, 0.01, 10), {}, RejectionCounter()
+
+    def fake_empirical(*args):
+        return SignedEstimate(0.1, 0.01, 10), RejectionCounter()
+
+    monkeypatch.setattr(C, "_run_series", fake_series)
+    monkeypatch.setattr(C, "_run_empirical", fake_empirical)
+    C.run_check(small_exp(), "series_identity",
+                params={"samples": 10, "deltas": ["bulk"], "direction_draws": 3})
+    C.run_check(small_exp(), "series_identity", params={"samples": 10, "deltas": ["bulk"]})
+    assert [p.direction_draws for p in seen] == [3, 1]
+
+
+GOLDEN_INI = """
+[experiment]
+schema_version = 1
+seed = 20250810
+workers = 1
+norm_proposals = 100000
+chunk_size = 1000
+
+[domain]
+box = [0, 0, 0, 5, 5, 5]
+a = 1.0
+
+[density]
+variant = "modulated"
+n = 3
+beta = 1.0
+g_choice = "cos_x"
+g_amplitude = 0.5
+
+[check.conservation]
+samples = 4000
+
+[check.lemma2_rate]
+trajectories = 1500
+t = 12.0
+n_list = [2, 3]
+rate_samples = 100000
+
+[check.series_identity]
+samples = 1500
+t = 6.0
+deltas = ["bulk"]
+"""
+
+# SHA-256 of the canonical report of GOLDEN_INI, recorded with the scalar
+# per-trajectory engine (numpy 2.4, x86-64 Linux).  Any change to the
+# arithmetic of the dynamics, the conservation check or the order of
+# random draws shows up here as a different digest.
+GOLDEN_SHA256 = "c7d18c3ebd4c78dd17e32f1eec57fb5ab21faa634e8e0413971257bf3c49aad5"
+
+
+def test_golden_report_bytes(tmp_path):
+    out = tmp_path / "golden.jsonl"
+    C.write_report(C.run_all(loads_config(GOLDEN_INI)), str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
