@@ -33,17 +33,18 @@ from hardsphere.dynamics import (
 from hardsphere.dynamics import EPS_EVENT_REL
 from hardsphere.geometry import Domain, Vec3
 from hardsphere.hierarchy import (
-    CollisionHistory,
-    HistoryStatus,
+    _BLOCKED,
+    _DEGENERATE,
+    _VALID,
     PhaseBox,
     SeriesParams,
+    _history_tree,
+    _series_stratum_stats,
     _uniform_sphere,
-    build_history,
     empirical_chunk_fixed,
     empirical_chunk_grand,
     evolve_resampled,
     pair_collision_rate,
-    series_stratum_chunk,
 )
 from hardsphere.measures import (
     CanonicalEq,
@@ -248,38 +249,20 @@ def _w_series(args):
     ms = get_measure(spec, domain, norm_proposals=proposals)
     rho0 = correlation_map(ms)
     rng = np.random.default_rng(np.random.SeedSequence(tuple(seed)))
-    stats, counter = series_stratum_chunk(rho0, n, t, box, m, count, beta0,
-                                          inner, antithetic, rng, draws)
+    stats, counter = _series_stratum_stats(rho0, n, t, box, m, count, beta0,
+                                           inner, antithetic, rng, draws)
     return (stats, counter)
 
 
 def _w_backmap(args):
     """Integral over the box of the time-0 correlation function pulled
-    back along the n-particle backward flow (the collision-free term)."""
+    back along the n-particle backward flow (the collision-free term): the
+    m = 0 stratum of the series."""
     (spec, domain, proposals, n, t, box, inner, count, seed) = args
     ms = get_measure(spec, domain, norm_proposals=proposals)
-    rho0 = correlation_map(ms)
     rng = np.random.default_rng(np.random.SeedSequence(tuple(seed)))
-    vol = box.volume
-    stats = RunningStats()
-    counter = RejectionCounter()
-    qs, ps = box.sample(rng, count)
-    for i in range(count):
-        if not ms.admissible(qs[i]):
-            stats.add(0.0)
-            counter.accepted += 1
-            continue
-        cfg = config_from_arrays(qs[i], ps[i], domain)
-        try:
-            back, _ = evolve(cfg, -t, Limit.FROM_FUTURE)
-        except DegeneracyError:
-            counter.degenerate += 1
-            stats.add(0.0)
-            continue
-        counter.accepted += 1
-        val, _ = rho0.eval_config(back, rng, inner)
-        stats.add(vol * val)
-    return (stats, counter)
+    return _series_stratum_stats(correlation_map(ms), n, t, box, 0, count, ms.beta,
+                                 inner, True, rng)
 
 
 def _w_lemma2(args):
@@ -355,7 +338,9 @@ def _w_prop1_forward(args):
 def _w_prop5_collision(args):
     """Time-integrated collision-operator term: MC over the collision
     time s, the box point, the added momentum and the contact direction,
-    evaluated through the same history machinery as the series."""
+    evaluated through the same history machinery as the series.  The 2n
+    histories of a sample, (j, +omega) and (j, -omega) for each receiver j,
+    share their first leg."""
     (spec, domain, proposals, n, t, box, beta0, inner, count, seed) = args
     ms = get_measure(spec, domain, norm_proposals=proposals)
     rho0 = correlation_map(ms)
@@ -365,37 +350,36 @@ def _w_prop5_collision(args):
     stats = RunningStats()
     counter = RejectionCounter()
     qs, ps = box.sample(rng, count)
+    admissible = ms.admissible_batch(qs)
+    labels = np.repeat(np.arange(n), 2)[:, None]
+    signs = np.tile([1.0, -1.0], n)[:, None, None]
     for i in range(count):
-        if not ms.admissible(qs[i]):
+        if not admissible[i]:
             stats.add(0.0)
             counter.accepted += 1
             continue
         s = float(rng.random()) * t
-        p_hat = Vec3(*prop.sample(rng, 3))
+        p_hat = prop.sample(rng, 3)
         omega = _uniform_sphere(rng)
-        total = 0.0
-        degenerate = False
-        cfg = config_from_arrays(qs[i], ps[i], domain)
-        for j in range(n):
-            for om in (omega, -omega):
-                delta = CollisionHistory((s,), (j,), (p_hat,), (om,))
-                out = build_history(cfg, t, delta)
-                if out.status is HistoryStatus.DEGENERATE:
-                    degenerate = True
-                    break
-                if out.status is HistoryStatus.BLOCKED:
-                    counter.blocked += 1
-                    continue
-                val, _ = rho0.eval_config(out.terminal, rng, inner)
-                total += 0.5 * out.weight * val   # average the two directions
-            if degenerate:
-                break
-        if degenerate:
+        status, weight, q, p = _history_tree(
+            qs[i:i + 1], ps[i:i + 1], domain, t, np.array([[s]]), p_hat[None, None],
+            np.zeros(2 * n, dtype=int), labels, signs * omega)
+        stop = np.flatnonzero(status == _DEGENERATE)
+        # the histories before the first degenerate one count, as in a loop
+        counter.blocked += int((status[:stop[0] if len(stop) else None] == _BLOCKED).sum())
+        if len(stop):
             counter.degenerate += 1
             stats.add(0.0)
             continue
+        valid = np.flatnonzero(status == _VALID)
+        ok, u = rho0.draw_inner(q[valid], rng, inner)
+        vals = np.zeros(len(status))
+        vals[valid[ok]] = rho0.eval_drawn(q[valid[ok]], p[valid[ok]], u, inner)
+        total = 0.0
+        for h in valid:
+            total += 0.5 * weight[h] * vals[h]   # average the two directions
         counter.accepted += 1
-        stats.add(vol * t * 4.0 * math.pi * total / prop.pdf_vec(p_hat))
+        stats.add(vol * t * 4.0 * math.pi * total / float(prop.pdf(p_hat)))
     return (stats, counter)
 
 

@@ -43,6 +43,10 @@ CHECK_PARAMS = {
 
 CHECK_IDS = tuple(CHECK_PARAMS)
 
+# sample counts and sizes that must be positive wherever they appear
+_POSITIVE = ("samples", "trajectories", "inner_samples", "rate_samples", "outer_samples",
+             "points", "resolution", "events_target")
+
 
 @dataclass(slots=True)
 class ExperimentConfig:
@@ -87,7 +91,7 @@ class ExperimentConfig:
             else:
                 for key in sorted(set(params) - CHECK_PARAMS[cid]):
                     problems.append(f"{cid}: unknown parameter {key!r}")
-            for key in ("samples", "trajectories", "inner_samples"):
+            for key in _POSITIVE:
                 if key in params and not params[key] > 0:
                     problems.append(f"{cid}: {key} must be positive")
             if "t" in params and not params["t"] > 0:

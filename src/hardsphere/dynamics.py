@@ -18,9 +18,10 @@ integration and simply separates otherwise.
 Two engines share these rules.  ``evolve`` integrates one configuration
 on plain floats and is the reference.  ``evolve_batch`` integrates many
 independent configurations of the same particle number in lockstep on
-arrays, bit for bit as ``evolve`` would, and hands every row that needs a
-decision about contacts, degeneracies or the event cap back to the
-caller, who re-runs it through ``evolve``.
+arrays, each for its own duration, bit for bit as ``evolve`` would.  It
+settles at-contact starts itself and hands every row that overlaps, meets
+a degeneracy or passes the event cap back to the caller, who re-runs it
+through ``evolve``.
 """
 
 from __future__ import annotations
@@ -169,10 +170,9 @@ class _Engine:
     __slots__ = ("q", "p", "n", "a", "a2", "lo", "hi", "eps_len", "eps_t",
                  "graze_rel", "log", "collect", "elapsed", "max_events")
 
-    def __init__(self, config: Configuration, collect_log: bool, max_events: int):
-        dom = config.domain
-        self.q = [list(pt.q.as_tuple()) for pt in config.particles]
-        self.p = [list(pt.p.as_tuple()) for pt in config.particles]
+    def __init__(self, q: list, p: list, dom, collect_log: bool, max_events: int):
+        self.q = q
+        self.p = p
         self.n = len(self.q)
         self.a = dom.a
         self.a2 = dom.a * dom.a
@@ -394,12 +394,9 @@ class _Engine:
             self.apply(found)
 
 
-def _to_config(engine: _Engine, domain) -> Configuration:
-    pts = tuple(
-        PhasePoint(Vec3(*engine.q[i]), Vec3(*engine.p[i]))
-        for i in range(engine.n)
-    )
-    return Configuration(pts, domain)
+def _rows(config: Configuration) -> tuple[list, list]:
+    return ([list(pt.q.as_tuple()) for pt in config.particles],
+            [list(pt.p.as_tuple()) for pt in config.particles])
 
 
 def reverse_momenta(config: Configuration) -> Configuration:
@@ -409,9 +406,6 @@ def reverse_momenta(config: Configuration) -> Configuration:
     )
 
 
-_reverse_momenta = reverse_momenta
-
-
 def next_event(config: Configuration, direction: Direction = Direction.FORWARD) -> Event | None:
     """First event reached from ``config`` in the given time direction.
 
@@ -419,8 +413,8 @@ def next_event(config: Configuration, direction: Direction = Direction.FORWARD) 
     PAIR event with time_to_event 0.  Raises DegeneracyError when the two
     soonest candidates coincide within tolerance.
     """
-    work = config if direction is Direction.FORWARD else _reverse_momenta(config)
-    eng = _Engine(work, collect_log=False, max_events=_MAX_EVENTS_DEFAULT)
+    work = config if direction is Direction.FORWARD else reverse_momenta(config)
+    eng = _Engine(*_rows(work), work.domain, collect_log=False, max_events=_MAX_EVENTS_DEFAULT)
     # touching approaching pair: immediate event
     eps = eng.eps_len
     for i in range(eng.n):
@@ -458,6 +452,31 @@ def next_event(config: Configuration, direction: Direction = Direction.FORWARD) 
     return Event(EventKind.WALL, tau, i, axis=ax, side=side, normal=_AXIS_NORMALS[(ax, side)])
 
 
+def _flow(q: list, p: list, domain, t: float, limit: Limit, collect_log: bool,
+          max_events: int) -> TrajectoryLog:
+    """The flow by a signed time t != 0 on rows [x, y, z] of positions and
+    momenta, updated in place; returns the log.  Negative t reverses the
+    momenta, flows forward with the limit mapped, and reverses again."""
+    backward = t < 0.0
+    if backward:
+        for row in p:
+            row[0], row[1], row[2] = -row[0], -row[1], -row[2]
+        limit = Limit.FROM_PAST if limit is Limit.FROM_FUTURE else Limit.FROM_FUTURE
+    eng = _Engine(q, p, domain, collect_log=collect_log, max_events=max_events)
+    eng.run(-t if backward else t, limit)
+    log = eng.log
+    if backward:
+        for row in p:
+            row[0], row[1], row[2] = -row[0], -row[1], -row[2]
+        log.direction = Direction.BACKWARD
+        for e in log.entries:
+            e.momenta_before, e.momenta_after = (
+                tuple(tuple(-c for c in row) for row in e.momenta_before),
+                tuple(tuple(-c for c in row) for row in e.momenta_after),
+            )
+    return log
+
+
 def evolve(config: Configuration, t: float, limit: Limit = Limit.FROM_FUTURE,
            collect_log: bool = False,
            max_events: int = _MAX_EVENTS_DEFAULT) -> tuple[Configuration, TrajectoryLog]:
@@ -471,21 +490,20 @@ def evolve(config: Configuration, t: float, limit: Limit = Limit.FROM_FUTURE,
     """
     if t == 0.0:
         return config, TrajectoryLog()
-    if t < 0.0:
-        inner = Limit.FROM_PAST if limit is Limit.FROM_FUTURE else Limit.FROM_FUTURE
-        rev, log = evolve(_reverse_momenta(config), -t, inner,
-                          collect_log=collect_log, max_events=max_events)
-        log.direction = Direction.BACKWARD
-        for e in log.entries:
-            e.momenta_before, e.momenta_after = (
-                tuple(tuple(-c for c in row) for row in e.momenta_before),
-                tuple(tuple(-c for c in row) for row in e.momenta_after),
-            )
-        return _reverse_momenta(rev), log
+    q, p = _rows(config)
+    log = _flow(q, p, config.domain, t, limit, collect_log, max_events)
+    pts = tuple(PhasePoint(Vec3(*qi), Vec3(*pi)) for qi, pi in zip(q, p))
+    return Configuration(pts, config.domain), log
 
-    eng = _Engine(config, collect_log=collect_log, max_events=max_events)
-    eng.run(t, limit)
-    return _to_config(eng, config.domain), eng.log
+
+def evolve_arrays(q: np.ndarray, p: np.ndarray, domain, t: float,
+                  limit: Limit = Limit.FROM_FUTURE) -> tuple[np.ndarray, np.ndarray]:
+    """``evolve`` on one (n, 3) position and momentum array pair, without
+    building a Configuration; returns new arrays."""
+    q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
+    if t != 0.0:
+        _flow(q, p, domain, t, limit, False, _MAX_EVENTS_DEFAULT)
+    return np.array(q, dtype=float).reshape(-1, 3), np.array(p, dtype=float).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -499,30 +517,37 @@ def evolve(config: Configuration, t: float, limit: Limit = Limit.FROM_FUTURE,
 _GRAZE_FLAG_MARGIN = 1.0 + 1e-9
 
 
-def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t: float,
+def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
                  limit: Limit = Limit.FROM_FUTURE):
     """Flow B independent N-sphere configurations by a signed time t.
 
-    ``q`` and ``p`` have shape (B, N, 3).  Every row follows the scalar
-    engine's arithmetic and candidate order exactly, so each unflagged row
-    of the result equals ``evolve`` on that row bit for bit.  Returns
-    ``(q_final, p_final, n_pair, n_wall, flagged)``.
+    ``q`` and ``p`` have shape (B, N, 3); ``t`` is one time for all rows
+    or one per row (all of one sign; a row with t = 0 is returned as it
+    came).  Every row follows the scalar engine's arithmetic and candidate
+    order exactly, so each unflagged row of the result equals ``evolve``
+    on that row bit for bit.  Returns ``(q_final, p_final, n_pair, n_wall,
+    flagged)``.
 
-    The batch decides no special case itself.  A row is flagged, and its
-    outputs hold NaN, when the scalar engine would settle a contact at the
-    start (or refuse an overlap), raise DegeneracyError, or exceed the
-    event cap; the caller re-runs such rows through ``evolve``, which
-    then returns or raises exactly as it always does.
+    Contacts at the start are settled as ``settle_contacts`` does: pairs
+    in (i, j) order, then walls.  A row is flagged, and its outputs hold
+    NaN, when the scalar engine would refuse an overlap, raise
+    DegeneracyError, or exceed the event cap; the caller re-runs such rows
+    through ``evolve``, which then raises (or returns) exactly as it
+    always does.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     bsz, n, _ = q.shape
+    dur = np.broadcast_to(np.asarray(t, dtype=float), (bsz,))
     n_pair = np.zeros(bsz, dtype=np.int64)
     n_wall = np.zeros(bsz, dtype=np.int64)
     flagged = np.zeros(bsz, dtype=bool)
-    if t == 0.0 or n == 0 or bsz == 0:
+    moving = dur != 0.0
+    if n == 0 or not moving.any():
         return q.copy(), p.copy(), n_pair, n_wall, flagged
-    backward = t < 0.0
+    backward = bool((dur < 0.0).any())
+    if backward and (dur > 0.0).any():
+        raise ValueError("per-row times must share one sign")
     if backward:
         # momentum reversal, forward flow, reversal, with the limit mapped
         p = -p
@@ -551,11 +576,30 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t: float,
     # index of each pair column within the pair arrays
     col_pairnum = np.cumsum(col_pair) - 1
 
-    # component-major working state (3, rows, N)
-    qw = np.ascontiguousarray(q.transpose(2, 0, 1))
-    pw = np.ascontiguousarray(p.transpose(2, 0, 1))
-    out_q = np.full_like(q, np.nan)
-    out_p = np.full_like(p, np.nan)
+    # component-major working state (3, rows, N) of the moving rows
+    idx = np.flatnonzero(moving)
+    qw = np.ascontiguousarray(q.transpose(2, 0, 1)[:, moving])
+    pw = np.ascontiguousarray(p.transpose(2, 0, 1)[:, moving])
+    out_q = np.where(moving[:, None, None], np.nan, q)
+    out_p = np.where(moving[:, None, None], np.nan, p)
+    cnt_pair = np.zeros(len(idx), dtype=np.int64)
+    cnt_wall = np.zeros(len(idx), dtype=np.int64)
+
+    def collide(r, i, j):
+        # _Engine.apply_pair on rows r (pair i, j per row)
+        qi, qj = qw[:, r, i], qw[:, r, j]
+        ox, oy, oz = qj - qi
+        dist = np.sqrt(ox * ox + oy * oy + oz * oz)
+        ox, oy, oz = ox / dist, oy / dist, oz / dist
+        pi, pj = pw[:, r, i], pw[:, r, j]
+        cc = ox * (pi[0] - pj[0]) + oy * (pi[1] - pj[1]) + oz * (pi[2] - pj[2])
+        pw[0, r, i] = pi[0] - cc * ox
+        pw[1, r, i] = pi[1] - cc * oy
+        pw[2, r, i] = pi[2] - cc * oz
+        pw[0, r, j] = pj[0] + cc * ox
+        pw[1, r, j] = pj[1] + cc * oy
+        pw[2, r, j] = pj[2] + cc * oz
+        cnt_pair[r] += 1
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # eps_t from the left-to-right sum of all squared components
@@ -566,20 +610,30 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t: float,
                     v2 = v2 + pw[ax, :, i] * pw[ax, :, i]
         eps_t = (EPS_EVENT_REL * a) / np.sqrt(v2)
 
-        # rows settle_contacts would touch: a pair within the contact band
-        # (or overlapping), or a center on a wall margin moving outward
-        start = (((qw <= lo_eps) & (pw < 0.0)) | ((qw >= hi_eps) & (pw > 0.0))).any(axis=(0, 2))
+        # settle_contacts: touching pairs approaching through the grazing
+        # band collide, in (i, j) order; an overlap is the caller's error
         rx = qw[:, :, pj_idx] - qw[:, :, pi_idx]
         dist = np.sqrt(rx[0] * rx[0] + rx[1] * rx[1] + rx[2] * rx[2])
-        start |= ~(dist > a + eps_len).all(axis=1)
-        flagged[start] = True
+        overlap = (dist < a - eps_len).any(axis=1)
+        touch = ~(dist > a + eps_len) & ~overlap[:, None]
+        for k in np.flatnonzero(touch.any(axis=0)):
+            r, i, j = np.flatnonzero(touch[:, k]), pi_idx[k], pj_idx[k]
+            wx = pw[:, r, j] - pw[:, r, i]
+            radial = rx[0, r, k] * wx[0] + rx[1, r, k] * wx[1] + rx[2, r, k] * wx[2]
+            wnorm = np.sqrt(wx[0] * wx[0] + wx[1] * wx[1] + wx[2] * wx[2])
+            collide(r[radial < -EPS_GRAZE_REL * wnorm * dist[r, k]], i, j)
+        # then centers on a wall margin moving outward reflect
+        out = ((qw <= lo_eps) & (pw < 0.0)) | ((qw >= hi_eps) & (pw > 0.0))
+        if out.any():
+            pw = np.where(out, -pw, pw)
+            cnt_wall += out.sum(axis=(0, 2))
+        flagged[idx[overlap]] = True
 
-        keep = ~start
-        idx = np.flatnonzero(keep)
+        keep = ~overlap
+        idx = idx[keep]
         qw, pw, eps_t = qw[:, keep], pw[:, keep], eps_t[keep]
-        remaining = np.full(len(idx), abs(t))
-        cnt_pair = np.zeros(len(idx), dtype=np.int64)
-        cnt_wall = np.zeros(len(idx), dtype=np.int64)
+        cnt_pair, cnt_wall = cnt_pair[keep], cnt_wall[keep]
+        remaining = np.abs(dur[idx])
 
         while len(idx):
             rows = np.arange(len(idx))
@@ -621,20 +675,7 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t: float,
 
             r = np.flatnonzero(apply & is_pair)
             if len(r):
-                i, j = col_i[best[r]], col_jax[best[r]]
-                qi, qj = qw[:, r, i], qw[:, r, j]
-                ox, oy, oz = qj - qi
-                dist = np.sqrt(ox * ox + oy * oy + oz * oz)
-                ox, oy, oz = ox / dist, oy / dist, oz / dist
-                pi, pj = pw[:, r, i], pw[:, r, j]
-                cc = ox * (pi[0] - pj[0]) + oy * (pi[1] - pj[1]) + oz * (pi[2] - pj[2])
-                pw[0, r, i] = pi[0] - cc * ox
-                pw[1, r, i] = pi[1] - cc * oy
-                pw[2, r, i] = pi[2] - cc * oz
-                pw[0, r, j] = pj[0] + cc * ox
-                pw[1, r, j] = pj[1] + cc * oy
-                pw[2, r, j] = pj[2] + cc * oz
-                cnt_pair[r] += 1
+                collide(r, col_i[best[r]], col_jax[best[r]])
             r = np.flatnonzero(apply & ~is_pair)
             if len(r):
                 i, ax = col_i[best[r]], col_jax[best[r]]

@@ -27,8 +27,14 @@ from enum import Enum
 
 import numpy as np
 
-from hardsphere.dynamics import DegeneracyError, Limit, evolve, evolve_batch
-from hardsphere.geometry import Configuration, PhasePoint, Vec3, omega_admissible
+from hardsphere.dynamics import DegeneracyError, Limit, evolve, evolve_arrays, evolve_batch
+from hardsphere.geometry import (
+    EPS_CONTACT_REL,
+    Configuration,
+    Vec3,
+    omega_admissible,
+    require_unit,
+)
 from hardsphere.measures import (
     INNER_SAMPLES,
     CorrelationVector,
@@ -172,6 +178,109 @@ class HistoryOutcome:
         return self.status is HistoryStatus.VALID
 
 
+# status codes of the array builder, indexing _STATUS
+_VALID, _BLOCKED, _DEGENERATE = 0, 1, 2
+_STATUS = (HistoryStatus.VALID, HistoryStatus.BLOCKED, HistoryStatus.DEGENERATE)
+
+# A set of at least this many legs runs on the lockstep engine; fewer (the
+# histories of one sample) run on the scalar engine, which is faster there.
+_BATCH_LEGS = 48
+# rows of one level of a whole-chunk history tree, and the most terminals
+# (rows, inner-sample uniforms) a stratum holds before evaluating them
+_LEVEL_ROWS = 4096
+_HELD_DRAWS = 1 << 19
+
+
+def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _backward_legs(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray,
+                   live: np.ndarray) -> np.ndarray:
+    """Flow each live row of q, p in place by its own duration dur[r] <= 0
+    with the future-sided limit.  Rows the lockstep engine flags re-run
+    through the scalar engine.  Returns the rows that met a degenerate
+    trajectory (those keep their start)."""
+    rows = np.flatnonzero(live & (dur != 0.0))
+    if len(rows) >= _BATCH_LEGS:
+        qf, pf, _, _, flagged = evolve_batch(q[rows], p[rows], domain, dur[rows],
+                                             Limit.FROM_FUTURE)
+        done = ~flagged
+        q[rows[done]], p[rows[done]] = qf[done], pf[done]
+        rows = rows[flagged]
+    degenerate = np.zeros(len(q), dtype=bool)
+    for r in rows:
+        try:
+            q[r], p[r] = evolve_arrays(q[r], p[r], domain, float(dur[r]), Limit.FROM_FUTURE)
+        except DegeneracyError:
+            degenerate[r] = True
+    return degenerate
+
+
+def _insert(q, p, weight, j, p_hat, omega, domain):
+    """At-contact insertion on each row, in the arithmetic of
+    ``omega_admissible`` and the flux factor: a sphere with momentum p_hat
+    attached to particle j at q_j + a*omega.  Returns the enlarged arrays,
+    the new weights and the rows whose insertion is blocked."""
+    a = domain.a
+    eps = EPS_CONTACT_REL * a
+    rows = np.arange(len(q))
+    q_new = q[rows, j] + a * omega
+    blocked = ((q_new - np.array(domain.inset_lower) < -eps)
+               | (np.array(domain.inset_upper) - q_new < -eps)).any(axis=1)
+    d = q_new[:, None] - q
+    close = np.sqrt(_dot3(d, d)) < a - eps
+    close[rows, j] = False
+    blocked |= close.any(axis=1)
+    weight = weight * (a * a * _dot3(omega, p_hat - p[rows, j]))
+    return (np.concatenate([q, q_new[:, None]], axis=1),
+            np.concatenate([p, p_hat[:, None]], axis=1), weight, blocked)
+
+
+def _history_tree(q0, p0, domain, t, times, momenta, root, labels, dirs):
+    """Build collision histories backward from time t down to 0.
+
+    Row r of q0, p0 (R, n, 3) is a start, with insertion times
+    ``times[r]`` (descending) and momenta ``momenta[r]`` (m, 3).  History h
+    runs from start ``root[h]`` and inserts at ``labels[h]`` (m,) along
+    ``dirs[h]`` (m, 3).  Histories listed next to each other that share
+    their start and their first k labels and directions share their first
+    k + 1 backward legs, which are integrated once; each level's legs run
+    together and its insertions are array operations.  Returns per history
+    (status code, weight, q, p) with terminal arrays (H, n + m, 3), equal
+    bit for bit to ``build_history`` one history at a time; the weight is
+    0 and the terminal arrays meaningless unless the status is _VALID.
+    """
+    hist, m = labels.shape
+    # new[h, k]: history h opens a node of level k, as it differs from
+    # history h - 1 in its start or in one of its first k insertions
+    new = np.ones((hist, m + 1), dtype=bool)
+    new[1:, 0] = root[1:] != root[:-1]
+    new[1:, 1:] = ((labels[1:] != labels[:-1])
+                   | (dirs[1:].view(np.int64) != dirs[:-1].view(np.int64)).any(axis=2))
+    new = np.logical_or.accumulate(new, axis=1)
+    node = np.cumsum(new, axis=0) - 1     # node of each history at each level
+    start = root[new[:, 0]]               # start row of each node
+    q, p = q0[start], p0[start]
+    weight = np.ones(len(start))
+    status = np.zeros(len(start), dtype=np.int8)
+    prev = np.full(len(start), float(t))
+    for k in range(m + 1):
+        t_next = times[start, k] if k < m else 0.0
+        status[_backward_legs(q, p, domain, -(prev - t_next), status == _VALID)] = _DEGENERATE
+        if k == m:
+            break
+        first = np.flatnonzero(new[:, k + 1])
+        parent = node[first, k]
+        start, status, prev = start[parent], status[parent], t_next[parent]
+        q, p, weight, blocked = _insert(q[parent], p[parent], weight[parent], labels[first, k],
+                                        momenta[start, k], dirs[first, k], domain)
+        status[(status == _VALID) & blocked] = _BLOCKED
+    weight[status != _VALID] = 0.0
+    last = node[:, m]
+    return status[last], weight[last], q[last], p[last]
+
+
 def build_history(config: Configuration, t: float, delta: CollisionHistory) -> HistoryOutcome:
     """Run one collision history backward from time t down to 0.
 
@@ -182,46 +291,35 @@ def build_history(config: Configuration, t: float, delta: CollisionHistory) -> H
     weight is the product of signed flux factors, taken against the
     receiver momentum at the moment of insertion.  The outcome is marked
     BLOCKED for an inadmissible insertion and DEGENERATE when any leg
-    refuses a near-degenerate trajectory; both carry zero weight.
+    refuses a near-degenerate trajectory; both carry zero weight.  This is
+    ``_history_tree`` on one history.
     """
     delta.validate(config.n, t)
-    a = config.domain.a
-    a2 = a * a
-    cur = config
-    weight = 1.0
-    prev_time = t
-    for k in range(delta.m):
-        t_k = delta.times[k]
-        try:
-            cur, _ = evolve(cur, -(prev_time - t_k), Limit.FROM_FUTURE)
-        except DegeneracyError:
-            return HistoryOutcome(None, 0.0, HistoryStatus.DEGENERATE)
-        j_k = delta.labels[k]
-        omega = delta.directions[k]
-        p_hat = delta.momenta[k]
-        if not omega_admissible(cur, j_k, p_hat, omega):
-            return HistoryOutcome(None, 0.0, HistoryStatus.BLOCKED)
-        weight *= a2 * omega.dot(p_hat - cur.particles[j_k].p)
-        q_new = cur.particles[j_k].q + omega.scale(a)
-        cur = cur.replace_particles((*cur.particles, PhasePoint(q_new, p_hat)))
-        prev_time = t_k
-    try:
-        cur, _ = evolve(cur, -prev_time, Limit.FROM_FUTURE)
-    except DegeneracyError:
-        return HistoryOutcome(None, 0.0, HistoryStatus.DEGENERATE)
-    return HistoryOutcome(cur, weight, HistoryStatus.VALID)
+    for omega in delta.directions:
+        require_unit(omega)
+    m = delta.m
+    q, p = config_to_arrays(config)
+    vecs = lambda vs: np.array([v.as_tuple() for v in vs], dtype=float).reshape(1, m, 3)
+    status, weight, q_t, p_t = _history_tree(
+        q[None], p[None], config.domain, t, np.array(delta.times, dtype=float).reshape(1, m),
+        vecs(delta.momenta), np.zeros(1, dtype=int),
+        np.array(delta.labels, dtype=int).reshape(1, m), vecs(delta.directions))
+    if status[0] != _VALID:
+        return HistoryOutcome(None, 0.0, _STATUS[status[0]])
+    return HistoryOutcome(config_from_arrays(q_t[0], p_t[0], config.domain),
+                          float(weight[0]), HistoryStatus.VALID)
 
 
 # ---------------------------------------------------------------------------
 # collision operator
 # ---------------------------------------------------------------------------
 
-def _uniform_sphere(rng: np.random.Generator) -> Vec3:
+def _uniform_sphere(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
         r = math.sqrt(float(v @ v))
         if r > 1e-12:
-            return Vec3(v[0] / r, v[1] / r, v[2] / r)
+            return v / r
 
 
 def collision_operator(rho: CorrelationVector, config: Configuration, j: int,
@@ -245,7 +343,7 @@ def collision_operator(rho: CorrelationVector, config: Configuration, j: int,
     stats = RunningStats()
     for _ in range(samples):
         p_new = Vec3(*prop.sample(rng, 3))
-        omega = _uniform_sphere(rng)
+        omega = Vec3(*_uniform_sphere(rng))
         if not omega_admissible(config, j, p_new, omega):
             stats.add(0.0)
             continue
@@ -360,6 +458,20 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
                           m: int, count: int, beta0: float, inner_samples: int,
                           antithetic: bool, rng,
                           direction_draws: int = 1) -> tuple[RunningStats, RejectionCounter]:
+    """Signed samples of stratum m of the series over one chunk.
+
+    Each admissible box point draws its insertion times, labels and
+    momenta, then per direction draw m directions, and averages the
+    histories of every sign combination.  The random stream is consumed
+    exactly as by a loop that builds and evaluates one history at a time
+    and stops a sample at its first degenerate history.  When no draw can
+    depend on a history's outcome (m = 0, or one direction draw with a
+    terminal that needs no inner samples), all draws come first and the
+    histories of the whole chunk are built as one tree (lockstep mode);
+    otherwise each sample is built in turn and draws the inner samples of
+    its terminals before the next sample draws (sample mode).  Either way
+    the terminals' correlation values are computed in batches at the end.
+    """
     ms = rho0.measure
     dom = ms.domain
     prop = Maxwellian(beta0)
@@ -367,54 +479,134 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     label_factor = falling_factorial(n + m - 1, m) if m else 1.0
     time_factor = t ** m / math.factorial(m)
     sphere_factor = (4.0 * math.pi) ** m
-    sign_combos = list(_sign_combos(m)) if (antithetic and m) else [(1.0,) * m]
+    combo_list = list(_sign_combos(m)) if (antithetic and m) else [(1.0,) * m]
+    combos = len(combo_list)
+    signs = np.array(combo_list, dtype=float).reshape(combos, m, 1)
     draws = max(1, direction_draws) if m else 1
-    stats = RunningStats()
+    width = draws * combos                 # histories of a sample
     counter = RejectionCounter()
     qs, ps = box.sample(rng, count)
-    for i in range(count):
-        q, p = qs[i], ps[i]
-        if not ms.admissible(q):
-            stats.add(0.0)   # box minus the admissible set carries no mass
-            counter.accepted += 1
-            continue
-        if m:
-            times = tuple(float(x) for x in np.sort(rng.random(m))[::-1] * t)
-            labels = tuple(int(rng.integers(0, n + k)) for k in range(m))
-            momenta = tuple(Vec3(*prop.sample(rng, 3)) for _ in range(m))
-        else:
-            times = labels = momenta = ()
+    # box minus the admissible set carries no mass
+    rows = np.flatnonzero(ms.admissible_batch(qs))
+    counter.accepted += count - len(rows)
+    # per sample and history: scale * weight, and the correlation value
+    factor = np.zeros((len(rows), width))
+    rho = np.zeros((len(rows), width))
+    degenerate = np.zeros(len(rows), dtype=bool)
+    pending = []    # (slots of rho, q, p, uniforms) of terminals to evaluate
+    held = [0, 0]   # their rows and uniforms
+
+    def insertions():
+        times = np.sort(rng.random(m))[::-1] * t
+        labels = [int(rng.integers(0, n + k)) for k in range(m)]
+        momenta = [prop.sample(rng, 3) for _ in range(m)]
         prop_w = 1.0
         for pv in momenta:
-            prop_w *= prop.pdf_vec(pv)
+            prop_w *= float(prop.pdf(pv))
         scale = vol * time_factor * label_factor * sphere_factor / prop_w
-        start = config_from_arrays(q, p, dom)
-        combo_vals = []
-        degenerate = False
-        for _ in range(draws):
-            dirs = tuple(_uniform_sphere(rng) for _ in range(m))
-            for signs in sign_combos:
-                flipped = tuple(d if s > 0 else -d for d, s in zip(dirs, signs))
-                delta = CollisionHistory(times, labels, momenta, flipped)
-                outcome = build_history(start, t, delta)
-                if outcome.status is HistoryStatus.DEGENERATE:
-                    degenerate = True
+        return times, labels, np.reshape(momenta, (m, 3)), scale
+
+    def directions():
+        return np.reshape([_uniform_sphere(rng) for _ in range(m)], (m, 3))
+
+    def record(at: np.ndarray, status, weight, q, p, scale):
+        """Record histories grouped (samples, histories) in their order at
+        the flat slots ``at``; from a sample's first degenerate history on
+        they are neither evaluated nor counted, as the one-at-a-time loop
+        stops there.  Draws the inner samples of the evaluated terminals
+        now.  Returns the index of each sample's first degenerate history
+        (the number of histories when there is none) and the number of
+        blocked histories counted."""
+        seen = np.cumsum(status == _DEGENERATE, axis=1) == 0
+        factor.flat[at] = (scale[:, None] * weight).ravel()
+        ev = np.flatnonzero(seen & (status == _VALID))
+        ok, u = rho0.draw_inner(q[ev], rng, inner_samples)
+        if len(ok):
+            pending.append((at.ravel()[ev[ok]], q[ev[ok]], p[ev[ok]], u))
+            held[0] += len(ok)
+            held[1] += u.size
+            if held[0] >= _LEVEL_ROWS or held[1] >= _HELD_DRAWS:
+                evaluate()
+        return seen.sum(axis=1), int((seen & (status == _BLOCKED)).sum())
+
+    def evaluate():
+        if pending:
+            slots, q, p, u = (np.concatenate(x) for x in zip(*pending))
+            rho.flat[slots] = rho0.eval_drawn(q, p, u, inner_samples)
+            pending.clear()
+            held[:] = [0, 0]
+
+    if m == 0 or (draws == 1 and n + m >= rho0.n_max):
+        times = np.empty((len(rows), m))
+        labels = np.empty((len(rows), m), dtype=int)
+        momenta = np.empty((len(rows), m, 3))
+        dirs = np.empty((len(rows), m, 3))
+        scale = np.full(len(rows), vol * time_factor * label_factor * sphere_factor / 1.0)
+        for i in range(len(rows) if m else 0):
+            times[i], labels[i], momenta[i], scale[i] = insertions()
+            dirs[i] = directions()
+        per = max(1, _LEVEL_ROWS // combos)
+        for b in range(0, len(rows), per):
+            blk = slice(b, b + per)
+            nb = len(rows[blk])
+            status, weight, q, p = _history_tree(
+                qs[rows[blk]], ps[rows[blk]], dom, t, times[blk], momenta[blk],
+                np.repeat(np.arange(nb), combos), np.repeat(labels[blk], combos, axis=0),
+                (signs * dirs[blk, None]).reshape(nb * combos, m, 3))
+            at = np.arange(b * width, (b + nb) * width).reshape(nb, width)
+            stop, blocked = record(at, status.reshape(nb, combos), weight.reshape(nb, combos),
+                                   q, p, scale[blk])
+            degenerate[blk] = stop < combos
+            counter.blocked += blocked
+    else:
+        # When the terminals need no inner samples, the direction draws of
+        # a sample are made together and built as one tree; a degenerate
+        # history, which stops the draws early, rewinds the generator and
+        # the sample is redone draw by draw.
+        together = draws if n + m >= rho0.n_max else 1
+        live = np.ones(1, dtype=bool)
+        for r, i in enumerate(rows):
+            times, labels, momenta, scale = insertions()
+            # the first leg is common to every history of the sample
+            q1, p1 = qs[i:i + 1].copy(), ps[i:i + 1].copy()
+            deg = _backward_legs(q1, p1, dom, np.array([-(t - times[0])]), live)
+            rewind = rng.bit_generator.state if together > 1 else None
+            step = together
+            while True:
+                cut, nd, blocked = None, 1, 0
+                for d in range(0, draws, step):
+                    nd = min(step, draws - d)
+                    dirs = np.reshape([directions() for _ in range(nd)], (nd, 1, m, 3))
+                    if deg[0]:
+                        cut = 0
+                        break
+                    status, weight, q, p = _history_tree(
+                        q1, p1, dom, times[0], times[None], momenta[None],
+                        np.zeros(nd * combos, dtype=int), np.repeat([labels], nd * combos, axis=0),
+                        (signs * dirs).reshape(nd * combos, m, 3))
+                    at = np.arange(r * width + d * combos, r * width + (d + nd) * combos)
+                    stop, n_blocked = record(at[None], status[None], weight[None], q, p,
+                                             np.array([scale]))
+                    blocked += n_blocked
+                    if stop[0] < nd * combos:
+                        cut = stop[0] // combos
+                        break
+                if cut is None or cut == nd - 1:
                     break
-                if outcome.status is HistoryStatus.BLOCKED:
-                    counter.blocked += 1
-                    combo_vals.append(0.0)
-                    continue
-                rho_val, _ = rho0.eval_arrays(*config_to_arrays(outcome.terminal),
-                                              rng, inner_samples)
-                combo_vals.append(scale * outcome.weight * rho_val)
-            if degenerate:
-                break
-        if degenerate:
-            counter.degenerate += 1
-            stats.add(0.0)
-            continue
-        counter.accepted += 1
-        stats.add(sum(combo_vals) / len(combo_vals))
+                rng.bit_generator.state = rewind
+                step = 1
+            degenerate[r] = cut is not None
+            counter.blocked += blocked
+    evaluate()
+    total = 0.0
+    for c in range(width):
+        total = total + factor[:, c] * rho[:, c]
+    values = np.zeros(count)
+    values[rows] = np.where(degenerate, 0.0, total / width)
+    counter.degenerate += int(degenerate.sum())
+    counter.accepted += len(rows) - int(degenerate.sum())
+    stats = RunningStats()
+    stats.add_many(values)
     return stats, counter
 
 
@@ -422,10 +614,6 @@ def _sign_combos(m: int):
     from itertools import product
 
     return product((1.0, -1.0), repeat=m)
-
-
-# chunk-level entry point used by the parallel harness
-series_stratum_chunk = _series_stratum_stats
 
 
 def series_eval(rho0: CorrelationVector, n: int, t: float, box: PhaseBox,

@@ -23,6 +23,13 @@ NORM_PROPOSALS = 1_000_000
 INNER_SAMPLES = 192
 GC_OCCUPANCY_CAP = 4
 _NORM_BATCH = 250_000
+# Inner positions evaluated per block by CorrelationVector.eval_drawn;
+# bounds its arrays to a few MB whatever the number of rows.
+_INNER_BLOCK = 1 << 17
+# A batched squared distance within this relative margin of its threshold
+# is decided by the scalar code, whose BLAS and einsum sums may round
+# differently from the batched ones in the last bits.
+_NEAR_REL = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +127,12 @@ def _g_factory(spec, domain: Domain):
         return 1.0 + amp * np.cos(math.pi * (q[..., 0] - lo_x) / length_x)
 
     return g, 1.0 + amp
+
+
+def _sq3(d: np.ndarray) -> np.ndarray:
+    """Squared lengths over the last axis, to be compared with a threshold
+    outside its _NEAR_REL band only."""
+    return np.einsum("...k,...k->...", d, d)
 
 
 def _pairwise_ok(q: np.ndarray, a: float) -> np.ndarray:
@@ -242,6 +255,22 @@ class InitialMeasure:
                     return False
         return True
 
+    def admissible_batch(self, q: np.ndarray) -> np.ndarray:
+        """``admissible`` for each row of (B, n, 3) position sets."""
+        tol = 1e-9 * self.domain.a
+        ok = ~((q < self._ins_lo - tol) | (q > self._ins_hi + tol)).any(axis=(1, 2))
+        a2 = (self.domain.a - tol) ** 2
+        near = np.zeros(len(q), dtype=bool)
+        n = q.shape[1]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d2 = _sq3(q[:, i] - q[:, j])
+                ok &= d2 >= a2
+                near |= np.abs(d2 - a2) <= _NEAR_REL * a2
+        for r in np.flatnonzero(near):
+            ok[r] = self.admissible(q[r])
+        return ok
+
     # -- the spec operations --------------------------------------------------
 
     def density(self, config: Configuration) -> float:
@@ -328,7 +357,11 @@ class InitialMeasure:
         fixed centers q_base and with each other."""
         if m == 0:
             return (1.0, 0.0)
-        q = self.uniform_positions(rng, samples, m)
+        return self._exclusion_of(self.uniform_positions(rng, samples, m), q_base)
+
+    def _exclusion_of(self, q: np.ndarray, q_base: np.ndarray) -> tuple[float, float]:
+        """exclusion_integral over the drawn positions q (samples, m, 3)."""
+        samples, m = q.shape[:2]
         w = np.prod(self.g(q), axis=1)
         ok = _pairwise_ok(q, self.domain.a)
         a2 = self.domain.a ** 2
@@ -340,6 +373,25 @@ class InitialMeasure:
         mean = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
         return (vol * mean, vol * se)
+
+    def exclusion_batch(self, q_base: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The value of ``_exclusion_of(q[r], q_base[r])`` for each row:
+        q_base (R, n, 3), q (R, samples, m, 3) with m >= 1."""
+        m = q.shape[2]
+        a2 = self.domain.a ** 2
+        # squared distances of each drawn position to the base centers and
+        # to the drawn positions after it
+        d2 = [_sq3(q[:, :, :, None] - q_base[:, None, None])]
+        d2 += [_sq3(q[:, :, i, None] - q[:, :, i + 1:]) for i in range(m - 1)]
+        ok = np.ones(q.shape[:2], dtype=bool)
+        near = np.zeros(len(q), dtype=bool)
+        for d in d2:
+            ok &= (d >= a2).all(axis=tuple(range(2, d.ndim)))
+            near |= (np.abs(d - a2) <= _NEAR_REL * a2).any(axis=tuple(range(1, d.ndim)))
+        out = self._ins_vol ** m * (np.prod(self.g(q), axis=2) * ok).mean(axis=1)
+        for r in np.flatnonzero(near):
+            out[r] = self._exclusion_of(q[r], q_base[r])[0]
+        return out
 
 
 def config_from_arrays(q: np.ndarray, p: np.ndarray, domain: Domain) -> Configuration:
@@ -404,6 +456,60 @@ class CorrelationVector:
         em, se = ms.exclusion_integral(q, big_n - n, rng, k)
         scale = ff * gw * hw / ms.position_partition(big_n)[0]
         return (scale * em, scale * se)
+
+    def _inner_sizes(self, n: int) -> list[int]:
+        """Extra positions m >= 1 of each exclusion integral that an
+        n-particle evaluation draws, in the order it draws them."""
+        if isinstance(self.measure.spec, GrandCanonicalEq):
+            return list(range(1, self.n_max - n + 1))
+        extra = self.measure.spec.n_particles - n
+        return [extra] if extra > 0 else []
+
+    def draw_inner(self, q: np.ndarray, rng,
+                   inner_samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of B configurations (B, n, 3) that ``eval_arrays``
+        evaluates (the admissible ones), and the uniforms it draws for
+        them: one row of u per evaluated row, drawn in row order, which
+        consumes the random stream exactly as B calls of ``eval_arrays``."""
+        k = inner_samples if inner_samples is not None else self.inner_samples
+        n = q.shape[1]
+        rows = (np.flatnonzero(self.measure.admissible_batch(q)) if n <= self.n_max
+                else np.zeros(0, dtype=int))
+        return rows, rng.random((len(rows), 3 * k * sum(self._inner_sizes(n))))
+
+    def eval_drawn(self, q: np.ndarray, p: np.ndarray, u: np.ndarray,
+                   inner_samples: int | None = None) -> np.ndarray:
+        """The values of ``eval_arrays`` for admissible configurations
+        (R, n, 3), bit for bit, from the uniforms ``draw_inner`` drew for
+        them; in blocks of rows that bound the inner-position arrays."""
+        ms = self.measure
+        k = inner_samples if inner_samples is not None else self.inner_samples
+        n = q.shape[1]
+        sizes = self._inner_sizes(n)
+        step = max(1, _INNER_BLOCK // (k * sum(sizes))) if sizes else max(1, len(q))
+        ems = {m: np.empty(len(q)) for m in sizes}
+        for b in range(0, len(q), step):
+            blk = slice(b, b + step)
+            off = 0
+            for m in sizes:
+                qi = ms._ins_lo + u[blk, off:off + 3 * k * m].reshape(-1, k, m, 3) * (
+                    ms._ins_hi - ms._ins_lo)
+                ems[m][blk] = ms.exclusion_batch(q[blk], qi)
+                off += 3 * k * m
+        gw = np.prod(ms.g(q), axis=1) if n else 1.0
+        hw = np.prod(ms.maxwellian.pdf(p), axis=1) if n else 1.0
+        spec = ms.spec
+        if isinstance(spec, GrandCanonicalEq):
+            val = 0.0
+            for m in range(0, self.n_max - n + 1):
+                c = spec.z ** (n + m) / math.factorial(m)
+                val += c * ems.get(m, 1.0)
+            return gw * hw / ms.grand_partition * val
+        big_n = spec.n_particles
+        ff = 1.0
+        for i in range(n):
+            ff *= big_n - i
+        return ff * gw * hw / ms.position_partition(big_n)[0] * ems.get(big_n - n, 1.0)
 
     def eval_config(self, config: Configuration, rng,
                     inner_samples: int | None = None) -> tuple[float, float]:

@@ -160,14 +160,65 @@ def test_grazing_row_is_flagged(monkeypatch):
     assert err.value.kind is DegeneracyKind.GRAZING_CONTACT
 
 
-def test_at_contact_start_is_flagged():
-    # the scalar engine collides a touching, approaching pair first
-    q, p = with_benign_row([[2.0, 2.5, 2.5], [3.0, 2.5, 2.5]], [[1, 0.2, 0], [-0.5, 0, 0.1]],
-                           [[1.2, 2.1, 2.6], [3.6, 2.4, 2.3]], [[0.7, 0.1, -0.2], [-0.9, 0.3, 0.2]])
-    flagged = assert_rows_match(q, p, BOX, 0.5, Limit.FROM_FUTURE)
-    assert flagged.tolist() == [True, False]
-    _, log = evolve(config_from_arrays(q[0], p[0], BOX), 0.5)
+def test_at_contact_starts_are_settled():
+    # the starts an at-contact insertion leaves: the batch settles them as
+    # settle_contacts does, pairs in (i, j) order and then walls, and each
+    # row equals its scalar run bit for bit
+    band = A * (1.0 + 0.5 * dyn.EPS_CONTACT_REL)
+    rows = [
+        # touching and approaching: collides at once
+        ([[2.0, 2.5, 2.5], [3.0, 2.5, 2.5]], [[1, 0.2, 0], [-0.5, 0, 0.1]]),
+        # touching and separating: flies apart
+        ([[2.0, 2.5, 2.5], [3.0, 2.5, 2.5]], [[-1, 0.2, 0], [0.5, 0, 0.1]]),
+        # inside the contact band, approaching at a grazing angle: no
+        # collision at the start
+        ([[2.0, 2.5, 2.5], [2.0 + band, 2.5, 2.5]], [[1e-12, 0.3, 0], [0, -0.2, 0.1]]),
+        # a third sphere touching the second one after the first pair
+        ([[1.5, 2.5, 2.5], [2.5, 2.5, 2.5], [2.5, 3.5, 2.5]],
+         [[0.8, 0.1, 0], [-0.4, 0.3, 0], [0.1, -0.9, 0.2]]),
+        # a center on the wall margin moving outward reflects
+        ([[0.5, 2.5, 2.5], [3.0, 1.0, 4.5]], [[-0.6, 0.2, 0.1], [0.3, 0.4, 0.7]]),
+    ]
+    for q_row, p_row in rows:
+        q, p = np.array([q_row], dtype=float), np.array([p_row], dtype=float)
+        for t in (0.7, -0.7):
+            flagged = assert_rows_match(q, p, BOX, t, Limit.FROM_FUTURE)
+            assert not flagged.any()
+    _, log = evolve(config_from_arrays(*map(np.array, rows[0]), BOX), 0.5)
     assert log.n_pair == 1
+    _, log = evolve(config_from_arrays(*map(np.array, rows[4]), BOX), 0.01)
+    assert log.n_wall == 2
+
+
+def test_overlapping_start_is_flagged():
+    q, p = with_benign_row([[2.0, 2.5, 2.5], [2.9, 2.5, 2.5]], [[1, 0, 0], [-1, 0, 0]],
+                           [[1.2, 2.1, 2.6], [3.6, 2.4, 2.3]], [[0.7, 0.1, -0.2], [-0.9, 0.3, 0.2]])
+    flagged = evolve_batch(q, p, BOX, 0.5)[4]
+    assert flagged.tolist() == [True, False]
+    assert not assert_rows_match(q[1:], p[1:], BOX, 0.5, Limit.FROM_FUTURE).any()
+    with pytest.raises(ValueError, match="overlapping"):
+        evolve(config_from_arrays(q[0], p[0], BOX), 0.5)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_per_row_durations_match_scalar(sign):
+    rng = np.random.default_rng(31)
+    for n in (2, 3):
+        q, p = sample_starts(rng, 60, n)
+        t = sign * rng.uniform(0.0, 9.0, size=60)
+        t[::7] = 0.0
+        qf, pf, n_pair, n_wall, flagged = evolve_batch(q, p, BOX, t)
+        for r in range(60):
+            ref = scalar_rows(q[r:r + 1], p[r:r + 1], BOX, t[r], Limit.FROM_FUTURE)[0]
+            if isinstance(ref, DegeneracyKind):
+                assert flagged[r]
+                continue
+            assert not flagged[r]
+            assert np.array_equal(qf[r], ref[0]) and np.array_equal(pf[r], ref[1])
+            assert (n_pair[r], n_wall[r]) == ref[2:]
+        assert np.array_equal(qf[::7], q[::7]) and np.array_equal(pf[::7], p[::7])
+    with pytest.raises(ValueError, match="one sign"):
+        evolve_batch(q[:2], p[:2], BOX, np.array([1.0, -1.0]))
 
 
 def test_event_cap_row_is_flagged(monkeypatch):

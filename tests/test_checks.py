@@ -75,6 +75,20 @@ def test_config_validation_catches_problems():
     assert any("no_such_check" in p for p in problems)
     assert any("samples" in p for p in problems)
     assert any("lemma2_rate" in p and "'sampels'" in p for p in problems)
+    for cid, key in (("lemma2_rate", "rate_samples"), ("map_roundtrip", "outer_samples"),
+                     ("map_roundtrip", "points"), ("special_flow", "resolution"),
+                     ("reversibility", "events_target")):
+        exp = small_exp()
+        exp.checks = [(cid, "", {key: 0})]
+        assert exp.validate() == [f"{cid}: {key} must be positive"]
+
+
+def test_nonpositive_count_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
+                        .replace("rate_samples = 300000", "rate_samples = 0"))
+    assert main(["run", "--config", str(cfg_path), "--check", "lemma2_rate"]) == 2
+    assert "rate_samples must be positive" in capsys.readouterr().err
 
 
 def test_density_box_mismatch_rejected():
@@ -282,3 +296,48 @@ def test_golden_report_bytes(tmp_path):
     out = tmp_path / "golden.jsonl"
     C.write_report(C.run_all(loads_config(GOLDEN_INI)), str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+
+GOLDEN_SERIES_INI = """
+[experiment]
+schema_version = 1
+seed = 31415926
+workers = 1
+norm_proposals = 100000
+chunk_size = 700
+
+[domain]
+box = [0, 0, 0, 5, 5, 5]
+a = 1.0
+
+[density]
+variant = "modulated"
+n = 3
+beta = 1.0
+g_choice = "cos_x"
+g_amplitude = 0.5
+
+[check.series_identity]
+samples = 2000
+t = 8.0
+inner_samples = 64
+deltas = ["bulk", "near_wall"]
+
+[check.grand_canonical_identity]
+samples = 1500
+direction_draws = 24
+"""
+
+# SHA-256 of the canonical report of GOLDEN_SERIES_INI, recorded with the
+# one-history-at-a-time series loop (numpy 2.4, x86-64 Linux).  It covers
+# the N = 3 strata m = 0, 1, 2 on two boxes and the grand-canonical
+# micro-box with 24 direction draws, so any change to the history
+# arithmetic, the correlation evaluation or the order of random draws in
+# the series shows up as a different digest.
+GOLDEN_SERIES_SHA256 = "4a7bf52053912dca5141260ef322d269ebd678db0676e0b41b6e1f9de2af8d3d"
+
+
+def test_golden_series_report_bytes(tmp_path):
+    out = tmp_path / "golden_series.jsonl"
+    C.write_report(C.run_all(loads_config(GOLDEN_SERIES_INI)), str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SERIES_SHA256

@@ -10,6 +10,7 @@ from hardsphere.hierarchy import (
     HistoryStatus,
     PhaseBox,
     SeriesParams,
+    _series_stratum_stats,
     build_history,
     collision_operator,
     collision_operator_quadrature,
@@ -228,8 +229,6 @@ def test_series_equilibrium_is_stationary(eq2):
 
 
 def test_series_strata_beyond_particle_number_vanish(eq2):
-    from hardsphere.hierarchy import series_stratum_chunk
-
     rho0 = correlation_map(eq2)
     # evaluate the m = 1 stratum with an n = 2 start directly: level-3
     # correlations of a 2-particle measure are identically zero, so every
@@ -238,8 +237,8 @@ def test_series_strata_beyond_particle_number_vanish(eq2):
                           [[4.0, 4.0, 4.0], [4.0, 4.0, 4.0]],
                           [[-1.0] * 3, [-1.0] * 3], [[1.0] * 3, [1.0] * 3])
     rng = np.random.default_rng(9)
-    stats, _ = series_stratum_chunk(rho0, 2, 2.0, two_box, 1, 500, 1.0, 64,
-                                    True, rng)
+    stats, _ = _series_stratum_stats(rho0, 2, 2.0, two_box, 1, 500, 1.0, 64,
+                                     True, rng)
     assert stats.total == 0.0 and stats.positive == 0.0 and stats.negative == 0.0
     # and the public evaluator truncates the stratum list at that level
     res = series_eval(rho0, 2, 2.0, two_box,
@@ -318,3 +317,377 @@ def test_series_headline_small_scale(mod2):
     res = series_eval(rho0, 1, 6.0, box, SeriesParams(n_samples=25_000),
                       np.random.default_rng(17))
     assert z_score(emp.estimate, res.total_with_norm_err) <= 3.0
+
+
+# -- the history tree against the one-history-at-a-time loops -------------------
+#
+# The oracles below are the loops the array history builder replaced,
+# kept verbatim on scalar ``evolve``, ``Vec3`` and ``eval_arrays``.  The
+# builder must reproduce their status, weight and terminal state bit for
+# bit, and the stratum and check workers their statistics, counters and
+# consumption of the random stream.
+
+from hardsphere import checks
+from hardsphere import hierarchy
+from hardsphere.dynamics import DegeneracyError, DegeneracyKind
+from hardsphere.geometry import omega_admissible
+from hardsphere.hierarchy import HistoryOutcome, Maxwellian
+from hardsphere.measures import (
+    GrandCanonicalEq,
+    config_from_arrays,
+    config_to_arrays,
+    get_measure,
+)
+from hardsphere.stats import RejectionCounter, RunningStats, falling_factorial
+
+# legs forced degenerate: those whose start has particle 0 at such an x
+FORCED = {"on": False}
+
+
+def _forced(x) -> bool:
+    return FORCED["on"] and int(abs(float(x)) * 1e4) % 7 == 0
+
+
+def oracle_evolve(config, t, limit):
+    if t != 0.0 and _forced(config.particles[0].q.x):
+        raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
+    return evolve(config, t, limit)
+
+
+@pytest.fixture
+def forced(monkeypatch):
+    """Force the same legs degenerate in the oracles and in the builder,
+    whose lockstep engine flags them and whose scalar engine raises."""
+    real_batch, real_arrays = hierarchy.evolve_batch, hierarchy.evolve_arrays
+
+    def batch(q, p, domain, t, limit=Limit.FROM_FUTURE):
+        qf, pf, n_pair, n_wall, flagged = real_batch(q, p, domain, t, limit)
+        return qf, pf, n_pair, n_wall, flagged | np.array([_forced(x) for x in q[:, 0, 0]],
+                                                          dtype=bool)
+
+    def arrays(q, p, domain, t, limit=Limit.FROM_FUTURE):
+        if _forced(q[0][0]):
+            raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
+        return real_arrays(q, p, domain, t, limit)
+
+    monkeypatch.setattr(hierarchy, "evolve_batch", batch)
+    monkeypatch.setattr(hierarchy, "evolve_arrays", arrays)
+    monkeypatch.setitem(FORCED, "on", True)
+
+
+def oracle_build_history(config, t, delta):
+    delta.validate(config.n, t)
+    a = config.domain.a
+    a2 = a * a
+    cur = config
+    weight = 1.0
+    prev_time = t
+    for k in range(delta.m):
+        t_k = delta.times[k]
+        try:
+            cur, _ = oracle_evolve(cur, -(prev_time - t_k), Limit.FROM_FUTURE)
+        except DegeneracyError:
+            return HistoryOutcome(None, 0.0, HistoryStatus.DEGENERATE)
+        j_k = delta.labels[k]
+        omega = delta.directions[k]
+        p_hat = delta.momenta[k]
+        if not omega_admissible(cur, j_k, p_hat, omega):
+            return HistoryOutcome(None, 0.0, HistoryStatus.BLOCKED)
+        weight *= a2 * omega.dot(p_hat - cur.particles[j_k].p)
+        q_new = cur.particles[j_k].q + omega.scale(a)
+        cur = cur.replace_particles((*cur.particles, PhasePoint(q_new, p_hat)))
+        prev_time = t_k
+    try:
+        cur, _ = oracle_evolve(cur, -prev_time, Limit.FROM_FUTURE)
+    except DegeneracyError:
+        return HistoryOutcome(None, 0.0, HistoryStatus.DEGENERATE)
+    return HistoryOutcome(cur, weight, HistoryStatus.VALID)
+
+
+def oracle_sphere(rng):
+    while True:
+        v = rng.normal(size=3)
+        r = math.sqrt(float(v @ v))
+        if r > 1e-12:
+            return Vec3(v[0] / r, v[1] / r, v[2] / r)
+
+
+def oracle_stratum_stats(rho0, n, t, box, m, count, beta0, inner_samples, antithetic, rng,
+                         direction_draws=1):
+    from itertools import product
+
+    ms = rho0.measure
+    dom = ms.domain
+    prop = Maxwellian(beta0)
+    vol = box.volume
+    label_factor = falling_factorial(n + m - 1, m) if m else 1.0
+    time_factor = t ** m / math.factorial(m)
+    sphere_factor = (4.0 * math.pi) ** m
+    sign_combos = list(product((1.0, -1.0), repeat=m)) if (antithetic and m) else [(1.0,) * m]
+    draws = max(1, direction_draws) if m else 1
+    stats = RunningStats()
+    counter = RejectionCounter()
+    qs, ps = box.sample(rng, count)
+    for i in range(count):
+        q, p = qs[i], ps[i]
+        if not ms.admissible(q):
+            stats.add(0.0)
+            counter.accepted += 1
+            continue
+        if m:
+            times = tuple(float(x) for x in np.sort(rng.random(m))[::-1] * t)
+            labels = tuple(int(rng.integers(0, n + k)) for k in range(m))
+            momenta = tuple(Vec3(*prop.sample(rng, 3)) for _ in range(m))
+        else:
+            times = labels = momenta = ()
+        prop_w = 1.0
+        for pv in momenta:
+            prop_w *= prop.pdf_vec(pv)
+        scale = vol * time_factor * label_factor * sphere_factor / prop_w
+        start = config_from_arrays(q, p, dom)
+        combo_vals = []
+        degenerate = False
+        for _ in range(draws):
+            dirs = tuple(oracle_sphere(rng) for _ in range(m))
+            for signs in sign_combos:
+                flipped = tuple(d if s > 0 else -d for d, s in zip(dirs, signs))
+                delta = CollisionHistory(times, labels, momenta, flipped)
+                outcome = oracle_build_history(start, t, delta)
+                if outcome.status is HistoryStatus.DEGENERATE:
+                    degenerate = True
+                    break
+                if outcome.status is HistoryStatus.BLOCKED:
+                    counter.blocked += 1
+                    combo_vals.append(0.0)
+                    continue
+                rho_val, _ = rho0.eval_arrays(*config_to_arrays(outcome.terminal),
+                                              rng, inner_samples)
+                combo_vals.append(scale * outcome.weight * rho_val)
+            if degenerate:
+                break
+        if degenerate:
+            counter.degenerate += 1
+            stats.add(0.0)
+            continue
+        counter.accepted += 1
+        stats.add(sum(combo_vals) / len(combo_vals))
+    return stats, counter
+
+
+def oracle_backmap(args):
+    (spec, domain, proposals, n, t, box, inner, count, seed) = args
+    ms = get_measure(spec, domain, norm_proposals=proposals)
+    rho0 = correlation_map(ms)
+    rng = np.random.default_rng(np.random.SeedSequence(tuple(seed)))
+    vol = box.volume
+    stats = RunningStats()
+    counter = RejectionCounter()
+    qs, ps = box.sample(rng, count)
+    for i in range(count):
+        if not ms.admissible(qs[i]):
+            stats.add(0.0)
+            counter.accepted += 1
+            continue
+        cfg = config_from_arrays(qs[i], ps[i], domain)
+        try:
+            back, _ = oracle_evolve(cfg, -t, Limit.FROM_FUTURE)
+        except DegeneracyError:
+            counter.degenerate += 1
+            stats.add(0.0)
+            continue
+        counter.accepted += 1
+        val, _ = rho0.eval_config(back, rng, inner)
+        stats.add(vol * val)
+    return (stats, counter), rng
+
+
+def oracle_prop5(args):
+    (spec, domain, proposals, n, t, box, beta0, inner, count, seed) = args
+    ms = get_measure(spec, domain, norm_proposals=proposals)
+    rho0 = correlation_map(ms)
+    rng = np.random.default_rng(np.random.SeedSequence(tuple(seed)))
+    prop = Maxwellian(beta0)
+    vol = box.volume
+    stats = RunningStats()
+    counter = RejectionCounter()
+    qs, ps = box.sample(rng, count)
+    for i in range(count):
+        if not ms.admissible(qs[i]):
+            stats.add(0.0)
+            counter.accepted += 1
+            continue
+        s = float(rng.random()) * t
+        p_hat = Vec3(*prop.sample(rng, 3))
+        omega = oracle_sphere(rng)
+        total = 0.0
+        degenerate = False
+        cfg = config_from_arrays(qs[i], ps[i], domain)
+        for j in range(n):
+            for om in (omega, -omega):
+                delta = CollisionHistory((s,), (j,), (p_hat,), (om,))
+                out = oracle_build_history(cfg, t, delta)
+                if out.status is HistoryStatus.DEGENERATE:
+                    degenerate = True
+                    break
+                if out.status is HistoryStatus.BLOCKED:
+                    counter.blocked += 1
+                    continue
+                val, _ = rho0.eval_config(out.terminal, rng, inner)
+                total += 0.5 * out.weight * val   # average the two directions
+            if degenerate:
+                break
+        if degenerate:
+            counter.degenerate += 1
+            stats.add(0.0)
+            continue
+        counter.accepted += 1
+        stats.add(vol * t * 4.0 * math.pi * total / prop.pdf_vec(p_hat))
+    return (stats, counter), rng
+
+
+def random_histories(rng, count, domain, n_max=3, m_max=2):
+    """Starts of 1..n_max non-overlapping spheres with random histories;
+    a tight box makes many insertions blocked."""
+    out = []
+    lo, hi = np.array(domain.inset_lower), np.array(domain.inset_upper)
+    while len(out) < count:
+        n = int(rng.integers(1, n_max + 1))
+        q = lo + rng.random((n, 3)) * (hi - lo)
+        if any(np.linalg.norm(q[i] - q[j]) <= A for i in range(n) for j in range(i + 1, n)):
+            continue
+        m = int(rng.integers(0, m_max + 1))
+        t = float(rng.uniform(0.5, 6.0))
+        times = tuple(float(x) for x in np.sort(rng.random(m))[::-1] * t)
+        labels = tuple(int(rng.integers(0, n + k)) for k in range(m))
+        momenta = tuple(Vec3(*rng.normal(size=3)) for _ in range(m))
+        dirs = tuple(oracle_sphere(rng) for _ in range(m))
+        cfg = config_from_arrays(q, rng.normal(size=(n, 3)), domain)
+        out.append((cfg, t, CollisionHistory(times, labels, momenta, dirs)))
+    return out
+
+
+def assert_same_outcome(got, want):
+    assert got.status is want.status
+    assert got.weight == want.weight
+    if want.valid:
+        assert np.array_equal(config_to_arrays(got.terminal)[0], config_to_arrays(want.terminal)[0])
+        assert np.array_equal(config_to_arrays(got.terminal)[1], config_to_arrays(want.terminal)[1])
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_build_history_matches_oracle(force, request):
+    if force:
+        request.getfixturevalue("forced")
+    small = Domain(Vec3(0, 0, 0), Vec3(3.2, 3.2, 3.2), A)
+    statuses = set()
+    for cfg, t, delta in random_histories(np.random.default_rng(21), 300, small):
+        want = oracle_build_history(cfg, t, delta)
+        assert_same_outcome(build_history(cfg, t, delta), want)
+        statuses.add(want.status)
+    assert statuses == set(HistoryStatus) if force else statuses >= {
+        HistoryStatus.VALID, HistoryStatus.BLOCKED}
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_history_tree_shares_legs_bit_for_bit(force, request):
+    # sign combinations of one direction tuple per start, 64 starts at
+    # once: the lockstep engine runs the legs, and every history must
+    # equal its own one-at-a-time build
+    if force:
+        request.getfixturevalue("forced")
+    from itertools import product
+
+    rng = np.random.default_rng(22)
+    small = Domain(Vec3(0, 0, 0), Vec3(3.5, 3.5, 3.5), A)
+    for m in (1, 2, 3):
+        starts = [h for h in random_histories(rng, 400, small, n_max=2, m_max=3)
+                  if h[2].m == m and h[0].n == 2][:64]
+        signs = np.array(list(product((1.0, -1.0), repeat=m)))[:, :, None]
+        combos = len(signs)
+        t = 4.0
+        times = np.sort(rng.random((len(starts), m)), axis=1)[:, ::-1] * t
+        q0 = np.array([config_to_arrays(c)[0] for c, _, _ in starts])
+        p0 = np.array([config_to_arrays(c)[1] for c, _, _ in starts])
+        labels = np.array([d.labels for _, _, d in starts])
+        momenta = np.array([[v.as_tuple() for v in d.momenta] for _, _, d in starts])
+        dirs = np.array([[v.as_tuple() for v in d.directions] for _, _, d in starts])
+        hist_dirs = (signs * dirs[:, None]).reshape(-1, m, 3)
+        status, weight, q, p = hierarchy._history_tree(
+            q0, p0, small, t, times, momenta, np.repeat(np.arange(len(starts)), combos),
+            np.repeat(labels, combos, axis=0), hist_dirs)
+        seen = set()
+        for h in range(len(status)):
+            r = h // combos
+            delta = CollisionHistory(tuple(times[r]), tuple(labels[r]), starts[r][2].momenta,
+                                     tuple(Vec3(*d) for d in hist_dirs[h]))
+            want = oracle_build_history(starts[r][0], t, delta)
+            got = HistoryOutcome(config_from_arrays(q[h], p[h], small) if status[h] == 0 else None,
+                                 float(weight[h]), hierarchy._STATUS[status[h]])
+            assert_same_outcome(got, want)
+            seen.add(want.status)
+        assert HistoryStatus.VALID in seen and HistoryStatus.BLOCKED in seen
+        assert (HistoryStatus.DEGENERATE in seen) == force
+
+
+@pytest.fixture(scope="module")
+def measures_by_n():
+    out = {n: InitialMeasure(ModulatedProduct(n, 1.0), BOX, norm_proposals=20_000)
+           for n in (2, 3)}
+    micro = Domain(Vec3(0, 0, 0), Vec3(2.5, 1.2, 1.2), A)
+    out["grand"] = InitialMeasure(GrandCanonicalEq(50.0, 1.0), micro, norm_proposals=20_000)
+    return out
+
+
+def grand_box(domain):
+    lo, hi = np.array(domain.inset_lower), np.array(domain.inset_upper)
+    q_hi = hi.copy()
+    q_hi[0] = lo[0] + 0.4 * (hi[0] - lo[0])
+    return PhaseBox.of([lo], [q_hi], [[-1.2] * 3], [[1.2] * 3])
+
+
+STRATA = ([(big_n, name, m, 1) for big_n in (2, 3) for name in ("bulk", "near_wall")
+           for m in range(big_n)] + [("grand", "micro", 0, 24), ("grand", "micro", 1, 24)])
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("big_n, box_name, m, draws", STRATA)
+def test_stratum_stats_match_oracle(measures_by_n, big_n, box_name, m, draws, force, request):
+    # lockstep strata (m = 0, and the top ones) and sample strata (N = 3,
+    # m = 1; grand-canonical m = 1 with 24 direction draws) give the same
+    # statistics and counters and leave the stream where the loop does
+    if force:
+        request.getfixturevalue("forced")
+    ms = measures_by_n[big_n]
+    rho0 = correlation_map(ms)
+    box = grand_box(ms.domain) if big_n == "grand" else checks.delta_preset(box_name, BOX, 1.0)
+    t = 2.0 if big_n == "grand" else 5.0
+    count = 40 if draws > 1 else 120
+    seed = sum(map(ord, f"{big_n}{box_name}{m}"))
+    args = (rho0, 1, t, box, m, count, 1.0, 32, True)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    stats, counter = _series_stratum_stats(*args, rng_new, draws)
+    want_stats, want_counter = oracle_stratum_stats(*args, rng_old, draws)
+    assert (stats, counter) == (want_stats, want_counter)
+    assert rng_new.random() == rng_old.random()
+    assert counter.accepted > count // 2
+    assert (counter.degenerate > 0) == force
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_check_workers_match_oracles(force, request):
+    if force:
+        request.getfixturevalue("forced")
+    spec = ModulatedProduct(2, 1.0)
+    for n in (1, 2):
+        box = (checks.delta_preset("near_wall", BOX, 1.0) if n == 1 else
+               PhaseBox.of([[1.0] * 3, [1.0] * 3], [[4.0] * 3] * 2, [[-1.0] * 3] * 2,
+                           [[1.0] * 3] * 2))
+        back = (spec, BOX, 20_000, n, 4.0, box, 32, 150, (5, n, 2))
+        got = checks._w_backmap(back)
+        want, rng = oracle_backmap(back)
+        assert got == want
+        one = (spec, BOX, 20_000, n, 4.0, box, 1.0, 32, 150, (5, n, 3))
+        got = checks._w_prop5_collision(one)
+        want, rng = oracle_prop5(one)
+        assert got == want
+        assert got[1].blocked > 0

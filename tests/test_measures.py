@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hardsphere import measures
 from hardsphere.dynamics import pair_collide
 from hardsphere.geometry import Domain, Vec3
 from hardsphere.measures import (
@@ -243,3 +244,71 @@ def test_sampler_infeasible_geometry_raises():
     tight = Domain(Vec3(0, 0, 0), Vec3(1.4, 1.4, 1.4), A)
     with pytest.raises(ValueError):
         InitialMeasure(CanonicalEq(3, 1.0), tight, norm_proposals=20_000)
+
+
+# -- batched evaluation against the scalar path ----------------------------------
+
+def touching(rng, rows, centers, dist, ulps=4):
+    """Points at ``dist`` from the given centers, give or take a few ulps:
+    the squared distances straddle the threshold the scalar code tests."""
+    u = rng.normal(size=(rows, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    scale = dist * (1.0 + np.finfo(float).eps * rng.integers(-ulps, ulps + 1, size=rows))
+    return centers + u * scale[:, None]
+
+
+@pytest.fixture(params=[0.0, np.inf, -np.inf], ids=["as_is", "up", "down"])
+def skewed_sums(request, monkeypatch):
+    """The batched squared distances as they are, or one ulp off, as
+    another summation order might round them: near a threshold the scalar
+    code must decide either way."""
+    if request.param:
+        real = measures._sq3
+        monkeypatch.setattr(measures, "_sq3", lambda d: np.nextafter(real(d), request.param))
+
+
+def test_admissible_batch_matches_scalar(modulated2, skewed_sums):
+    rng = np.random.default_rng(41)
+    tol = 1e-9 * A
+    first = 1.5 + rng.random((3000, 3)) * 2.0
+    q = np.stack([first, touching(rng, 3000, first, A - tol),
+                  0.5 + rng.random((3000, 3)) * 4.0], axis=1)
+    want = [modulated2.admissible(row) for row in q]
+    assert modulated2.admissible_batch(q).tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("spec_name", ["modulated3", "grand"])
+def test_batched_evaluation_matches_eval_arrays(spec_name, monkeypatch):
+    # values bit for bit, and the random stream left where row-by-row
+    # evaluation leaves it, across blocks of a few rows
+    monkeypatch.setattr(measures, "_INNER_BLOCK", 300)
+    if spec_name == "grand":
+        ms = InitialMeasure(GrandCanonicalEq(50.0, 1.0), Domain(Vec3(0, 0, 0),
+                            Vec3(2.5, 1.2, 1.2), A), norm_proposals=20_000)
+    else:
+        ms = InitialMeasure(ModulatedProduct(3, 1.0), BOX, norm_proposals=20_000)
+    rho = correlation_map(ms, inner_samples=48)
+    rng = np.random.default_rng(42)
+    for n in range(1, ms.n_max + 1):
+        q = ms.uniform_positions(rng, 200, n)
+        p = rng.normal(size=(200, n, 3))
+        r_batch, r_rows = np.random.default_rng(n), np.random.default_rng(n)
+        rows, u = rho.draw_inner(q, r_batch)
+        got = np.zeros(len(q))
+        got[rows] = rho.eval_drawn(q[rows], p[rows], u)
+        want = [rho.eval_arrays(q[i], p[i], r_rows)[0] for i in range(len(q))]
+        assert got.tolist() == want
+        assert r_batch.random() == r_rows.random()
+
+
+def test_exclusion_batch_near_contact_matches_scalar(skewed_sums):
+    ms = InitialMeasure(ModulatedProduct(3, 1.0), BOX, norm_proposals=20_000)
+    rng = np.random.default_rng(43)
+    base = 1.5 + rng.random((300, 1, 3)) * 2.0
+    inner = ms.uniform_positions(rng, 300 * 16, 2).reshape(300, 16, 2, 3)
+    inner[:, :8, 0] = touching(rng, 300 * 8, np.repeat(base[:, 0], 8, axis=0), A).reshape(300, 8, 3)
+    inner[:, 8:, 1] = touching(rng, 300 * 8, inner[:, 8:, 0].reshape(-1, 3), A).reshape(300, 8, 3)
+    got = ms.exclusion_batch(base, inner)
+    want = [ms._exclusion_of(inner[r], base[r])[0] for r in range(300)]
+    assert got.tolist() == want
