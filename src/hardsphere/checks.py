@@ -17,11 +17,11 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from hardsphere.config import ExperimentConfig
+from hardsphere.config import ExperimentConfig, check_params
 from hardsphere.dynamics import (
     DegeneracyError,
     EventKind,
@@ -36,19 +36,22 @@ from hardsphere.hierarchy import (
     _BLOCKED,
     _DEGENERATE,
     _VALID,
+    EmpiricalResult,
     PhaseBox,
     SeriesParams,
+    SeriesResult,
     _history_tree,
     _series_stratum_stats,
     _uniform_sphere,
-    empirical_chunk_fixed,
-    empirical_chunk_grand,
+    empirical_chunk,
     evolve_resampled,
     pair_collision_rate,
 )
 from hardsphere.measures import (
     CanonicalEq,
+    DensitySpec,
     GrandCanonicalEq,
+    InitialMeasure,
     Maxwellian,
     ModulatedProduct,
     config_from_arrays,
@@ -60,7 +63,6 @@ from hardsphere.stats import (
     RejectionCounter,
     RunningStats,
     SignedEstimate,
-    binomial_estimate,
     falling_factorial,
     z_score,
 )
@@ -110,27 +112,8 @@ class CheckReport:
     detail: dict = field(default_factory=dict)
 
     def to_canonical(self) -> dict:
-        return _jsonable({
-            "check": self.check,
-            "case": self.case,
-            "mode": self.mode,
-            "lhs": self.lhs,
-            "lhs_err": self.lhs_err,
-            "rhs": self.rhs,
-            "rhs_err": self.rhs_err,
-            "z": self.z,
-            "tolerance": self.tolerance,
-            "sigma": self.sigma,
-            "passed": self.passed,
-            "samples": self.samples,
-            "degenerate_rate": self.degenerate_rate,
-            "n": self.n,
-            "t": self.t,
-            "delta": self.delta,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "detail": self.detail,
-        })
+        return _jsonable({f.name: getattr(self, f.name) for f in fields(self)
+                          if f.name != "runtime_s"})
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_canonical(), sort_keys=True)
@@ -145,28 +128,34 @@ class CheckReport:
                 f"{status} | degen {self.degenerate_rate:.1e} | {self.runtime_s:.1f}s")
 
 
-def _stat_report(check, case, lhs: SignedEstimate, rhs: SignedEstimate,
-                 sigma: float, ceiling: float, counter: RejectionCounter,
-                 **extra) -> CheckReport:
+def _stat_report(check, case, lhs: SignedEstimate, rhs: SignedEstimate, exp: ExperimentConfig,
+                 counters, n=None, t=None, box: PhaseBox | None = None, **extra) -> CheckReport:
+    """A statistical case of an (n, t, box) identity; it passes when the
+    z-score stays within exp.sigma and the degenerate rate of the merged
+    counters within exp.degenerate_ceiling."""
+    counter = RejectionCounter()
+    for c in counters:
+        counter.merge(c)
     z = z_score(lhs, rhs)
     rate = counter.degenerate_rate
     return CheckReport(
         check=check, case=case, mode="statistical",
         lhs=lhs.value, lhs_err=lhs.stderr, rhs=rhs.value, rhs_err=rhs.stderr,
-        z=z, tolerance=None, sigma=sigma,
-        passed=bool(z <= sigma and rate <= ceiling),
-        samples=lhs.count + rhs.count, degenerate_rate=rate, **extra,
+        z=z, tolerance=None, sigma=exp.sigma,
+        passed=bool(z <= exp.sigma and rate <= exp.degenerate_ceiling),
+        samples=lhs.count + rhs.count, degenerate_rate=rate,
+        n=n, t=t, delta=box.to_dict() if box is not None else None, **extra,
     )
 
 
-def _det_report(check, case, value, target, tolerance, **extra) -> CheckReport:
+def _det_report(check, case, value, target, tolerance, samples=0, degenerate_rate=0.0,
+                **extra) -> CheckReport:
     return CheckReport(
         check=check, case=case, mode="deterministic",
         lhs=float(value), lhs_err=0.0, rhs=float(target), rhs_err=0.0,
         z=None, tolerance=float(tolerance), sigma=0.0,
         passed=bool(abs(value - target) <= tolerance),
-        samples=extra.pop("samples", 0), degenerate_rate=extra.pop("degenerate_rate", 0.0),
-        **extra,
+        samples=samples, degenerate_rate=degenerate_rate, **extra,
     )
 
 
@@ -184,8 +173,9 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _chunk_counts(total: int, size: int) -> list[int]:
+    # a total of zero is one empty chunk, so every estimator has a result
     full, rem = divmod(total, size)
-    return [size] * full + ([rem] if rem else [])
+    return [size] * full + ([rem] if rem or not full else [])
 
 
 def _map_ordered(fn, payloads, workers: int):
@@ -193,6 +183,67 @@ def _map_ordered(fn, payloads, workers: int):
         return [fn(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, payloads, chunksize=1))
+
+
+@dataclass(frozen=True, slots=True)
+class Chunk:
+    """One chunk of an estimator, as sent to a worker: the measure, the
+    number of samples, the seed tuple of the chunk's random stream, and
+    the fields the workers read (each reads the ones it needs)."""
+
+    spec: DensitySpec
+    domain: Domain
+    norm_proposals: int
+    count: int
+    seed: tuple
+    n: int = 0
+    t: float = 0.0
+    box: PhaseBox | None = None
+    m: int = 0
+    beta0: float | None = None
+    inner: int = 0
+    antithetic: bool = True
+    draws: int = 1
+
+    @property
+    def measure(self) -> InitialMeasure:
+        return get_measure(self.spec, self.domain, norm_proposals=self.norm_proposals)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """A new generator on the chunk's stream."""
+        return _rng(*self.seed)
+
+
+def _chunks(exp: ExperimentConfig, spec, samples: int, seed: tuple, domain: Domain | None = None,
+            **own) -> list[Chunk]:
+    """The chunks of an estimator of ``samples`` samples, with the workers'
+    own fields; chunk idx draws from the stream (exp.seed, *seed, idx)."""
+    return [Chunk(spec, domain or exp.domain, exp.norm_proposals, count, (exp.seed, *seed, idx),
+                  **own)
+            for idx, count in enumerate(_chunk_counts(samples, exp.chunk_size))]
+
+
+def _merge(a, b):
+    if isinstance(a, (RunningStats, RejectionCounter)):
+        a.merge(b)
+        return a
+    return max(a, b) if isinstance(a, float) else a + b
+
+
+def _run_chunks(exp: ExperimentConfig, worker, *groups: list[Chunk]) -> list[tuple]:
+    """Run ``worker`` on the chunks of every group in one ordered map over
+    exp.workers processes.  Returns per group its chunks' results merged
+    field by field in chunk order: statistics and counters merge, counts
+    add, and a float (a worst case) takes the max."""
+    results = iter(_map_ordered(worker, [c for group in groups for c in group], exp.workers))
+    merged = []
+    for group in groups:
+        acc = next(results)
+        for _ in group[1:]:
+            acc = tuple(map(_merge, acc, next(results)))
+        merged.append(acc)
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -231,71 +282,45 @@ def _resolve_delta(entry, domain: Domain, beta: float) -> tuple[str, PhaseBox]:
 # chunk workers (top level, picklable)
 # ---------------------------------------------------------------------------
 
-def _w_empirical(args):
-    (spec, domain, proposals, n, t, box, limit_name, count, seed) = args
-    ms = get_measure(spec, domain, norm_proposals=proposals)
-    rng = np.random.default_rng(np.random.SeedSequence(tuple(seed)))
-    limit = Limit(limit_name)
-    if isinstance(spec, GrandCanonicalEq):
-        stats, counter = empirical_chunk_grand(ms, n, t, box, limit, count, rng)
-        return ("grand", stats, counter)
-    hits, counter = empirical_chunk_fixed(ms, n, t, box, limit, count, rng)
-    return ("fixed", hits, counter)
+def _w_empirical(c: Chunk):
+    return empirical_chunk(c.measure, c.n, c.t, c.box, Limit.FROM_FUTURE, c.count, c.rng)
 
 
-def _w_series(args):
-    (spec, domain, proposals, n, t, box, m, count, beta0, inner, antithetic,
-     draws, seed) = args
-    ms = get_measure(spec, domain, norm_proposals=proposals)
-    rho0 = correlation_map(ms)
-    rng = np.random.default_rng(np.random.SeedSequence(tuple(seed)))
-    stats, counter = _series_stratum_stats(rho0, n, t, box, m, count, beta0,
-                                           inner, antithetic, rng, draws)
-    return (stats, counter)
+def _w_series(c: Chunk):
+    """Stratum c.m of the series; at m = 0 the integral over the box of the
+    time-0 correlation function pulled back along the n-particle backward
+    flow (the collision-free term)."""
+    return _series_stratum_stats(correlation_map(c.measure), c.n, c.t, c.box, c.m, c.count,
+                                 c.beta0, c.inner, c.antithetic, c.rng, c.draws)
 
 
-def _w_backmap(args):
-    """Integral over the box of the time-0 correlation function pulled
-    back along the n-particle backward flow (the collision-free term): the
-    m = 0 stratum of the series."""
-    (spec, domain, proposals, n, t, box, inner, count, seed) = args
-    ms = get_measure(spec, domain, norm_proposals=proposals)
-    rng = np.random.default_rng(np.random.SeedSequence(tuple(seed)))
-    return _series_stratum_stats(correlation_map(ms), n, t, box, 0, count, ms.beta,
-                                 inner, True, rng)
-
-
-def _w_lemma2(args):
+def _w_lemma2(c: Chunk):
     """Pair-collision counts over [0, t] for equilibrium trajectories."""
-    (spec, domain, proposals, t, count, seed) = args
-    ms = get_measure(spec, domain, norm_proposals=proposals)
-    rng = np.random.default_rng(np.random.SeedSequence(tuple(seed)))
+    ms, rng = c.measure, c.rng
     counter = RejectionCounter()
-    qs, ps = ms.sample_batch(rng, count)
-    _, _, n_pair, _, flagged = evolve_batch(qs, ps, domain, t)
+    qs, ps = ms.sample_batch(rng, c.count)
+    _, _, n_pair, _, flagged = evolve_batch(qs, ps, c.domain, c.t)
     for i in np.flatnonzero(flagged):
-        _, log = evolve_resampled(ms, qs, ps, i, t, Limit.FROM_FUTURE, rng, counter)
+        _, log = evolve_resampled(ms, qs, ps, i, c.t, Limit.FROM_FUTURE, rng, counter)
         n_pair[i] = log.n_pair
     stats = RunningStats()
     stats.add_many(n_pair)
-    counter.accepted += count
+    counter.accepted += c.count
     return (stats, counter)
 
 
-def _w_prop1_forward(args):
+def _w_prop1_forward(c: Chunk):
     """Cross-collision tallies: for every collision between the leading
     group and the rest, test whether the group state just after (and just
     before) the collision, flowed alone to the final time, lands in the
     box.  Returns statistics of the (after - before) difference."""
-    (spec, domain, proposals, n, t, box, count, seed) = args
-    ms = get_measure(spec, domain, norm_proposals=proposals)
-    rng = np.random.default_rng(np.random.SeedSequence(tuple(seed)))
+    ms, rng, n, t, box, domain = c.measure, c.rng, c.n, c.t, c.box, c.domain
     d_stats = RunningStats()
     plus_stats = RunningStats()
     minus_stats = RunningStats()
     counter = RejectionCounter()
-    qs, ps = ms.sample_batch(rng, count)
-    for i in range(count):
+    qs, ps = ms.sample_batch(rng, c.count)
+    for i in range(c.count):
         while True:
             cfg = config_from_arrays(qs[i], ps[i], domain)
             try:
@@ -335,25 +360,23 @@ def _w_prop1_forward(args):
     return (d_stats, plus_stats, minus_stats, counter)
 
 
-def _w_prop5_collision(args):
+def _w_prop5_collision(c: Chunk):
     """Time-integrated collision-operator term: MC over the collision
     time s, the box point, the added momentum and the contact direction,
     evaluated through the same history machinery as the series.  The 2n
     histories of a sample, (j, +omega) and (j, -omega) for each receiver j,
     share their first leg."""
-    (spec, domain, proposals, n, t, box, beta0, inner, count, seed) = args
-    ms = get_measure(spec, domain, norm_proposals=proposals)
+    ms, rng, n, t, box, domain, inner = c.measure, c.rng, c.n, c.t, c.box, c.domain, c.inner
     rho0 = correlation_map(ms)
-    rng = np.random.default_rng(np.random.SeedSequence(tuple(seed)))
-    prop = Maxwellian(beta0)
+    prop = Maxwellian(c.beta0)
     vol = box.volume
     stats = RunningStats()
     counter = RejectionCounter()
-    qs, ps = box.sample(rng, count)
+    qs, ps = box.sample(rng, c.count)
     admissible = ms.admissible_batch(qs)
     labels = np.repeat(np.arange(n), 2)[:, None]
     signs = np.tile([1.0, -1.0], n)[:, None, None]
-    for i in range(count):
+    for i in range(c.count):
         if not admissible[i]:
             stats.add(0.0)
             counter.accepted += 1
@@ -383,17 +406,17 @@ def _w_prop5_collision(args):
     return (stats, counter)
 
 
-def _w_reversibility(args):
-    (spec, domain, proposals, t, count, seed) = args
-    ms = get_measure(spec, domain, norm_proposals=proposals)
-    rng = np.random.default_rng(np.random.SeedSequence(tuple(seed)))
+def _w_reversibility(c: Chunk):
+    """Worst relative round-trip error of forward-then-reversed flows over
+    time c.t, with the events run and the trajectories skipped."""
+    ms, rng, t, domain = c.measure, c.rng, c.t, c.domain
     diag = math.sqrt(sum(s * s for s in domain.sides))
     worst = 0.0
     events = 0
     counter = RejectionCounter()
     skipped_gap = 0
     done = 0
-    while done < count:
+    while done < c.count:
         cfg = ms.sample(rng)
         try:
             fwd, log = evolve(cfg, t, collect_log=True)
@@ -420,76 +443,27 @@ def _w_reversibility(args):
 
 
 # ---------------------------------------------------------------------------
-# chunked drivers
+# the two routes, chunk by chunk
 # ---------------------------------------------------------------------------
 
-def _run_empirical(exp: ExperimentConfig, spec, domain, n, t, box, limit,
-                   samples, key, role) -> tuple[SignedEstimate, RejectionCounter]:
-    counts = _chunk_counts(samples, exp.chunk_size)
-    payloads = [
-        (spec, domain, exp.norm_proposals, n, t, box, limit.value, c,
-         (exp.seed, key, role, idx))
-        for idx, c in enumerate(counts)
-    ]
-    results = _map_ordered(_w_empirical, payloads, exp.workers)
-    counter = RejectionCounter()
-    if results and results[0][0] == "grand":
-        stats = RunningStats()
-        for _, s, c in results:
-            stats.merge(s)
-            counter.merge(c)
-        return SignedEstimate.from_stats(stats), counter
-    hits = 0
-    for _, h, c in results:
-        hits += h
-        counter.merge(c)
-    big_n = spec.n_particles
-    return binomial_estimate(hits, samples, falling_factorial(big_n, n)), counter
+def _empirical(exp, spec, domain, n, t, box, samples, key, role) -> EmpiricalResult:
+    """Forward simulation (``empirical_rho``) chunk by chunk."""
+    (part, counter), = _run_chunks(exp, _w_empirical, _chunks(
+        exp, spec, samples, (key, role), domain, n=n, t=t, box=box))
+    return EmpiricalResult.of(spec, n, samples, part, counter)
 
 
-def _run_series(exp: ExperimentConfig, spec, domain, n, t, box, params: SeriesParams,
-                key, role, n_max) -> tuple[SignedEstimate, dict, RejectionCounter]:
-    m_cap = n_max - n
-    m_max = m_cap if params.m_max is None else min(params.m_max, m_cap)
-    beta0 = params.beta0 if params.beta0 is not None else spec.beta
-    counts = params.stratum_counts(m_max)
-    payloads = []
-    for m, total in enumerate(counts):
-        for idx, c in enumerate(_chunk_counts(total, exp.chunk_size)):
-            payloads.append((spec, domain, exp.norm_proposals, n, t, box, m, c,
-                             beta0, params.inner_samples, params.antithetic,
-                             params.direction_draws, (exp.seed, key, role, m, idx)))
-    results = _map_ordered(_w_series, payloads, exp.workers)
-    per_m: dict[int, RunningStats] = {}
-    counter = RejectionCounter()
-    for (m_args, res) in zip(payloads, results):
-        m = m_args[6]
-        stats, c = res
-        per_m.setdefault(m, RunningStats()).merge(stats)
-        counter.merge(c)
-    total_est = None
-    strata = {}
-    for m in sorted(per_m):
-        est = SignedEstimate.from_stats(per_m[m])
-        strata[m] = est
-        total_est = est if total_est is None else total_est.plus(est)
-    return total_est, strata, counter
-
-
-def _run_stats_worker(exp, worker, payload_builder, samples, key, role):
-    counts = _chunk_counts(samples, exp.chunk_size)
-    payloads = [payload_builder(c, (exp.seed, key, role, idx))
-                for idx, c in enumerate(counts)]
-    results = _map_ordered(worker, payloads, exp.workers)
-    stats = RunningStats()
-    counter = RejectionCounter()
-    extra = []
-    for res in results:
-        stats.merge(res[0])
-        counter.merge(res[-1])
-        if len(res) > 2:
-            extra.append(res[1:-1])
-    return stats, counter, extra
+def _series(exp, spec, domain, n, t, box, params: SeriesParams, key, role) -> SeriesResult:
+    """The series (``series_eval``) chunk by chunk; stratum m draws from
+    the streams (exp.seed, key, role, m, idx)."""
+    ms = get_measure(spec, domain, norm_proposals=exp.norm_proposals)
+    beta0, counts = params.plan(n, ms)
+    strata = _run_chunks(exp, _w_series, *(
+        _chunks(exp, spec, count, (key, role, m), domain, n=n, t=t, box=box, m=m, beta0=beta0,
+                inner=params.inner_samples, antithetic=params.antithetic,
+                draws=params.direction_draws)
+        for m, count in enumerate(counts)))
+    return SeriesResult.of(strata, ms.z_rel_err)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +483,7 @@ def _worst(values: np.ndarray) -> float:
 
 
 def _run_conservation(exp, label, params, key):
-    samples = int(params.get("samples", 600_000))
+    samples = int(params["samples"])
     rng = _rng(exp.seed, key, 1)
     sig = 1.0 / math.sqrt(exp.density.beta)
     pi_arr = rng.normal(0, sig, (samples, 3))
@@ -556,25 +530,23 @@ def _run_conservation(exp, label, params, key):
     px3, py3, pz3 = reflect(px2, py2, pz2)
     worst_wall_inv = _worst(_norm(px3 - px, py3 - py, pz3 - pz))
 
-    base = dict(seed=exp.seed, config_hash=exp.config_hash, samples=samples)
     return [
-        _det_report("conservation", "pair_momentum", worst_mom, 0.0, 1e-14, **base),
-        _det_report("conservation", "pair_energy", worst_en, 0.0, 1e-12, **base),
-        _det_report("conservation", "pair_involution", worst_inv, 0.0, 1e-12, **base),
-        _det_report("conservation", "normal_velocity_flip", worst_flip, 0.0, 1e-12, **base),
-        _det_report("conservation", "wall_speed", worst_wall, 0.0, 1e-12, **base),
-        _det_report("conservation", "wall_involution", worst_wall_inv, 0.0, 1e-12, **base),
+        _det_report("conservation", case, worst, 0.0, tol, samples=samples)
+        for case, worst, tol in (("pair_momentum", worst_mom, 1e-14),
+                                 ("pair_energy", worst_en, 1e-12),
+                                 ("pair_involution", worst_inv, 1e-12),
+                                 ("normal_velocity_flip", worst_flip, 1e-12),
+                                 ("wall_speed", worst_wall, 1e-12),
+                                 ("wall_involution", worst_wall_inv, 1e-12))
     ]
 
 
 def _run_reversibility(exp, label, params, key):
-    trajectories = int(params.get("trajectories", 1000))
-    n_list = params.get("n_list", [2, 3, 5])
-    target_events = float(params.get("events_target", 20.0))
+    trajectories = int(params["trajectories"])
     beta = exp.density.beta
     reports = []
-    for n in n_list:
-        spec = CanonicalEq(int(n), beta)
+    for n in map(int, params["n_list"]):
+        spec = CanonicalEq(n, beta)
         ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
         pilot_rng = _rng(exp.seed, key, 2, n)
         pilot_t = 4.0 * exp.domain.a * math.sqrt(beta)
@@ -589,30 +561,13 @@ def _run_reversibility(exp, label, params, key):
             raise RuntimeError(f"reversibility: every pilot trajectory for n={n} "
                                "was degenerate")
         rate = max(sum(ev) / len(ev), 1e-9) / pilot_t
-        t = target_events / rate
-        payloads = [
-            (spec, exp.domain, exp.norm_proposals, t, c, (exp.seed, key, 10 + n, idx))
-            for idx, c in enumerate(_chunk_counts(trajectories, exp.chunk_size))
-        ]
-        results = _map_ordered(_w_reversibility, payloads, exp.workers)
-        worst = 0.0
-        events = 0
-        skipped = 0
-        ctr = RejectionCounter()
-        for w, e, sk, c in results:
-            worst = max(worst, w)
-            events += e
-            skipped += sk
-            ctr.merge(c)
-        rep = _det_report(
-            "reversibility", f"n{n}", worst, 0.0, 1e-8,
-            seed=exp.seed, config_hash=exp.config_hash, samples=trajectories,
-            degenerate_rate=ctr.degenerate_rate,
-        )
-        rep.n = int(n)
-        rep.t = t
-        rep.detail = {"mean_events": events / trajectories, "skipped_small_gap": skipped}
-        reports.append(rep)
+        t = float(params["events_target"]) / rate
+        (worst, events, skipped, ctr), = _run_chunks(
+            exp, _w_reversibility, _chunks(exp, spec, trajectories, (key, 10 + n), t=t))
+        reports.append(_det_report(
+            "reversibility", f"n{n}", worst, 0.0, 1e-8, samples=trajectories,
+            degenerate_rate=ctr.degenerate_rate, n=n, t=t,
+            detail={"mean_events": events / trajectories, "skipped_small_gap": skipped}))
     return reports
 
 
@@ -629,26 +584,15 @@ def _run_liouville(exp, label, params, key):
     # stationarity holds for the equilibrium measure only, so a modulated
     # experiment density is swapped for its equilibrium counterpart here
     spec = _equilibrium_spec(exp)
-    n = int(params.get("n", 1))
-    t = float(params.get("t", 12.0))
-    times = params.get("times", [t / 3.0, 2.0 * t / 3.0, t])
-    samples = int(params.get("samples", 30_000))
-    delta_name = params.get("delta", "bulk")
-    _, box = _resolve_delta(delta_name, exp.domain, spec.beta)
-    base_est, base_ctr = _run_empirical(exp, spec, exp.domain, n, 0.0, box,
-                                        Limit.FROM_FUTURE, samples, key, 0)
+    n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
+    times = params["times"] if params["times"] is not None else [t / 3.0, 2.0 * t / 3.0, t]
+    _, box = _resolve_delta(params["delta"], exp.domain, spec.beta)
+    base = _empirical(exp, spec, exp.domain, n, 0.0, box, samples, key, 0)
     reports = []
     for i, tv in enumerate(times):
-        est, ctr = _run_empirical(exp, spec, exp.domain, n, float(tv), box,
-                                  Limit.FROM_FUTURE, samples, key, i + 1)
-        ctr.merge(base_ctr)
-        rep = _stat_report("liouville", f"t{tv:g}", est, base_est,
-                           exp.sigma, exp.degenerate_ceiling, ctr,
-                           seed=exp.seed, config_hash=exp.config_hash)
-        rep.n = n
-        rep.t = float(tv)
-        rep.delta = box.to_dict()
-        reports.append(rep)
+        est = _empirical(exp, spec, exp.domain, n, float(tv), box, samples, key, i + 1)
+        reports.append(_stat_report("liouville", f"t{tv:g}", est.estimate, base.estimate, exp,
+                                    (est.counter, base.counter), n=n, t=float(tv), box=box))
     return reports
 
 
@@ -660,141 +604,101 @@ def _run_special_flow(exp, label, params, key):
         RotationBase,
         SpecialFlow,
         collision_count_sum,
+        flow_from_block,
         partition_masses,
         verify_identity,
     )
 
-    resolution = int(params.get("resolution", 1024))
-    reports = []
+    resolution = int(params["resolution"])
+    t = float(params["t"])
 
-    atom = SpecialFlow(AtomBase((1.0,), (0,), (1.0,)))
-    chk = verify_identity(atom, 2.5)
-    rep = _det_report("special_flow", "atom", chk.value, chk.target, chk.error_bound,
-                      seed=exp.seed, config_hash=exp.config_hash)
-    rep.detail = {"analytic": 2.5}
-    reports.append(rep)
+    def report(case, chk, **extra):
+        return _det_report("special_flow", case, chk.value, chk.target, chk.error_bound, **extra)
+
+    reports = [report("atom", verify_identity(SpecialFlow(AtomBase((1.0,), (0,), (1.0,))), 2.5),
+                      detail={"analytic": 2.5})]
 
     perm = SpecialFlow(AtomBase((1.0,) * 5, (2, 0, 3, 4, 1),
                                 (0.7, 1.3, 0.4, 2.1, 0.9)))
-    chk = verify_identity(perm, float(params.get("t", 3.7)))
-    rep = _det_report("special_flow", "permutation", chk.value, chk.target,
-                      chk.error_bound, seed=exp.seed, config_hash=exp.config_hash)
-    masses = partition_masses(perm, float(params.get("t", 3.7)))
-    rep.detail = {"partition_mass_gap": abs(sum(masses) - perm.base.total_mass)}
-    reports.append(rep)
+    chk = verify_identity(perm, t)
+    masses = partition_masses(perm, t)
+    reports.append(report("permutation", chk,
+                          detail={"partition_mass_gap": abs(sum(masses) - perm.base.total_mass)}))
 
     rot = SpecialFlow(RotationBase(alpha=0.5 * (math.sqrt(5.0) - 1.0)),
                       Ceiling(1.0, 0.3, 1))
-    t_rot = float(params.get("t", 3.7))
     ladder = (max(resolution // 16, 16), max(resolution // 4, 64), resolution)
-    errs = [abs(collision_count_sum(rot, t_rot, r) - t_rot) for r in ladder]
+    errs = [abs(collision_count_sum(rot, t, r) - t) for r in ladder]
     # midpoint quadrature converges at order ~2 on the kinked integrand but
     # oscillates locally, so measure the order across the whole ladder
     order = (math.log(errs[0] / errs[-1]) / math.log(ladder[-1] / ladder[0])
              if errs[-1] > 0 else math.inf)
-    chk = verify_identity(rot, t_rot, resolution)
-    rep = _det_report("special_flow", "rotation", chk.value, chk.target,
-                      chk.error_bound, seed=exp.seed, config_hash=exp.config_hash)
-    rep.detail = {"refinement_errors": errs, "order": order,
-                  "shrinking": bool(order >= 1.0 or errs[-1] < 1e-12)}
+    rep = report("rotation", verify_identity(rot, t, resolution),
+                 detail={"refinement_errors": errs, "order": order,
+                         "shrinking": bool(order >= 1.0 or errs[-1] < 1e-12)})
     rep.passed = bool(rep.passed and rep.detail["shrinking"])
     reports.append(rep)
 
     exch = SpecialFlow(ExchangeBase((0.3, 0.75), (2, 0, 1)), Ceiling(0.8, 0.2, 2))
-    chk = verify_identity(exch, float(params.get("t", 3.7)), resolution)
-    reports.append(_det_report("special_flow", "exchange", chk.value, chk.target,
-                               chk.error_bound, seed=exp.seed,
-                               config_hash=exp.config_hash))
-
-    from hardsphere.specialflow import flow_from_block
-
-    for idx, block in enumerate(params.get("flows", [])):
-        flow = flow_from_block(block)
-        chk = verify_identity(flow, float(params.get("t", 3.7)), resolution)
-        reports.append(_det_report("special_flow", f"custom{idx}", chk.value,
-                                   chk.target, chk.error_bound, seed=exp.seed,
-                                   config_hash=exp.config_hash))
+    reports.append(report("exchange", verify_identity(exch, t, resolution)))
+    for idx, block in enumerate(params["flows"]):
+        reports.append(report(f"custom{idx}",
+                              verify_identity(flow_from_block(block), t, resolution)))
     return reports
 
 
 def _run_lemma2(exp, label, params, key):
     beta = exp.density.beta
-    t = float(params.get("t", 12.0))
-    trajectories = int(params.get("trajectories", 100_000))
-    rate_samples = int(params.get("rate_samples", 2_000_000))
+    t = float(params["t"])
+    trajectories = int(params["trajectories"])
+    rate_samples = int(params["rate_samples"])
     reports = []
-    for n in params.get("n_list", [2, 3]):
-        spec = CanonicalEq(int(n), beta)
-        stats, counter, _ = _run_stats_worker(
-            exp, _w_lemma2,
-            lambda c, s, sp=spec: (sp, exp.domain, exp.norm_proposals, t, c, s),
-            trajectories, key, 20 + int(n))
+    for n in map(int, params["n_list"]):
+        spec = CanonicalEq(n, beta)
+        (stats, counter), = _run_chunks(
+            exp, _w_lemma2, _chunks(exp, spec, trajectories, (key, 20 + n), t=t))
         emp = SignedEstimate.from_stats(stats)
         ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
-        rate, rate_err = pair_collision_rate(ms, rate_samples, _rng(exp.seed, key, 40 + int(n)))
+        rate, rate_err = pair_collision_rate(ms, rate_samples, _rng(exp.seed, key, 40 + n))
         oracle = SignedEstimate(t * rate, t * rate_err, rate_samples)
-        rep = _stat_report("lemma2_rate", f"n{n}", emp, oracle, exp.sigma,
-                           exp.degenerate_ceiling, counter,
-                           seed=exp.seed, config_hash=exp.config_hash)
-        rep.n = int(n)
-        rep.t = t
-        rep.detail = {"rate": rate, "mean_collisions": emp.value}
-        reports.append(rep)
+        reports.append(_stat_report("lemma2_rate", f"n{n}", emp, oracle, exp, (counter,),
+                                    n=n, t=t,
+                                    detail={"rate": rate, "mean_collisions": emp.value}))
     return reports
+
+
+def _pullback(exp, spec, n, t, box, inner, samples, key) -> tuple[SignedEstimate, RejectionCounter]:
+    """The collision-free term: the m = 0 stratum of the series on the
+    streams (exp.seed, key, 2, idx)."""
+    (stats, counter), = _run_chunks(exp, _w_series, _chunks(
+        exp, spec, samples, (key, 2), n=n, t=t, box=box, beta0=spec.beta, inner=inner))
+    return SignedEstimate.from_stats(stats), counter
 
 
 def _run_prop1(exp, label, params, key):
     spec = exp.density
     if isinstance(spec, GrandCanonicalEq):
         raise ValueError("the decomposition check needs a fixed particle number")
-    n = int(params.get("n", 1))
-    t = float(params.get("t", 12.0))
-    samples = int(params.get("samples", 100_000))
-    inner = int(params.get("inner_samples", 128))
+    n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
     big_n = spec.n_particles
     if big_n < n + 1:
         raise ValueError("need at least n+1 particles")
+    ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
+    ff = falling_factorial(big_n, n)
     reports = []
-    for entry in params.get("deltas", ["bulk", "near_wall", "high_momentum"]):
+    for entry in params["deltas"]:
         name, box = _resolve_delta(entry, exp.domain, spec.beta)
-        lhs, ctr_l = _run_empirical(exp, spec, exp.domain, n, t, box,
-                                    Limit.FROM_FUTURE, samples, key, 1)
-        bstats, ctr_b, _ = _run_stats_worker(
-            exp, _w_backmap,
-            lambda c, s: (spec, exp.domain, exp.norm_proposals, n, t, box, inner, c, s),
-            samples, key, 2)
-        term1 = SignedEstimate.from_stats(bstats)
-        fstats, ctr_f, extras = _run_stats_worker(
-            exp, _w_prop1_forward,
-            lambda c, s: (spec, exp.domain, exp.norm_proposals, n, t, box, c, s),
-            samples, key, 3)
-        ff = falling_factorial(big_n, n)
-        coll = SignedEstimate.from_stats(fstats, scale=ff)
-        rhs = term1.plus(coll)
-        ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
+        lhs = _empirical(exp, spec, exp.domain, n, t, box, samples, key, 1)
+        term1, ctr_b = _pullback(exp, spec, n, t, box, int(params["inner_samples"]), samples, key)
+        (fstats, plus, minus, ctr_f), = _run_chunks(
+            exp, _w_prop1_forward, _chunks(exp, spec, samples, (key, 3), n=n, t=t, box=box))
+        rhs = term1.plus(SignedEstimate.from_stats(fstats, scale=ff))
         rhs = rhs.with_extra_stderr(abs(term1.value) * ms.z_rel_err)
-        counter = RejectionCounter()
-        for c in (ctr_l, ctr_b, ctr_f):
-            counter.merge(c)
-        plus_all = RunningStats()
-        minus_all = RunningStats()
-        for e in extras:
-            plus_all.merge(e[0])
-            minus_all.merge(e[1])
-        plus_mean = plus_all.mean
-        minus_mean = minus_all.mean
-        rep = _stat_report("prop1_decomposition", name, lhs, rhs, exp.sigma,
-                           exp.degenerate_ceiling, counter,
-                           seed=exp.seed, config_hash=exp.config_hash)
-        rep.n = n
-        rep.t = t
-        rep.delta = box.to_dict()
-        rep.detail = {
-            "pullback_term": term1.value,
-            "collision_gain": ff * plus_mean,
-            "collision_loss": ff * minus_mean,
-        }
-        reports.append(rep)
+        reports.append(_stat_report(
+            "prop1_decomposition", name, lhs.estimate, rhs, exp, (lhs.counter, ctr_b, ctr_f),
+            n=n, t=t, box=box,
+            detail={"pullback_term": term1.value, "collision_gain": ff * plus.mean,
+                    "collision_loss": ff * minus.mean}))
     return reports
 
 
@@ -802,40 +706,24 @@ def _run_prop5(exp, label, params, key):
     spec = exp.density
     if isinstance(spec, GrandCanonicalEq):
         raise ValueError("the one-step check needs a fixed particle number")
-    n = int(params.get("n", 1))
-    t = float(params.get("t", 12.0))
-    samples = int(params.get("samples", 60_000))
-    inner = int(params.get("inner_samples", 128))
-    beta0 = float(params.get("beta0", spec.beta))
+    n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
+    inner = int(params["inner_samples"])
+    beta0 = float(params["beta0"] if params["beta0"] is not None else spec.beta)
+    ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
     reports = []
-    for entry in params.get("deltas", ["bulk"]):
+    for entry in params["deltas"]:
         name, box = _resolve_delta(entry, exp.domain, spec.beta)
-        lhs, ctr_l = _run_empirical(exp, spec, exp.domain, n, t, box,
-                                    Limit.FROM_FUTURE, samples, key, 1)
-        bstats, ctr_b, _ = _run_stats_worker(
-            exp, _w_backmap,
-            lambda c, s: (spec, exp.domain, exp.norm_proposals, n, t, box, inner, c, s),
-            samples // 2, key, 2)
-        term1 = SignedEstimate.from_stats(bstats)
-        cstats, ctr_c, _ = _run_stats_worker(
-            exp, _w_prop5_collision,
-            lambda c, s: (spec, exp.domain, exp.norm_proposals, n, t, box, beta0, inner, c, s),
-            samples, key, 3)
+        lhs = _empirical(exp, spec, exp.domain, n, t, box, samples, key, 1)
+        term1, ctr_b = _pullback(exp, spec, n, t, box, inner, samples // 2, key)
+        (cstats, ctr_c), = _run_chunks(exp, _w_prop5_collision, _chunks(
+            exp, spec, samples, (key, 3), n=n, t=t, box=box, beta0=beta0, inner=inner))
         cterm = SignedEstimate.from_stats(cstats)
-        ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
         rhs = term1.plus(cterm)
         rhs = rhs.with_extra_stderr(abs(rhs.value) * ms.z_rel_err)
-        counter = RejectionCounter()
-        for c in (ctr_l, ctr_b, ctr_c):
-            counter.merge(c)
-        rep = _stat_report("prop5_onestep", name, lhs, rhs, exp.sigma,
-                           exp.degenerate_ceiling, counter,
-                           seed=exp.seed, config_hash=exp.config_hash)
-        rep.n = n
-        rep.t = t
-        rep.delta = box.to_dict()
-        rep.detail = {"pullback_term": term1.value, "collision_term": cterm.value}
-        reports.append(rep)
+        reports.append(_stat_report(
+            "prop5_onestep", name, lhs.estimate, rhs, exp, (lhs.counter, ctr_b, ctr_c),
+            n=n, t=t, box=box,
+            detail={"pullback_term": term1.value, "collision_term": cterm.value}))
     return reports
 
 
@@ -843,58 +731,42 @@ def _run_series_identity(exp, label, params, key):
     spec = exp.density
     if isinstance(spec, GrandCanonicalEq):
         raise ValueError("use grand_canonical_identity for grand-canonical specs")
-    n = int(params.get("n", 1))
-    t = float(params.get("t", 12.0))
-    samples = int(params.get("samples", 100_000))
+    n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
     sp = SeriesParams(
         n_samples=samples,
-        m_max=params.get("m_max"),
-        allocation=tuple(params.get("allocation", (0.5, 0.3, 0.2))),
-        beta0=params.get("beta0"),
-        inner_samples=int(params.get("inner_samples", 128)),
-        antithetic=bool(params.get("antithetic", True)),
-        direction_draws=int(params.get("direction_draws", 1)),
+        m_max=params["m_max"],
+        allocation=tuple(params["allocation"]),
+        beta0=params["beta0"],
+        inner_samples=int(params["inner_samples"]),
+        antithetic=bool(params["antithetic"]),
+        direction_draws=int(params["direction_draws"]),
     )
     reports = []
-    for entry in params.get("deltas", ["bulk", "near_wall"]):
+    for entry in params["deltas"]:
         name, box = _resolve_delta(entry, exp.domain, spec.beta)
-        lhs, ctr_l = _run_empirical(exp, spec, exp.domain, n, t, box,
-                                    Limit.FROM_FUTURE, samples, key, 1)
-        total, strata, ctr_s = _run_series(exp, spec, exp.domain, n, t, box,
-                                           sp, key, 2, spec.n_particles)
-        ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
-        rhs = total.with_extra_stderr(abs(total.value) * ms.z_rel_err)
-        counter = RejectionCounter()
-        counter.merge(ctr_l)
-        counter.merge(ctr_s)
-        rep = _stat_report("series_identity", name, lhs, rhs, exp.sigma,
-                           exp.degenerate_ceiling, counter,
-                           seed=exp.seed, config_hash=exp.config_hash)
-        rep.n = n
-        rep.t = t
-        rep.delta = box.to_dict()
-        rep.detail = {f"stratum_m{m}": {"value": e.value, "stderr": e.stderr,
-                                        "count": e.count}
-                      for m, e in strata.items()}
-        rep.detail["blocked"] = ctr_s.blocked
-        reports.append(rep)
+        lhs = _empirical(exp, spec, exp.domain, n, t, box, samples, key, 1)
+        res = _series(exp, spec, exp.domain, n, t, box, sp, key, 2)
+        detail = {f"stratum_m{m}": {"value": e.value, "stderr": e.stderr, "count": e.count}
+                  for m, e in res.strata.items()}
+        reports.append(_stat_report(
+            "series_identity", name, lhs.estimate, res.total_with_norm_err, exp,
+            (lhs.counter, res.counter), n=n, t=t, box=box,
+            detail={**detail, "blocked": res.counter.blocked}))
     return reports
 
 
 def _micro_setup(exp, params):
     a = exp.domain.a
-    dims = params.get("micro_box", [2.5, 1.2, 1.2])
+    dims = params["micro_box"]
     domain = Domain(Vec3(0.0, 0.0, 0.0),
                     Vec3(dims[0] * a, dims[1] * a, dims[2] * a), a)
-    spec = GrandCanonicalEq(float(params.get("z", 50.0)), exp.density.beta)
+    spec = GrandCanonicalEq(float(params["z"]), exp.density.beta)
     return spec, domain
 
 
 def _run_grand_canonical(exp, label, params, key):
     spec, domain = _micro_setup(exp, params)
-    n = int(params.get("n", 1))
-    t = float(params.get("t", 2.0))
-    samples = int(params.get("samples", 40_000))
+    n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
     ms = get_measure(spec, domain, norm_proposals=exp.norm_proposals)
     lo = np.array(domain.inset_lower)
     hi = np.array(domain.inset_upper)
@@ -902,39 +774,28 @@ def _run_grand_canonical(exp, label, params, key):
     q_hi = hi.copy()
     q_hi[0] = lo[0] + 0.4 * (hi[0] - lo[0])
     box = PhaseBox.of([lo], [q_hi], [[-1.2 * sig] * 3], [[1.2 * sig] * 3])
-    lhs, ctr_l = _run_empirical(exp, spec, domain, n, t, box,
-                                Limit.FROM_FUTURE, samples, key, 1)
+    lhs = _empirical(exp, spec, domain, n, t, box, samples, key, 1)
     sp = SeriesParams(
         n_samples=samples,
-        inner_samples=int(params.get("inner_samples", 128)),
-        allocation=tuple(params.get("allocation", (0.35, 0.45, 0.2))),
-        direction_draws=int(params.get("direction_draws", 24)),
+        inner_samples=int(params["inner_samples"]),
+        allocation=tuple(params["allocation"]),
+        direction_draws=int(params["direction_draws"]),
     )
-    total, strata, ctr_s = _run_series(exp, spec, domain, n, t, box, sp, key, 2,
-                                       ms.n_max)
-    rhs = total.with_extra_stderr(abs(total.value) * ms.z_rel_err)
-    counter = RejectionCounter()
-    counter.merge(ctr_l)
-    counter.merge(ctr_s)
-    rep = _stat_report("grand_canonical_identity", label or "micro", lhs, rhs,
-                       exp.sigma, exp.degenerate_ceiling, counter,
-                       seed=exp.seed, config_hash=exp.config_hash)
-    rep.n = n
-    rep.t = t
-    rep.delta = box.to_dict()
-    rep.detail = {"n_max": ms.n_max,
-                  "occupancy": [float(x) for x in ms.occupancy],
-                  **{f"stratum_m{m}": {"value": e.value, "stderr": e.stderr}
-                     for m, e in strata.items()}}
-    return [rep]
+    res = _series(exp, spec, domain, n, t, box, sp, key, 2)
+    return [_stat_report(
+        "grand_canonical_identity", label or "micro", lhs.estimate, res.total_with_norm_err, exp,
+        (lhs.counter, res.counter), n=n, t=t, box=box,
+        detail={"n_max": ms.n_max, "occupancy": [float(x) for x in ms.occupancy],
+                **{f"stratum_m{m}": {"value": e.value, "stderr": e.stderr}
+                   for m, e in res.strata.items()}})]
 
 
 def _run_map_roundtrip(exp, label, params, key):
     spec, domain = _micro_setup(exp, params)
     ms = get_measure(spec, domain, norm_proposals=exp.norm_proposals)
-    rho = correlation_map(ms, inner_samples=int(params.get("inner_samples", 192)))
-    inv = inverse_correlation_map(rho, outer_samples=int(params.get("outer_samples", 384)))
-    points = int(params.get("points", 5))
+    rho = correlation_map(ms, inner_samples=int(params["inner_samples"]))
+    inv = inverse_correlation_map(rho, outer_samples=int(params["outer_samples"]))
+    points = int(params["points"])
     rng = _rng(exp.seed, key, 1)
     reports = []
     for level in range(ms.n_max + 1):
@@ -961,8 +822,7 @@ def _run_map_roundtrip(exp, label, params, key):
             lhs=approx, lhs_err=se, rhs=exact, rhs_err=0.0,
             z=z, tolerance=None, sigma=exp.sigma,
             passed=bool(z <= exp.sigma), samples=points,
-            degenerate_rate=0.0, n=level, seed=exp.seed,
-            config_hash=exp.config_hash,
+            degenerate_rate=0.0, n=level,
         )
         reports.append(rep)
     return reports
@@ -984,12 +844,17 @@ _RUNNERS = {
 
 def run_check(exp: ExperimentConfig, check_id: str, label: str = "",
               params: dict | None = None) -> list[CheckReport]:
+    """Run one check with ``params`` over its defaults (config.CHECK_PARAMS)
+    and stamp every report with the run's seed and config hash."""
     runner = _RUNNERS[check_id]
     key = _check_key(check_id, label)
     start = time.perf_counter()
-    reports = runner(exp, label, params or {}, key)
+    reports = runner(exp, label, check_params(check_id, params or {}), key)
     elapsed = time.perf_counter() - start
+    config_hash = exp.config_hash
     for rep in reports:
+        rep.seed = exp.seed
+        rep.config_hash = config_hash
         rep.runtime_s = elapsed / len(reports)
         if label and not rep.case.startswith(label):
             rep.case = f"{label}.{rep.case}" if rep.case else label

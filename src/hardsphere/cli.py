@@ -49,16 +49,22 @@ def _load(args) -> ExperimentConfig:
     return exp
 
 
+def _checked(args) -> ExperimentConfig | None:
+    """The config, or None after printing its problems."""
+    exp = _load(args)
+    problems = exp.validate()
+    for p in problems:
+        print(f"config error: {p}", file=sys.stderr)
+    return None if problems else exp
+
+
 def cmd_run(args) -> int:
     try:
-        exp = _load(args)
-        problems = exp.validate()
-        if problems:
-            for p in problems:
-                print(f"config error: {p}", file=sys.stderr)
+        exp = _checked(args)
+        if exp is None:
             return 2
         reports = checks_mod.run_all(exp, only=args.check or None)
-    except (OSError, ValueError, KeyError, RuntimeError) as exc:
+    except Exception as exc:   # a failed check is a report; anything raised is an error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     checks_mod.write_report(reports, exp.out)
@@ -69,14 +75,11 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        exp = _load(args)
-    except (OSError, ValueError, KeyError) as exc:
+        exp = _checked(args)
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    problems = exp.validate()
-    for p in problems:
-        print(f"config error: {p}", file=sys.stderr)
-    if problems:
+    if exp is None:
         return 2
     print(f"config ok: {len(exp.checks)} checks, seed {exp.seed}, "
           f"hash {exp.config_hash}")
@@ -86,22 +89,10 @@ def cmd_validate(args) -> int:
 def cmd_report(args) -> int:
     try:
         with open(args.path) as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-    except (OSError, json.JSONDecodeError) as exc:
+            reports = [checks_mod.CheckReport(**json.loads(line)) for line in fh if line.strip()]
+    except (OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports = []
-    for rec in records:
-        rep = checks_mod.CheckReport(
-            check=rec["check"], case=rec["case"], mode=rec["mode"],
-            lhs=rec["lhs"], lhs_err=rec["lhs_err"], rhs=rec["rhs"],
-            rhs_err=rec["rhs_err"], z=rec["z"], tolerance=rec["tolerance"],
-            sigma=rec["sigma"], passed=rec["passed"], samples=rec["samples"],
-            degenerate_rate=rec["degenerate_rate"], n=rec.get("n"),
-            t=rec.get("t"), delta=rec.get("delta"), seed=rec.get("seed", 0),
-            config_hash=rec.get("config_hash", ""), detail=rec.get("detail", {}),
-        )
-        reports.append(rep)
     print(checks_mod.summary_table(reports))
     return 0 if all(r.passed for r in reports) else 1
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from hardsphere.geometry import Domain, Vec3
 from hardsphere.measures import (
@@ -24,28 +24,60 @@ from hardsphere.measures import (
 
 SCHEMA_VERSION = 1
 
-# The parameters each check's runner reads (checks._RUNNERS); any other
-# key in a [check.<id>] section is reported as a config error.
+# The parameters of each check with their defaults; checks.run_check
+# fills in the defaults and validate rejects any other key.  A type in
+# place of a default marks a value the check derives when it is not given:
+# the liouville times (t/3, 2t/3, t), beta0 (the density's beta) and the
+# series m_max (every stratum up to the particle number).
 CHECK_PARAMS = {
-    "conservation": {"samples"},
-    "reversibility": {"trajectories", "n_list", "events_target"},
-    "liouville": {"n", "t", "times", "samples", "delta"},
-    "special_flow": {"resolution", "t", "flows"},
-    "lemma2_rate": {"t", "trajectories", "rate_samples", "n_list"},
-    "prop1_decomposition": {"n", "t", "samples", "inner_samples", "deltas"},
-    "prop5_onestep": {"n", "t", "samples", "inner_samples", "beta0", "deltas"},
-    "series_identity": {"n", "t", "samples", "m_max", "allocation", "beta0",
-                        "inner_samples", "antithetic", "direction_draws", "deltas"},
-    "grand_canonical_identity": {"micro_box", "z", "n", "t", "samples", "inner_samples",
-                                 "allocation", "direction_draws"},
-    "map_roundtrip": {"micro_box", "z", "inner_samples", "outer_samples", "points"},
+    "conservation": {"samples": 600_000},
+    "reversibility": {"trajectories": 1000, "n_list": (2, 3, 5), "events_target": 20.0},
+    "liouville": {"n": 1, "t": 12.0, "times": list, "samples": 30_000, "delta": "bulk"},
+    "special_flow": {"resolution": 1024, "t": 3.7, "flows": ()},
+    "lemma2_rate": {"t": 12.0, "trajectories": 100_000, "rate_samples": 2_000_000,
+                    "n_list": (2, 3)},
+    "prop1_decomposition": {"n": 1, "t": 12.0, "samples": 100_000, "inner_samples": 128,
+                            "deltas": ("bulk", "near_wall", "high_momentum")},
+    "prop5_onestep": {"n": 1, "t": 12.0, "samples": 60_000, "inner_samples": 128,
+                      "beta0": float, "deltas": ("bulk",)},
+    "series_identity": {"n": 1, "t": 12.0, "samples": 100_000, "m_max": int,
+                        "allocation": (0.5, 0.3, 0.2), "beta0": float, "inner_samples": 128,
+                        "antithetic": True, "direction_draws": 1,
+                        "deltas": ("bulk", "near_wall")},
+    "grand_canonical_identity": {"micro_box": (2.5, 1.2, 1.2), "z": 50.0, "n": 1, "t": 2.0,
+                                 "samples": 40_000, "inner_samples": 128,
+                                 "allocation": (0.35, 0.45, 0.2), "direction_draws": 24},
+    "map_roundtrip": {"micro_box": (2.5, 1.2, 1.2), "z": 50.0, "inner_samples": 192,
+                      "outer_samples": 384, "points": 5},
 }
 
 CHECK_IDS = tuple(CHECK_PARAMS)
 
-# sample counts and sizes that must be positive wherever they appear
+# counts, sizes and times that must be positive wherever they appear
 _POSITIVE = ("samples", "trajectories", "inner_samples", "rate_samples", "outer_samples",
-             "points", "resolution", "events_target")
+             "points", "resolution", "events_target", "t")
+
+
+def _json_kind(cls: type) -> str:
+    """The JSON type of values of a Python type."""
+    for types, kind in ((bool, "boolean"), ((int, float), "number"), (str, "string"),
+                        ((list, tuple), "array"), (dict, "object")):
+        if issubclass(cls, types):
+            return kind
+    return "null"
+
+
+def _allowed_kinds(default) -> set[str]:
+    if isinstance(default, type):
+        return {_json_kind(default), "null"}
+    # a delta preset name may also be an explicit box dict
+    return {_json_kind(type(default))} | ({"object"} if isinstance(default, str) else set())
+
+
+def check_params(check_id: str, params: dict) -> dict:
+    """The parameters of one check: ``params`` over the table's defaults."""
+    defaults = {k: None if isinstance(d, type) else d for k, d in CHECK_PARAMS[check_id].items()}
+    return {**defaults, **params}
 
 
 @dataclass(slots=True)
@@ -63,13 +95,9 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def canonical_dict(self) -> dict:
+        # the worker count and the report path change no report byte
         return {
-            "schema_version": self.schema_version,
-            "seed": self.seed,
-            "sigma": self.sigma,
-            "degenerate_ceiling": self.degenerate_ceiling,
-            "chunk_size": self.chunk_size,
-            "norm_proposals": self.norm_proposals,
+            **{k: getattr(self, k) for k in _EXPERIMENT_DEFAULTS if k not in ("workers", "out")},
             "density": spec_to_block(self.density, self.domain),
             "checks": [
                 {"id": cid, "label": label, "params": params}
@@ -86,21 +114,33 @@ class ExperimentConfig:
         """Returns a list of problems; empty means the config is usable."""
         problems = []
         for cid, label, params in self.checks:
-            if cid not in CHECK_IDS:
+            table = CHECK_PARAMS.get(cid)
+            if table is None:
                 problems.append(f"unknown check id {cid!r}")
-            else:
-                for key in sorted(set(params) - CHECK_PARAMS[cid]):
+                continue
+            for key, value in sorted(params.items()):
+                if key not in table:
                     problems.append(f"{cid}: unknown parameter {key!r}")
-            for key in _POSITIVE:
-                if key in params and not params[key] > 0:
+                elif _json_kind(type(value)) not in _allowed_kinds(table[key]):
+                    kinds = " or ".join(sorted(_allowed_kinds(table[key])))
+                    problems.append(f"{cid}: {key} must be {kinds}")
+                elif key in _POSITIVE and not value > 0:
                     problems.append(f"{cid}: {key} must be positive")
-            if "t" in params and not params["t"] > 0:
-                problems.append(f"{cid}: t must be positive")
         if self.workers < 1:
             problems.append("workers must be >= 1")
         if self.sigma <= 0:
             problems.append("sigma must be positive")
+        if self.chunk_size < 1:
+            problems.append("chunk_size must be positive")
+        if self.norm_proposals < 1:
+            problems.append("norm_proposals must be positive")
         return problems
+
+
+# the [experiment] keys, every run-wide setting of ExperimentConfig, with
+# their defaults
+_EXPERIMENT_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)
+                        if f.name not in ("domain", "density", "checks")}
 
 
 def _parse_value(raw: str):
@@ -111,26 +151,29 @@ def _parse_value(raw: str):
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
-        parser.read_file(fh)
-    return _from_parser(parser)
+        return loads_config(fh.read())
+
+
+def _unknown_keys(section: str, given, known) -> list[str]:
+    return [f"unknown key {k!r} in [{section}]" for k in given if k not in known]
 
 
 def loads_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(text)
-    return _from_parser(parser)
-
-
-def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     exp = {k: _parse_value(v) for k, v in parser.items("experiment")} \
         if parser.has_section("experiment") else {}
     version = int(exp.get("schema_version", SCHEMA_VERSION))
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version}")
+    problems = [f"unknown section [{section}]" for section in parser.sections()
+                if section not in ("experiment", "domain", "density")
+                and not section.startswith("check.")]
+    problems += _unknown_keys("experiment", exp, _EXPERIMENT_DEFAULTS)
 
     dom_sec = {k: _parse_value(v) for k, v in parser.items("domain")}
+    problems += _unknown_keys("domain", dom_sec, ("box", "a"))
     box = [float(x) for x in dom_sec["box"]]
     domain = Domain(Vec3(*box[:3]), Vec3(*box[3:]), float(dom_sec["a"]))
 
@@ -140,6 +183,10 @@ def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     spec, spec_domain = spec_from_block(dens)
     if spec_domain != domain:
         raise ValueError("density block box/a disagree with [domain]")
+    # the keys a block of this variant is written with
+    problems += _unknown_keys("density", dens, spec_to_block(spec, domain))
+    if problems:
+        raise ValueError("; ".join(problems))
 
     checks = []
     for section in parser.sections():
@@ -150,32 +197,15 @@ def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         params = {k: _parse_value(v) for k, v in parser.items(section)}
         checks.append((cid, label or "", params))
 
-    return ExperimentConfig(
-        domain=domain,
-        density=spec,
-        checks=checks,
-        seed=int(exp.get("seed", 20250810)),
-        workers=int(exp.get("workers", 1)),
-        out=str(exp.get("out", "report.jsonl")),
-        sigma=float(exp.get("sigma", 3.0)),
-        degenerate_ceiling=float(exp.get("degenerate_ceiling", 1e-3)),
-        chunk_size=int(exp.get("chunk_size", 25_000)),
-        norm_proposals=int(exp.get("norm_proposals", NORM_PROPOSALS)),
-        schema_version=version,
-    )
+    # each run-wide setting has the type of its default
+    settings = {k: type(_EXPERIMENT_DEFAULTS[k])(v) for k, v in exp.items()}
+    return ExperimentConfig(domain=domain, density=spec, checks=checks, **settings)
 
 
 def dump_config(exp: ExperimentConfig) -> str:
     """Render a config back to INI text (values as JSON)."""
     lines = ["[experiment]"]
-    lines.append(f"schema_version = {exp.schema_version}")
-    lines.append(f"seed = {exp.seed}")
-    lines.append(f"workers = {exp.workers}")
-    lines.append(f'out = "{exp.out}"')
-    lines.append(f"sigma = {exp.sigma}")
-    lines.append(f"degenerate_ceiling = {exp.degenerate_ceiling}")
-    lines.append(f"chunk_size = {exp.chunk_size}")
-    lines.append(f"norm_proposals = {exp.norm_proposals}")
+    lines.extend(f"{key} = {json.dumps(getattr(exp, key))}" for key in _EXPERIMENT_DEFAULTS)
     lines.append("")
     lines.append("[domain]")
     lo, hi = exp.domain.lower, exp.domain.upper
@@ -183,10 +213,9 @@ def dump_config(exp: ExperimentConfig) -> str:
     lines.append(f"a = {exp.domain.a}")
     lines.append("")
     lines.append("[density]")
-    block = spec_to_block(exp.density, exp.domain)
-    for key in ("variant", "n", "z", "beta", "g_choice", "g_amplitude"):
-        if key in block:
-            lines.append(f"{key} = {json.dumps(block[key])}")
+    for key, value in spec_to_block(exp.density, exp.domain).items():
+        if key not in ("box", "a"):
+            lines.append(f"{key} = {json.dumps(value)}")
     for cid, label, params in exp.checks:
         lines.append("")
         lines.append(f"[check.{cid}{'.' + label if label else ''}]")

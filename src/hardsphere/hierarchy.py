@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -428,6 +429,15 @@ class SeriesParams:
     # blocked and admissible draws are rare
     direction_draws: int = 1
 
+    def plan(self, n: int, measure: InitialMeasure) -> tuple[float, list[int]]:
+        """The series plan for an n-particle box: the proposal beta0 and
+        the sample count of each stratum m = 0 .. m_max, where m_max is
+        capped by the measure's largest particle number."""
+        m_cap = measure.n_max - n
+        m_max = m_cap if self.m_max is None else min(self.m_max, m_cap)
+        beta0 = self.beta0 if self.beta0 is not None else measure.beta
+        return beta0, self.stratum_counts(m_max)
+
     def stratum_counts(self, m_max: int) -> list[int]:
         if m_max == 0:
             return [self.n_samples]
@@ -452,6 +462,16 @@ class SeriesResult:
     @property
     def total_with_norm_err(self) -> SignedEstimate:
         return self.total.with_extra_stderr(abs(self.total.value) * self.norm_rel_err)
+
+    @staticmethod
+    def of(strata: list, norm_rel_err: float) -> "SeriesResult":
+        """Sum the strata m = 0, 1, ..., each given as its (RunningStats,
+        RejectionCounter), into the series estimate."""
+        ests = {m: SignedEstimate.from_stats(stats) for m, (stats, _) in enumerate(strata)}
+        counter = RejectionCounter()
+        for _, ctr in strata:
+            counter.merge(ctr)
+        return SeriesResult(reduce(SignedEstimate.plus, ests.values()), ests, counter, norm_rel_err)
 
 
 def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseBox,
@@ -632,22 +652,11 @@ def series_eval(rho0: CorrelationVector, n: int, t: float, box: PhaseBox,
         raise ValueError("series evaluation needs t > 0")
     if box.n != n:
         raise ValueError(f"box is {box.n}-particle, expected {n}")
-    m_cap = rho0.n_max - n
-    m_max = m_cap if params.m_max is None else min(params.m_max, m_cap)
-    beta0 = params.beta0 if params.beta0 is not None else rho0.measure.beta
-    counts = params.stratum_counts(m_max)
-    strata = {}
-    counter = RejectionCounter()
-    total: SignedEstimate | None = None
-    for m, count in enumerate(counts):
-        stats, ctr = _series_stratum_stats(rho0, n, t, box, m, count, beta0,
-                                           params.inner_samples, params.antithetic,
-                                           rng, params.direction_draws)
-        est = SignedEstimate.from_stats(stats)
-        strata[m] = est
-        counter.merge(ctr)
-        total = est if total is None else total.plus(est)
-    return SeriesResult(total, strata, counter, norm_rel_err=rho0.z_rel_err)
+    beta0, counts = params.plan(n, rho0.measure)
+    return SeriesResult.of(
+        [_series_stratum_stats(rho0, n, t, box, m, count, beta0, params.inner_samples,
+                               params.antithetic, rng, params.direction_draws)
+         for m, count in enumerate(counts)], rho0.z_rel_err)
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +667,15 @@ def series_eval(rho0: CorrelationVector, n: int, t: float, box: PhaseBox,
 class EmpiricalResult:
     estimate: SignedEstimate
     counter: RejectionCounter
+
+    @staticmethod
+    def of(spec, n: int, samples: int, part, counter: RejectionCounter) -> "EmpiricalResult":
+        """The estimate of ``empirical_rho`` from the merged results of
+        ``empirical_chunk`` over ``samples`` samples."""
+        if isinstance(spec, GrandCanonicalEq):
+            return EmpiricalResult(SignedEstimate.from_stats(part), counter)
+        return EmpiricalResult(
+            binomial_estimate(part, samples, falling_factorial(spec.n_particles, n)), counter)
 
 
 def evolve_resampled(measure: InitialMeasure, qs: np.ndarray, ps: np.ndarray, i: int,
@@ -728,6 +746,16 @@ def empirical_chunk_grand(measure: InitialMeasure, n: int, t: float, box: PhaseB
     return stats, counter
 
 
+def empirical_chunk(measure: InitialMeasure, n: int, t: float, box: PhaseBox, limit: Limit,
+                    count: int, rng: np.random.Generator, max_resample: int = 200):
+    """One chunk of forward trajectories: the hit count for a fixed-N
+    measure, the tuple-count statistics for a grand-canonical one, each
+    with its counter."""
+    chunk = (empirical_chunk_grand if isinstance(measure.spec, GrandCanonicalEq)
+             else empirical_chunk_fixed)
+    return chunk(measure, n, t, box, limit, count, rng, max_resample)
+
+
 def empirical_rho(measure: InitialMeasure, n: int, t: float, box: PhaseBox,
                   limit: Limit, samples: int, rng: np.random.Generator,
                   max_resample: int = 200) -> EmpiricalResult:
@@ -742,17 +770,10 @@ def empirical_rho(measure: InitialMeasure, n: int, t: float, box: PhaseBox,
     """
     if box.n != n:
         raise ValueError(f"box is {box.n}-particle, expected {n}")
-    if isinstance(measure.spec, GrandCanonicalEq):
-        stats, counter = empirical_chunk_grand(measure, n, t, box, limit,
-                                               samples, rng, max_resample)
-        return EmpiricalResult(SignedEstimate.from_stats(stats), counter)
-    big_n = measure.spec.n_particles
-    if n > big_n:
-        raise ValueError(f"n={n} exceeds particle number {big_n}")
-    hits, counter = empirical_chunk_fixed(measure, n, t, box, limit,
-                                          samples, rng, max_resample)
-    return EmpiricalResult(binomial_estimate(hits, samples, falling_factorial(big_n, n)),
-                           counter)
+    if not isinstance(measure.spec, GrandCanonicalEq) and n > measure.n_max:
+        raise ValueError(f"n={n} exceeds particle number {measure.n_max}")
+    return EmpiricalResult.of(measure.spec, n, samples, *empirical_chunk(
+        measure, n, t, box, limit, samples, rng, max_resample))
 
 
 def _evolved_tuple_count(config: Configuration, n: int, t: float, box: PhaseBox,

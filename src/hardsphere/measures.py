@@ -589,6 +589,7 @@ def spec_to_block(spec: DensitySpec, domain: Domain, seed: int | None = None) ->
     elif isinstance(spec, GrandCanonicalEq):
         block["variant"] = "grand_canonical"
         block["z"] = spec.z
+        block["n_cap"] = spec.n_cap
     else:
         block["variant"] = "modulated"
         block["n"] = spec.n_particles
@@ -625,13 +626,3 @@ def get_measure(spec: DensitySpec, domain: Domain, norm_seed: int = 2_0250_101,
     per (spec, domain) in each process, from a fixed normalization
     stream, so parallel workers agree bit for bit."""
     return InitialMeasure(spec, domain, norm_seed, norm_proposals)
-
-
-def density_eval(measure: InitialMeasure, config: Configuration) -> float:
-    """Free-function form of InitialMeasure.density."""
-    return measure.density(config)
-
-
-def sample(measure: InitialMeasure, rng: np.random.Generator) -> Configuration:
-    """Free-function form of InitialMeasure.sample."""
-    return measure.sample(rng)

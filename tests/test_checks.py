@@ -6,9 +6,10 @@ import pytest
 from hardsphere import checks as C
 from hardsphere.config import CHECK_IDS, dump_config, loads_config
 from hardsphere.geometry import Domain, Vec3
-from hardsphere.measures import ModulatedProduct
+from hardsphere.measures import GrandCanonicalEq, ModulatedProduct
 from hardsphere.cli import default_experiment, main
 from hardsphere.dynamics import DegeneracyError, DegeneracyKind
+from hardsphere.hierarchy import EmpiricalResult, SeriesResult
 from hardsphere.stats import RejectionCounter, SignedEstimate
 
 SMALL_INI = """
@@ -64,6 +65,13 @@ def test_config_dump_roundtrip():
     back = loads_config(text)
     assert back.canonical_dict() == exp.canonical_dict()
     assert back.config_hash == exp.config_hash
+    # a grand-canonical density keeps its occupancy cap, which the hash sees
+    exp.density = GrandCanonicalEq(2.0, 1.0, n_cap=3)
+    back = loads_config(dump_config(exp))
+    assert back.density == exp.density
+    assert back.config_hash == exp.config_hash
+    exp.density = GrandCanonicalEq(2.0, 1.0)
+    assert exp.config_hash != back.config_hash
 
 
 def test_config_validation_catches_problems():
@@ -81,14 +89,61 @@ def test_config_validation_catches_problems():
         exp = small_exp()
         exp.checks = [(cid, "", {key: 0})]
         assert exp.validate() == [f"{cid}: {key} must be positive"]
+    # values of the wrong JSON type; derived defaults also take null, and a
+    # delta preset name also takes an explicit box
+    for cid, key, value, kinds in (("reversibility", "n_list", 2, "array"),
+                                   ("series_identity", "samples", "many", "number"),
+                                   ("series_identity", "antithetic", 1, "boolean"),
+                                   ("liouville", "times", 4.0, "array or null"),
+                                   ("liouville", "delta", 3, "object or string")):
+        exp = small_exp()
+        exp.checks = [(cid, "", {key: value})]
+        assert exp.validate() == [f"{cid}: {key} must be {kinds}"]
+    exp = small_exp()
+    exp.checks = [("series_identity", "", {"m_max": None, "beta0": 1, "t": 6}),
+                  ("liouville", "", {"delta": {"q_lo": [[1, 1, 1]], "q_hi": [[2, 2, 2]],
+                                               "p_lo": [[-1, -1, -1]], "p_hi": [[1, 1, 1]]}})]
+    assert exp.validate() == []
+    for key in ("chunk_size", "norm_proposals"):
+        exp = small_exp()
+        setattr(exp, key, 0)
+        assert exp.validate() == [f"{key} must be positive"]
+    # misspelled keys and sections outside the check sections
+    text = (SMALL_INI.format(out="r.jsonl").replace("workers = 1", "worker = 4")
+            .replace("a = 1.0", "a = 1.0\nsigm = 1.0")
+            .replace("beta = 1.0", "beta = 1.0\ng_amplitud = 0.3")
+            .replace("[check.series_identity]", "[chek.series_identity]"))
+    with pytest.raises(ValueError) as err:
+        loads_config(text)
+    for problem in ("unknown section [chek.series_identity]",
+                    "unknown key 'worker' in [experiment]", "unknown key 'sigm' in [domain]",
+                    "unknown key 'g_amplitud' in [density]"):
+        assert problem in str(err.value)
+    # the grand-canonical block has its own keys
+    grand = SMALL_INI.format(out="r.jsonl").replace('variant = "modulated"\nn = 2',
+                                                   'variant = "grand_canonical"\nz = 2.0')
+    assert loads_config(grand.replace("beta = 1.0", "beta = 1.0\nn_cap = 3")).density.n_cap == 3
+    with pytest.raises(ValueError, match="unknown key 'g_choice' in \\[density\\]"):
+        loads_config(grand.replace("beta = 1.0", 'beta = 1.0\ng_choice = "cos_x"'))
 
 
 def test_nonpositive_count_exits_2(tmp_path, capsys):
+    # bad counts and sizes, a wrong JSON type and misspellings outside the
+    # check sections are config errors, never "config ok" or a traceback
     cfg_path = tmp_path / "exp.ini"
-    cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
-                        .replace("rate_samples = 300000", "rate_samples = 0"))
-    assert main(["run", "--config", str(cfg_path), "--check", "lemma2_rate"]) == 2
-    assert "rate_samples must be positive" in capsys.readouterr().err
+    for old, new, message in (
+            ("rate_samples = 300000", "rate_samples = 0",
+             "config error: lemma2_rate: rate_samples must be positive"),
+            ("chunk_size = 5000", "chunk_size = 0", "config error: chunk_size must be positive"),
+            ("n_list = [2]", "n_list = 2", "config error: lemma2_rate: n_list must be array"),
+            ("workers = 1", "worker = 4", "error: unknown key 'worker' in [experiment]"),
+            ("[check.lemma2_rate]", "[chek.lemma2_rate]",
+             "error: unknown section [chek.lemma2_rate]")):
+        cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl").replace(old, new))
+        assert main(["validate", "--config", str(cfg_path)]) == 2
+        assert main(["run", "--config", str(cfg_path), "--check", "lemma2_rate"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 def test_density_box_mismatch_rejected():
@@ -214,14 +269,17 @@ def test_exit_code_on_failure(tmp_path, monkeypatch):
 
 
 def test_runtime_error_exits_2(tmp_path, monkeypatch, capsys):
-    def raising_runner(exp, label, params, key):
-        raise RuntimeError("excessive degenerate-trajectory rate")
-
-    monkeypatch.setitem(C._RUNNERS, "special_flow", raising_runner)
+    # any exception a check raises is an error (exit 2), not a failed check
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl"))
-    assert main(["run", "--config", str(cfg_path), "--check", "special_flow"]) == 2
-    assert "error: excessive degenerate-trajectory rate" in capsys.readouterr().err
+    for exc in (RuntimeError("excessive degenerate-trajectory rate"),
+                ZeroDivisionError("division by zero")):
+        def raising_runner(exp, label, params, key):
+            raise exc
+
+        monkeypatch.setitem(C._RUNNERS, "special_flow", raising_runner)
+        assert main(["run", "--config", str(cfg_path), "--check", "special_flow"]) == 2
+        assert f"error: {exc}" in capsys.readouterr().err
 
 
 def test_reversibility_pilot_without_usable_trajectory(monkeypatch):
@@ -236,15 +294,15 @@ def test_reversibility_pilot_without_usable_trajectory(monkeypatch):
 def test_series_identity_passes_direction_draws(monkeypatch):
     seen = []
 
-    def fake_series(exp, spec, domain, n, t, box, params, key, role, n_max):
+    def fake_series(exp, spec, domain, n, t, box, params, key, role):
         seen.append(params)
-        return SignedEstimate(0.1, 0.01, 10), {}, RejectionCounter()
+        return SeriesResult(SignedEstimate(0.1, 0.01, 10), {}, RejectionCounter())
 
     def fake_empirical(*args):
-        return SignedEstimate(0.1, 0.01, 10), RejectionCounter()
+        return EmpiricalResult(SignedEstimate(0.1, 0.01, 10), RejectionCounter())
 
-    monkeypatch.setattr(C, "_run_series", fake_series)
-    monkeypatch.setattr(C, "_run_empirical", fake_empirical)
+    monkeypatch.setattr(C, "_series", fake_series)
+    monkeypatch.setattr(C, "_empirical", fake_empirical)
     C.run_check(small_exp(), "series_identity",
                 params={"samples": 10, "deltas": ["bulk"], "direction_draws": 3})
     C.run_check(small_exp(), "series_identity", params={"samples": 10, "deltas": ["bulk"]})
@@ -341,3 +399,65 @@ def test_golden_series_report_bytes(tmp_path):
     out = tmp_path / "golden_series.jsonl"
     C.write_report(C.run_all(loads_config(GOLDEN_SERIES_INI)), str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SERIES_SHA256
+
+
+GOLDEN_OTHER_INI = """
+[experiment]
+schema_version = 1
+seed = 27182818
+workers = 1
+norm_proposals = 100000
+chunk_size = 250
+
+[domain]
+box = [0, 0, 0, 5, 5, 5]
+a = 1.0
+
+[density]
+variant = "modulated"
+n = 3
+beta = 1.0
+g_choice = "cos_x"
+g_amplitude = 0.5
+
+[check.reversibility]
+trajectories = 40
+n_list = [2, 3]
+
+[check.liouville]
+samples = 900
+t = 6.0
+times = [3.0, 6.0]
+
+[check.special_flow]
+resolution = 256
+
+[check.prop1_decomposition]
+samples = 600
+t = 6.0
+deltas = ["bulk", "near_wall"]
+
+[check.prop5_onestep]
+samples = 600
+t = 6.0
+deltas = ["bulk"]
+
+[check.map_roundtrip]
+z = 50.0
+inner_samples = 64
+outer_samples = 96
+points = 3
+"""
+
+# SHA-256 of the canonical report of GOLDEN_OTHER_INI, recorded with the
+# per-check chunk drivers and positional worker payloads (numpy 2.4,
+# x86-64 Linux).  It covers the checks the other two digests leave out,
+# each over several chunks, so a change to their seeds, chunking, order
+# of random draws or report fields shows up as a different digest.
+GOLDEN_OTHER_SHA256 = "5c2523bb9ff698f16ad7278358addc0a44d4f81402549a8eabde98e206d644c1"
+
+
+def test_golden_other_report_bytes(tmp_path):
+    out = tmp_path / "golden_other.jsonl"
+    C.write_report(C.run_all(loads_config(GOLDEN_OTHER_INI)), str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_OTHER_SHA256

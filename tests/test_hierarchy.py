@@ -682,12 +682,15 @@ def test_check_workers_match_oracles(force, request):
         box = (checks.delta_preset("near_wall", BOX, 1.0) if n == 1 else
                PhaseBox.of([[1.0] * 3, [1.0] * 3], [[4.0] * 3] * 2, [[-1.0] * 3] * 2,
                            [[1.0] * 3] * 2))
+        # the pull-back term is the series worker at m = 0
         back = (spec, BOX, 20_000, n, 4.0, box, 32, 150, (5, n, 2))
-        got = checks._w_backmap(back)
+        got = checks._w_series(checks.Chunk(spec, BOX, 20_000, 150, (5, n, 2), n=n, t=4.0,
+                                            box=box, beta0=1.0, inner=32))
         want, rng = oracle_backmap(back)
         assert got == want
         one = (spec, BOX, 20_000, n, 4.0, box, 1.0, 32, 150, (5, n, 3))
-        got = checks._w_prop5_collision(one)
+        got = checks._w_prop5_collision(checks.Chunk(spec, BOX, 20_000, 150, (5, n, 3), n=n,
+                                                     t=4.0, box=box, beta0=1.0, inner=32))
         want, rng = oracle_prop5(one)
         assert got == want
         assert got[1].blocked > 0
