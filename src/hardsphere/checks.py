@@ -23,14 +23,13 @@ import numpy as np
 
 from hardsphere.config import ExperimentConfig, check_params
 from hardsphere.dynamics import (
+    EPS_EVENT_REL,
     DegeneracyError,
     EventKind,
     Limit,
-    evolve,
+    evolve_arrays,
     evolve_batch,
-    reverse_momenta,
 )
-from hardsphere.dynamics import EPS_EVENT_REL
 from hardsphere.geometry import Domain, Vec3
 from hardsphere.hierarchy import (
     _BLOCKED,
@@ -54,7 +53,6 @@ from hardsphere.measures import (
     InitialMeasure,
     Maxwellian,
     ModulatedProduct,
-    config_from_arrays,
     correlation_map,
     get_measure,
     inverse_correlation_map,
@@ -299,10 +297,9 @@ def _w_lemma2(c: Chunk):
     ms, rng = c.measure, c.rng
     counter = RejectionCounter()
     qs, ps = ms.sample_batch(rng, c.count)
-    _, _, n_pair, _, flagged = evolve_batch(qs, ps, c.domain, c.t)
-    for i in np.flatnonzero(flagged):
-        _, log = evolve_resampled(ms, qs, ps, i, c.t, Limit.FROM_FUTURE, rng, counter)
-        n_pair[i] = log.n_pair
+    _, _, n_pair, _, degenerate = evolve_batch(qs, ps, c.domain, c.t)
+    for i in np.flatnonzero(degenerate):
+        n_pair[i] = evolve_resampled(ms, qs, ps, i, c.t, Limit.FROM_FUTURE, rng, counter)[2].n_pair
     stats = RunningStats()
     stats.add_many(n_pair)
     counter.accepted += c.count
@@ -313,50 +310,34 @@ def _w_prop1_forward(c: Chunk):
     """Cross-collision tallies: for every collision between the leading
     group and the rest, test whether the group state just after (and just
     before) the collision, flowed alone to the final time, lands in the
-    box.  Returns statistics of the (after - before) difference."""
+    box.  Returns statistics of the (after - before) difference.  The
+    group legs draw nothing, so those of the whole chunk run together
+    once every trajectory is drawn."""
     ms, rng, n, t, box, domain = c.measure, c.rng, c.n, c.t, c.box, c.domain
-    d_stats = RunningStats()
-    plus_stats = RunningStats()
-    minus_stats = RunningStats()
     counter = RejectionCounter()
     qs, ps = ms.sample_batch(rng, c.count)
+    # per cross collision its trajectory, and per group leg (just after,
+    # then just before the collision) its start and duration
+    traj, q_leg, p_leg, rest = [], [], [], []
     for i in range(c.count):
-        while True:
-            cfg = config_from_arrays(qs[i], ps[i], domain)
-            try:
-                _, log = evolve(cfg, t, collect_log=True)
-                break
-            except DegeneracyError:
-                counter.degenerate += 1
-                q1, p1 = ms.sample_batch(rng, 1)
-                qs[i], ps[i] = q1[0], p1[0]
-        c_plus = 0.0
-        c_minus = 0.0
-        for entry in log.entries:
-            ev = entry.event
-            if ev.kind is not EventKind.PAIR or not (ev.i < n <= ev.j):
-                continue
-            remaining = t - entry.time
-            q_group = np.array(entry.positions[:n])
-            for tag, mom in (("plus", entry.momenta_after), ("minus", entry.momenta_before)):
-                p_group = np.array(mom[:n])
-                group_cfg = config_from_arrays(q_group, p_group, domain)
-                try:
-                    fin, _ = evolve(group_cfg, remaining, Limit.FROM_FUTURE)
-                except DegeneracyError:
-                    counter.degenerate += 1
-                    continue
-                qf = np.array([pt.q.as_tuple() for pt in fin.particles])
-                pf = np.array([pt.p.as_tuple() for pt in fin.particles])
-                if box.contains(qf, pf):
-                    if tag == "plus":
-                        c_plus += 1.0
-                    else:
-                        c_minus += 1.0
-        d_stats.add(c_plus - c_minus)
-        plus_stats.add(c_plus)
-        minus_stats.add(c_minus)
-        counter.accepted += 1
+        log = evolve_resampled(ms, qs, ps, i, t, Limit.FROM_FUTURE, rng, counter,
+                               collect_log=True)[2]
+        for e in log.entries:
+            if e.event.kind is EventKind.PAIR and e.event.i < n <= e.event.j:
+                traj.append(i)
+                q_leg += [e.positions[:n]] * 2
+                p_leg += [e.momenta_after[:n], e.momenta_before[:n]]
+                rest += [t - e.time] * 2
+    qf, pf, _, _, degenerate = evolve_batch(np.reshape(q_leg, (-1, n, 3)),
+                                            np.reshape(p_leg, (-1, n, 3)), domain, np.array(rest))
+    counter.degenerate += int(degenerate.sum())
+    hit = (box.contains_batch(qf, pf) & ~degenerate).reshape(-1, 2)
+    c_plus, c_minus = (np.bincount(np.array(traj, dtype=int), w, c.count) for w in hit.T)
+    d_stats, plus_stats, minus_stats = RunningStats(), RunningStats(), RunningStats()
+    d_stats.add_many(c_plus - c_minus)
+    plus_stats.add_many(c_plus)
+    minus_stats.add_many(c_minus)
+    counter.accepted += c.count
     return (d_stats, plus_stats, minus_stats, counter)
 
 
@@ -417,25 +398,22 @@ def _w_reversibility(c: Chunk):
     skipped_gap = 0
     done = 0
     while done < c.count:
-        cfg = ms.sample(rng)
+        q0, p0 = ms.sample_arrays(rng)
         try:
-            fwd, log = evolve(cfg, t, collect_log=True)
-            there_and_back, _ = evolve(reverse_momenta(fwd), t)
+            q1, p1, log = evolve_arrays(q0, p0, domain, t, collect_log=True)
+            q2, p2, _ = evolve_arrays(q1, -p1, domain, t)
         except DegeneracyError:
             counter.degenerate += 1
             continue
         gaps = [b.time - a.time for a, b in zip(log.entries, log.entries[1:])]
-        pscale = max(1.0, max(abs(c) for pt in cfg.particles for c in pt.p.as_tuple()))
+        pscale = max(1.0, float(np.abs(p0).max()))
         eps_gap = 10.0 * EPS_EVENT_REL * domain.a / pscale
         if gaps and min(gaps) < eps_gap:
             skipped_gap += 1
             continue
-        final = reverse_momenta(there_and_back)
-        err = 0.0
-        for p0, p1 in zip(cfg.particles, final.particles):
-            err = max(err, (p0.q - p1.q).norm() / diag)
-            err = max(err, (p0.p - p1.p).norm() / pscale)
-        worst = max(worst, err)
+        # the round trip ends at (q2, -p2); norms in the Vec3 operation order
+        dq, dp = q0 - q2, p0 - (-p2)
+        worst = max(worst, float(max((_norm(*dq.T) / diag).max(), (_norm(*dp.T) / pscale).max())))
         events += log.n_events
         counter.accepted += 1
         done += 1
@@ -550,17 +528,13 @@ def _run_reversibility(exp, label, params, key):
         ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
         pilot_rng = _rng(exp.seed, key, 2, n)
         pilot_t = 4.0 * exp.domain.a * math.sqrt(beta)
-        ev = []
-        for _ in range(32):
-            try:
-                _, log = evolve(ms.sample(pilot_rng), pilot_t)
-                ev.append(log.n_events)
-            except DegeneracyError:
-                continue
-        if not ev:
+        qs, ps = map(np.array, zip(*(ms.sample_arrays(pilot_rng) for _ in range(32))))
+        _, _, n_pair, n_wall, degenerate = evolve_batch(qs, ps, exp.domain, pilot_t)
+        ev = (n_pair + n_wall)[~degenerate]
+        if not len(ev):
             raise RuntimeError(f"reversibility: every pilot trajectory for n={n} "
                                "was degenerate")
-        rate = max(sum(ev) / len(ev), 1e-9) / pilot_t
+        rate = max(int(ev.sum()) / len(ev), 1e-9) / pilot_t
         t = float(params["events_target"]) / rate
         (worst, events, skipped, ctr), = _run_chunks(
             exp, _w_reversibility, _chunks(exp, spec, trajectories, (key, 10 + n), t=t))

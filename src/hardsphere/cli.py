@@ -67,6 +67,9 @@ def cmd_run(args) -> int:
     except Exception as exc:   # a failed check is a report; anything raised is an error
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not reports:            # a run that tested nothing did not pass
+        print("error: the selected checks produced no report", file=sys.stderr)
+        return 2
     checks_mod.write_report(reports, exp.out)
     print(checks_mod.summary_table(reports))
     print(f"report written to {exp.out}")

@@ -56,6 +56,11 @@ CHECK_IDS = tuple(CHECK_PARAMS)
 # counts, sizes and times that must be positive wherever they appear
 _POSITIVE = ("samples", "trajectories", "inner_samples", "rate_samples", "outer_samples",
              "points", "resolution", "events_target", "t")
+# the JSON types of the elements of each list parameter, and the lists
+# that must not be empty (a check with no case tests nothing)
+_ELEMENTS = {"deltas": ("object", "string"), "n_list": ("integer",), "times": ("number",),
+             "allocation": ("number",), "micro_box": ("number",)}
+_NONEMPTY = ("deltas", "n_list", "times")
 
 
 def _json_kind(cls: type) -> str:
@@ -65,6 +70,11 @@ def _json_kind(cls: type) -> str:
         if issubclass(cls, types):
             return kind
     return "null"
+
+
+def _element_ok(value, kinds) -> bool:
+    kind = _json_kind(type(value))
+    return kind in kinds or (kind == "number" and isinstance(value, int) and "integer" in kinds)
 
 
 def _allowed_kinds(default) -> set[str]:
@@ -126,6 +136,11 @@ class ExperimentConfig:
                     problems.append(f"{cid}: {key} must be {kinds}")
                 elif key in _POSITIVE and not value > 0:
                     problems.append(f"{cid}: {key} must be positive")
+                elif key in _NONEMPTY and value is not None and not value:
+                    problems.append(f"{cid}: {key} must not be empty")
+                elif key in _ELEMENTS and value is not None and not all(
+                        _element_ok(x, _ELEMENTS[key]) for x in value):
+                    problems.append(f"{cid}: {key} entries must be {' or '.join(_ELEMENTS[key])}")
         if self.workers < 1:
             problems.append("workers must be >= 1")
         if self.sigma <= 0:

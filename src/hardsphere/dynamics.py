@@ -15,13 +15,16 @@ A configuration that starts with a touching pair is legitimate input; the
 pair collides immediately when it is approaching in the direction of
 integration and simply separates otherwise.
 
-Two engines share these rules.  ``evolve`` integrates one configuration
-on plain floats and is the reference.  ``evolve_batch`` integrates many
-independent configurations of the same particle number in lockstep on
-arrays, each for its own duration, bit for bit as ``evolve`` would.  It
-settles at-contact starts itself and hands every row that overlaps, meets
-a degeneracy or passes the event cap back to the caller, who re-runs it
-through ``evolve``.
+Two engines share these rules.  The scalar engine integrates one
+configuration on plain floats and is the reference: ``evolve_arrays`` on
+(n, 3) position and momentum arrays, ``evolve`` on a ``Configuration``.
+``evolve_batch`` is the one entry for many independent configurations of
+the same particle number, each with its own duration.  From _BATCH_ROWS
+moving rows on it runs them in lockstep on arrays, bit for bit as the
+scalar engine would, and re-runs through the scalar engine the rows the
+lockstep kernel cannot settle; below that it runs the scalar engine row
+by row, which is faster there.  Either way a degenerate row is reported
+and comes back as it went in.
 """
 
 from __future__ import annotations
@@ -205,19 +208,17 @@ class _Engine:
             qi[1] += dt * pi[1]
             qi[2] += dt * pi[2]
 
-    def _record(self, event: Event, p_before, p_after) -> None:
-        if event.kind is EventKind.PAIR:
-            self.log.n_pair += 1
-        else:
-            self.log.n_wall += 1
+    def _record(self, p_before, event) -> None:
+        """Log the event just applied, built by ``event()`` only when the
+        log keeps entries, and enforce the event cap."""
         if self.collect:
             self.log.entries.append(
-                LogEntry(self.elapsed, event, self.snapshot_q(), p_before, p_after)
+                LogEntry(self.elapsed, event(), self.snapshot_q(), p_before, self.snapshot_p())
             )
         if self.log.n_events > self.max_events:
             raise RuntimeError(f"event count exceeded {self.max_events}")
 
-    def apply_pair(self, i: int, j: int) -> Event:
+    def apply_pair(self, i: int, j: int) -> None:
         qi, qj, pi, pj = self.q[i], self.q[j], self.p[i], self.p[j]
         rx, ry, rz = qj[0] - qi[0], qj[1] - qi[1], qj[2] - qi[2]
         dist = math.sqrt(rx * rx + ry * ry + rz * rz)
@@ -230,17 +231,15 @@ class _Engine:
         pj[0] += c * ox
         pj[1] += c * oy
         pj[2] += c * oz
-        ev = Event(EventKind.PAIR, 0.0, i, j=j, omega=Vec3(ox, oy, oz))
-        self._record(ev, p_before, self.snapshot_p() if self.collect else ())
-        return ev
+        self.log.n_pair += 1
+        self._record(p_before, lambda: Event(EventKind.PAIR, 0.0, i, j=j, omega=Vec3(ox, oy, oz)))
 
-    def apply_wall(self, i: int, axis: int, side: int) -> Event:
+    def apply_wall(self, i: int, axis: int, side: int) -> None:
         p_before = self.snapshot_p() if self.collect else ()
         self.p[i][axis] = -self.p[i][axis]
-        ev = Event(EventKind.WALL, 0.0, i, axis=axis, side=side,
-                   normal=_AXIS_NORMALS[(axis, side)])
-        self._record(ev, p_before, self.snapshot_p() if self.collect else ())
-        return ev
+        self.log.n_wall += 1
+        self._record(p_before, lambda: Event(EventKind.WALL, 0.0, i, axis=axis, side=side,
+                                             normal=_AXIS_NORMALS[(axis, side)]))
 
     # -- contact handling at the start of a segment -----------------------
 
@@ -480,7 +479,8 @@ def _flow(q: list, p: list, domain, t: float, limit: Limit, collect_log: bool,
 def evolve(config: Configuration, t: float, limit: Limit = Limit.FROM_FUTURE,
            collect_log: bool = False,
            max_events: int = _MAX_EVENTS_DEFAULT) -> tuple[Configuration, TrajectoryLog]:
-    """Flow the configuration by a signed time t.
+    """Flow the configuration by a signed time t: ``evolve_arrays`` on a
+    ``Configuration``.
 
     Negative t runs the time-reversed dynamics (reverse momenta, evolve
     forward, reverse again); the one-sided limit is mapped accordingly, so
@@ -490,31 +490,25 @@ def evolve(config: Configuration, t: float, limit: Limit = Limit.FROM_FUTURE,
     """
     if t == 0.0:
         return config, TrajectoryLog()
-    q, p = _rows(config)
-    log = _flow(q, p, config.domain, t, limit, collect_log, max_events)
-    pts = tuple(PhasePoint(Vec3(*qi), Vec3(*pi)) for qi, pi in zip(q, p))
+    q, p, log = evolve_arrays(*_rows(config), config.domain, t, limit, collect_log, max_events)
+    pts = tuple(PhasePoint(Vec3(*qi), Vec3(*pi)) for qi, pi in zip(q.tolist(), p.tolist()))
     return Configuration(pts, config.domain), log
 
 
 def evolve_arrays(q: np.ndarray, p: np.ndarray, domain, t: float,
-                  limit: Limit = Limit.FROM_FUTURE) -> tuple[np.ndarray, np.ndarray]:
-    """``evolve`` on one (n, 3) position and momentum array pair, without
-    building a Configuration; returns new arrays."""
+                  limit: Limit = Limit.FROM_FUTURE, collect_log: bool = False,
+                  max_events: int = _MAX_EVENTS_DEFAULT):
+    """The scalar engine on one (n, 3) position and momentum array pair:
+    returns new arrays and the trajectory log."""
     q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
-    if t != 0.0:
-        _flow(q, p, domain, t, limit, False, _MAX_EVENTS_DEFAULT)
-    return np.array(q, dtype=float).reshape(-1, 3), np.array(p, dtype=float).reshape(-1, 3)
+    log = _flow(q, p, domain, t, limit, collect_log, max_events) if t != 0.0 else TrajectoryLog()
+    return np.array(q, dtype=float).reshape(-1, 3), np.array(p, dtype=float).reshape(-1, 3), log
 
 
-# ---------------------------------------------------------------------------
-# lockstep engine over independent replicas
-# ---------------------------------------------------------------------------
-
-# The batch flags a pair event for the scalar grazing test when its
-# discriminant is within this relative margin of the threshold: the scalar
-# test squares with ``**`` (libm pow), which may differ from x*x in the
-# last bit.
-_GRAZE_FLAG_MARGIN = 1.0 + 1e-9
+# From this many moving rows on, ``evolve_batch`` runs the lockstep kernel;
+# fewer (the histories of one sample) run on the scalar engine, which is
+# faster there.
+_BATCH_ROWS = 48
 
 
 def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
@@ -523,22 +517,66 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
 
     ``q`` and ``p`` have shape (B, N, 3); ``t`` is one time for all rows
     or one per row (all of one sign; a row with t = 0 is returned as it
-    came).  Every row follows the scalar engine's arithmetic and candidate
-    order exactly, so each unflagged row of the result equals ``evolve``
-    on that row bit for bit.  Returns ``(q_final, p_final, n_pair, n_wall,
-    flagged)``.
-
-    Contacts at the start are settled as ``settle_contacts`` does: pairs
-    in (i, j) order, then walls.  A row is flagged, and its outputs hold
-    NaN, when the scalar engine would refuse an overlap, raise
-    DegeneracyError, or exceed the event cap; the caller re-runs such rows
-    through ``evolve``, which then raises (or returns) exactly as it
-    always does.
+    came).  Each row ends as the scalar engine ends it, bit for bit.
+    Returns ``(q_final, p_final, n_pair, n_wall, degenerate)``: a row that
+    meets a degenerate trajectory is marked, has no events and comes back
+    as it went in.  An overlapping start raises ValueError and a row past
+    the event cap RuntimeError, as in ``evolve``.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
+    # plain floats: the scalar path on a few rows costs little more than
+    # the rows' own scalar runs
+    t = np.asarray(t, dtype=float)
+    dur = t.tolist() if t.ndim else [float(t)] * len(q)
+    if min(dur, default=0.0) < 0.0 < max(dur, default=0.0):
+        raise ValueError("per-row times must share one sign")
+    rows = [r for r, d in enumerate(dur) if d != 0.0]
+    if len(rows) >= _BATCH_ROWS or q.shape[1] == 0:   # the kernel passes empty rows through
+        q_out, p_out, n_pair, n_wall, flagged = _lockstep(q, p, domain, np.array(dur), limit)
+        rows = np.flatnonzero(flagged)
+    else:
+        q_out, p_out = q.copy(), p.copy()
+        n_pair = np.zeros(len(q), dtype=np.int64)
+        n_wall = np.zeros(len(q), dtype=np.int64)
+    degenerate = np.zeros(len(q), dtype=bool)
+    for r in rows:
+        qr, pr = q[r].tolist(), p[r].tolist()
+        try:
+            log = _flow(qr, pr, domain, dur[r], limit, False, _MAX_EVENTS_DEFAULT)
+        except DegeneracyError:
+            degenerate[r] = True
+            q_out[r], p_out[r], n_pair[r], n_wall[r] = q[r], p[r], 0, 0
+            continue
+        q_out[r], p_out[r], n_pair[r], n_wall[r] = qr, pr, log.n_pair, log.n_wall
+    return q_out, p_out, n_pair, n_wall, degenerate
+
+
+# ---------------------------------------------------------------------------
+# lockstep kernel over independent replicas
+# ---------------------------------------------------------------------------
+
+# The kernel flags a pair event for the scalar grazing test when its
+# discriminant is within this relative margin of the threshold: the scalar
+# test squares with ``**`` (libm pow), which may differ from x*x in the
+# last bit.
+_GRAZE_FLAG_MARGIN = 1.0 + 1e-9
+
+
+def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limit):
+    """The lockstep kernel of ``evolve_batch`` on (B, N, 3) rows with
+    durations ``dur`` (B,) of one sign.
+
+    Every row follows the scalar engine's arithmetic and candidate order
+    exactly, so each unflagged row of the result equals the scalar engine
+    on that row bit for bit.  Returns ``(q_final, p_final, n_pair, n_wall,
+    flagged)``.  Contacts at the start are settled as ``settle_contacts``
+    does: pairs in (i, j) order, then walls.  A row is flagged, and its
+    outputs hold NaN, when the scalar engine would refuse an overlap,
+    raise DegeneracyError, or exceed the event cap; ``evolve_batch``
+    re-runs such rows through the scalar engine.
+    """
     bsz, n, _ = q.shape
-    dur = np.broadcast_to(np.asarray(t, dtype=float), (bsz,))
     n_pair = np.zeros(bsz, dtype=np.int64)
     n_wall = np.zeros(bsz, dtype=np.int64)
     flagged = np.zeros(bsz, dtype=bool)
@@ -546,8 +584,6 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
     if n == 0 or not moving.any():
         return q.copy(), p.copy(), n_pair, n_wall, flagged
     backward = bool((dur < 0.0).any())
-    if backward and (dur > 0.0).any():
-        raise ValueError("per-row times must share one sign")
     if backward:
         # momentum reversal, forward flow, reversal, with the limit mapped
         p = -p

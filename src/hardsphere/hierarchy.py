@@ -28,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from hardsphere.dynamics import DegeneracyError, Limit, evolve, evolve_arrays, evolve_batch
+from hardsphere.dynamics import DegeneracyError, Limit, evolve_arrays, evolve_batch
 from hardsphere.geometry import (
     EPS_CONTACT_REL,
     Configuration,
@@ -95,9 +95,7 @@ class PhaseBox:
         return v
 
     def contains(self, q: np.ndarray, p: np.ndarray) -> bool:
-        ql, qh = np.asarray(self.q_lo), np.asarray(self.q_hi)
-        pl, ph = np.asarray(self.p_lo), np.asarray(self.p_hi)
-        return bool(((q >= ql) & (q <= qh)).all() and ((p >= pl) & (p <= ph)).all())
+        return bool(self.contains_batch(q[None], p[None])[0])
 
     def contains_batch(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Vectorized membership for arrays of shape (B, n, 3)."""
@@ -183,9 +181,6 @@ class HistoryOutcome:
 _VALID, _BLOCKED, _DEGENERATE = 0, 1, 2
 _STATUS = (HistoryStatus.VALID, HistoryStatus.BLOCKED, HistoryStatus.DEGENERATE)
 
-# A set of at least this many legs runs on the lockstep engine; fewer (the
-# histories of one sample) run on the scalar engine, which is faster there.
-_BATCH_LEGS = 48
 # rows of one level of a whole-chunk history tree, and the most terminals
 # (rows, inner-sample uniforms) a stratum holds before evaluating them
 _LEVEL_ROWS = 4096
@@ -194,28 +189,6 @@ _HELD_DRAWS = 1 << 19
 
 def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
-
-
-def _backward_legs(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray,
-                   live: np.ndarray) -> np.ndarray:
-    """Flow each live row of q, p in place by its own duration dur[r] <= 0
-    with the future-sided limit.  Rows the lockstep engine flags re-run
-    through the scalar engine.  Returns the rows that met a degenerate
-    trajectory (those keep their start)."""
-    rows = np.flatnonzero(live & (dur != 0.0))
-    if len(rows) >= _BATCH_LEGS:
-        qf, pf, _, _, flagged = evolve_batch(q[rows], p[rows], domain, dur[rows],
-                                             Limit.FROM_FUTURE)
-        done = ~flagged
-        q[rows[done]], p[rows[done]] = qf[done], pf[done]
-        rows = rows[flagged]
-    degenerate = np.zeros(len(q), dtype=bool)
-    for r in rows:
-        try:
-            q[r], p[r] = evolve_arrays(q[r], p[r], domain, float(dur[r]), Limit.FROM_FUTURE)
-        except DegeneracyError:
-            degenerate[r] = True
-    return degenerate
 
 
 def _insert(q, p, weight, j, p_hat, omega, domain):
@@ -268,7 +241,11 @@ def _history_tree(q0, p0, domain, t, times, momenta, root, labels, dirs):
     prev = np.full(len(start), float(t))
     for k in range(m + 1):
         t_next = times[start, k] if k < m else 0.0
-        status[_backward_legs(q, p, domain, -(prev - t_next), status == _VALID)] = _DEGENERATE
+        # the backward legs of the live nodes, with the future-sided limit
+        live = np.flatnonzero(status == _VALID)
+        q[live], p[live], _, _, degenerate = evolve_batch(q[live], p[live], domain,
+                                                          -(prev - t_next)[live])
+        status[live[degenerate]] = _DEGENERATE
         if k == m:
             break
         first = np.flatnonzero(new[:, k + 1])
@@ -584,12 +561,10 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
         # history, which stops the draws early, rewinds the generator and
         # the sample is redone draw by draw.
         together = draws if n + m >= rho0.n_max else 1
-        live = np.ones(1, dtype=bool)
         for r, i in enumerate(rows):
             times, labels, momenta, scale = insertions()
             # the first leg is common to every history of the sample
-            q1, p1 = qs[i:i + 1].copy(), ps[i:i + 1].copy()
-            deg = _backward_legs(q1, p1, dom, np.array([-(t - times[0])]), live)
+            q1, p1, _, _, deg = evolve_batch(qs[i:i + 1], ps[i:i + 1], dom, -(t - times[0]))
             rewind = rng.bit_generator.state if together > 1 else None
             step = together
             while True:
@@ -680,21 +655,20 @@ class EmpiricalResult:
 
 def evolve_resampled(measure: InitialMeasure, qs: np.ndarray, ps: np.ndarray, i: int,
                      t: float, limit: Limit, rng: np.random.Generator,
-                     counter: RejectionCounter, max_degenerate: float = math.inf):
-    """Scalar ``evolve`` of row i of a sampled batch.  While the row is
+                     counter: RejectionCounter, max_degenerate: float = math.inf,
+                     collect_log: bool = False):
+    """``evolve_arrays`` of row i of a sampled batch.  While the row is
     degenerate it is counted and replaced in place by a fresh draw from
     the measure; raises RuntimeError once the chunk's degenerate count
     exceeds ``max_degenerate``."""
     while True:
-        config = config_from_arrays(qs[i], ps[i], measure.domain)
         try:
-            return evolve(config, t, limit)
+            return evolve_arrays(qs[i], ps[i], measure.domain, t, limit, collect_log)
         except DegeneracyError:
             counter.degenerate += 1
             if counter.degenerate > max_degenerate:
                 raise RuntimeError("excessive degenerate-trajectory rate")
-            q1, p1 = measure.sample_batch(rng, 1)
-            qs[i], ps[i] = q1[0], p1[0]
+            qs[i], ps[i] = measure.sample_arrays(rng)
 
 
 def empirical_chunk_fixed(measure: InitialMeasure, n: int, t: float, box: PhaseBox,
@@ -703,10 +677,9 @@ def empirical_chunk_fixed(measure: InitialMeasure, n: int, t: float, box: PhaseB
     """Hit count for one chunk of forward trajectories of a fixed-N
     measure; degenerate trajectories are re-sampled and counted.
 
-    Each batch runs on the lockstep engine.  Rows it flags go through the
-    scalar ``evolve`` in index order, and a degenerate row draws its
-    replacement there, before the next batch is drawn, so the random
-    stream is consumed exactly as by a row-by-row loop."""
+    Each batch runs on ``evolve_batch``; a degenerate row draws its
+    replacement in index order, before the next batch is drawn, so the
+    random stream is consumed exactly as by a row-by-row loop."""
     counter = RejectionCounter()
     hits = 0
     done = 0
@@ -714,11 +687,10 @@ def empirical_chunk_fixed(measure: InitialMeasure, n: int, t: float, box: PhaseB
     while done < count:
         want = min(batch, count - done)
         qs, ps = measure.sample_batch(rng, want)
-        qf, pf, _, _, flagged = evolve_batch(qs, ps, measure.domain, t, limit)
-        for i in np.flatnonzero(flagged):
-            final, _ = evolve_resampled(measure, qs, ps, i, t, limit, rng, counter,
-                                        max_resample + count)
-            qf[i], pf[i] = config_to_arrays(final)
+        qf, pf, _, _, degenerate = evolve_batch(qs, ps, measure.domain, t, limit)
+        for i in np.flatnonzero(degenerate):
+            qf[i], pf[i], _ = evolve_resampled(measure, qs, ps, i, t, limit, rng, counter,
+                                               max_resample + count)
         hits += int(box.contains_batch(qf[:, :n], pf[:, :n]).sum())
         counter.accepted += want
         done += want
@@ -733,8 +705,8 @@ def empirical_chunk_grand(measure: InitialMeasure, n: int, t: float, box: PhaseB
     stats = RunningStats()
     done = 0
     while done < count:
-        config = measure.sample(rng)
-        value, ok = _evolved_tuple_count(config, n, t, box, limit)
+        q, p = measure.sample_arrays(rng)
+        value, ok = _evolved_tuple_count(q, p, measure.domain, n, t, box, limit)
         if not ok:
             counter.degenerate += 1
             if counter.degenerate > max_resample + count:
@@ -776,23 +748,18 @@ def empirical_rho(measure: InitialMeasure, n: int, t: float, box: PhaseBox,
         measure, n, t, box, limit, samples, rng, max_resample))
 
 
-def _evolved_tuple_count(config: Configuration, n: int, t: float, box: PhaseBox,
-                         limit: Limit) -> tuple[float, bool]:
+def _evolved_tuple_count(q: np.ndarray, p: np.ndarray, domain, n: int, t: float,
+                         box: PhaseBox, limit: Limit) -> tuple[float, bool]:
     from itertools import permutations
 
-    if config.n < n:
+    if len(q) < n:
         return 0.0, True
     try:
-        final, _ = evolve(config, t, limit)
+        qf, pf, _ = evolve_arrays(q, p, domain, t, limit)
     except DegeneracyError:
         return 0.0, False
-    qf, pf = config_to_arrays(final)
-    count = 0
-    for perm in permutations(range(config.n), n):
-        idx = list(perm)
-        if box.contains(qf[idx], pf[idx]):
-            count += 1
-    return float(count), True
+    perms = np.array(list(permutations(range(len(q)), n)), dtype=int).reshape(-1, n)
+    return float(box.contains_batch(qf[perms], pf[perms]).sum()), True
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,6 @@ _NORM_BATCH = 250_000
 # Inner positions evaluated per block by CorrelationVector.eval_drawn;
 # bounds its arrays to a few MB whatever the number of rows.
 _INNER_BLOCK = 1 << 17
-# A batched squared distance within this relative margin of its threshold
-# is decided by the scalar code, whose BLAS and einsum sums may round
-# differently from the batched ones in the last bits.
-_NEAR_REL = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,9 +126,10 @@ def _g_factory(spec, domain: Domain):
 
 
 def _sq3(d: np.ndarray) -> np.ndarray:
-    """Squared lengths over the last axis, to be compared with a threshold
-    outside its _NEAR_REL band only."""
-    return np.einsum("...k,...k->...", d, d)
+    """Squared lengths over the last axis, summed x*x + y*y + z*z: every
+    hard-core test uses this one order, so a configuration near a
+    threshold gets the same verdict from each of them."""
+    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
 
 
 def _pairwise_ok(q: np.ndarray, a: float) -> np.ndarray:
@@ -141,8 +138,7 @@ def _pairwise_ok(q: np.ndarray, a: float) -> np.ndarray:
     ok = np.ones(q.shape[0], dtype=bool)
     for i in range(n):
         for j in range(i + 1, n):
-            d = q[:, i, :] - q[:, j, :]
-            ok &= np.einsum("ij,ij->i", d, d) >= a * a
+            ok &= _sq3(q[:, i, :] - q[:, j, :]) >= a * a
     return ok
 
 
@@ -236,48 +232,27 @@ class InitialMeasure:
 
     # -- admissibility on arrays --------------------------------------------
 
-    def admissible(self, q: np.ndarray, tol: float | None = None) -> bool:
+    def admissible(self, q: np.ndarray) -> bool:
         """Hard-core and wall-margin test for one position set (n, 3);
         contact counts as admissible."""
-        if tol is None:
-            tol = 1e-9 * self.domain.a
-        q = np.asarray(q, dtype=float)
-        if q.size == 0:
-            return True
-        if (q < self._ins_lo - tol).any() or (q > self._ins_hi + tol).any():
-            return False
-        n = q.shape[0]
-        a2 = (self.domain.a - tol) ** 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = q[i] - q[j]
-                if float(d @ d) < a2:
-                    return False
-        return True
+        return bool(self.admissible_batch(np.asarray(q, dtype=float)[None])[0])
 
     def admissible_batch(self, q: np.ndarray) -> np.ndarray:
         """``admissible`` for each row of (B, n, 3) position sets."""
         tol = 1e-9 * self.domain.a
         ok = ~((q < self._ins_lo - tol) | (q > self._ins_hi + tol)).any(axis=(1, 2))
         a2 = (self.domain.a - tol) ** 2
-        near = np.zeros(len(q), dtype=bool)
         n = q.shape[1]
         for i in range(n):
             for j in range(i + 1, n):
-                d2 = _sq3(q[:, i] - q[:, j])
-                ok &= d2 >= a2
-                near |= np.abs(d2 - a2) <= _NEAR_REL * a2
-        for r in np.flatnonzero(near):
-            ok[r] = self.admissible(q[r])
+                ok &= _sq3(q[:, i] - q[:, j]) >= a2
         return ok
 
     # -- the spec operations --------------------------------------------------
 
     def density(self, config: Configuration) -> float:
         """f at a configuration, hard-core indicator included."""
-        q = np.array([pt.q.as_tuple() for pt in config.particles])
-        p = np.array([pt.p.as_tuple() for pt in config.particles])
-        return self.density_arrays(q, p)
+        return self.density_arrays(*config_to_arrays(config))
 
     def density_arrays(self, q: np.ndarray, p: np.ndarray) -> float:
         n = len(q)
@@ -327,14 +302,15 @@ class InitialMeasure:
         ps = self.maxwellian.sample(rng, (count, n, 3))
         return qs, ps
 
-    def sample(self, rng: np.random.Generator, max_attempts: int = 1000) -> Configuration:
-        """One configuration distributed per the measure.  Grand-canonical
-        variants first draw the particle number from the induced
-        occupancy distribution."""
+    def sample_arrays(self, rng: np.random.Generator,
+                      max_attempts: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and momenta (n, 3) of one configuration distributed
+        per the measure.  Grand-canonical variants first draw the particle
+        number from the induced occupancy distribution."""
         if isinstance(self.spec, GrandCanonicalEq):
             n = int(rng.choice(self.n_max + 1, p=self.occupancy))
             if n == 0:
-                return Configuration((), self.domain)
+                return np.zeros((0, 3)), np.zeros((0, 3))
             attempts = 0
             while True:
                 q = self.uniform_positions(rng, 1, n)[0]
@@ -343,10 +319,13 @@ class InitialMeasure:
                 attempts += 1
                 if attempts >= max_attempts * 100:
                     raise RuntimeError("grand-canonical placement failed")
-            p = self.maxwellian.sample(rng, (n, 3))
-            return config_from_arrays(q, p, self.domain)
+            return q, self.maxwellian.sample(rng, (n, 3))
         q, p = self.sample_batch(rng, 1, max_attempts)
-        return config_from_arrays(q[0], p[0], self.domain)
+        return q[0], p[0]
+
+    def sample(self, rng: np.random.Generator, max_attempts: int = 1000) -> Configuration:
+        """``sample_arrays`` as a Configuration."""
+        return config_from_arrays(*self.sample_arrays(rng, max_attempts), self.domain)
 
     # -- exclusion integrals for correlation evaluation -----------------------
 
@@ -362,13 +341,8 @@ class InitialMeasure:
     def _exclusion_of(self, q: np.ndarray, q_base: np.ndarray) -> tuple[float, float]:
         """exclusion_integral over the drawn positions q (samples, m, 3)."""
         samples, m = q.shape[:2]
-        w = np.prod(self.g(q), axis=1)
-        ok = _pairwise_ok(q, self.domain.a)
-        a2 = self.domain.a ** 2
-        for base in np.asarray(q_base, dtype=float).reshape(-1, 3):
-            d = q - base
-            ok &= (np.einsum("ijk,ijk->ij", d, d) >= a2).all(axis=1)
-        vals = w * ok
+        q_base = np.asarray(q_base, dtype=float).reshape(1, -1, 3)
+        vals = self._placement_weights(q_base, q[None])[0]
         vol = self._ins_vol ** m
         mean = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -377,6 +351,11 @@ class InitialMeasure:
     def exclusion_batch(self, q_base: np.ndarray, q: np.ndarray) -> np.ndarray:
         """The value of ``_exclusion_of(q[r], q_base[r])`` for each row:
         q_base (R, n, 3), q (R, samples, m, 3) with m >= 1."""
+        return self._ins_vol ** q.shape[2] * self._placement_weights(q_base, q).mean(axis=1)
+
+    def _placement_weights(self, q_base: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """prod g of each drawn placement q (R, samples, m, 3), zero where it
+        overlaps the base centers q_base (R, n, 3) or itself."""
         m = q.shape[2]
         a2 = self.domain.a ** 2
         # squared distances of each drawn position to the base centers and
@@ -384,14 +363,9 @@ class InitialMeasure:
         d2 = [_sq3(q[:, :, :, None] - q_base[:, None, None])]
         d2 += [_sq3(q[:, :, i, None] - q[:, :, i + 1:]) for i in range(m - 1)]
         ok = np.ones(q.shape[:2], dtype=bool)
-        near = np.zeros(len(q), dtype=bool)
         for d in d2:
             ok &= (d >= a2).all(axis=tuple(range(2, d.ndim)))
-            near |= (np.abs(d - a2) <= _NEAR_REL * a2).any(axis=tuple(range(1, d.ndim)))
-        out = self._ins_vol ** m * (np.prod(self.g(q), axis=2) * ok).mean(axis=1)
-        for r in np.flatnonzero(near):
-            out[r] = self._exclusion_of(q[r], q_base[r])[0]
-        return out
+        return np.prod(self.g(q), axis=2) * ok
 
 
 def config_from_arrays(q: np.ndarray, p: np.ndarray, domain: Domain) -> Configuration:

@@ -1,9 +1,10 @@
-"""Differential tests: the lockstep batch engine against the scalar engine.
+"""Differential tests: the lockstep kernel and the batch entry against the
+scalar engine.
 
-Every row the batch does not flag must equal scalar ``evolve`` on the same
+Every row the kernel does not flag must equal scalar ``evolve`` on the same
 input bit for bit (final positions, momenta and event counts); every row
-the scalar engine would treat specially must be flagged, so that its
-scalar re-run raises or returns exactly as before.
+the scalar engine would treat specially must be flagged, so that the batch
+entry's scalar re-run raises or returns exactly as the scalar engine does.
 """
 
 import math
@@ -19,6 +20,7 @@ from hardsphere.dynamics import (
     DegeneracyKind,
     Limit,
     evolve,
+    evolve_arrays,
     evolve_batch,
 )
 from hardsphere.geometry import Domain, Vec3
@@ -62,10 +64,17 @@ def scalar_rows(q, p, domain, t, limit):
     return out
 
 
+def lockstep(q, p, domain, t, limit=Limit.FROM_FUTURE):
+    """The lockstep kernel with one duration or one per row."""
+    q = np.asarray(q, dtype=float)
+    dur = np.broadcast_to(np.asarray(t, dtype=float), (len(q),))
+    return dyn._lockstep(q, np.asarray(p, dtype=float), domain, dur, limit)
+
+
 def assert_rows_match(q, p, domain, t, limit):
-    """Compare the batch with the scalar engine row by row; returns the
+    """Compare the kernel with the scalar engine row by row; returns the
     flag mask."""
-    qf, pf, n_pair, n_wall, flagged = evolve_batch(q, p, domain, t, limit)
+    qf, pf, n_pair, n_wall, flagged = lockstep(q, p, domain, t, limit)
     for r, ref in enumerate(scalar_rows(q, p, domain, t, limit)):
         if isinstance(ref, DegeneracyKind):
             assert flagged[r], f"row {r} raises {ref} but was not flagged"
@@ -115,7 +124,7 @@ def test_rows_ending_on_an_event(sign):
             for limit in Limit:
                 flagged = assert_rows_match(q[r:r + 1], p[r:r + 1], BOX, t, limit)
                 assert not flagged.any()
-                ends.append(evolve_batch(q[r:r + 1], p[r:r + 1], BOX, t, limit)[1])
+                ends.append(lockstep(q[r:r + 1], p[r:r + 1], BOX, t, limit)[1])
             limits_differ += not np.array_equal(*ends)
     assert limits_differ > 0
 
@@ -193,7 +202,7 @@ def test_at_contact_starts_are_settled():
 def test_overlapping_start_is_flagged():
     q, p = with_benign_row([[2.0, 2.5, 2.5], [2.9, 2.5, 2.5]], [[1, 0, 0], [-1, 0, 0]],
                            [[1.2, 2.1, 2.6], [3.6, 2.4, 2.3]], [[0.7, 0.1, -0.2], [-0.9, 0.3, 0.2]])
-    flagged = evolve_batch(q, p, BOX, 0.5)[4]
+    flagged = lockstep(q, p, BOX, 0.5)[4]
     assert flagged.tolist() == [True, False]
     assert not assert_rows_match(q[1:], p[1:], BOX, 0.5, Limit.FROM_FUTURE).any()
     with pytest.raises(ValueError, match="overlapping"):
@@ -207,7 +216,7 @@ def test_per_row_durations_match_scalar(sign):
         q, p = sample_starts(rng, 60, n)
         t = sign * rng.uniform(0.0, 9.0, size=60)
         t[::7] = 0.0
-        qf, pf, n_pair, n_wall, flagged = evolve_batch(q, p, BOX, t)
+        qf, pf, n_pair, n_wall, flagged = lockstep(q, p, BOX, t)
         for r in range(60):
             ref = scalar_rows(q[r:r + 1], p[r:r + 1], BOX, t[r], Limit.FROM_FUTURE)[0]
             if isinstance(ref, DegeneracyKind):
@@ -225,18 +234,87 @@ def test_event_cap_row_is_flagged(monkeypatch):
     monkeypatch.setattr(dyn, "_MAX_EVENTS_DEFAULT", 3)
     q, p = with_benign_row([[2.5, 2.5, 2.5]], [[1.0, 0.7, 0.3]],
                            [[2.5, 2.5, 2.5]], [[0.1, 0.05, 0.02]])
-    _, _, _, n_wall, flagged = evolve_batch(q, p, BOX, 10.0)
+    _, _, _, n_wall, flagged = lockstep(q, p, BOX, 10.0)
     assert flagged.tolist() == [True, False]
     assert n_wall[1] == 0
     with pytest.raises(RuntimeError):
         evolve(config_from_arrays(q[0], p[0], BOX), 10.0, max_events=3)
 
 
-# -- the forward-simulation chunk keeps its degeneracy bookkeeping -------------
+# -- the batch entry: lockstep kernel or scalar engine, fallback inside ------------
 
 def _forced_degenerate(x: float) -> bool:
     return int(x * 1e4) % 5 == 0
 
+
+def _forced_flag(x: float) -> bool:
+    # the kernel flags these too; the scalar engine runs them normally
+    return int(x * 1e4) % 5 == 1
+
+
+def force_degeneracies(monkeypatch, always=False):
+    """The scalar engine raises, and the lockstep kernel flags, for a fixed
+    subset of starts (all of them with ``always``); the kernel also flags
+    a second subset that the scalar engine then runs normally."""
+    real_flow, real_lockstep = dyn._flow, dyn._lockstep
+
+    def flow(q, p, *args):
+        if always or _forced_degenerate(q[0][0]):
+            raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
+        return real_flow(q, p, *args)
+
+    def kernel(q, p, domain, dur, limit):
+        qf, pf, n_pair, n_wall, flagged = real_lockstep(q, p, domain, dur, limit)
+        forced = [always or _forced_degenerate(x) or _forced_flag(x) for x in q[:, 0, 0]]
+        return qf, pf, n_pair, n_wall, flagged | (np.array(forced, dtype=bool) & (dur != 0.0))
+
+    monkeypatch.setattr(dyn, "_flow", flow)
+    monkeypatch.setattr(dyn, "_lockstep", kernel)
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("rows", [dyn._BATCH_ROWS - 1, 3 * dyn._BATCH_ROWS])
+def test_batch_entry_matches_row_by_row(rows, force, monkeypatch):
+    # below the threshold the entry runs the scalar engine, from it on the
+    # kernel with flagged rows re-run; either way each row is evolve_arrays
+    # on it, and a degenerate row comes back as it went in
+    if force:
+        force_degeneracies(monkeypatch)
+    rng = np.random.default_rng(rows)
+    q, p = sample_starts(rng, rows, 3)
+    t = -rng.uniform(0.0, 9.0, size=rows)
+    t[::9] = 0.0
+    qf, pf, n_pair, n_wall, degenerate = evolve_batch(q, p, BOX, t)
+    for r in range(rows):
+        try:
+            q_ref, p_ref, log = evolve_arrays(q[r], p[r], BOX, t[r])
+        except DegeneracyError:
+            assert degenerate[r]
+            assert np.array_equal(qf[r], q[r]) and np.array_equal(pf[r], p[r])
+            assert n_pair[r] == n_wall[r] == 0
+            continue
+        assert not degenerate[r]
+        assert np.array_equal(qf[r], q_ref) and np.array_equal(pf[r], p_ref)
+        assert (n_pair[r], n_wall[r]) == (log.n_pair, log.n_wall)
+    assert degenerate.any() == force
+
+
+@pytest.mark.parametrize("rows", [1, dyn._BATCH_ROWS])
+def test_batch_entry_raises_as_the_scalar_engine(rows, monkeypatch):
+    rng = np.random.default_rng(5)
+    q, p = sample_starts(rng, rows, 2)
+    bad_q = q.copy()
+    bad_q[-1] = [[2.0, 2.5, 2.5], [2.9, 2.5, 2.5]]
+    with pytest.raises(ValueError, match="overlapping"):
+        evolve_batch(bad_q, p, BOX, 0.5)
+    monkeypatch.setattr(dyn, "_MAX_EVENTS_DEFAULT", 3)
+    fast = p.copy()
+    fast[-1] = [[9.0, 7.0, 5.0], [-8.0, 6.0, -7.0]]
+    with pytest.raises(RuntimeError, match="event count exceeded 3"):
+        evolve_batch(q, fast, BOX, 10.0)
+
+
+# -- the forward-simulation chunk keeps its degeneracy bookkeeping -------------
 
 def reference_chunk_fixed(measure, n, t, box, limit, count, rng, max_resample=200):
     """Row-by-row forward chunk through scalar evolve (the loop the batch
@@ -251,7 +329,7 @@ def reference_chunk_fixed(measure, n, t, box, limit, count, rng, max_resample=20
             while True:
                 config = config_from_arrays(qs[i], ps[i], measure.domain)
                 try:
-                    final, _ = hierarchy.evolve(config, t, limit)
+                    final, _ = evolve(config, t, limit)
                     break
                 except DegeneracyError:
                     counter.degenerate += 1
@@ -269,25 +347,6 @@ def reference_chunk_fixed(measure, n, t, box, limit, count, rng, max_resample=20
 @pytest.fixture(scope="module")
 def mod2():
     return InitialMeasure(ModulatedProduct(2, 1.0), BOX, norm_proposals=20_000)
-
-
-def force_degeneracies(monkeypatch, always=False):
-    """Scalar evolve raises, and the batch flags, for a fixed subset of
-    starts (all of them with ``always``)."""
-    real_evolve, real_batch = hierarchy.evolve, hierarchy.evolve_batch
-
-    def fake_evolve(config, t, limit=Limit.FROM_FUTURE, **kw):
-        if always or _forced_degenerate(config.particles[0].q.x):
-            raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
-        return real_evolve(config, t, limit, **kw)
-
-    def fake_batch(q, p, domain, t, limit=Limit.FROM_FUTURE):
-        qf, pf, n_pair, n_wall, flagged = real_batch(q, p, domain, t, limit)
-        forced = np.array([always or _forced_degenerate(x) for x in q[:, 0, 0]], dtype=bool)
-        return qf, pf, n_pair, n_wall, flagged | forced
-
-    monkeypatch.setattr(hierarchy, "evolve", fake_evolve)
-    monkeypatch.setattr(hierarchy, "evolve_batch", fake_batch)
 
 
 def test_chunk_fixed_matches_row_by_row_under_degeneracies(monkeypatch, mod2):

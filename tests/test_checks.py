@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import hardsphere.dynamics as dyn
 from hardsphere import checks as C
 from hardsphere.config import CHECK_IDS, dump_config, loads_config
 from hardsphere.geometry import Domain, Vec3
@@ -146,6 +147,44 @@ def test_nonpositive_count_exits_2(tmp_path, capsys):
         assert message in err and "Traceback" not in err
 
 
+def test_vacuous_or_mistyped_lists_exit_2(tmp_path, capsys):
+    # an empty case list would pass having tested nothing, and a wrongly
+    # typed entry would end in an error naming no key: both are config errors
+    cfg_path = tmp_path / "exp.ini"
+    for section, key, value, message in (
+            ("liouville", "times", "[]", "times must not be empty"),
+            ("prop1_decomposition", "deltas", "[]", "deltas must not be empty"),
+            ("lemma2_rate", "n_list", "[]", "n_list must not be empty"),
+            ("prop1_decomposition", "deltas", "[3]", "deltas entries must be object or string"),
+            ("reversibility", "n_list", "[2, 2.5]", "n_list entries must be integer"),
+            ("reversibility", "n_list", "[true]", "n_list entries must be integer"),
+            ("liouville", "times", '[1.0, "2"]', "times entries must be number"),
+            ("series_identity", "allocation", "[0.5, null, 0.2]",
+             "allocation entries must be number"),
+            ("map_roundtrip", "micro_box", "[2.5, [1.2], 1.2]",
+             "micro_box entries must be number")):
+        cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
+                            + f"\n[check.{section}.bad]\n{key} = {value}\n")
+        assert main(["validate", "--config", str(cfg_path)]) == 2
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {section}: {message}" in err
+    box = {"q_lo": [[1, 1, 1]], "q_hi": [[2, 2, 2]], "p_lo": [[-1] * 3], "p_hi": [[1] * 3]}
+    exp = small_exp()
+    exp.checks = [("liouville", "", {"times": [3, 6.0]}), ("reversibility", "", {"n_list": [2]}),
+                  ("prop5_onestep", "", {"deltas": ["bulk", box]})]
+    assert exp.validate() == []
+
+
+def test_run_without_reports_exits_2(tmp_path, capsys):
+    # a --check the config does not hold selects nothing
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl"))
+    assert main(["run", "--config", str(cfg_path), "--check", "conservation"]) == 2
+    assert "error: the selected checks produced no report" in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 def test_density_box_mismatch_rejected():
     bad = SMALL_INI.format(out="x.jsonl") + "\n"
     bad = bad.replace('box = [0, 0, 0, 5, 5, 5]',
@@ -286,7 +325,8 @@ def test_reversibility_pilot_without_usable_trajectory(monkeypatch):
     def degenerate(*args, **kwargs):
         raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
 
-    monkeypatch.setattr(C, "evolve", degenerate)
+    # the scalar engine, which runs the 32 pilot trajectories
+    monkeypatch.setattr(dyn, "_flow", degenerate)
     with pytest.raises(RuntimeError, match=r"reversibility.*n=2"):
         C.run_check(small_exp(), "reversibility", params={"trajectories": 4, "n_list": [2]})
 

@@ -327,6 +327,7 @@ def test_series_headline_small_scale(mod2):
 # bit, and the stratum and check workers their statistics, counters and
 # consumption of the random stream.
 
+import hardsphere.dynamics as dyn
 from hardsphere import checks
 from hardsphere import hierarchy
 from hardsphere.dynamics import DegeneracyError, DegeneracyKind
@@ -356,22 +357,22 @@ def oracle_evolve(config, t, limit):
 
 @pytest.fixture
 def forced(monkeypatch):
-    """Force the same legs degenerate in the oracles and in the builder,
-    whose lockstep engine flags them and whose scalar engine raises."""
-    real_batch, real_arrays = hierarchy.evolve_batch, hierarchy.evolve_arrays
+    """Force the same legs degenerate in the oracles and in the code under
+    test: the lockstep kernel flags them and the scalar engine raises."""
+    real_flow, real_lockstep = dyn._flow, dyn._lockstep
 
-    def batch(q, p, domain, t, limit=Limit.FROM_FUTURE):
-        qf, pf, n_pair, n_wall, flagged = real_batch(q, p, domain, t, limit)
-        return qf, pf, n_pair, n_wall, flagged | np.array([_forced(x) for x in q[:, 0, 0]],
-                                                          dtype=bool)
-
-    def arrays(q, p, domain, t, limit=Limit.FROM_FUTURE):
+    def flow(q, p, *args):
         if _forced(q[0][0]):
             raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
-        return real_arrays(q, p, domain, t, limit)
+        return real_flow(q, p, *args)
 
-    monkeypatch.setattr(hierarchy, "evolve_batch", batch)
-    monkeypatch.setattr(hierarchy, "evolve_arrays", arrays)
+    def kernel(q, p, domain, dur, limit):
+        qf, pf, n_pair, n_wall, flagged = real_lockstep(q, p, domain, dur, limit)
+        forced = np.array([_forced(x) for x in q[:, 0, 0]], dtype=bool) & (dur != 0.0)
+        return qf, pf, n_pair, n_wall, flagged | forced
+
+    monkeypatch.setattr(dyn, "_flow", flow)
+    monkeypatch.setattr(dyn, "_lockstep", kernel)
     monkeypatch.setitem(FORCED, "on", True)
 
 
@@ -694,3 +695,219 @@ def test_check_workers_match_oracles(force, request):
         want, rng = oracle_prop5(one)
         assert got == want
         assert got[1].blocked > 0
+
+
+# -- the forward-simulation workers against the loops they replaced -------------
+#
+# The loops that ``checks._w_prop1_forward``, ``checks._w_reversibility``
+# and ``hierarchy.empirical_chunk_grand`` replaced, kept verbatim on scalar
+# ``evolve`` and ``Configuration``.  The array workers must give the same
+# statistics, counters and worst case, and leave the random stream where
+# the loops leave it.
+
+from hardsphere.dynamics import EPS_EVENT_REL, EventKind, reverse_momenta
+from hardsphere.measures import CanonicalEq
+
+
+def oracle_prop1_forward(c):
+    ms, rng, n, t, box, domain = c.measure, c.rng, c.n, c.t, c.box, c.domain
+    d_stats = RunningStats()
+    plus_stats = RunningStats()
+    minus_stats = RunningStats()
+    counter = RejectionCounter()
+    qs, ps = ms.sample_batch(rng, c.count)
+    for i in range(c.count):
+        while True:
+            cfg = config_from_arrays(qs[i], ps[i], domain)
+            try:
+                _, log = evolve(cfg, t, collect_log=True)
+                break
+            except DegeneracyError:
+                counter.degenerate += 1
+                q1, p1 = ms.sample_batch(rng, 1)
+                qs[i], ps[i] = q1[0], p1[0]
+        c_plus = 0.0
+        c_minus = 0.0
+        for entry in log.entries:
+            ev = entry.event
+            if ev.kind is not EventKind.PAIR or not (ev.i < n <= ev.j):
+                continue
+            remaining = t - entry.time
+            q_group = np.array(entry.positions[:n])
+            for tag, mom in (("plus", entry.momenta_after), ("minus", entry.momenta_before)):
+                p_group = np.array(mom[:n])
+                group_cfg = config_from_arrays(q_group, p_group, domain)
+                try:
+                    fin, _ = evolve(group_cfg, remaining, Limit.FROM_FUTURE)
+                except DegeneracyError:
+                    counter.degenerate += 1
+                    continue
+                qf = np.array([pt.q.as_tuple() for pt in fin.particles])
+                pf = np.array([pt.p.as_tuple() for pt in fin.particles])
+                if box.contains(qf, pf):
+                    if tag == "plus":
+                        c_plus += 1.0
+                    else:
+                        c_minus += 1.0
+        d_stats.add(c_plus - c_minus)
+        plus_stats.add(c_plus)
+        minus_stats.add(c_minus)
+        counter.accepted += 1
+    return (d_stats, plus_stats, minus_stats, counter), rng
+
+
+def oracle_reversibility(c):
+    ms, rng, t, domain = c.measure, c.rng, c.t, c.domain
+    diag = math.sqrt(sum(s * s for s in domain.sides))
+    worst = 0.0
+    events = 0
+    counter = RejectionCounter()
+    skipped_gap = 0
+    done = 0
+    while done < c.count:
+        cfg = ms.sample(rng)
+        try:
+            fwd, log = evolve(cfg, t, collect_log=True)
+            there_and_back, _ = evolve(reverse_momenta(fwd), t)
+        except DegeneracyError:
+            counter.degenerate += 1
+            continue
+        gaps = [b.time - a.time for a, b in zip(log.entries, log.entries[1:])]
+        pscale = max(1.0, max(abs(c) for pt in cfg.particles for c in pt.p.as_tuple()))
+        eps_gap = 10.0 * EPS_EVENT_REL * domain.a / pscale
+        if gaps and min(gaps) < eps_gap:
+            skipped_gap += 1
+            continue
+        final = reverse_momenta(there_and_back)
+        err = 0.0
+        for p0, p1 in zip(cfg.particles, final.particles):
+            err = max(err, (p0.q - p1.q).norm() / diag)
+            err = max(err, (p0.p - p1.p).norm() / pscale)
+        worst = max(worst, err)
+        events += log.n_events
+        counter.accepted += 1
+        done += 1
+    return (worst, events, skipped_gap, counter), rng
+
+
+def oracle_evolved_tuple_count(config, n, t, box, limit):
+    from itertools import permutations
+
+    if config.n < n:
+        return 0.0, True
+    try:
+        final, _ = evolve(config, t, limit)
+    except DegeneracyError:
+        return 0.0, False
+    qf, pf = config_to_arrays(final)
+    count = 0
+    for perm in permutations(range(config.n), n):
+        idx = list(perm)
+        if box.contains(qf[idx], pf[idx]):
+            count += 1
+    return float(count), True
+
+
+def oracle_chunk_grand(measure, n, t, box, limit, count, rng, max_resample=200):
+    counter = RejectionCounter()
+    stats = RunningStats()
+    done = 0
+    while done < count:
+        config = measure.sample(rng)
+        value, ok = oracle_evolved_tuple_count(config, n, t, box, limit)
+        if not ok:
+            counter.degenerate += 1
+            if counter.degenerate > max_resample + count:
+                raise RuntimeError("excessive degenerate-trajectory rate")
+            continue
+        stats.add(value)
+        counter.accepted += 1
+        done += 1
+    return stats, counter
+
+
+def worker_and_stream(monkeypatch, worker, chunk):
+    """A check worker's result and the generator it drew from."""
+    made = []
+    real = checks._rng
+    monkeypatch.setattr(checks, "_rng", lambda *key: made.append(real(*key)) or made[-1])
+    got = worker(chunk)
+    monkeypatch.setattr(checks, "_rng", real)
+    return got, made[-1]
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("count", [12, 160])
+def test_prop1_forward_matches_oracle(count, force, monkeypatch, request):
+    # 12 trajectories give fewer group legs than the lockstep threshold,
+    # 160 more; on two boxes and for groups of one and two spheres
+    if force:
+        request.getfixturevalue("forced")
+    spec = ModulatedProduct(3, 1.0)
+    legs = 0
+    for n, name in ((1, "bulk"), (1, "near_wall"), (2, None)):
+        box = (checks.delta_preset(name, BOX, 1.0) if name else
+               PhaseBox.of([[0.5] * 3] * 2, [[4.5] * 3] * 2, [[-1.5] * 3] * 2, [[1.5] * 3] * 2))
+        chunk = checks.Chunk(spec, BOX, 20_000, count, (7, n, count), n=n, t=6.0, box=box)
+        got, rng = worker_and_stream(monkeypatch, checks._w_prop1_forward, chunk)
+        want, want_rng = oracle_prop1_forward(chunk)
+        assert got == want
+        assert rng.random() == want_rng.random()
+        legs += 2 * (got[1].total + got[2].total)
+    assert legs > 0
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_reversibility_worker_matches_oracle(force, monkeypatch, request):
+    if force:
+        request.getfixturevalue("forced")
+    for n in (2, 3):
+        chunk = checks.Chunk(CanonicalEq(n, 1.0), BOX, 20_000, 30, (8, n), t=25.0)
+        got, rng = worker_and_stream(monkeypatch, checks._w_reversibility, chunk)
+        want, want_rng = oracle_reversibility(chunk)
+        assert got == want
+        assert rng.random() == want_rng.random()
+        assert got[0] > 0.0 and got[1] > 0
+        assert (got[3].degenerate > 0) == force
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_chunk_grand_matches_oracle(measures_by_n, force, request):
+    if force:
+        request.getfixturevalue("forced")
+    ms = measures_by_n["grand"]
+    lo, hi = ms.domain.inset_lower, ms.domain.inset_upper
+    pair_box = PhaseBox.of([lo, lo], [hi, hi], [[-3.0] * 3] * 2, [[3.0] * 3] * 2)
+    for n, t, box in ((1, 2.0, grand_box(ms.domain)), (2, 1.5, pair_box),
+                      (1, 0.0, grand_box(ms.domain))):
+        args = (ms, n, t, box, Limit.FROM_FUTURE, 400)
+        rng_new, rng_old = np.random.default_rng(n), np.random.default_rng(n)
+        got = hierarchy.empirical_chunk_grand(*args, rng_new)
+        want = oracle_chunk_grand(*args, rng_old)
+        assert got == want
+        assert rng_new.random() == rng_old.random()
+        assert got[0].total > 0
+        assert (got[1].degenerate > 0) == (force and t != 0.0)
+
+
+def test_array_paths_build_no_vec3(measures_by_n, monkeypatch):
+    # the series in sample mode (N = 3, m = 1) and grand-canonical forward
+    # simulation run on arrays from the draw to the estimate
+    rho3 = correlation_map(measures_by_n[3])
+    grand = measures_by_n["grand"]
+    built = []
+    real = Vec3.__post_init__
+
+    def counting(self):
+        built.append(1)
+        real(self)
+
+    monkeypatch.setattr(Vec3, "__post_init__", counting)
+    series_eval(rho3, 1, 5.0, checks.delta_preset("bulk", BOX, 1.0),
+                SeriesParams(n_samples=300, inner_samples=16), np.random.default_rng(1))
+    series_calls = len(built)
+    empirical_rho(grand, 1, 2.0, grand_box(grand.domain), Limit.FROM_FUTURE, 300,
+                  np.random.default_rng(2))
+    assert (series_calls, len(built)) == (0, 0)
+    Vec3(0.0, 0.0, 0.0)
+    assert len(built) == 1
