@@ -25,8 +25,8 @@ from hardsphere.config import ExperimentConfig, check_params
 from hardsphere.dynamics import (
     EPS_EVENT_REL,
     DegeneracyError,
-    EventKind,
     Limit,
+    PairEvents,
     evolve_arrays,
     evolve_batch,
 )
@@ -34,6 +34,7 @@ from hardsphere.geometry import Domain, Vec3
 from hardsphere.hierarchy import (
     _BLOCKED,
     _DEGENERATE,
+    _LEVEL_ROWS,
     _VALID,
     EmpiricalResult,
     PhaseBox,
@@ -311,28 +312,30 @@ def _w_prop1_forward(c: Chunk):
     group and the rest, test whether the group state just after (and just
     before) the collision, flowed alone to the final time, lands in the
     box.  Returns statistics of the (after - before) difference.  The
-    group legs draw nothing, so those of the whole chunk run together
-    once every trajectory is drawn."""
+    trajectories run on ``evolve_batch`` with their pair events kept; a
+    degenerate one is re-drawn in index order as in
+    ``empirical_chunk_fixed``.  The group legs draw nothing, so those of
+    the whole chunk run together once every trajectory is drawn."""
     ms, rng, n, t, box, domain = c.measure, c.rng, c.n, c.t, c.box, c.domain
     counter = RejectionCounter()
     qs, ps = ms.sample_batch(rng, c.count)
-    # per cross collision its trajectory, and per group leg (just after,
-    # then just before the collision) its start and duration
-    traj, q_leg, p_leg, rest = [], [], [], []
-    for i in range(c.count):
+    *_, degenerate, ev = evolve_batch(qs, ps, domain, t, pair_events=True)
+    parts = [ev]
+    for i in np.flatnonzero(degenerate):
         log = evolve_resampled(ms, qs, ps, i, t, Limit.FROM_FUTURE, rng, counter,
                                collect_log=True)[2]
-        for e in log.entries:
-            if e.event.kind is EventKind.PAIR and e.event.i < n <= e.event.j:
-                traj.append(i)
-                q_leg += [e.positions[:n]] * 2
-                p_leg += [e.momenta_after[:n], e.momenta_before[:n]]
-                rest += [t - e.time] * 2
-    qf, pf, _, _, degenerate = evolve_batch(np.reshape(q_leg, (-1, n, 3)),
-                                            np.reshape(p_leg, (-1, n, 3)), domain, np.array(rest))
+        parts.append(PairEvents.log_part(i, log, qs.shape[1]))
+    ev = PairEvents.of(parts, qs.shape[1])
+    # the cross collisions, and per group leg (just after, then just
+    # before the collision) its start and duration
+    cross = (ev.i < n) & (n <= ev.j)
+    q_leg = np.repeat(ev.q[cross, :n], 2, axis=0)
+    p_leg = np.stack([ev.p_after[cross, :n], ev.p_before[cross, :n]], axis=1).reshape(-1, n, 3)
+    qf, pf, _, _, degenerate = evolve_batch(q_leg, p_leg, domain,
+                                            np.repeat(t - ev.time[cross], 2))
     counter.degenerate += int(degenerate.sum())
     hit = (box.contains_batch(qf, pf) & ~degenerate).reshape(-1, 2)
-    c_plus, c_minus = (np.bincount(np.array(traj, dtype=int), w, c.count) for w in hit.T)
+    c_plus, c_minus = (np.bincount(ev.row[cross], w, c.count) for w in hit.T)
     d_stats, plus_stats, minus_stats = RunningStats(), RunningStats(), RunningStats()
     d_stats.add_many(c_plus - c_minus)
     plus_stats.add_many(c_plus)
@@ -346,44 +349,69 @@ def _w_prop5_collision(c: Chunk):
     time s, the box point, the added momentum and the contact direction,
     evaluated through the same history machinery as the series.  The 2n
     histories of a sample, (j, +omega) and (j, -omega) for each receiver j,
-    share their first leg."""
+    share their first leg.  The random stream is consumed as by a loop
+    that draws each sample and then the inner samples of its terminals.
+    When the terminals need no inner samples (n + 1 >= N_max), all draws
+    come first and each block of samples is built as one tree, as in the
+    series' lockstep mode; otherwise each sample is built in turn."""
     ms, rng, n, t, box, domain, inner = c.measure, c.rng, c.n, c.t, c.box, c.domain, c.inner
     rho0 = correlation_map(ms)
     prop = Maxwellian(c.beta0)
     vol = box.volume
-    stats = RunningStats()
     counter = RejectionCounter()
     qs, ps = box.sample(rng, c.count)
-    admissible = ms.admissible_batch(qs)
+    rows = np.flatnonzero(ms.admissible_batch(qs))
+    width = 2 * n                          # histories of a sample
     labels = np.repeat(np.arange(n), 2)[:, None]
     signs = np.tile([1.0, -1.0], n)[:, None, None]
-    for i in range(c.count):
-        if not admissible[i]:
-            stats.add(0.0)
-            counter.accepted += 1
-            continue
-        s = float(rng.random()) * t
-        p_hat = prop.sample(rng, 3)
-        omega = _uniform_sphere(rng)
+    s, pdf = np.empty(len(rows)), np.empty(len(rows))
+    p_hat, omega = np.empty((len(rows), 3)), np.empty((len(rows), 3))
+    values = np.zeros(c.count)
+
+    def draw(k):
+        s[k] = float(rng.random()) * t
+        p_hat[k] = prop.sample(rng, 3)
+        omega[k] = _uniform_sphere(rng)
+        pdf[k] = float(prop.pdf(p_hat[k]))
+
+    def build(blk):
+        # the histories of samples rows[blk]; then their terminals' inner
+        # samples and values
+        nb = len(rows[blk])
         status, weight, q, p = _history_tree(
-            qs[i:i + 1], ps[i:i + 1], domain, t, np.array([[s]]), p_hat[None, None],
-            np.zeros(2 * n, dtype=int), labels, signs * omega)
-        stop = np.flatnonzero(status == _DEGENERATE)
-        # the histories before the first degenerate one count, as in a loop
-        counter.blocked += int((status[:stop[0] if len(stop) else None] == _BLOCKED).sum())
-        if len(stop):
-            counter.degenerate += 1
-            stats.add(0.0)
-            continue
-        valid = np.flatnonzero(status == _VALID)
-        ok, u = rho0.draw_inner(q[valid], rng, inner)
-        vals = np.zeros(len(status))
-        vals[valid[ok]] = rho0.eval_drawn(q[valid[ok]], p[valid[ok]], u, inner)
+            qs[rows[blk]], ps[rows[blk]], domain, t, s[blk, None], p_hat[blk, None],
+            np.repeat(np.arange(nb), width), np.tile(labels, (nb, 1)),
+            (signs * omega[blk, None, None]).reshape(nb * width, 1, 3))
+        status, weight = status.reshape(nb, width), weight.reshape(nb, width)
+        # the histories before a sample's first degenerate one count, as in a loop
+        seen = np.cumsum(status == _DEGENERATE, axis=1) == 0
+        counter.blocked += int((seen & (status == _BLOCKED)).sum())
+        degenerate = ~seen[:, -1]
+        counter.degenerate += int(degenerate.sum())
+        ev = np.flatnonzero((status == _VALID) & ~degenerate[:, None])
+        ok, u = rho0.draw_inner(q[ev], rng, inner)
+        vals = np.zeros(nb * width)
+        vals[ev[ok]] = rho0.eval_drawn(q[ev[ok]], p[ev[ok]], u, inner)
+        vals = vals.reshape(nb, width)
         total = 0.0
-        for h in valid:
-            total += 0.5 * weight[h] * vals[h]   # average the two directions
-        counter.accepted += 1
-        stats.add(vol * t * 4.0 * math.pi * total / float(prop.pdf(p_hat)))
+        for h in range(width):
+            total = total + 0.5 * weight[:, h] * vals[:, h]   # average the two directions
+        values[rows[blk]] = np.where(degenerate, 0.0,
+                                     vol * t * 4.0 * math.pi * total / pdf[blk])
+
+    if n + 1 >= rho0.n_max:
+        for k in range(len(rows)):
+            draw(k)
+        per = max(1, _LEVEL_ROWS // width)
+        for b in range(0, len(rows), per):
+            build(slice(b, b + per))
+    else:
+        for k in range(len(rows)):
+            draw(k)
+            build(slice(k, k + 1))
+    counter.accepted += c.count - counter.degenerate
+    stats = RunningStats()
+    stats.add_many(values)
     return (stats, counter)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,6 +138,45 @@ class TrajectoryLog:
                 f"{e.time:.17g},{ev.kind.value},{ev.i},{ev.j},{ev.axis},{ev.side},{pb},{pa}"
             )
         return rows
+
+
+class PairEvents(NamedTuple):
+    """The pair events of a batch as arrays, grouped by row in row order
+    and in the order they happen within a row: the row, the elapsed time
+    as in ``LogEntry``, the pair i < j, and all positions at the event
+    and all momenta before and after it, each (E, N, 3)."""
+
+    row: np.ndarray
+    time: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    q: np.ndarray
+    p_before: np.ndarray
+    p_after: np.ndarray
+
+    @staticmethod
+    def of(parts: list, n: int) -> "PairEvents":
+        """Join parts, each a ``PairEvents`` or a tuple of its fields,
+        keeping the order of the events of a row."""
+        if not parts:
+            empty = np.zeros((0, n, 3))
+            return PairEvents(np.zeros(0, dtype=np.int64), np.zeros(0),
+                              np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                              empty, empty, empty)
+        fields = [np.concatenate(f) for f in zip(*parts)]
+        order = np.argsort(fields[0], kind="stable")
+        return PairEvents(*(f[order] for f in fields))
+
+    @staticmethod
+    def log_part(row: int, log: TrajectoryLog, n: int) -> tuple:
+        """The pair entries of one row's scalar log as a part for ``of``."""
+        es = [e for e in log.entries if e.event.kind is EventKind.PAIR]
+        snap = lambda rows: np.array(rows, dtype=float).reshape(len(es), n, 3)
+        return (np.full(len(es), row, dtype=np.int64), np.array([e.time for e in es], dtype=float),
+                np.array([e.event.i for e in es], dtype=np.int64),
+                np.array([e.event.j for e in es], dtype=np.int64),
+                snap([e.positions for e in es]), snap([e.momenta_before for e in es]),
+                snap([e.momenta_after for e in es]))
 
 
 def pair_collide(p_i: Vec3, p_j: Vec3, omega: Vec3) -> tuple[Vec3, Vec3]:
@@ -512,7 +552,7 @@ _BATCH_ROWS = 48
 
 
 def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
-                 limit: Limit = Limit.FROM_FUTURE):
+                 limit: Limit = Limit.FROM_FUTURE, pair_events: bool = False):
     """Flow B independent N-sphere configurations by a signed time t.
 
     ``q`` and ``p`` have shape (B, N, 3); ``t`` is one time for all rows
@@ -520,8 +560,10 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
     came).  Each row ends as the scalar engine ends it, bit for bit.
     Returns ``(q_final, p_final, n_pair, n_wall, degenerate)``: a row that
     meets a degenerate trajectory is marked, has no events and comes back
-    as it went in.  An overlapping start raises ValueError and a row past
-    the event cap RuntimeError, as in ``evolve``.
+    as it went in.  With ``pair_events`` a sixth item, ``PairEvents``,
+    holds the pair entries the scalar log of each row would hold, bit for
+    bit.  An overlapping start raises ValueError and a row past the event
+    cap RuntimeError, as in ``evolve``.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -532,9 +574,14 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
     if min(dur, default=0.0) < 0.0 < max(dur, default=0.0):
         raise ValueError("per-row times must share one sign")
     rows = [r for r, d in enumerate(dur) if d != 0.0]
+    parts = [] if pair_events else None
     if len(rows) >= _BATCH_ROWS or q.shape[1] == 0:   # the kernel passes empty rows through
-        q_out, p_out, n_pair, n_wall, flagged = _lockstep(q, p, domain, np.array(dur), limit)
+        q_out, p_out, n_pair, n_wall, flagged = _lockstep(q, p, domain, np.array(dur), limit,
+                                                          parts)
         rows = np.flatnonzero(flagged)
+        if pair_events:
+            # a flagged row's events come from its scalar run below
+            parts = [tuple(f[~flagged[part[0]]] for f in part) for part in parts]
     else:
         q_out, p_out = q.copy(), p.copy()
         n_pair = np.zeros(len(q), dtype=np.int64)
@@ -543,12 +590,16 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
     for r in rows:
         qr, pr = q[r].tolist(), p[r].tolist()
         try:
-            log = _flow(qr, pr, domain, dur[r], limit, False, _MAX_EVENTS_DEFAULT)
+            log = _flow(qr, pr, domain, dur[r], limit, pair_events, _MAX_EVENTS_DEFAULT)
         except DegeneracyError:
             degenerate[r] = True
             q_out[r], p_out[r], n_pair[r], n_wall[r] = q[r], p[r], 0, 0
             continue
         q_out[r], p_out[r], n_pair[r], n_wall[r] = qr, pr, log.n_pair, log.n_wall
+        if pair_events:
+            parts.append(PairEvents.log_part(r, log, q.shape[1]))
+    if pair_events:
+        return q_out, p_out, n_pair, n_wall, degenerate, PairEvents.of(parts, q.shape[1])
     return q_out, p_out, n_pair, n_wall, degenerate
 
 
@@ -563,7 +614,8 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
 _GRAZE_FLAG_MARGIN = 1.0 + 1e-9
 
 
-def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limit):
+def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limit,
+              events: list | None = None):
     """The lockstep kernel of ``evolve_batch`` on (B, N, 3) rows with
     durations ``dur`` (B,) of one sign.
 
@@ -574,7 +626,9 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
     does: pairs in (i, j) order, then walls.  A row is flagged, and its
     outputs hold NaN, when the scalar engine would refuse an overlap,
     raise DegeneracyError, or exceed the event cap; ``evolve_batch``
-    re-runs such rows through the scalar engine.
+    re-runs such rows through the scalar engine.  Given a list
+    ``events``, every pair event is appended to it as a part for
+    ``PairEvents.of``, flagged rows' events included.
     """
     bsz, n, _ = q.shape
     n_pair = np.zeros(bsz, dtype=np.int64)
@@ -621,13 +675,18 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
     cnt_pair = np.zeros(len(idx), dtype=np.int64)
     cnt_wall = np.zeros(len(idx), dtype=np.int64)
 
-    def collide(r, i, j):
-        # _Engine.apply_pair on rows r (pair i, j per row)
+    # recorded momenta as they appear on the trajectory's own time axis
+    p_sign = -1.0 if backward else 1.0
+
+    def collide(r, i, j, at):
+        # _Engine.apply_pair on rows r (pair i, j per row) at elapsed times at
         qi, qj = qw[:, r, i], qw[:, r, j]
         ox, oy, oz = qj - qi
         dist = np.sqrt(ox * ox + oy * oy + oz * oz)
         ox, oy, oz = ox / dist, oy / dist, oz / dist
         pi, pj = pw[:, r, i], pw[:, r, j]
+        if events is not None:
+            p_before = p_sign * pw[:, r].transpose(1, 2, 0)
         cc = ox * (pi[0] - pj[0]) + oy * (pi[1] - pj[1]) + oz * (pi[2] - pj[2])
         pw[0, r, i] = pi[0] - cc * ox
         pw[1, r, i] = pi[1] - cc * oy
@@ -636,6 +695,11 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
         pw[1, r, j] = pj[1] + cc * oy
         pw[2, r, j] = pj[2] + cc * oz
         cnt_pair[r] += 1
+        if events is not None:
+            k = len(r)
+            events.append((idx[r], at, np.broadcast_to(i, k), np.broadcast_to(j, k),
+                           qw[:, r].transpose(1, 2, 0), p_before,
+                           p_sign * pw[:, r].transpose(1, 2, 0)))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # eps_t from the left-to-right sum of all squared components
@@ -657,7 +721,8 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
             wx = pw[:, r, j] - pw[:, r, i]
             radial = rx[0, r, k] * wx[0] + rx[1, r, k] * wx[1] + rx[2, r, k] * wx[2]
             wnorm = np.sqrt(wx[0] * wx[0] + wx[1] * wx[1] + wx[2] * wx[2])
-            collide(r[radial < -EPS_GRAZE_REL * wnorm * dist[r, k]], i, j)
+            r = r[radial < -EPS_GRAZE_REL * wnorm * dist[r, k]]
+            collide(r, i, j, np.zeros(len(r)))
         # then centers on a wall margin moving outward reflect
         out = ((qw <= lo_eps) & (pw < 0.0)) | ((qw >= hi_eps) & (pw > 0.0))
         if out.any():
@@ -670,6 +735,7 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
         qw, pw, eps_t = qw[:, keep], pw[:, keep], eps_t[keep]
         cnt_pair, cnt_wall = cnt_pair[keep], cnt_wall[keep]
         remaining = np.abs(dur[idx])
+        elapsed = np.zeros(len(idx)) if events is not None else None
 
         while len(idx):
             rows = np.arange(len(idx))
@@ -708,10 +774,13 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
 
             dt = np.where(beyond, remaining, np.where(flag, 0.0, best_t))
             qw += dt[None, :, None] * pw
+            if events is not None:
+                elapsed = elapsed + dt
 
             r = np.flatnonzero(apply & is_pair)
             if len(r):
-                collide(r, col_i[best[r]], col_jax[best[r]])
+                at = elapsed[r] if events is not None else None
+                collide(r, col_i[best[r]], col_jax[best[r]], at)
             r = np.flatnonzero(apply & ~is_pair)
             if len(r):
                 i, ax = col_i[best[r]], col_jax[best[r]]
@@ -730,6 +799,8 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
                 idx = idx[cont]
                 qw, pw = qw[:, cont], pw[:, cont]
                 eps_t, best_t, remaining = eps_t[cont], best_t[cont], remaining[cont]
+                if events is not None:
+                    elapsed = elapsed[cont]
                 cnt_pair, cnt_wall = cnt_pair[cont], cnt_wall[cont]
             remaining = remaining - best_t
 

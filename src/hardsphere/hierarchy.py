@@ -241,11 +241,14 @@ def _history_tree(q0, p0, domain, t, times, momenta, root, labels, dirs):
     prev = np.full(len(start), float(t))
     for k in range(m + 1):
         t_next = times[start, k] if k < m else 0.0
-        # the backward legs of the live nodes, with the future-sided limit
+        # the backward legs of the live nodes, with the future-sided limit;
+        # a level where no leg moves (a tree started at its first insertion
+        # time) is skipped
         live = np.flatnonzero(status == _VALID)
-        q[live], p[live], _, _, degenerate = evolve_batch(q[live], p[live], domain,
-                                                          -(prev - t_next)[live])
-        status[live[degenerate]] = _DEGENERATE
+        leg = -(prev - t_next)[live]
+        if leg.any():
+            q[live], p[live], _, _, degenerate = evolve_batch(q[live], p[live], domain, leg)
+            status[live[degenerate]] = _DEGENERATE
         if k == m:
             break
         first = np.flatnonzero(new[:, k + 1])
@@ -338,7 +341,9 @@ def collision_operator_quadrature(rho_fn, config: Configuration, j: int,
                                   beta0: float, n_radial: int = 16,
                                   n_theta: int = 24, n_phi: int = 48) -> float:
     """Deterministic oracle for the collision operator on an evaluatable
-    rho_fn(q_aug, p_aug) -> float.
+    rho_fn(q_aug, p_aug) -> values, called once per direction node with
+    the augmented positions (n + 1, 3) and the augmented momenta of all
+    its momentum nodes (K, n + 1, 3).
 
     Tensor Gauss-Hermite quadrature in the added momentum (rho_fn must
     decay at least like the beta0 Maxwellian for the node compensation to
@@ -356,6 +361,11 @@ def collision_operator_quadrature(rho_fn, config: Configuration, j: int,
     nodes, weights = np.polynomial.hermite.hermgauss(n_radial)
     comp = weights * np.exp(nodes * nodes)  # compensated weights for int F dp
     scale = math.sqrt(2.0 / beta0)          # p = scale * x maps exp(-x^2) to h envelope
+    # the momentum nodes and their weights, x slowest and z fastest
+    p_new = scale * np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), -1).reshape(-1, 3)
+    w_new = (comp[:, None, None] * comp[:, None] * comp).ravel() * scale ** 3
+    p_aug = np.concatenate([np.broadcast_to(base_p, (len(p_new), *base_p.shape)),
+                            p_new[:, None]], axis=1)
 
     x_theta, w_theta = np.polynomial.legendre.leggauss(n_theta)
     phis = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
@@ -376,14 +386,9 @@ def collision_operator_quadrature(rho_fn, config: Configuration, j: int,
                         break
             if not ok_geom:
                 continue
-            q_aug = np.vstack([base_q, q_new])
-            for ix, wx in zip(nodes, comp):
-                for iy, wy in zip(nodes, comp):
-                    for iz, wz in zip(nodes, comp):
-                        p_new = scale * np.array([ix, iy, iz])
-                        flux = float(omega @ (p_new - p_j))
-                        val = rho_fn(q_aug, np.vstack([base_p, p_new]))
-                        total += wt * w_phi * wx * wy * wz * scale ** 3 * flux * val
+            flux = (p_new - p_j) @ omega
+            vals = np.asarray(rho_fn(np.vstack([base_q, q_new]), p_aug), dtype=float)
+            total += wt * w_phi * float(np.sum(w_new * flux * vals))
     return a * a * total
 
 

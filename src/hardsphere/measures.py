@@ -23,6 +23,9 @@ NORM_PROPOSALS = 1_000_000
 INNER_SAMPLES = 192
 GC_OCCUPANCY_CAP = 4
 _NORM_BATCH = 250_000
+# Proposal rows mapped and weighed at a time within a normalization batch,
+# so that the block's temporaries stay in cache.
+_NORM_BLOCK = 4096
 # Inner positions evaluated per block by CorrelationVector.eval_drawn;
 # bounds its arrays to a few MB whatever the number of rows.
 _INNER_BLOCK = 1 << 17
@@ -197,12 +200,23 @@ class InitialMeasure:
         total = 0.0
         total_sq = 0.0
         done = 0
+        # the proposals of a batch as ``uniform_positions`` draws them, mapped
+        # to the box and weighed in place block by block; one sum per batch
+        q = np.empty((min(_NORM_BATCH, proposals), n, 3))
+        w = np.empty(len(q))
+        uniform = self.g_max == 1.0
         while done < proposals:
             b = min(_NORM_BATCH, proposals - done)
-            q = self.uniform_positions(rng, b, n)
-            w = np.prod(self.g(q), axis=1) * _pairwise_ok(q, self.domain.a)
-            total += float(w.sum())
-            total_sq += float((w * w).sum())
+            rng.random(out=q[:b])
+            for r in range(0, b, _NORM_BLOCK):
+                blk = q[r:min(r + _NORM_BLOCK, b)]
+                blk *= self._ins_hi - self._ins_lo
+                blk += self._ins_lo
+                ok = _pairwise_ok(blk, self.domain.a)
+                # prod g is 1 for uniform g, so the weight is the indicator
+                w[r:r + len(blk)] = ok if uniform else np.prod(self.g(blk), axis=1) * ok
+            total += float(w[:b].sum())
+            total_sq += float((w[:b] * w[:b]).sum())
             done += b
         mean = total / done
         var = max(total_sq / done - mean * mean, 0.0)

@@ -18,6 +18,7 @@ from hardsphere.checks import delta_preset
 from hardsphere.dynamics import (
     DegeneracyError,
     DegeneracyKind,
+    EventKind,
     Limit,
     evolve,
     evolve_arrays,
@@ -263,8 +264,8 @@ def force_degeneracies(monkeypatch, always=False):
             raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
         return real_flow(q, p, *args)
 
-    def kernel(q, p, domain, dur, limit):
-        qf, pf, n_pair, n_wall, flagged = real_lockstep(q, p, domain, dur, limit)
+    def kernel(q, p, domain, dur, limit, *events):
+        qf, pf, n_pair, n_wall, flagged = real_lockstep(q, p, domain, dur, limit, *events)
         forced = [always or _forced_degenerate(x) or _forced_flag(x) for x in q[:, 0, 0]]
         return qf, pf, n_pair, n_wall, flagged | (np.array(forced, dtype=bool) & (dur != 0.0))
 
@@ -312,6 +313,61 @@ def test_batch_entry_raises_as_the_scalar_engine(rows, monkeypatch):
     fast[-1] = [[9.0, 7.0, 5.0], [-8.0, 6.0, -7.0]]
     with pytest.raises(RuntimeError, match="event count exceeded 3"):
         evolve_batch(q, fast, BOX, 10.0)
+
+
+def with_contacts(rng, q, p):
+    """Every third row with sphere 1 moved into contact with sphere 0
+    where it fits: at-contact starts, approaching or separating."""
+    q = q.copy()
+    for r in range(0, len(q), 3):
+        u = rng.normal(size=3)
+        spot = q[r, 0] + A * u / np.linalg.norm(u)
+        if (((spot >= 0.5) & (spot <= 4.5)).all()
+                and all(np.linalg.norm(spot - q[r, k]) > A for k in range(2, q.shape[1]))):
+            q[r, 1] = spot
+    return q, p
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("rows", [dyn._BATCH_ROWS - 1, 3 * dyn._BATCH_ROWS])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_pair_events_match_scalar_log(n, sign, rows, force, monkeypatch):
+    # the pair entries of each row's scalar log, bit for bit: from the
+    # kernel, from the scalar re-run of a flagged row, and from the scalar
+    # path below the row threshold; a degenerate row has none
+    if force:
+        force_degeneracies(monkeypatch)
+    rng = np.random.default_rng(100 * n + rows)
+    q, p = with_contacts(rng, *sample_starts(rng, rows, n))
+    t = sign * rng.uniform(0.0, 12.0, size=rows)
+    t[::11] = 0.0
+    *_, degenerate, ev = evolve_batch(q, p, BOX, t, pair_events=True)
+    assert ev.q.shape[1:] == ev.p_before.shape[1:] == ev.p_after.shape[1:] == (n, 3)
+    assert (np.diff(ev.row) >= 0).all()
+    at_start = 0
+    for r in range(rows):
+        got = np.flatnonzero(ev.row == r)
+        try:
+            log = evolve_arrays(q[r], p[r], BOX, t[r], collect_log=True)[2]
+        except DegeneracyError:
+            assert degenerate[r] and not len(got)
+            continue
+        want = [e for e in log.entries if e.event.kind is EventKind.PAIR]
+        assert len(got) == len(want), f"row {r}"
+        for k, e in zip(got, want):
+            assert bits(ev.time[k]) == bits(e.time)
+            assert (ev.i[k], ev.j[k]) == (e.event.i, e.event.j)
+            assert bits(ev.q[k]) == bits(e.positions)
+            assert bits(ev.p_before[k]) == bits(e.momenta_before)
+            assert bits(ev.p_after[k]) == bits(e.momenta_after)
+            at_start += e.time == 0.0
+    assert len(ev.row) > rows // 4 and at_start > 0
+    assert degenerate.any() == force
 
 
 # -- the forward-simulation chunk keeps its degeneracy bookkeeping -------------

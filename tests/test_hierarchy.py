@@ -173,7 +173,7 @@ def test_collision_operator_symmetry_cancellation(eq2):
     est = collision_operator(rho, cfg, 0, 4000, np.random.default_rng(2))
     assert abs(est.value) <= 3 * est.stderr
     oracle = collision_operator_quadrature(
-        lambda q, p: float(np.exp(-0.5 * np.sum(p * p))), cfg, 0, beta0=1.0,
+        lambda q, p: np.exp(-0.5 * np.sum(p * p, axis=(1, 2))), cfg, 0, beta0=1.0,
         n_radial=10, n_theta=12, n_phi=16)
     assert oracle == pytest.approx(0.0, abs=1e-8)
 
@@ -184,8 +184,15 @@ def test_collision_operator_matches_quadrature_oracle(eq2):
     est = collision_operator(rho, cfg, 0, 20_000, np.random.default_rng(3))
 
     def rho_fn(q_aug, p_aug):
-        val, _ = rho.eval_arrays(q_aug, p_aug, np.random.default_rng(4), 256)
-        return val
+        # eval_arrays at every momentum node with a fresh default_rng(4):
+        # the inner draws depend on the positions only, so one draw serves
+        # all nodes
+        ok, u = rho.draw_inner(q_aug[None], np.random.default_rng(4), 256)
+        if not len(ok):
+            return np.zeros(len(p_aug))
+        k = len(p_aug)
+        return rho.eval_drawn(np.broadcast_to(q_aug, (k, *q_aug.shape)), p_aug,
+                              np.repeat(u, k, axis=0), 256)
 
     oracle = collision_operator_quadrature(rho_fn, cfg, 0, beta0=1.0,
                                            n_radial=8, n_theta=20, n_phi=40)
@@ -366,8 +373,8 @@ def forced(monkeypatch):
             raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
         return real_flow(q, p, *args)
 
-    def kernel(q, p, domain, dur, limit):
-        qf, pf, n_pair, n_wall, flagged = real_lockstep(q, p, domain, dur, limit)
+    def kernel(q, p, domain, dur, limit, *events):
+        qf, pf, n_pair, n_wall, flagged = real_lockstep(q, p, domain, dur, limit, *events)
         forced = np.array([_forced(x) for x in q[:, 0, 0]], dtype=bool) & (dur != 0.0)
         return qf, pf, n_pair, n_wall, flagged | forced
 
@@ -911,3 +918,40 @@ def test_array_paths_build_no_vec3(measures_by_n, monkeypatch):
     assert (series_calls, len(built)) == (0, 0)
     Vec3(0.0, 0.0, 0.0)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("big_n", [2, 3])
+def test_prop5_worker_modes_match_oracle(big_n, force, monkeypatch, request):
+    # N = 2: the terminals draw no inner samples, so all draws come first
+    # and the samples are built in trees of three (blocks patched down);
+    # N = 3: they do, and each sample is built in turn
+    if force:
+        request.getfixturevalue("forced")
+    monkeypatch.setattr(checks, "_LEVEL_ROWS", 6)
+    spec = ModulatedProduct(big_n, 1.0)
+    box = checks.delta_preset("near_wall", BOX, 1.0)
+    chunk = checks.Chunk(spec, BOX, 20_000, 40, (6, big_n), n=1, t=4.0, box=box, beta0=1.0,
+                         inner=16)
+    got, rng = worker_and_stream(monkeypatch, checks._w_prop5_collision, chunk)
+    want, want_rng = oracle_prop5((spec, BOX, 20_000, 1, 4.0, box, 1.0, 16, 40, (6, big_n)))
+    assert got == want
+    assert rng.random() == want_rng.random()
+    assert got[1].blocked > 0 and (got[1].degenerate > 0) == force
+
+
+def test_sample_mode_makes_no_empty_level_call(measures_by_n, monkeypatch):
+    # sample mode (N = 3, m = 1) starts each tree at its insertion time:
+    # the level-0 leg moves nothing and must make no evolve_batch call
+    calls = []
+    real = hierarchy.evolve_batch
+
+    def counting(q, p, domain, t, *args, **kw):
+        calls.append(bool(np.any(np.asarray(t) != 0.0)) and len(q) > 0)
+        return real(q, p, domain, t, *args, **kw)
+
+    monkeypatch.setattr(hierarchy, "evolve_batch", counting)
+    _series_stratum_stats(correlation_map(measures_by_n[3]), 1, 5.0,
+                          checks.delta_preset("bulk", BOX, 1.0), 1, 60, 1.0, 16, True,
+                          np.random.default_rng(4))
+    assert len(calls) > 60 and all(calls)

@@ -311,3 +311,46 @@ def test_exclusion_batch_near_contact_matches_scalar(ulps):
     got = ms.exclusion_batch(base, inner)
     want = [ms._exclusion_of(inner[r], base[r])[0] for r in range(300)]
     assert got.tolist() == want
+
+
+def verbatim_position_integral(self, n, proposals, rng):
+    """The normalization loop that the in-place, blocked one replaced."""
+    if n == 0:
+        return (1.0, 0.0)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < proposals:
+        b = min(measures._NORM_BATCH, proposals - done)
+        q = self.uniform_positions(rng, b, n)
+        w = np.prod(self.g(q), axis=1) * measures._pairwise_ok(q, self.domain.a)
+        total += float(w.sum())
+        total_sq += float((w * w).sum())
+        done += b
+    mean = total / done
+    var = max(total_sq / done - mean * mean, 0.0)
+    vol = self._ins_vol ** n
+    return (vol * mean, vol * math.sqrt(var / done))
+
+
+@pytest.mark.parametrize("spec, domain", [
+    (ModulatedProduct(2, 1.0), BOX), (ModulatedProduct(3, 1.0), BOX),
+    (ModulatedProduct(5, 1.0), BOX), (CanonicalEq(3, 1.0), BOX),
+    (GrandCanonicalEq(50.0, 1.0), Domain(Vec3(0, 0, 0), Vec3(2.5, 1.2, 1.2), A)),
+])
+def test_normalization_matches_verbatim_loop(spec, domain, monkeypatch):
+    # batches of 30,000 proposals with a short last one, and blocks that
+    # do not divide them: every (Z, stderr) and the stream equal the old
+    # loop's bit for bit
+    monkeypatch.setattr(measures, "_NORM_BATCH", 30_000)
+    monkeypatch.setattr(measures, "_NORM_BLOCK", 7_000)
+    new = InitialMeasure(spec, domain, norm_proposals=71_000)
+    blocked = InitialMeasure._position_integral
+    monkeypatch.setattr(InitialMeasure, "_position_integral", verbatim_position_integral)
+    old = InitialMeasure(spec, domain, norm_proposals=71_000)
+    assert new._z_pos == old._z_pos
+    # straight from a generator, at a count below one batch
+    rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
+    assert (blocked(new, new.n_max, 20_000, rng_new)
+            == verbatim_position_integral(old, old.n_max, 20_000, rng_old))
+    assert rng_new.random() == rng_old.random()
