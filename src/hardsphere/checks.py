@@ -18,6 +18,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -184,6 +185,11 @@ def _map_ordered(fn, payloads, workers: int):
         return list(ex.map(fn, payloads, chunksize=1))
 
 
+def _call(job):
+    worker, chunk = job
+    return worker(chunk)
+
+
 @dataclass(frozen=True, slots=True)
 class Chunk:
     """One chunk of an estimator, as sent to a worker: the measure, the
@@ -230,19 +236,34 @@ def _merge(a, b):
     return max(a, b) if isinstance(a, float) else a + b
 
 
-def _run_chunks(exp: ExperimentConfig, worker, *groups: list[Chunk]) -> list[tuple]:
-    """Run ``worker`` on the chunks of every group in one ordered map over
-    exp.workers processes.  Returns per group its chunks' results merged
-    field by field in chunk order: statistics and counters merge, counts
-    add, and a float (a worst case) takes the max."""
-    results = iter(_map_ordered(worker, [c for group in groups for c in group], exp.workers))
-    merged = []
-    for group in groups:
+class Estimator(NamedTuple):
+    """A worker, its chunk groups, and a combiner of the groups' merged
+    results, in group order, into the estimator's result."""
+
+    worker: Callable
+    groups: list[list[Chunk]]
+    combine: Callable = lambda merged: merged
+
+
+def _run_chunks(exp: ExperimentConfig, estimators: list[Estimator]) -> list:
+    """Run every chunk of the estimators of a check in one ordered map over
+    exp.workers processes and return each estimator's combined result.  A
+    group's chunk results merge field by field in chunk order: statistics
+    and counters merge, counts add, and a float (a worst case) takes the
+    max.  The chunks' measures are built here first, so forked workers
+    inherit them."""
+    jobs = [(e.worker, c) for e in estimators for group in e.groups for c in group]
+    for _, c in jobs:
+        c.measure                  # cached in this process before any fork
+    results = iter(_map_ordered(_call, jobs, exp.workers))
+
+    def merged(group):
         acc = next(results)
         for _ in group[1:]:
             acc = tuple(map(_merge, acc, next(results)))
-        merged.append(acc)
-    return merged
+        return acc
+
+    return [e.combine(*map(merged, e.groups)) for e in estimators]
 
 
 # ---------------------------------------------------------------------------
@@ -452,24 +473,35 @@ def _w_reversibility(c: Chunk):
 # the two routes, chunk by chunk
 # ---------------------------------------------------------------------------
 
-def _empirical(exp, spec, domain, n, t, box, samples, key, role) -> EmpiricalResult:
+def _signed(merged):
+    stats, counter = merged
+    return SignedEstimate.from_stats(stats), counter
+
+
+def _empirical(exp, spec, domain, n, t, box, samples, key, role) -> Estimator:
     """Forward simulation (``empirical_rho``) chunk by chunk."""
-    (part, counter), = _run_chunks(exp, _w_empirical, _chunks(
-        exp, spec, samples, (key, role), domain, n=n, t=t, box=box))
-    return EmpiricalResult.of(spec, n, samples, part, counter)
+    return Estimator(_w_empirical, [_chunks(exp, spec, samples, (key, role), domain,
+                                            n=n, t=t, box=box)],
+                     lambda merged: EmpiricalResult.of(spec, n, samples, *merged))
 
 
-def _series(exp, spec, domain, n, t, box, params: SeriesParams, key, role) -> SeriesResult:
+def _series(exp, spec, domain, n, t, box, params: SeriesParams, key, role) -> Estimator:
     """The series (``series_eval``) chunk by chunk; stratum m draws from
     the streams (exp.seed, key, role, m, idx)."""
     ms = get_measure(spec, domain, norm_proposals=exp.norm_proposals)
     beta0, counts = params.plan(n, ms)
-    strata = _run_chunks(exp, _w_series, *(
+    return Estimator(_w_series, [
         _chunks(exp, spec, count, (key, role, m), domain, n=n, t=t, box=box, m=m, beta0=beta0,
                 inner=params.inner_samples, antithetic=params.antithetic,
                 draws=params.direction_draws)
-        for m, count in enumerate(counts)))
-    return SeriesResult.of(strata, ms.z_rel_err)
+        for m, count in enumerate(counts)], lambda *strata: SeriesResult.of(strata, ms.z_rel_err))
+
+
+def _pullback(exp, spec, n, t, box, inner, samples, key) -> Estimator:
+    """The collision-free term: the m = 0 stratum of the series on the
+    streams (exp.seed, key, 2, idx)."""
+    return Estimator(_w_series, [_chunks(exp, spec, samples, (key, 2), n=n, t=t, box=box,
+                                         beta0=spec.beta, inner=inner)], _signed)
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +582,12 @@ def _run_conservation(exp, label, params, key):
 def _run_reversibility(exp, label, params, key):
     trajectories = int(params["trajectories"])
     beta = exp.density.beta
-    reports = []
+    pilot_t = 4.0 * exp.domain.a * math.sqrt(beta)
+    cases = []
     for n in map(int, params["n_list"]):
         spec = CanonicalEq(n, beta)
         ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
         pilot_rng = _rng(exp.seed, key, 2, n)
-        pilot_t = 4.0 * exp.domain.a * math.sqrt(beta)
         qs, ps = map(np.array, zip(*(ms.sample_arrays(pilot_rng) for _ in range(32))))
         _, _, n_pair, n_wall, degenerate = evolve_batch(qs, ps, exp.domain, pilot_t)
         ev = (n_pair + n_wall)[~degenerate]
@@ -564,13 +596,13 @@ def _run_reversibility(exp, label, params, key):
                                "was degenerate")
         rate = max(int(ev.sum()) / len(ev), 1e-9) / pilot_t
         t = float(params["events_target"]) / rate
-        (worst, events, skipped, ctr), = _run_chunks(
-            exp, _w_reversibility, _chunks(exp, spec, trajectories, (key, 10 + n), t=t))
-        reports.append(_det_report(
-            "reversibility", f"n{n}", worst, 0.0, 1e-8, samples=trajectories,
-            degenerate_rate=ctr.degenerate_rate, n=n, t=t,
-            detail={"mean_events": events / trajectories, "skipped_small_gap": skipped}))
-    return reports
+        cases.append((n, t, _chunks(exp, spec, trajectories, (key, 10 + n), t=t)))
+    results = _run_chunks(exp, [Estimator(_w_reversibility, [chunks]) for *_, chunks in cases])
+    return [_det_report("reversibility", f"n{n}", worst, 0.0, 1e-8, samples=trajectories,
+                        degenerate_rate=ctr.degenerate_rate, n=n, t=t,
+                        detail={"mean_events": events / trajectories,
+                                "skipped_small_gap": skipped})
+            for (n, t, _), (worst, events, skipped, ctr) in zip(cases, results)]
 
 
 def _equilibrium_spec(exp) -> CanonicalEq:
@@ -589,13 +621,12 @@ def _run_liouville(exp, label, params, key):
     n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
     times = params["times"] if params["times"] is not None else [t / 3.0, 2.0 * t / 3.0, t]
     _, box = _resolve_delta(params["delta"], exp.domain, spec.beta)
-    base = _empirical(exp, spec, exp.domain, n, 0.0, box, samples, key, 0)
-    reports = []
-    for i, tv in enumerate(times):
-        est = _empirical(exp, spec, exp.domain, n, float(tv), box, samples, key, i + 1)
-        reports.append(_stat_report("liouville", f"t{tv:g}", est.estimate, base.estimate, exp,
-                                    (est.counter, base.counter), n=n, t=float(tv), box=box))
-    return reports
+    base, *ests = _run_chunks(exp, [
+        _empirical(exp, spec, exp.domain, n, float(tv), box, samples, key, i)
+        for i, tv in enumerate([0.0, *times])])
+    return [_stat_report("liouville", f"t{tv:g}", est.estimate, base.estimate, exp,
+                         (est.counter, base.counter), n=n, t=float(tv), box=box)
+            for tv, est in zip(times, ests)]
 
 
 def _run_special_flow(exp, label, params, key):
@@ -654,27 +685,18 @@ def _run_lemma2(exp, label, params, key):
     t = float(params["t"])
     trajectories = int(params["trajectories"])
     rate_samples = int(params["rate_samples"])
+    n_list = [int(n) for n in params["n_list"]]
+    results = _run_chunks(exp, [Estimator(_w_lemma2, [_chunks(
+        exp, CanonicalEq(n, beta), trajectories, (key, 20 + n), t=t)], _signed) for n in n_list])
     reports = []
-    for n in map(int, params["n_list"]):
-        spec = CanonicalEq(n, beta)
-        (stats, counter), = _run_chunks(
-            exp, _w_lemma2, _chunks(exp, spec, trajectories, (key, 20 + n), t=t))
-        emp = SignedEstimate.from_stats(stats)
-        ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
+    for n, (emp, counter) in zip(n_list, results):
+        ms = get_measure(CanonicalEq(n, beta), exp.domain, norm_proposals=exp.norm_proposals)
         rate, rate_err = pair_collision_rate(ms, rate_samples, _rng(exp.seed, key, 40 + n))
         oracle = SignedEstimate(t * rate, t * rate_err, rate_samples)
         reports.append(_stat_report("lemma2_rate", f"n{n}", emp, oracle, exp, (counter,),
                                     n=n, t=t,
                                     detail={"rate": rate, "mean_collisions": emp.value}))
     return reports
-
-
-def _pullback(exp, spec, n, t, box, inner, samples, key) -> tuple[SignedEstimate, RejectionCounter]:
-    """The collision-free term: the m = 0 stratum of the series on the
-    streams (exp.seed, key, 2, idx)."""
-    (stats, counter), = _run_chunks(exp, _w_series, _chunks(
-        exp, spec, samples, (key, 2), n=n, t=t, box=box, beta0=spec.beta, inner=inner))
-    return SignedEstimate.from_stats(stats), counter
 
 
 def _run_prop1(exp, label, params, key):
@@ -687,13 +709,14 @@ def _run_prop1(exp, label, params, key):
         raise ValueError("need at least n+1 particles")
     ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
     ff = falling_factorial(big_n, n)
+    cases = [_resolve_delta(entry, exp.domain, spec.beta) for entry in params["deltas"]]
+    results = _run_chunks(exp, [est for _, box in cases for est in (
+        _empirical(exp, spec, exp.domain, n, t, box, samples, key, 1),
+        _pullback(exp, spec, n, t, box, int(params["inner_samples"]), samples, key),
+        Estimator(_w_prop1_forward, [_chunks(exp, spec, samples, (key, 3), n=n, t=t, box=box)]))])
     reports = []
-    for entry in params["deltas"]:
-        name, box = _resolve_delta(entry, exp.domain, spec.beta)
-        lhs = _empirical(exp, spec, exp.domain, n, t, box, samples, key, 1)
-        term1, ctr_b = _pullback(exp, spec, n, t, box, int(params["inner_samples"]), samples, key)
-        (fstats, plus, minus, ctr_f), = _run_chunks(
-            exp, _w_prop1_forward, _chunks(exp, spec, samples, (key, 3), n=n, t=t, box=box))
+    for i, (name, box) in enumerate(cases):
+        lhs, (term1, ctr_b), (fstats, plus, minus, ctr_f) = results[3 * i:3 * i + 3]
         rhs = term1.plus(SignedEstimate.from_stats(fstats, scale=ff))
         rhs = rhs.with_extra_stderr(abs(term1.value) * ms.z_rel_err)
         reports.append(_stat_report(
@@ -712,14 +735,15 @@ def _run_prop5(exp, label, params, key):
     inner = int(params["inner_samples"])
     beta0 = float(params["beta0"] if params["beta0"] is not None else spec.beta)
     ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
+    cases = [_resolve_delta(entry, exp.domain, spec.beta) for entry in params["deltas"]]
+    results = _run_chunks(exp, [est for _, box in cases for est in (
+        _empirical(exp, spec, exp.domain, n, t, box, samples, key, 1),
+        _pullback(exp, spec, n, t, box, inner, samples // 2, key),
+        Estimator(_w_prop5_collision, [_chunks(exp, spec, samples, (key, 3), n=n, t=t, box=box,
+                                               beta0=beta0, inner=inner)], _signed))])
     reports = []
-    for entry in params["deltas"]:
-        name, box = _resolve_delta(entry, exp.domain, spec.beta)
-        lhs = _empirical(exp, spec, exp.domain, n, t, box, samples, key, 1)
-        term1, ctr_b = _pullback(exp, spec, n, t, box, inner, samples // 2, key)
-        (cstats, ctr_c), = _run_chunks(exp, _w_prop5_collision, _chunks(
-            exp, spec, samples, (key, 3), n=n, t=t, box=box, beta0=beta0, inner=inner))
-        cterm = SignedEstimate.from_stats(cstats)
+    for i, (name, box) in enumerate(cases):
+        lhs, (term1, ctr_b), (cterm, ctr_c) = results[3 * i:3 * i + 3]
         rhs = term1.plus(cterm)
         rhs = rhs.with_extra_stderr(abs(rhs.value) * ms.z_rel_err)
         reports.append(_stat_report(
@@ -743,11 +767,13 @@ def _run_series_identity(exp, label, params, key):
         antithetic=bool(params["antithetic"]),
         direction_draws=int(params["direction_draws"]),
     )
+    cases = [_resolve_delta(entry, exp.domain, spec.beta) for entry in params["deltas"]]
+    results = _run_chunks(exp, [est for _, box in cases for est in (
+        _empirical(exp, spec, exp.domain, n, t, box, samples, key, 1),
+        _series(exp, spec, exp.domain, n, t, box, sp, key, 2))])
     reports = []
-    for entry in params["deltas"]:
-        name, box = _resolve_delta(entry, exp.domain, spec.beta)
-        lhs = _empirical(exp, spec, exp.domain, n, t, box, samples, key, 1)
-        res = _series(exp, spec, exp.domain, n, t, box, sp, key, 2)
+    for i, (name, box) in enumerate(cases):
+        lhs, res = results[2 * i:2 * i + 2]
         detail = {f"stratum_m{m}": {"value": e.value, "stderr": e.stderr, "count": e.count}
                   for m, e in res.strata.items()}
         reports.append(_stat_report(
@@ -776,14 +802,14 @@ def _run_grand_canonical(exp, label, params, key):
     q_hi = hi.copy()
     q_hi[0] = lo[0] + 0.4 * (hi[0] - lo[0])
     box = PhaseBox.of([lo], [q_hi], [[-1.2 * sig] * 3], [[1.2 * sig] * 3])
-    lhs = _empirical(exp, spec, domain, n, t, box, samples, key, 1)
     sp = SeriesParams(
         n_samples=samples,
         inner_samples=int(params["inner_samples"]),
         allocation=tuple(params["allocation"]),
         direction_draws=int(params["direction_draws"]),
     )
-    res = _series(exp, spec, domain, n, t, box, sp, key, 2)
+    lhs, res = _run_chunks(exp, [_empirical(exp, spec, domain, n, t, box, samples, key, 1),
+                                 _series(exp, spec, domain, n, t, box, sp, key, 2)])
     return [_stat_report(
         "grand_canonical_identity", label or "micro", lhs.estimate, res.total_with_norm_err, exp,
         (lhs.counter, res.counter), n=n, t=t, box=box,

@@ -10,8 +10,6 @@ from hardsphere.geometry import Domain, Vec3
 from hardsphere.measures import GrandCanonicalEq, ModulatedProduct
 from hardsphere.cli import default_experiment, main
 from hardsphere.dynamics import DegeneracyError, DegeneracyKind
-from hardsphere.hierarchy import EmpiricalResult, SeriesResult
-from hardsphere.stats import RejectionCounter, SignedEstimate
 
 SMALL_INI = """
 [experiment]
@@ -332,21 +330,73 @@ def test_reversibility_pilot_without_usable_trajectory(monkeypatch):
 
 
 def test_series_identity_passes_direction_draws(monkeypatch):
+    # the draws of every series chunk the runner hands to the driver
     seen = []
 
-    def fake_series(exp, spec, domain, n, t, box, params, key, role):
-        seen.append(params)
-        return SeriesResult(SignedEstimate(0.1, 0.01, 10), {}, RejectionCounter())
+    class Planned(Exception):
+        pass
 
-    def fake_empirical(*args):
-        return EmpiricalResult(SignedEstimate(0.1, 0.01, 10), RejectionCounter())
+    def planned(exp, estimators):
+        seen.append({c.draws for e in estimators if e.worker is C._w_series
+                     for group in e.groups for c in group})
+        raise Planned
 
-    monkeypatch.setattr(C, "_series", fake_series)
-    monkeypatch.setattr(C, "_empirical", fake_empirical)
-    C.run_check(small_exp(), "series_identity",
-                params={"samples": 10, "deltas": ["bulk"], "direction_draws": 3})
-    C.run_check(small_exp(), "series_identity", params={"samples": 10, "deltas": ["bulk"]})
-    assert [p.direction_draws for p in seen] == [3, 1]
+    monkeypatch.setattr(C, "_run_chunks", planned)
+    for extra in ({"direction_draws": 3}, {}):
+        with pytest.raises(Planned):
+            C.run_check(small_exp(), "series_identity",
+                        params={"samples": 10, "deltas": ["bulk"], **extra})
+    assert seen == [{3}, {1}]
+
+
+def test_one_job_or_one_worker_opens_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was opened")
+
+    monkeypatch.setattr(C, "ProcessPoolExecutor", no_pool)
+    params = {"trajectories": 40, "rate_samples": 1000}
+    exp = small_exp()
+    exp.workers = 2
+    C.run_check(exp, "lemma2_rate", params={**params, "n_list": [2]})     # one job
+    exp.workers = 1
+    C.run_check(exp, "lemma2_rate", params={**params, "n_list": [2, 3]})  # one worker
+
+
+def test_error_in_pooled_chunk_exits_2(tmp_path, monkeypatch, capsys):
+    # every trajectory is degenerate (the forked pool workers inherit the
+    # patched engine), so each forward chunk passes its resample cap inside
+    # a worker; the error must end the run with exit 2, not come back as a
+    # failed check
+    def degenerate(*args, **kwargs):
+        raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
+
+    pooled = []
+    map_ordered = C._map_ordered
+
+    def spy(fn, payloads, workers):
+        pooled.append(workers > 1 and len(payloads) > 1)
+        return map_ordered(fn, payloads, workers)
+
+    monkeypatch.setattr(dyn, "_flow", degenerate)
+    monkeypatch.setattr(C, "_map_ordered", spy)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
+                        .replace("workers = 1", "workers = 2")
+                        .replace("chunk_size = 5000", "chunk_size = 40")
+                        + "\n[check.liouville]\nsamples = 80\nt = 4.0\n")
+    assert main(["run", "--config", str(cfg_path), "--check", "liouville"]) == 2
+    assert "error: excessive degenerate-trajectory rate" in capsys.readouterr().err
+    assert pooled == [True]
+
+
+def _assert_digest(ini, sha256, out):
+    # the bytes must not depend on the worker count: each digest is
+    # checked in one process and with a pool of two
+    exp = loads_config(ini)
+    for workers in (1, 2):
+        exp.workers = workers
+        C.write_report(C.run_all(exp), str(out))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256, f"workers={workers}"
 
 
 GOLDEN_INI = """
@@ -391,9 +441,7 @@ GOLDEN_SHA256 = "c7d18c3ebd4c78dd17e32f1eec57fb5ab21faa634e8e0413971257bf3c49aad
 
 
 def test_golden_report_bytes(tmp_path):
-    out = tmp_path / "golden.jsonl"
-    C.write_report(C.run_all(loads_config(GOLDEN_INI)), str(out))
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
+    _assert_digest(GOLDEN_INI, GOLDEN_SHA256, tmp_path / "golden.jsonl")
 
 
 GOLDEN_SERIES_INI = """
@@ -436,9 +484,7 @@ GOLDEN_SERIES_SHA256 = "4a7bf52053912dca5141260ef322d269ebd678db0676e0b41b6e1f9d
 
 
 def test_golden_series_report_bytes(tmp_path):
-    out = tmp_path / "golden_series.jsonl"
-    C.write_report(C.run_all(loads_config(GOLDEN_SERIES_INI)), str(out))
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SERIES_SHA256
+    _assert_digest(GOLDEN_SERIES_INI, GOLDEN_SERIES_SHA256, tmp_path / "golden_series.jsonl")
 
 
 GOLDEN_OTHER_INI = """
@@ -498,6 +544,4 @@ GOLDEN_OTHER_SHA256 = "5c2523bb9ff698f16ad7278358addc0a44d4f81402549a8eabde98e20
 
 
 def test_golden_other_report_bytes(tmp_path):
-    out = tmp_path / "golden_other.jsonl"
-    C.write_report(C.run_all(loads_config(GOLDEN_OTHER_INI)), str(out))
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_OTHER_SHA256
+    _assert_digest(GOLDEN_OTHER_INI, GOLDEN_OTHER_SHA256, tmp_path / "golden_other.jsonl")

@@ -180,7 +180,9 @@ def test_collision_operator_symmetry_cancellation(eq2):
 
 def test_collision_operator_matches_quadrature_oracle(eq2):
     rho = correlation_map(eq2, inner_samples=256)
-    cfg = single((2.0, 2.5, 2.5), (0.6, -0.2, 0.3), domain=BOX)
+    # the wall at x = 0 cuts the contact sphere of the receiver, so the
+    # operator does not vanish by symmetry there
+    cfg = single((1.0, 2.5, 2.5), (0.6, -0.2, 0.3), domain=BOX)
     est = collision_operator(rho, cfg, 0, 20_000, np.random.default_rng(3))
 
     def rho_fn(q_aug, p_aug):
@@ -196,6 +198,7 @@ def test_collision_operator_matches_quadrature_oracle(eq2):
 
     oracle = collision_operator_quadrature(rho_fn, cfg, 0, beta0=1.0,
                                            n_radial=8, n_theta=20, n_phi=40)
+    assert abs(oracle) > 5 * est.stderr
     assert abs(est.value - oracle) <= 3 * math.hypot(est.stderr, abs(oracle) * 0.01)
 
 
