@@ -43,7 +43,7 @@ from hardsphere.hierarchy import (
     SeriesResult,
     _history_tree,
     _series_stratum_stats,
-    _uniform_sphere,
+    _uniform_spheres,
     empirical_chunk,
     evolve_resampled,
     pair_collision_rate,
@@ -392,7 +392,7 @@ def _w_prop5_collision(c: Chunk):
     def draw(k):
         s[k] = float(rng.random()) * t
         p_hat[k] = prop.sample(rng, 3)
-        omega[k] = _uniform_sphere(rng)
+        omega[k] = _uniform_spheres(rng, 1)[0]
         pdf[k] = float(prop.pdf(p_hat[k]))
 
     def build(blk):

@@ -141,6 +141,14 @@ class ExperimentConfig:
                 elif key in _ELEMENTS and value is not None and not all(
                         _element_ok(x, _ELEMENTS[key]) for x in value):
                     problems.append(f"{cid}: {key} entries must be {' or '.join(_ELEMENTS[key])}")
+            if cid == "prop5_onestep":
+                # its collision term S_{n+1}(s) rho_{n+1}(0) is the identity's
+                # rho_{n+1}(s) only when the n + 1 particles are the whole system
+                n, big_n = check_params(cid, params)["n"], getattr(self.density, "n_particles", 0)
+                if isinstance(n, int) and big_n > n + 1:
+                    problems.append(f"{cid}: the collision term is exact only at N = n + 1, "
+                                    f"at N = {big_n} > n + 1 = {n + 1} it is the series "
+                                    "truncated after m = 1")
         if self.workers < 1:
             problems.append("workers must be >= 1")
         if self.sigma <= 0:

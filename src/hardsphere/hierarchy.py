@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from itertools import permutations
 
 import numpy as np
 
@@ -295,12 +296,21 @@ def build_history(config: Configuration, t: float, delta: CollisionHistory) -> H
 # collision operator
 # ---------------------------------------------------------------------------
 
-def _uniform_sphere(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        v = rng.normal(size=3)
-        r = math.sqrt(float(v @ v))
-        if r > 1e-12:
-            return v / r
+# a normal triple at most this long is redrawn rather than scaled to unit length
+_NORM_FLOOR = 1e-12
+
+
+def _uniform_spheres(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k unit vectors uniform on the sphere, shape (k, 3): normal triples
+    scaled to unit length, the ones at or below the norm floor dropped and
+    their shortfall drawn again.  This consumes the stream and gives the
+    bits of k one-vector draws (``vecdot`` squares as ``v @ v`` does)."""
+    v = rng.normal(size=(k, 3))
+    r = np.sqrt(np.vecdot(v, v))[:, None]
+    keep = r[:, 0] > _NORM_FLOOR
+    if keep.all():
+        return v / r
+    return np.concatenate([v[keep] / r[keep], _uniform_spheres(rng, k - int(keep.sum()))])
 
 
 def collision_operator(rho: CorrelationVector, config: Configuration, j: int,
@@ -324,7 +334,7 @@ def collision_operator(rho: CorrelationVector, config: Configuration, j: int,
     stats = RunningStats()
     for _ in range(samples):
         p_new = Vec3(*prop.sample(rng, 3))
-        omega = Vec3(*_uniform_sphere(rng))
+        omega = Vec3(*_uniform_spheres(rng, 1)[0])
         if not omega_admissible(config, j, p_new, omega):
             stats.add(0.0)
             continue
@@ -508,9 +518,6 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
         scale = vol * time_factor * label_factor * sphere_factor / prop_w
         return times, labels, np.reshape(momenta, (m, 3)), scale
 
-    def directions():
-        return np.reshape([_uniform_sphere(rng) for _ in range(m)], (m, 3))
-
     def record(at: np.ndarray, status, weight, q, p, scale):
         """Record histories grouped (samples, histories) in their order at
         the flat slots ``at``; from a sample's first degenerate history on
@@ -546,7 +553,7 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
         scale = np.full(len(rows), vol * time_factor * label_factor * sphere_factor / 1.0)
         for i in range(len(rows) if m else 0):
             times[i], labels[i], momenta[i], scale[i] = insertions()
-            dirs[i] = directions()
+            dirs[i] = _uniform_spheres(rng, m)
         per = max(1, _LEVEL_ROWS // combos)
         for b in range(0, len(rows), per):
             blk = slice(b, b + per)
@@ -562,41 +569,39 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
             counter.blocked += blocked
     else:
         # When the terminals need no inner samples, the direction draws of
-        # a sample are made together and built as one tree; a degenerate
-        # history, which stops the draws early, rewinds the generator and
-        # the sample is redone draw by draw.
+        # a sample are made together and built as one tree.  A degenerate
+        # history stops the draw-by-draw loop at its draw, so the generator
+        # is rewound and the draws up to that one are made again: the
+        # stream then ends where the loop ends it.  The histories recorded
+        # past the stop are neither evaluated nor counted (``record``).
         together = draws if n + m >= rho0.n_max else 1
         for r, i in enumerate(rows):
             times, labels, momenta, scale = insertions()
             # the first leg is common to every history of the sample
             q1, p1, _, _, deg = evolve_batch(qs[i:i + 1], ps[i:i + 1], dom, -(t - times[0]))
             rewind = rng.bit_generator.state if together > 1 else None
-            step = together
-            while True:
-                cut, nd, blocked = None, 1, 0
-                for d in range(0, draws, step):
-                    nd = min(step, draws - d)
-                    dirs = np.reshape([directions() for _ in range(nd)], (nd, 1, m, 3))
-                    if deg[0]:
-                        cut = 0
-                        break
-                    status, weight, q, p = _history_tree(
-                        q1, p1, dom, times[0], times[None], momenta[None],
-                        np.zeros(nd * combos, dtype=int), np.repeat([labels], nd * combos, axis=0),
-                        (signs * dirs).reshape(nd * combos, m, 3))
-                    at = np.arange(r * width + d * combos, r * width + (d + nd) * combos)
-                    stop, n_blocked = record(at[None], status[None], weight[None], q, p,
-                                             np.array([scale]))
-                    blocked += n_blocked
-                    if stop[0] < nd * combos:
-                        cut = stop[0] // combos
-                        break
-                if cut is None or cut == nd - 1:
+            cut = None
+            for d in range(0, draws, together):
+                nd = min(together, draws - d)
+                dirs = _uniform_spheres(rng, nd * m).reshape(nd, 1, m, 3)
+                if deg[0]:
+                    cut = 0
                     break
+                status, weight, q, p = _history_tree(
+                    q1, p1, dom, times[0], times[None], momenta[None],
+                    np.zeros(nd * combos, dtype=int), np.repeat([labels], nd * combos, axis=0),
+                    (signs * dirs).reshape(nd * combos, m, 3))
+                at = np.arange(r * width + d * combos, r * width + (d + nd) * combos)
+                stop, blocked = record(at[None], status[None], weight[None], q, p,
+                                       np.array([scale]))
+                counter.blocked += blocked
+                if stop[0] < nd * combos:
+                    cut = stop[0] // combos
+                    break
+            if cut is not None and cut < nd - 1:
                 rng.bit_generator.state = rewind
-                step = 1
+                _uniform_spheres(rng, (cut + 1) * m)
             degenerate[r] = cut is not None
-            counter.blocked += blocked
     evaluate()
     total = 0.0
     for c in range(width):
@@ -705,21 +710,38 @@ def empirical_chunk_fixed(measure: InitialMeasure, n: int, t: float, box: PhaseB
 def empirical_chunk_grand(measure: InitialMeasure, n: int, t: float, box: PhaseBox,
                           limit: Limit, count: int, rng: np.random.Generator,
                           max_resample: int = 200) -> tuple[RunningStats, RejectionCounter]:
-    """Ordered-tuple counts for one chunk of grand-canonical trajectories."""
+    """Ordered-tuple counts for one chunk of grand-canonical trajectories.
+
+    The chunk's shortfall of configurations is drawn in stream order and
+    each particle number runs as one ``evolve_batch``; a configuration of
+    fewer than n particles counts 0 and does not move.  Walked in draw
+    order, a degenerate trajectory is counted and skipped, and the new
+    shortfall is drawn until ``count`` are accepted: the chunk takes the
+    first ``count`` non-degenerate draws, as a one-at-a-time loop does."""
     counter = RejectionCounter()
     stats = RunningStats()
-    done = 0
-    while done < count:
-        q, p = measure.sample_arrays(rng)
-        value, ok = _evolved_tuple_count(q, p, measure.domain, n, t, box, limit)
-        if not ok:
-            counter.degenerate += 1
-            if counter.degenerate > max_resample + count:
-                raise RuntimeError("excessive degenerate-trajectory rate")
-            continue
-        stats.add(value)
-        counter.accepted += 1
-        done += 1
+    while counter.accepted < count:
+        drawn = [measure.sample_arrays(rng) for _ in range(count - counter.accepted)]
+        sizes = np.array([len(q) for q, _ in drawn])
+        values = np.zeros(len(drawn))
+        degenerate = np.zeros(len(drawn), dtype=bool)
+        for k in np.unique(sizes[sizes >= n]):
+            rows = np.flatnonzero(sizes == k)
+            qf, pf, _, _, degenerate[rows] = evolve_batch(
+                np.array([drawn[r][0] for r in rows]), np.array([drawn[r][1] for r in rows]),
+                measure.domain, t, limit)
+            tuples = np.array(list(permutations(range(k), n)), dtype=int).reshape(-1, n)
+            inside = box.contains_batch(qf[:, tuples].reshape(-1, n, 3),
+                                        pf[:, tuples].reshape(-1, n, 3))
+            values[rows] = inside.reshape(len(rows), -1).sum(axis=1)
+        for value, bad in zip(values.tolist(), degenerate.tolist()):
+            if bad:
+                counter.degenerate += 1
+                if counter.degenerate > max_resample + count:
+                    raise RuntimeError("excessive degenerate-trajectory rate")
+            else:
+                stats.add(value)
+                counter.accepted += 1
     return stats, counter
 
 
@@ -751,20 +773,6 @@ def empirical_rho(measure: InitialMeasure, n: int, t: float, box: PhaseBox,
         raise ValueError(f"n={n} exceeds particle number {measure.n_max}")
     return EmpiricalResult.of(measure.spec, n, samples, *empirical_chunk(
         measure, n, t, box, limit, samples, rng, max_resample))
-
-
-def _evolved_tuple_count(q: np.ndarray, p: np.ndarray, domain, n: int, t: float,
-                         box: PhaseBox, limit: Limit) -> tuple[float, bool]:
-    from itertools import permutations
-
-    if len(q) < n:
-        return 0.0, True
-    try:
-        qf, pf, _ = evolve_arrays(q, p, domain, t, limit)
-    except DegeneracyError:
-        return 0.0, False
-    perms = np.array(list(permutations(range(len(q)), n)), dtype=int).reshape(-1, n)
-    return float(box.contains_batch(qf[perms], pf[perms]).sum()), True
 
 
 # ---------------------------------------------------------------------------

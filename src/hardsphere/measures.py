@@ -175,6 +175,9 @@ class InitialMeasure:
             total = sum(weights)
             self.grand_partition = total
             self.occupancy = np.array(weights) / total
+            # the cdf that rng.choice(p=occupancy) builds on every call
+            self._occupancy_cdf = self.occupancy.cumsum()
+            self._occupancy_cdf /= self._occupancy_cdf[-1]
             self.z_rel_err = math.sqrt(sum(e * e for e in errs)) / total
         else:
             n = spec.n_particles
@@ -322,7 +325,7 @@ class InitialMeasure:
         per the measure.  Grand-canonical variants first draw the particle
         number from the induced occupancy distribution."""
         if isinstance(self.spec, GrandCanonicalEq):
-            n = int(rng.choice(self.n_max + 1, p=self.occupancy))
+            n = int(self._occupancy_cdf.searchsorted(rng.random(), side="right"))
             if n == 0:
                 return np.zeros((0, 3)), np.zeros((0, 3))
             attempts = 0

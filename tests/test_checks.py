@@ -174,6 +174,22 @@ def test_vacuous_or_mistyped_lists_exit_2(tmp_path, capsys):
     assert exp.validate() == []
 
 
+def test_prop5_rejects_more_than_n_plus_1_particles(tmp_path, capsys):
+    # at N > n + 1 the collision term is the series cut after one
+    # insertion, so the check would pass on a truncation
+    cfg_path = tmp_path / "exp.ini"
+    text = SMALL_INI.format(out=tmp_path / "r.jsonl").replace("n = 2\nbeta", "n = 3\nbeta")
+    cfg_path.write_text(text + "\n[check.prop5_onestep]\nsamples = 100\n")
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert ("config error: prop5_onestep: the collision term is exact only at N = n + 1, "
+            "at N = 3 > n + 1 = 2 it is the series truncated after m = 1") in err
+    exp = loads_config(cfg_path.read_text())
+    exp.checks = [("prop5_onestep", "", {"n": 2})]
+    assert exp.validate() == []
+
+
 def test_run_without_reports_exits_2(tmp_path, capsys):
     # a --check the config does not hold selects nothing
     cfg_path = tmp_path / "exp.ini"

@@ -900,6 +900,90 @@ def test_chunk_grand_matches_oracle(measures_by_n, force, request):
         assert (got[1].degenerate > 0) == (force and t != 0.0)
 
 
+@pytest.mark.parametrize("force", [False, True])
+def test_chunk_grand_small_group_and_cap_match_oracle(measures_by_n, force, monkeypatch,
+                                                      request):
+    # one particle number is drawn too rarely for the lockstep kernel and
+    # runs on the scalar engine, another often enough for the kernel; with
+    # degenerate draws, the resample cap trips at the same draw as the loop's
+    if force:
+        request.getfixturevalue("forced")
+    ms = measures_by_n["grand"]
+    rows = []
+    real = hierarchy.evolve_batch
+
+    def spy(q, *args, **kw):
+        rows.append(len(q))
+        return real(q, *args, **kw)
+
+    monkeypatch.setattr(hierarchy, "evolve_batch", spy)
+    args = (ms, 1, 2.0, grand_box(ms.domain), Limit.FROM_FUTURE, 150)
+    rng_new, rng_old = np.random.default_rng(9), np.random.default_rng(9)
+    got = hierarchy.empirical_chunk_grand(*args, rng_new)
+    want = oracle_chunk_grand(*args, rng_old)
+    assert got == want
+    assert rng_new.random() == rng_old.random()
+    assert min(rows[:2]) < dyn._BATCH_ROWS <= max(rows[:2])
+    assert (got[1].degenerate > 0) == force
+    if force:
+        cap = got[1].degenerate - args[-1]
+        for chunk in (hierarchy.empirical_chunk_grand, oracle_chunk_grand):
+            assert chunk(*args, np.random.default_rng(9), max_resample=cap) == got
+            with pytest.raises(RuntimeError, match="^excessive degenerate-trajectory rate$"):
+                chunk(*args, np.random.default_rng(9), max_resample=cap - 1)
+
+
+@pytest.fixture
+def all_degenerate(monkeypatch):
+    """Every trajectory that moves is degenerate, in the oracles and in
+    the code under test."""
+    real_lockstep = dyn._lockstep
+
+    def flow(*args):
+        raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
+
+    def kernel(q, p, domain, dur, limit, *events):
+        qf, pf, n_pair, n_wall, flagged = real_lockstep(q, p, domain, dur, limit, *events)
+        return qf, pf, n_pair, n_wall, flagged | (dur != 0.0)
+
+    monkeypatch.setattr(dyn, "_flow", flow)
+    monkeypatch.setattr(dyn, "_lockstep", kernel)
+
+
+def test_chunk_grand_all_degenerate_raises(measures_by_n, all_degenerate):
+    # only the empty configurations are accepted, so the degenerate count
+    # passes max_resample + count long before count draws are accepted
+    ms = measures_by_n["grand"]
+    args = (ms, 1, 2.0, grand_box(ms.domain), Limit.FROM_FUTURE, 120)
+    for chunk in (hierarchy.empirical_chunk_grand, oracle_chunk_grand):
+        with pytest.raises(RuntimeError, match="^excessive degenerate-trajectory rate$"):
+            chunk(*args, np.random.default_rng(3), max_resample=10)
+
+
+def oracle_uniform_sphere(rng):
+    # the per-vector loop ``hierarchy._uniform_spheres`` replaced, at the
+    # module's norm floor
+    while True:
+        v = rng.normal(size=3)
+        r = math.sqrt(float(v @ v))
+        if r > hierarchy._NORM_FLOOR:
+            return v / r
+
+
+@pytest.mark.parametrize("floor", [1e-12, 1.0])
+def test_uniform_spheres_match_per_vector_loop(floor, monkeypatch):
+    # at floor 1.0 about a fifth of the normal triples are redrawn
+    monkeypatch.setattr(hierarchy, "_NORM_FLOOR", floor)
+    for k in (0, 1, 2, 48):
+        rng_new, rng_old = np.random.default_rng(k), np.random.default_rng(k)
+        got = hierarchy._uniform_spheres(rng_new, k)
+        want = np.reshape([oracle_uniform_sphere(rng_old) for _ in range(k)], (k, 3))
+        assert got.shape == (k, 3) and got.tobytes() == want.tobytes()
+        assert rng_new.random() == rng_old.random()
+    first = np.random.default_rng(48).normal(size=(48, 3))
+    assert (np.sqrt(np.vecdot(first, first)) <= floor).any() == (floor == 1.0)
+
+
 def test_array_paths_build_no_vec3(measures_by_n, monkeypatch):
     # the series in sample mode (N = 3, m = 1) and grand-canonical forward
     # simulation run on arrays from the draw to the estimate
