@@ -830,11 +830,7 @@ def _run_map_roundtrip(exp, label, params, key):
         worst = None
         for _ in range(points if level else 1):
             if level:
-                while True:
-                    q = ms.uniform_positions(rng, 1, level)[0]
-                    if ms.admissible(q):
-                        break
-                p = ms.maxwellian.sample(rng, (level, 3))
+                q, p = ms.place(rng, level)
             else:
                 q = np.zeros((0, 3))
                 p = np.zeros((0, 3))

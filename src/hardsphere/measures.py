@@ -135,13 +135,26 @@ def _sq3(d: np.ndarray) -> np.ndarray:
     return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
 
 
-def _pairwise_ok(q: np.ndarray, a: float) -> np.ndarray:
-    """All-pairs exclusion test for a batch of position sets (B, n, 3)."""
-    n = q.shape[1]
-    ok = np.ones(q.shape[0], dtype=bool)
+def _clear(c: np.ndarray, a2: float) -> np.ndarray:
+    """All-pairs hard-core test on coordinate-major centers c (3, n, L):
+    True where every pair is at squared distance a2 or more, each squared
+    distance summed dx*dx + dy*dy + dz*dz as ``_sq3`` sums it.  Each pair
+    runs through two row buffers, so a block of rows stays in cache."""
+    n, rows = c.shape[1:]
+    ok = np.ones(rows, dtype=bool)
+    s = np.empty(rows)
+    d = np.empty(rows)
+    hit = np.empty(rows, dtype=bool)
     for i in range(n):
         for j in range(i + 1, n):
-            ok &= _sq3(q[:, i, :] - q[:, j, :]) >= a * a
+            np.subtract(c[0, i], c[0, j], out=s)
+            s *= s
+            for k in (1, 2):
+                np.subtract(c[k, i], c[k, j], out=d)
+                d *= d
+                s += d
+            np.greater_equal(s, a2, out=hit)
+            ok &= hit
     return ok
 
 
@@ -203,21 +216,18 @@ class InitialMeasure:
         total = 0.0
         total_sq = 0.0
         done = 0
-        # the proposals of a batch as ``uniform_positions`` draws them, mapped
-        # to the box and weighed in place block by block; one sum per batch
-        q = np.empty((min(_NORM_BATCH, proposals), n, 3))
-        w = np.empty(len(q))
+        # the proposals of a batch as ``uniform_positions`` draws them,
+        # weighed block by block; one sum per batch
+        u = np.empty((min(_NORM_BATCH, proposals), n, 3))
+        w = np.empty(len(u))
         uniform = self.g_max == 1.0
         while done < proposals:
             b = min(_NORM_BATCH, proposals - done)
-            rng.random(out=q[:b])
-            for r in range(0, b, _NORM_BLOCK):
-                blk = q[r:min(r + _NORM_BLOCK, b)]
-                blk *= self._ins_hi - self._ins_lo
-                blk += self._ins_lo
-                ok = _pairwise_ok(blk, self.domain.a)
+            rng.random(out=u[:b])
+            for r, c, ok in self._clear_blocks(u[:b]):
                 # prod g is 1 for uniform g, so the weight is the indicator
-                w[r:r + len(blk)] = ok if uniform else np.prod(self.g(blk), axis=1) * ok
+                w[r:r + len(ok)] = (ok if uniform else
+                                    np.prod(self.g(c.transpose(1, 2, 0)), axis=0) * ok)
             total += float(w[:b].sum())
             total_sq += float((w[:b] * w[:b]).sum())
             done += b
@@ -231,11 +241,28 @@ class InitialMeasure:
         capped for desk scale)."""
         n = 0
         for k in range(1, cap + 1):
-            q = self.uniform_positions(rng, 200_000, k)
-            if not _pairwise_ok(q, self.domain.a).any():
+            u = rng.random((200_000, k, 3))
+            if not any(ok.any() for _, _, ok in self._clear_blocks(u)):
                 break
             n = k
         return n
+
+    def _clear_blocks(self, u: np.ndarray):
+        """For each block of ``_NORM_BLOCK`` rows of uniforms u (b, n, 3):
+        its first row, its centers mapped to the inset box as
+        ``uniform_positions`` maps them, in one reused coordinate-major
+        (3, n, L) buffer, and its hard-core mask."""
+        n = u.shape[1]
+        buf = np.empty((3, n, min(_NORM_BLOCK, len(u))))
+        span = (self._ins_hi - self._ins_lo)[:, None, None]
+        lo = self._ins_lo[:, None, None]
+        a2 = self.domain.a * self.domain.a
+        for r in range(0, len(u), _NORM_BLOCK):
+            blk = u[r:r + _NORM_BLOCK]
+            c = buf[:, :, :len(blk)]
+            np.multiply(blk.transpose(2, 1, 0), span, out=c)
+            c += lo
+            yield r, c, _clear(c, a2)
 
     def position_partition(self, n: int) -> tuple[float, float]:
         return self._z_pos.get(n, (0.0, 0.0))
@@ -300,7 +327,8 @@ class InitialMeasure:
         while got < count:
             b = max(2 * (count - got), 64)
             q = self.uniform_positions(rng, b, n)
-            accept = _pairwise_ok(q, self.domain.a)
+            accept = _clear(np.ascontiguousarray(q.transpose(2, 1, 0)),
+                            self.domain.a * self.domain.a)
             if self.g_max > 1.0:
                 gprod = np.prod(self.g(q), axis=1) / self.g_max ** n
                 accept &= rng.random(b) < gprod
@@ -328,17 +356,34 @@ class InitialMeasure:
             n = int(self._occupancy_cdf.searchsorted(rng.random(), side="right"))
             if n == 0:
                 return np.zeros((0, 3)), np.zeros((0, 3))
-            attempts = 0
-            while True:
-                q = self.uniform_positions(rng, 1, n)[0]
-                if self.admissible(q):
-                    break
-                attempts += 1
-                if attempts >= max_attempts * 100:
-                    raise RuntimeError("grand-canonical placement failed")
-            return q, self.maxwellian.sample(rng, (n, 3))
+            return self.place(rng, n, max_attempts * 100)
         q, p = self.sample_batch(rng, 1, max_attempts)
         return q[0], p[0]
+
+    def place(self, rng: np.random.Generator, n: int,
+              attempts: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
+        """The first admissible one of uniform placements of n centers
+        drawn one after another, then its Maxwellian momenta; raises
+        RuntimeError once ``attempts`` placements have failed.
+
+        Placements are drawn and tested in batches that double in size.
+        The generator is then rewound and the placements up to the
+        accepted one are drawn again, so the stream is consumed exactly as
+        by a loop that draws and tests one placement at a time."""
+        tried = 0
+        while tried < attempts:
+            k = min(tried + 1, attempts - tried)
+            # a batch of one is never rewound
+            state = rng.bit_generator.state if k > 1 else None
+            q = self.uniform_positions(rng, k, n)
+            hit = np.flatnonzero(self.admissible_batch(q))
+            if len(hit):
+                if hit[0] + 1 < k:
+                    rng.bit_generator.state = state
+                    rng.random((hit[0] + 1, n, 3))
+                return q[hit[0]], self.maxwellian.sample(rng, (n, 3))
+            tried += k
+        raise RuntimeError(f"no admissible {n}-sphere placement in {attempts} attempts")
 
     def sample(self, rng: np.random.Generator, max_attempts: int = 1000) -> Configuration:
         """``sample_arrays`` as a Configuration."""

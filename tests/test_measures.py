@@ -313,6 +313,17 @@ def test_exclusion_batch_near_contact_matches_scalar(ulps):
     assert got.tolist() == want
 
 
+def verbatim_pairwise_ok(q, a):
+    """The all-pairs exclusion test that the coordinate-major kernel
+    replaced, on a batch of position sets (B, n, 3)."""
+    n = q.shape[1]
+    ok = np.ones(q.shape[0], dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ok &= measures._sq3(q[:, i, :] - q[:, j, :]) >= a * a
+    return ok
+
+
 def verbatim_position_integral(self, n, proposals, rng):
     """The normalization loop that the in-place, blocked one replaced."""
     if n == 0:
@@ -323,7 +334,7 @@ def verbatim_position_integral(self, n, proposals, rng):
     while done < proposals:
         b = min(measures._NORM_BATCH, proposals - done)
         q = self.uniform_positions(rng, b, n)
-        w = np.prod(self.g(q), axis=1) * measures._pairwise_ok(q, self.domain.a)
+        w = np.prod(self.g(q), axis=1) * verbatim_pairwise_ok(q, self.domain.a)
         total += float(w.sum())
         total_sq += float((w * w).sum())
         done += b
@@ -336,6 +347,7 @@ def verbatim_position_integral(self, n, proposals, rng):
 @pytest.mark.parametrize("spec, domain", [
     (ModulatedProduct(2, 1.0), BOX), (ModulatedProduct(3, 1.0), BOX),
     (ModulatedProduct(5, 1.0), BOX), (CanonicalEq(3, 1.0), BOX),
+    (CanonicalEq(5, 1.0), BOX),
     (GrandCanonicalEq(50.0, 1.0), Domain(Vec3(0, 0, 0), Vec3(2.5, 1.2, 1.2), A)),
 ])
 def test_normalization_matches_verbatim_loop(spec, domain, monkeypatch):
@@ -354,3 +366,143 @@ def test_normalization_matches_verbatim_loop(spec, domain, monkeypatch):
     assert (blocked(new, new.n_max, 20_000, rng_new)
             == verbatim_position_integral(old, old.n_max, 20_000, rng_old))
     assert rng_new.random() == rng_old.random()
+
+
+def near_contact_sets(rng, rows, n):
+    """Position sets (rows, n, 3) in BOX with one pair per row at the
+    diameter give or take a few ulps: every third pair axis-aligned with
+    exact coordinates (at A exactly when the offset is 0), the others in a
+    random direction."""
+    q = 0.5 + rng.random((rows, n, 3)) * 4.0
+    if n < 2:
+        return q
+    r = np.arange(rows)
+    i = rng.integers(0, n, rows)
+    j = (i + rng.integers(1, n, rows)) % n
+    q[r, j] = touching(rng, rows, q[r, i], A)
+    e = r[::3]
+    q[e, i[e]] = [1.5, 2.0, 2.0]
+    q[e, j[e]] = [2.5, 2.0, 2.0]
+    q[e, j[e], 0] += np.spacing(2.5) * rng.integers(-4, 5, len(e))
+    return q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("rows", [0, 1, measures._NORM_BLOCK + 1])
+def test_clear_matches_verbatim_pairwise_ok(n, rows):
+    # the coordinate-major kernel gives the old per-pair test's verdict on
+    # pairs at the diameter and a few ulps either side of it
+    q = near_contact_sets(np.random.default_rng(44 + n), rows, n)
+    want = verbatim_pairwise_ok(q, A)
+    got = measures._clear(np.ascontiguousarray(q.transpose(2, 1, 0)), A * A)
+    assert got.tolist() == want.tolist()
+    if n > 1 and rows > 1:
+        assert 0 < want.sum() < rows
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_clear_blocks_map_as_uniform_positions(canonical2, n):
+    # blocks of a batch one row longer than a block: the centers are those
+    # ``uniform_positions`` maps, the masks the old test's
+    rows = measures._NORM_BLOCK + 1
+    u = np.random.default_rng(45).random((rows, n, 3))
+    q = canonical2.uniform_positions(np.random.default_rng(45), rows, n)
+    # each block's centers are read before the next block reuses the buffer
+    blocks = [(r, c.transpose(2, 1, 0).copy(), ok) for r, c, ok in canonical2._clear_blocks(u)]
+    assert [r for r, _, _ in blocks] == [0, measures._NORM_BLOCK]
+    centers = np.concatenate([c for _, c, _ in blocks])
+    assert np.array_equal(centers, q)
+    mask = np.concatenate([ok for _, _, ok in blocks])
+    assert mask.tolist() == verbatim_pairwise_ok(q, A).tolist()
+
+
+def verbatim_probe_occupancy(self, cap, rng):
+    """The occupancy probe before it ran on the kernel."""
+    n = 0
+    for k in range(1, cap + 1):
+        q = self.uniform_positions(rng, 200_000, k)
+        if not verbatim_pairwise_ok(q, self.domain.a).any():
+            break
+        n = k
+    return n
+
+
+@pytest.mark.parametrize("domain, cap, n_max", [
+    (MICRO1, 4, 1), (Domain(Vec3(0, 0, 0), Vec3(2.5, 1.2, 1.2), A), 4, 2), (BOX, 3, 3),
+])
+def test_probe_occupancy_matches_verbatim_loop(domain, cap, n_max):
+    ms = InitialMeasure(GrandCanonicalEq(50.0, 1.0), domain, norm_proposals=2_000)
+    rng_new, rng_old = np.random.default_rng(46), np.random.default_rng(46)
+    assert ms._probe_occupancy(cap, rng_new) == verbatim_probe_occupancy(ms, cap, rng_old) == n_max
+    assert rng_new.random() == rng_old.random()
+
+
+# two spheres fit only near opposite x ends of the inset box: about one
+# uniform 2-sphere placement in 400 is admissible
+TIGHT = Domain(Vec3(0, 0, 0), Vec3(2.05, 1.05, 1.05), A)
+
+
+@pytest.fixture(scope="module")
+def gc_tight():
+    ms = InitialMeasure(GrandCanonicalEq(1e5, 1.0), TIGHT, norm_proposals=20_000)
+    assert ms.n_max == 2
+    return ms
+
+
+def verbatim_grand_sample_arrays(self, rng, max_attempts=1000):
+    """The grand-canonical draw that tested one placement at a time."""
+    n = int(self._occupancy_cdf.searchsorted(rng.random(), side="right"))
+    if n == 0:
+        return np.zeros((0, 3)), np.zeros((0, 3))
+    attempts = 0
+    while True:
+        q = self.uniform_positions(rng, 1, n)[0]
+        if self.admissible(q):
+            break
+        attempts += 1
+        if attempts >= max_attempts * 100:
+            raise RuntimeError("grand-canonical placement failed")
+    return q, self.maxwellian.sample(rng, (n, 3))
+
+
+def test_grand_placement_matches_verbatim_loop(gc_tight):
+    # at max_attempts = 1 the cap is 100 placements, which most 2-sphere
+    # draws reach: the draws, the draws that raise and the stream equal
+    # the one-at-a-time loop's
+    def outcomes(draw, rng):
+        out = []
+        for _ in range(200):
+            try:
+                q, p = draw(gc_tight, rng, 1)
+                out.append((q.tolist(), p.tolist()))
+            except RuntimeError:
+                out.append("cap")
+        return out, rng.random()
+
+    got = outcomes(InitialMeasure.sample_arrays, np.random.default_rng(47))
+    assert got == outcomes(verbatim_grand_sample_arrays, np.random.default_rng(47))
+    # some 2-sphere draws reach the cap and some do not
+    assert got[0].count("cap") > 0
+    assert any(d != "cap" and len(d[0]) == 2 for d in got[0])
+
+
+def test_placement_cap_trips_where_the_loop_does(gc_tight):
+    # the loop first accepts placement j (0-based): a cap of j + 1 accepts
+    # it, a cap of j raises with j placements drawn
+    rng = np.random.default_rng(48)
+    j = 0
+    while not gc_tight.admissible(gc_tight.uniform_positions(rng, 1, 2)[0]):
+        j += 1
+    want_p = gc_tight.maxwellian.sample(rng, (2, 3))
+    after = rng.random()
+    assert j > 20
+    rng = np.random.default_rng(48)
+    q, p = gc_tight.place(rng, 2, j + 1)
+    assert gc_tight.admissible(q) and np.array_equal(p, want_p)
+    assert rng.random() == after
+    rng = np.random.default_rng(48)
+    with pytest.raises(RuntimeError, match=f"in {j} attempts"):
+        gc_tight.place(rng, 2, j)
+    ref = np.random.default_rng(48)
+    ref.random((j, 2, 3))
+    assert rng.random() == ref.random()
