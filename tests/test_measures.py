@@ -347,8 +347,8 @@ def verbatim_position_integral(self, n, proposals, rng):
 @pytest.mark.parametrize("spec, domain", [
     (ModulatedProduct(2, 1.0), BOX), (ModulatedProduct(3, 1.0), BOX),
     (ModulatedProduct(5, 1.0), BOX), (CanonicalEq(3, 1.0), BOX),
-    (CanonicalEq(5, 1.0), BOX),
     (GrandCanonicalEq(50.0, 1.0), Domain(Vec3(0, 0, 0), Vec3(2.5, 1.2, 1.2), A)),
+    (CanonicalEq(5, 1.0), BOX),
 ])
 def test_normalization_matches_verbatim_loop(spec, domain, monkeypatch):
     # batches of 30,000 proposals with a short last one, and blocks that
@@ -395,25 +395,11 @@ def test_clear_matches_verbatim_pairwise_ok(n, rows):
     q = near_contact_sets(np.random.default_rng(44 + n), rows, n)
     want = verbatim_pairwise_ok(q, A)
     got = measures._clear(np.ascontiguousarray(q.transpose(2, 1, 0)), A * A)
-    assert got.tolist() == want.tolist()
+    # the rows where they differ: a short message, where pytest's diff of
+    # two long lists takes minutes
+    assert np.flatnonzero(got != want).tolist() == []
     if n > 1 and rows > 1:
         assert 0 < want.sum() < rows
-
-
-@pytest.mark.parametrize("n", [2, 5])
-def test_clear_blocks_map_as_uniform_positions(canonical2, n):
-    # blocks of a batch one row longer than a block: the centers are those
-    # ``uniform_positions`` maps, the masks the old test's
-    rows = measures._NORM_BLOCK + 1
-    u = np.random.default_rng(45).random((rows, n, 3))
-    q = canonical2.uniform_positions(np.random.default_rng(45), rows, n)
-    # each block's centers are read before the next block reuses the buffer
-    blocks = [(r, c.transpose(2, 1, 0).copy(), ok) for r, c, ok in canonical2._clear_blocks(u)]
-    assert [r for r, _, _ in blocks] == [0, measures._NORM_BLOCK]
-    centers = np.concatenate([c for _, c, _ in blocks])
-    assert np.array_equal(centers, q)
-    mask = np.concatenate([ok for _, _, ok in blocks])
-    assert mask.tolist() == verbatim_pairwise_ok(q, A).tolist()
 
 
 def verbatim_probe_occupancy(self, cap, rng):
