@@ -223,7 +223,11 @@ class Chunk:
 def _chunks(exp: ExperimentConfig, spec, samples: int, seed: tuple, domain: Domain | None = None,
             **own) -> list[Chunk]:
     """The chunks of an estimator of ``samples`` samples, with the workers'
-    own fields; chunk idx draws from the stream (exp.seed, *seed, idx)."""
+    own fields; chunk idx draws from the stream (exp.seed, *seed, idx).  A
+    box must hold the estimator's n particles."""
+    box = own.get("box")
+    if box is not None and box.n != own["n"]:
+        raise ValueError(f"the box is {box.n}-particle, the check's n is {own['n']}")
     return [Chunk(spec, domain or exp.domain, exp.norm_proposals, count, (exp.seed, *seed, idx),
                   **own)
             for idx, count in enumerate(_chunk_counts(samples, exp.chunk_size))]
@@ -370,11 +374,9 @@ def _w_prop5_collision(c: Chunk):
     time s, the box point, the added momentum and the contact direction,
     evaluated through the same history machinery as the series.  The 2n
     histories of a sample, (j, +omega) and (j, -omega) for each receiver j,
-    share their first leg.  The random stream is consumed as by a loop
-    that draws each sample and then the inner samples of its terminals.
-    When the terminals need no inner samples (n + 1 >= N_max), all draws
-    come first and each block of samples is built as one tree, as in the
-    series' lockstep mode; otherwise each sample is built in turn."""
+    share their first leg.  At N = n + 1 the terminals need no inner
+    samples, so all draws come first and each block of samples is built
+    as one tree, as in the series' lockstep mode."""
     ms, rng, n, t, box, domain, inner = c.measure, c.rng, c.n, c.t, c.box, c.domain, c.inner
     rho0 = correlation_map(ms)
     prop = Maxwellian(c.beta0)
@@ -388,8 +390,7 @@ def _w_prop5_collision(c: Chunk):
     s, pdf = np.empty(len(rows)), np.empty(len(rows))
     p_hat, omega = np.empty((len(rows), 3)), np.empty((len(rows), 3))
     values = np.zeros(c.count)
-
-    def draw(k):
+    for k in range(len(rows)):
         s[k] = float(rng.random()) * t
         p_hat[k] = prop.sample(rng, 3)
         omega[k] = _uniform_spheres(rng, 1)[0]
@@ -420,16 +421,9 @@ def _w_prop5_collision(c: Chunk):
         values[rows[blk]] = np.where(degenerate, 0.0,
                                      vol * t * 4.0 * math.pi * total / pdf[blk])
 
-    if n + 1 >= rho0.n_max:
-        for k in range(len(rows)):
-            draw(k)
-        per = max(1, _LEVEL_ROWS // width)
-        for b in range(0, len(rows), per):
-            build(slice(b, b + per))
-    else:
-        for k in range(len(rows)):
-            draw(k)
-            build(slice(k, k + 1))
+    per = max(1, _LEVEL_ROWS // width)
+    for b in range(0, len(rows), per):
+        build(slice(b, b + per))
     counter.accepted += c.count - counter.degenerate
     stats = RunningStats()
     stats.add_many(values)
@@ -732,6 +726,10 @@ def _run_prop5(exp, label, params, key):
     if isinstance(spec, GrandCanonicalEq):
         raise ValueError("the one-step check needs a fixed particle number")
     n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
+    if spec.n_particles > n + 1:
+        # as in ExperimentConfig.validate: the term is the series cut after m = 1
+        raise ValueError(f"the collision term is exact only at N = n + 1, not at "
+                         f"N = {spec.n_particles} > n + 1 = {n + 1}")
     inner = int(params["inner_samples"])
     beta0 = float(params["beta0"] if params["beta0"] is not None else spec.beta)
     ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)

@@ -21,10 +21,9 @@ configuration on plain floats and is the reference: ``evolve_arrays`` on
 ``evolve_batch`` is the one entry for many independent configurations of
 the same particle number, each with its own duration.  From _BATCH_ROWS
 moving rows on it runs them in lockstep on arrays, bit for bit as the
-scalar engine would, and re-runs through the scalar engine the rows the
-lockstep kernel cannot settle; below that it runs the scalar engine row
-by row, which is faster there.  Either way a degenerate row is reported
-and comes back as it went in.
+scalar engine would, degenerate rows included; below that it runs the
+scalar engine row by row, which is faster there.  Either way a
+degenerate row is reported and comes back as it went in.
 """
 
 from __future__ import annotations
@@ -390,7 +389,9 @@ class _Engine:
             # normal relative speed at contact is sqrt(disc)/a; grazing
             # when it falls below graze_rel of the relative speed
             kind, i, j, disc = best
-            w2 = sum((self.p[i][k] - self.p[j][k]) ** 2 for k in range(3))
+            pi, pj = self.p[i], self.p[j]
+            wx, wy, wz = pi[0] - pj[0], pi[1] - pj[1], pi[2] - pj[2]
+            w2 = wx * wx + wy * wy + wz * wz
             if disc <= (self.graze_rel * self.a) ** 2 * w2:
                 raise DegeneracyError(
                     DegeneracyKind.GRAZING_CONTACT,
@@ -448,32 +449,17 @@ def reverse_momenta(config: Configuration) -> Configuration:
 def next_event(config: Configuration, direction: Direction = Direction.FORWARD) -> Event | None:
     """First event reached from ``config`` in the given time direction.
 
-    A touching pair that is approaching in that direction is reported as a
-    PAIR event with time_to_event 0.  Raises DegeneracyError when the two
-    soonest candidates coincide within tolerance.
+    Contacts at the start are settled as ``evolve`` settles them, and the
+    first event that settling applies is reported with time_to_event 0.
+    Raises ValueError for overlapping spheres and DegeneracyError when the
+    soonest event grazes or coincides with the next within tolerance, as
+    ``evolve`` does.
     """
     work = config if direction is Direction.FORWARD else reverse_momenta(config)
-    eng = _Engine(*_rows(work), work.domain, collect_log=False, max_events=_MAX_EVENTS_DEFAULT)
-    # touching approaching pair: immediate event
-    eps = eng.eps_len
-    for i in range(eng.n):
-        for j in range(i + 1, eng.n):
-            qi, qj, pi, pj = eng.q[i], eng.q[j], eng.p[i], eng.p[j]
-            rx, ry, rz = qj[0] - qi[0], qj[1] - qi[1], qj[2] - qi[2]
-            dist = math.sqrt(rx * rx + ry * ry + rz * rz)
-            if abs(dist - eng.a) <= eps:
-                radial = (rx * (pj[0] - pi[0]) + ry * (pj[1] - pi[1])
-                          + rz * (pj[2] - pi[2]))
-                if radial < 0.0:
-                    return Event(EventKind.PAIR, 0.0, i, j=j,
-                                 omega=Vec3(rx / dist, ry / dist, rz / dist))
-    for i in range(eng.n):
-        for ax in range(3):
-            qv, pv = eng.q[i][ax], eng.p[i][ax]
-            if (qv <= eng.lo[ax] + eps and pv < 0.0) or (qv >= eng.hi[ax] - eps and pv > 0.0):
-                side = -1 if pv < 0.0 else 1
-                return Event(EventKind.WALL, 0.0, i, axis=ax, side=side,
-                             normal=_AXIS_NORMALS[(ax, side)])
+    eng = _Engine(*_rows(work), work.domain, collect_log=True, max_events=_MAX_EVENTS_DEFAULT)
+    eng.settle_contacts()
+    if eng.log.entries:
+        return eng.log.entries[0].event
     nxt = eng.find_next()
     if nxt is None:
         return None
@@ -576,28 +562,23 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
     rows = [r for r, d in enumerate(dur) if d != 0.0]
     parts = [] if pair_events else None
     if len(rows) >= _BATCH_ROWS or q.shape[1] == 0:   # the kernel passes empty rows through
-        q_out, p_out, n_pair, n_wall, flagged = _lockstep(q, p, domain, np.array(dur), limit,
-                                                          parts)
-        rows = np.flatnonzero(flagged)
-        if pair_events:
-            # a flagged row's events come from its scalar run below
-            parts = [tuple(f[~flagged[part[0]]] for f in part) for part in parts]
+        q_out, p_out, n_pair, n_wall, degenerate = _lockstep(q, p, domain, np.array(dur), limit,
+                                                             parts)
     else:
         q_out, p_out = q.copy(), p.copy()
         n_pair = np.zeros(len(q), dtype=np.int64)
         n_wall = np.zeros(len(q), dtype=np.int64)
-    degenerate = np.zeros(len(q), dtype=bool)
-    for r in rows:
-        qr, pr = q[r].tolist(), p[r].tolist()
-        try:
-            log = _flow(qr, pr, domain, dur[r], limit, pair_events, _MAX_EVENTS_DEFAULT)
-        except DegeneracyError:
-            degenerate[r] = True
-            q_out[r], p_out[r], n_pair[r], n_wall[r] = q[r], p[r], 0, 0
-            continue
-        q_out[r], p_out[r], n_pair[r], n_wall[r] = qr, pr, log.n_pair, log.n_wall
-        if pair_events:
-            parts.append(PairEvents.log_part(r, log, q.shape[1]))
+        degenerate = np.zeros(len(q), dtype=bool)
+        for r in rows:
+            qr, pr = q[r].tolist(), p[r].tolist()
+            try:
+                log = _flow(qr, pr, domain, dur[r], limit, pair_events, _MAX_EVENTS_DEFAULT)
+            except DegeneracyError:
+                degenerate[r] = True
+                continue
+            q_out[r], p_out[r], n_pair[r], n_wall[r] = qr, pr, log.n_pair, log.n_wall
+            if pair_events:
+                parts.append(PairEvents.log_part(r, log, q.shape[1]))
     if pair_events:
         return q_out, p_out, n_pair, n_wall, degenerate, PairEvents.of(parts, q.shape[1])
     return q_out, p_out, n_pair, n_wall, degenerate
@@ -607,36 +588,31 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
 # lockstep kernel over independent replicas
 # ---------------------------------------------------------------------------
 
-# The kernel flags a pair event for the scalar grazing test when its
-# discriminant is within this relative margin of the threshold: the scalar
-# test squares with ``**`` (libm pow), which may differ from x*x in the
-# last bit.
-_GRAZE_FLAG_MARGIN = 1.0 + 1e-9
-
-
 def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limit,
               events: list | None = None):
     """The lockstep kernel of ``evolve_batch`` on (B, N, 3) rows with
     durations ``dur`` (B,) of one sign.
 
     Every row follows the scalar engine's arithmetic and candidate order
-    exactly, so each unflagged row of the result equals the scalar engine
-    on that row bit for bit.  Returns ``(q_final, p_final, n_pair, n_wall,
-    flagged)``.  Contacts at the start are settled as ``settle_contacts``
-    does: pairs in (i, j) order, then walls.  A row is flagged, and its
-    outputs hold NaN, when the scalar engine would refuse an overlap,
-    raise DegeneracyError, or exceed the event cap; ``evolve_batch``
-    re-runs such rows through the scalar engine.  Given a list
-    ``events``, every pair event is appended to it as a part for
-    ``PairEvents.of``, flagged rows' events included.
+    exactly, so each row of the result equals the scalar engine on that
+    row bit for bit.  Returns ``(q_final, p_final, n_pair, n_wall,
+    degenerate)``.  Contacts at the start are settled as
+    ``settle_contacts`` does: pairs in (i, j) order, then walls.  A row
+    on which the scalar engine raises DegeneracyError stops there: it is
+    marked degenerate, has no events and comes back as it went in.  An
+    overlapping start raises ValueError for the first such row and a row
+    past the event cap RuntimeError, with the scalar engine's messages.
+    Given a list ``events``, the pair events of every row that is not
+    degenerate are appended to it as parts for ``PairEvents.of``.
     """
     bsz, n, _ = q.shape
     n_pair = np.zeros(bsz, dtype=np.int64)
     n_wall = np.zeros(bsz, dtype=np.int64)
-    flagged = np.zeros(bsz, dtype=bool)
+    degenerate = np.zeros(bsz, dtype=bool)
+    out_q, out_p = q.copy(), p.copy()
     moving = dur != 0.0
     if n == 0 or not moving.any():
-        return q.copy(), p.copy(), n_pair, n_wall, flagged
+        return out_q, out_p, n_pair, n_wall, degenerate
     backward = bool((dur < 0.0).any())
     if backward:
         # momentum reversal, forward flow, reversal, with the limit mapped
@@ -647,7 +623,7 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
     a = domain.a
     a2 = a * a
     eps_len = EPS_CONTACT_REL * a
-    graze = (EPS_GRAZE_REL * a) ** 2 * _GRAZE_FLAG_MARGIN
+    graze = (EPS_GRAZE_REL * a) ** 2
     lo = np.array(domain.inset_lower).reshape(3, 1, 1)
     hi = np.array(domain.inset_upper).reshape(3, 1, 1)
     lo_eps = np.array([x + eps_len for x in domain.inset_lower]).reshape(3, 1, 1)
@@ -670,13 +646,12 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
     idx = np.flatnonzero(moving)
     qw = np.ascontiguousarray(q.transpose(2, 0, 1)[:, moving])
     pw = np.ascontiguousarray(p.transpose(2, 0, 1)[:, moving])
-    out_q = np.where(moving[:, None, None], np.nan, q)
-    out_p = np.where(moving[:, None, None], np.nan, p)
     cnt_pair = np.zeros(len(idx), dtype=np.int64)
     cnt_wall = np.zeros(len(idx), dtype=np.int64)
 
     # recorded momenta as they appear on the trajectory's own time axis
     p_sign = -1.0 if backward else 1.0
+    parts = [] if events is not None else None
 
     def collide(r, i, j, at):
         # _Engine.apply_pair on rows r (pair i, j per row) at elapsed times at
@@ -685,7 +660,7 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
         dist = np.sqrt(ox * ox + oy * oy + oz * oz)
         ox, oy, oz = ox / dist, oy / dist, oz / dist
         pi, pj = pw[:, r, i], pw[:, r, j]
-        if events is not None:
+        if parts is not None:
             p_before = p_sign * pw[:, r].transpose(1, 2, 0)
         cc = ox * (pi[0] - pj[0]) + oy * (pi[1] - pj[1]) + oz * (pi[2] - pj[2])
         pw[0, r, i] = pi[0] - cc * ox
@@ -695,11 +670,11 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
         pw[1, r, j] = pj[1] + cc * oy
         pw[2, r, j] = pj[2] + cc * oz
         cnt_pair[r] += 1
-        if events is not None:
+        if parts is not None:
             k = len(r)
-            events.append((idx[r], at, np.broadcast_to(i, k), np.broadcast_to(j, k),
-                           qw[:, r].transpose(1, 2, 0), p_before,
-                           p_sign * pw[:, r].transpose(1, 2, 0)))
+            parts.append((idx[r], at, np.broadcast_to(i, k), np.broadcast_to(j, k),
+                          qw[:, r].transpose(1, 2, 0), p_before,
+                          p_sign * pw[:, r].transpose(1, 2, 0)))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # eps_t from the left-to-right sum of all squared components
@@ -710,12 +685,16 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
                     v2 = v2 + pw[ax, :, i] * pw[ax, :, i]
         eps_t = (EPS_EVENT_REL * a) / np.sqrt(v2)
 
-        # settle_contacts: touching pairs approaching through the grazing
-        # band collide, in (i, j) order; an overlap is the caller's error
+        # settle_contacts: an overlap is the caller's error; touching pairs
+        # approaching through the grazing band collide, in (i, j) order
         rx = qw[:, :, pj_idx] - qw[:, :, pi_idx]
         dist = np.sqrt(rx[0] * rx[0] + rx[1] * rx[1] + rx[2] * rx[2])
-        overlap = (dist < a - eps_len).any(axis=1)
-        touch = ~(dist > a + eps_len) & ~overlap[:, None]
+        overlap = dist < a - eps_len
+        if overlap.any():
+            r, k = np.argwhere(overlap)[0]
+            raise ValueError(f"overlapping spheres {pi_idx[k]},{pj_idx[k]}: "
+                             f"dist={float(dist[r, k])}")
+        touch = ~(dist > a + eps_len)
         for k in np.flatnonzero(touch.any(axis=0)):
             r, i, j = np.flatnonzero(touch[:, k]), pi_idx[k], pj_idx[k]
             wx = pw[:, r, j] - pw[:, r, i]
@@ -728,14 +707,8 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
         if out.any():
             pw = np.where(out, -pw, pw)
             cnt_wall += out.sum(axis=(0, 2))
-        flagged[idx[overlap]] = True
-
-        keep = ~overlap
-        idx = idx[keep]
-        qw, pw, eps_t = qw[:, keep], pw[:, keep], eps_t[keep]
-        cnt_pair, cnt_wall = cnt_pair[keep], cnt_wall[keep]
         remaining = np.abs(dur[idx])
-        elapsed = np.zeros(len(idx)) if events is not None else None
+        elapsed = np.zeros(len(idx)) if parts is not None else None
 
         while len(idx):
             rows = np.arange(len(idx))
@@ -767,19 +740,17 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
             on_event = ~beyond & (best_t >= remaining - eps_t)
             cont = ~beyond & ~on_event & ~flag
             apply = cont | (on_event & ~flag & from_future)
-            over = apply & (cnt_pair + cnt_wall >= _MAX_EVENTS_DEFAULT)
-            flag |= over
-            cont &= ~over
-            apply &= ~over
+            if (apply & (cnt_pair + cnt_wall >= _MAX_EVENTS_DEFAULT)).any():
+                raise RuntimeError(f"event count exceeded {_MAX_EVENTS_DEFAULT}")
 
             dt = np.where(beyond, remaining, np.where(flag, 0.0, best_t))
             qw += dt[None, :, None] * pw
-            if events is not None:
+            if parts is not None:
                 elapsed = elapsed + dt
 
             r = np.flatnonzero(apply & is_pair)
             if len(r):
-                at = elapsed[r] if events is not None else None
+                at = elapsed[r] if parts is not None else None
                 collide(r, col_i[best[r]], col_jax[best[r]], at)
             r = np.flatnonzero(apply & ~is_pair)
             if len(r):
@@ -792,18 +763,18 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
                 ok = done & ~flag
                 dest = idx[ok]
                 out_q[dest] = qw[:, ok].transpose(1, 2, 0)
-                out_p[dest] = pw[:, ok].transpose(1, 2, 0)
+                out_p[dest] = p_sign * pw[:, ok].transpose(1, 2, 0)
                 n_pair[dest] = cnt_pair[ok]
                 n_wall[dest] = cnt_wall[ok]
-                flagged[idx[flag]] = True
+                degenerate[idx[flag]] = True
                 idx = idx[cont]
                 qw, pw = qw[:, cont], pw[:, cont]
                 eps_t, best_t, remaining = eps_t[cont], best_t[cont], remaining[cont]
-                if events is not None:
+                if parts is not None:
                     elapsed = elapsed[cont]
                 cnt_pair, cnt_wall = cnt_pair[cont], cnt_wall[cont]
             remaining = remaining - best_t
 
-    if backward:
-        out_p = -out_p
-    return out_q, out_p, n_pair, n_wall, flagged
+    if events is not None:
+        events.extend(tuple(f[~degenerate[part[0]]] for f in part) for part in parts)
+    return out_q, out_p, n_pair, n_wall, degenerate

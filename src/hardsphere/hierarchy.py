@@ -34,7 +34,6 @@ from hardsphere.geometry import (
     EPS_CONTACT_REL,
     Configuration,
     Vec3,
-    omega_admissible,
     require_unit,
 )
 from hardsphere.measures import (
@@ -293,7 +292,7 @@ def build_history(config: Configuration, t: float, delta: CollisionHistory) -> H
 
 
 # ---------------------------------------------------------------------------
-# collision operator
+# contact directions
 # ---------------------------------------------------------------------------
 
 # a normal triple at most this long is redrawn rather than scaled to unit length
@@ -311,95 +310,6 @@ def _uniform_spheres(rng: np.random.Generator, k: int) -> np.ndarray:
     if keep.all():
         return v / r
     return np.concatenate([v[keep] / r[keep], _uniform_spheres(rng, k - int(keep.sum()))])
-
-
-def collision_operator(rho: CorrelationVector, config: Configuration, j: int,
-                       samples: int, rng: np.random.Generator,
-                       beta0: float | None = None,
-                       inner_samples: int | None = None) -> SignedEstimate:
-    """Signed MC estimate of the boundary flux coupling level n to n+1.
-
-    Draws the added momentum from a proposal Maxwellian at beta0 (default:
-    the measure's own beta) and the contact direction uniformly on the
-    sphere, keeping the signed integrand over the whole admissible sphere;
-    inadmissible directions contribute zero and are counted as samples.
-    """
-    ms = rho.measure
-    a2 = config.domain.a ** 2
-    prop = Maxwellian(beta0 if beta0 is not None else ms.beta)
-    p_j = config.particles[j].p
-    q_j = config.particles[j].q
-    base_q = np.array([pt.q.as_tuple() for pt in config.particles])
-    base_p = np.array([pt.p.as_tuple() for pt in config.particles])
-    stats = RunningStats()
-    for _ in range(samples):
-        p_new = Vec3(*prop.sample(rng, 3))
-        omega = Vec3(*_uniform_spheres(rng, 1)[0])
-        if not omega_admissible(config, j, p_new, omega):
-            stats.add(0.0)
-            continue
-        q_new = q_j + omega.scale(config.domain.a)
-        q_aug = np.vstack([base_q, [q_new.as_tuple()]])
-        p_aug = np.vstack([base_p, [p_new.as_tuple()]])
-        val, _ = rho.eval_arrays(q_aug, p_aug, rng, inner_samples)
-        flux = omega.dot(p_new - p_j)
-        stats.add(4.0 * math.pi * a2 * flux * val / prop.pdf_vec(p_new))
-    return SignedEstimate.from_stats(stats)
-
-
-def collision_operator_quadrature(rho_fn, config: Configuration, j: int,
-                                  beta0: float, n_radial: int = 16,
-                                  n_theta: int = 24, n_phi: int = 48) -> float:
-    """Deterministic oracle for the collision operator on an evaluatable
-    rho_fn(q_aug, p_aug) -> values, called once per direction node with
-    the augmented positions (n + 1, 3) and the augmented momenta of all
-    its momentum nodes (K, n + 1, 3).
-
-    Tensor Gauss-Hermite quadrature in the added momentum (rho_fn must
-    decay at least like the beta0 Maxwellian for the node compensation to
-    stay bounded) and a product cos(theta)/phi grid on the sphere with the
-    admissible-set indicator applied at each direction node.  A test
-    oracle at modest grid sizes, not a production estimator.
-    """
-    dom = config.domain
-    a = dom.a
-    p_j = np.array(config.particles[j].p.as_tuple())
-    q_j = np.array(config.particles[j].q.as_tuple())
-    base_q = np.array([pt.q.as_tuple() for pt in config.particles])
-    base_p = np.array([pt.p.as_tuple() for pt in config.particles])
-
-    nodes, weights = np.polynomial.hermite.hermgauss(n_radial)
-    comp = weights * np.exp(nodes * nodes)  # compensated weights for int F dp
-    scale = math.sqrt(2.0 / beta0)          # p = scale * x maps exp(-x^2) to h envelope
-    # the momentum nodes and their weights, x slowest and z fastest
-    p_new = scale * np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), -1).reshape(-1, 3)
-    w_new = (comp[:, None, None] * comp[:, None] * comp).ravel() * scale ** 3
-    p_aug = np.concatenate([np.broadcast_to(base_p, (len(p_new), *base_p.shape)),
-                            p_new[:, None]], axis=1)
-
-    x_theta, w_theta = np.polynomial.legendre.leggauss(n_theta)
-    phis = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
-    w_phi = 2.0 * math.pi / n_phi
-
-    lo, hi = dom.inset_lower, dom.inset_upper
-    total = 0.0
-    for ct, wt in zip(x_theta, w_theta):
-        st = math.sqrt(max(0.0, 1.0 - ct * ct))
-        for phi in phis:
-            omega = np.array([st * math.cos(phi), st * math.sin(phi), ct])
-            q_new = q_j + a * omega
-            ok_geom = all(lo[ax] - 1e-12 <= q_new[ax] <= hi[ax] + 1e-12 for ax in range(3))
-            if ok_geom:
-                for i, pt in enumerate(config.particles):
-                    if i != j and np.linalg.norm(q_new - np.array(pt.q.as_tuple())) < a - 1e-12:
-                        ok_geom = False
-                        break
-            if not ok_geom:
-                continue
-            flux = (p_new - p_j) @ omega
-            vals = np.asarray(rho_fn(np.vstack([base_q, q_new]), p_aug), dtype=float)
-            total += wt * w_phi * float(np.sum(w_new * flux * vals))
-    return a * a * total
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,6 @@ class Maxwellian:
         norm = (self.beta / (2.0 * math.pi)) ** 1.5
         return norm * np.exp(-0.5 * self.beta * np.sum(p * p, axis=-1))
 
-    def pdf_vec(self, p: Vec3) -> float:
-        return float(self.pdf(np.array(p.as_tuple())))
-
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size=size)
 

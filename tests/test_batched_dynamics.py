@@ -1,10 +1,11 @@
 """Differential tests: the lockstep kernel and the batch entry against the
 scalar engine.
 
-Every row the kernel does not flag must equal scalar ``evolve`` on the same
-input bit for bit (final positions, momenta and event counts); every row
-the scalar engine would treat specially must be flagged, so that the batch
-entry's scalar re-run raises or returns exactly as the scalar engine does.
+Every row of the kernel must equal scalar ``evolve`` on the same input bit
+for bit (final positions, momenta and event counts); a row on which the
+scalar engine raises DegeneracyError must be marked degenerate and come
+back as it went in, and an overlap or the event cap must raise as the
+scalar engine does.
 """
 
 import math
@@ -73,20 +74,21 @@ def lockstep(q, p, domain, t, limit=Limit.FROM_FUTURE):
 
 
 def assert_rows_match(q, p, domain, t, limit):
-    """Compare the kernel with the scalar engine row by row; returns the
-    flag mask."""
-    qf, pf, n_pair, n_wall, flagged = lockstep(q, p, domain, t, limit)
+    """Compare the kernel with the scalar engine row by row: a row the
+    scalar engine refuses is degenerate and comes back as it went in, any
+    other row is its scalar run.  Returns the degenerate mask."""
+    qf, pf, n_pair, n_wall, degenerate = lockstep(q, p, domain, t, limit)
     for r, ref in enumerate(scalar_rows(q, p, domain, t, limit)):
         if isinstance(ref, DegeneracyKind):
-            assert flagged[r], f"row {r} raises {ref} but was not flagged"
-            continue
-        if flagged[r]:
-            continue
+            assert degenerate[r], f"row {r} raises {ref} but is not degenerate"
+            ref = (q[r], p[r], 0, 0)
+        else:
+            assert not degenerate[r], f"row {r} runs but is degenerate"
         q_ref, p_ref, pair_ref, wall_ref = ref
         assert np.array_equal(qf[r], q_ref), f"row {r}: positions differ"
         assert np.array_equal(pf[r], p_ref), f"row {r}: momenta differ"
         assert (n_pair[r], n_wall[r]) == (pair_ref, wall_ref), f"row {r}: counts differ"
-    return flagged
+    return degenerate
 
 
 @pytest.mark.parametrize("n, rows", [(2, 120), (3, 80), (5, 40)])
@@ -95,15 +97,15 @@ def assert_rows_match(q, p, domain, t, limit):
 def test_sampled_rows_match_scalar(n, rows, t, limit):
     rng = np.random.default_rng(1000 * n + int(abs(t)))
     q, p = sample_starts(rng, rows, n)
-    flagged = assert_rows_match(q, p, BOX, t, limit)
-    assert flagged.sum() <= rows // 20   # flags are the rare exception
+    degenerate = assert_rows_match(q, p, BOX, t, limit)
+    assert degenerate.sum() <= rows // 20   # degeneracy is the rare exception
 
 
 def test_zero_time_is_identity():
     q, p = sample_starts(np.random.default_rng(2), 5, 3)
-    qf, pf, n_pair, n_wall, flagged = evolve_batch(q, p, BOX, 0.0)
+    qf, pf, n_pair, n_wall, degenerate = evolve_batch(q, p, BOX, 0.0)
     assert np.array_equal(qf, q) and np.array_equal(pf, p)
-    assert not flagged.any() and not n_pair.any() and not n_wall.any()
+    assert not degenerate.any() and not n_pair.any() and not n_wall.any()
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -123,8 +125,7 @@ def test_rows_ending_on_an_event(sign):
             t = sign * entry.time
             ends = []
             for limit in Limit:
-                flagged = assert_rows_match(q[r:r + 1], p[r:r + 1], BOX, t, limit)
-                assert not flagged.any()
+                assert not assert_rows_match(q[r:r + 1], p[r:r + 1], BOX, t, limit).any()
                 ends.append(lockstep(q[r:r + 1], p[r:r + 1], BOX, t, limit)[1])
             limits_differ += not np.array_equal(*ends)
     assert limits_differ > 0
@@ -150,8 +151,8 @@ FORCED = {
 def test_degenerate_rows_are_flagged(case):
     domain, qf_, pf_, qb, pb, kind = FORCED[case]
     q, p = with_benign_row(qf_, pf_, qb, pb)
-    flagged = assert_rows_match(q, p, domain, 2.0, Limit.FROM_FUTURE)
-    assert flagged.tolist() == [True, False]
+    degenerate = assert_rows_match(q, p, domain, 2.0, Limit.FROM_FUTURE)
+    assert degenerate.tolist() == [True, False]
     with pytest.raises(DegeneracyError) as err:
         evolve(config_from_arrays(q[0], p[0], domain), 2.0)
     assert err.value.kind is kind
@@ -163,8 +164,8 @@ def test_grazing_row_is_flagged(monkeypatch):
     off = A * math.sqrt(1.0 - 1e-8)
     q, p = with_benign_row([[0, 0, 0], [5, off, 0]], [[1, 0, 0], [-1, 0, 0]],
                            [[0, 0, 0], [5, 0.3, 0]], [[1, 0, 0], [-1, 0, 0]])
-    flagged = assert_rows_match(q, p, HUGE, 4.0, Limit.FROM_FUTURE)
-    assert flagged.tolist() == [True, False]
+    degenerate = assert_rows_match(q, p, HUGE, 4.0, Limit.FROM_FUTURE)
+    assert degenerate.tolist() == [True, False]
     with pytest.raises(DegeneracyError) as err:
         evolve(config_from_arrays(q[0], p[0], HUGE), 4.0)
     assert err.value.kind is DegeneracyKind.GRAZING_CONTACT
@@ -192,8 +193,7 @@ def test_at_contact_starts_are_settled():
     for q_row, p_row in rows:
         q, p = np.array([q_row], dtype=float), np.array([p_row], dtype=float)
         for t in (0.7, -0.7):
-            flagged = assert_rows_match(q, p, BOX, t, Limit.FROM_FUTURE)
-            assert not flagged.any()
+            assert not assert_rows_match(q, p, BOX, t, Limit.FROM_FUTURE).any()
     _, log = evolve(config_from_arrays(*map(np.array, rows[0]), BOX), 0.5)
     assert log.n_pair == 1
     _, log = evolve(config_from_arrays(*map(np.array, rows[4]), BOX), 0.01)
@@ -201,13 +201,19 @@ def test_at_contact_starts_are_settled():
 
 
 def test_overlapping_start_is_flagged():
+    # the kernel refuses the first overlapping row with the scalar
+    # engine's message, whatever rows come before and after it
     q, p = with_benign_row([[2.0, 2.5, 2.5], [2.9, 2.5, 2.5]], [[1, 0, 0], [-1, 0, 0]],
                            [[1.2, 2.1, 2.6], [3.6, 2.4, 2.3]], [[0.7, 0.1, -0.2], [-0.9, 0.3, 0.2]])
-    flagged = lockstep(q, p, BOX, 0.5)[4]
-    assert flagged.tolist() == [True, False]
-    assert not assert_rows_match(q[1:], p[1:], BOX, 0.5, Limit.FROM_FUTURE).any()
-    with pytest.raises(ValueError, match="overlapping"):
+    with pytest.raises(ValueError, match="overlapping") as ref:
         evolve(config_from_arrays(q[0], p[0], BOX), 0.5)
+    later = q[0] + [[0.0, 0.0, 0.0], [-0.1, 0.0, 0.0]]
+    for rows in ([0, 1], [1, 0]):
+        with pytest.raises(ValueError) as err:
+            lockstep(np.concatenate([q[rows], later[None]]), np.concatenate([p[rows], p[:1]]),
+                     BOX, 0.5)
+        assert str(err.value) == str(ref.value)
+    assert not assert_rows_match(q[1:], p[1:], BOX, 0.5, Limit.FROM_FUTURE).any()
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -217,13 +223,14 @@ def test_per_row_durations_match_scalar(sign):
         q, p = sample_starts(rng, 60, n)
         t = sign * rng.uniform(0.0, 9.0, size=60)
         t[::7] = 0.0
-        qf, pf, n_pair, n_wall, flagged = lockstep(q, p, BOX, t)
+        qf, pf, n_pair, n_wall, degenerate = lockstep(q, p, BOX, t)
         for r in range(60):
             ref = scalar_rows(q[r:r + 1], p[r:r + 1], BOX, t[r], Limit.FROM_FUTURE)[0]
             if isinstance(ref, DegeneracyKind):
-                assert flagged[r]
-                continue
-            assert not flagged[r]
+                assert degenerate[r]
+                ref = (q[r], p[r], 0, 0)
+            else:
+                assert not degenerate[r]
             assert np.array_equal(qf[r], ref[0]) and np.array_equal(pf[r], ref[1])
             assert (n_pair[r], n_wall[r]) == ref[2:]
         assert np.array_equal(qf[::7], q[::7]) and np.array_equal(pf[::7], p[::7])
@@ -232,61 +239,76 @@ def test_per_row_durations_match_scalar(sign):
 
 
 def test_event_cap_row_is_flagged(monkeypatch):
+    # the kernel refuses a row past the event cap as the scalar engine does
     monkeypatch.setattr(dyn, "_MAX_EVENTS_DEFAULT", 3)
     q, p = with_benign_row([[2.5, 2.5, 2.5]], [[1.0, 0.7, 0.3]],
                            [[2.5, 2.5, 2.5]], [[0.1, 0.05, 0.02]])
-    _, _, _, n_wall, flagged = lockstep(q, p, BOX, 10.0)
-    assert flagged.tolist() == [True, False]
-    assert n_wall[1] == 0
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="^event count exceeded 3$"):
+        lockstep(q, p, BOX, 10.0)
+    assert lockstep(q[1:], p[1:], BOX, 10.0)[3].tolist() == [0]
+    with pytest.raises(RuntimeError, match="^event count exceeded 3$"):
         evolve(config_from_arrays(q[0], p[0], BOX), 10.0, max_events=3)
 
 
-# -- the batch entry: lockstep kernel or scalar engine, fallback inside ------------
+# -- the batch entry: lockstep kernel or scalar engine ------------------------------
 
 def _forced_degenerate(x: float) -> bool:
     return int(x * 1e4) % 5 == 0
 
 
-def _forced_flag(x: float) -> bool:
-    # the kernel flags these too; the scalar engine runs them normally
-    return int(x * 1e4) % 5 == 1
+def marking_kernel(real, forced):
+    """The lockstep kernel ``real`` with the moving rows whose start
+    ``forced(x)`` selects by the first coordinate made degenerate as it
+    makes them: marked, back as they went in and without events."""
+
+    def kernel(q, p, domain, dur, limit, events=None):
+        mark = np.array([forced(x) for x in q[:, 0, 0]], dtype=bool) & (dur != 0.0)
+        own = None if events is None else []
+        qf, pf, n_pair, n_wall, degenerate = real(q, p, domain, dur, limit, own)
+        qf[mark], pf[mark], n_pair[mark], n_wall[mark] = q[mark], p[mark], 0, 0
+        if events is not None:
+            events.extend(tuple(f[~mark[part[0]]] for f in part) for part in own)
+        return qf, pf, n_pair, n_wall, degenerate | mark
+
+    return kernel
 
 
 def force_degeneracies(monkeypatch, always=False):
-    """The scalar engine raises, and the lockstep kernel flags, for a fixed
-    subset of starts (all of them with ``always``); the kernel also flags
-    a second subset that the scalar engine then runs normally."""
-    real_flow, real_lockstep = dyn._flow, dyn._lockstep
+    """The scalar engine raises, and the lockstep kernel marks degenerate,
+    the same fixed subset of starts (all of them with ``always``)."""
+    real_flow = dyn._flow
+    forced = lambda x: always or _forced_degenerate(x)
 
     def flow(q, p, *args):
-        if always or _forced_degenerate(q[0][0]):
+        if forced(q[0][0]):
             raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
         return real_flow(q, p, *args)
 
-    def kernel(q, p, domain, dur, limit, *events):
-        qf, pf, n_pair, n_wall, flagged = real_lockstep(q, p, domain, dur, limit, *events)
-        forced = [always or _forced_degenerate(x) or _forced_flag(x) for x in q[:, 0, 0]]
-        return qf, pf, n_pair, n_wall, flagged | (np.array(forced, dtype=bool) & (dur != 0.0))
-
     monkeypatch.setattr(dyn, "_flow", flow)
-    monkeypatch.setattr(dyn, "_lockstep", kernel)
+    monkeypatch.setattr(dyn, "_lockstep", marking_kernel(dyn._lockstep, forced))
 
 
 @pytest.mark.parametrize("force", [False, True])
 @pytest.mark.parametrize("rows", [dyn._BATCH_ROWS - 1, 3 * dyn._BATCH_ROWS])
 def test_batch_entry_matches_row_by_row(rows, force, monkeypatch):
-    # below the threshold the entry runs the scalar engine, from it on the
-    # kernel with flagged rows re-run; either way each row is evolve_arrays
-    # on it, and a degenerate row comes back as it went in
+    # below the threshold the entry runs the scalar engine, from it the
+    # kernel; either way each row is evolve_arrays on it, and a degenerate
+    # row comes back as it went in
     if force:
         force_degeneracies(monkeypatch)
     rng = np.random.default_rng(rows)
     q, p = sample_starts(rng, rows, 3)
     t = -rng.uniform(0.0, 9.0, size=rows)
     t[::9] = 0.0
-    qf, pf, n_pair, n_wall, degenerate = evolve_batch(q, p, BOX, t)
-    for r in range(rows):
+    degenerate = assert_entry_rows(q, p, t, *evolve_batch(q, p, BOX, t))
+    assert degenerate.any() == force
+
+
+def assert_entry_rows(q, p, t, qf, pf, n_pair, n_wall, degenerate):
+    """Each row of a batch entry's result is evolve_arrays on the row, or,
+    where that raises DegeneracyError, the row as it went in with no
+    events; returns the degenerate mask."""
+    for r in range(len(q)):
         try:
             q_ref, p_ref, log = evolve_arrays(q[r], p[r], BOX, t[r])
         except DegeneracyError:
@@ -297,7 +319,7 @@ def test_batch_entry_matches_row_by_row(rows, force, monkeypatch):
         assert not degenerate[r]
         assert np.array_equal(qf[r], q_ref) and np.array_equal(pf[r], p_ref)
         assert (n_pair[r], n_wall[r]) == (log.n_pair, log.n_wall)
-    assert degenerate.any() == force
+    return degenerate
 
 
 @pytest.mark.parametrize("rows", [1, dyn._BATCH_ROWS])
@@ -338,8 +360,8 @@ def bits(x) -> bytes:
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_pair_events_match_scalar_log(n, sign, rows, force, monkeypatch):
     # the pair entries of each row's scalar log, bit for bit: from the
-    # kernel, from the scalar re-run of a flagged row, and from the scalar
-    # path below the row threshold; a degenerate row has none
+    # kernel and from the scalar path below the row threshold; a
+    # degenerate row has none
     if force:
         force_degeneracies(monkeypatch)
     rng = np.random.default_rng(100 * n + rows)
@@ -368,6 +390,31 @@ def test_pair_events_match_scalar_log(n, sign, rows, force, monkeypatch):
             at_start += e.time == 0.0
     assert len(ev.row) > rows // 4 and at_start > 0
     assert degenerate.any() == force
+
+
+def test_kernel_rows_never_reach_the_scalar_engine(monkeypatch):
+    # the kernel settles every row it runs, the degenerate ones and the
+    # at-contact starts included: the scalar engine is never called, and
+    # each row is still evolve_arrays on it
+    force_degeneracies(monkeypatch)
+    calls = []
+    flow = dyn._flow
+
+    def counting(*args):
+        calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(dyn, "_flow", counting)
+    rows = 3 * dyn._BATCH_ROWS
+    rng = np.random.default_rng(17)
+    q, p = with_contacts(rng, *sample_starts(rng, rows, 3))
+    t = -rng.uniform(0.0, 9.0, size=rows)
+    for pair_events in (False, True):
+        calls.clear()
+        out = evolve_batch(q, p, BOX, t, pair_events=pair_events)
+        assert len(calls) == 0
+        assert np.array_equal(out[4], assert_entry_rows(q, p, t, *out[:5]))
+        assert 0 < out[4].sum() < rows
 
 
 # -- the forward-simulation chunk keeps its degeneracy bookkeeping -------------

@@ -185,9 +185,36 @@ def test_prop5_rejects_more_than_n_plus_1_particles(tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("config error: prop5_onestep: the collision term is exact only at N = n + 1, "
             "at N = 3 > n + 1 = 2 it is the series truncated after m = 1") in err
+    # run_all and run_check skip validate: the runner refuses it itself
     exp = loads_config(cfg_path.read_text())
+    with pytest.raises(ValueError, match=r"^the collision term is exact only at N = n \+ 1, "
+                                         r"not at N = 3 > n \+ 1 = 2$"):
+        C.run_check(exp, "prop5_onestep", params={"samples": 100})
     exp.checks = [("prop5_onestep", "", {"n": 2})]
     assert exp.validate() == []
+
+
+def test_box_must_hold_the_checks_n_particles(tmp_path, capsys, monkeypatch):
+    # a one-particle preset box with n = 2 would compare particle 0's
+    # intervals against both particles; every runner refuses it before
+    # any chunk runs
+    ran = []
+    monkeypatch.setattr(C, "_map_ordered", lambda *args: ran.append(args))
+    exp = small_exp()
+    exp.density = ModulatedProduct(3, 1.0)
+    for cid, params in (("liouville", {"n": 2, "delta": "bulk", "samples": 10}),
+                        ("prop1_decomposition", {"n": 2, "samples": 10, "deltas": ["bulk"]}),
+                        ("prop5_onestep", {"n": 2, "samples": 10, "deltas": ["bulk"]}),
+                        ("series_identity", {"n": 2, "samples": 10, "deltas": ["bulk"]}),
+                        ("grand_canonical_identity", {"n": 2, "samples": 10})):
+        with pytest.raises(ValueError, match="^the box is 1-particle, the check's n is 2$"):
+            C.run_check(exp, cid, params=params)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
+                        + '\n[check.liouville]\nn = 2\nsamples = 30\ndelta = "bulk"\n')
+    assert main(["run", "--config", str(cfg_path), "--check", "liouville"]) == 2
+    assert "error: the box is 1-particle, the check's n is 2" in capsys.readouterr().err
+    assert ran == []
 
 
 def test_run_without_reports_exits_2(tmp_path, capsys):
@@ -542,7 +569,8 @@ deltas = ["bulk", "near_wall"]
 [check.prop5_onestep]
 samples = 600
 t = 6.0
-deltas = ["bulk"]
+n = 2
+deltas = [{"name": "pair", "q_lo": [[1.0, 1.5, 1.5], [2.5, 1.5, 1.5]], "q_hi": [[2.5, 3.5, 3.5], [4.0, 3.5, 3.5]], "p_lo": [[-1.2, -1.2, -1.2], [-1.2, -1.2, -1.2]], "p_hi": [[1.2, 1.2, 1.2], [1.2, 1.2, 1.2]]}]
 
 [check.map_roundtrip]
 z = 50.0
@@ -555,8 +583,10 @@ points = 3
 # per-check chunk drivers and positional worker payloads (numpy 2.4,
 # x86-64 Linux).  It covers the checks the other two digests leave out,
 # each over several chunks, so a change to their seeds, chunking, order
-# of random draws or report fields shows up as a different digest.
-GOLDEN_OTHER_SHA256 = "5c2523bb9ff698f16ad7278358addc0a44d4f81402549a8eabde98e206d644c1"
+# of random draws or report fields shows up as a different digest.  Its
+# prop5_onestep case runs at N = n + 1 on a two-particle box, the only
+# particle number the check accepts.
+GOLDEN_OTHER_SHA256 = "6dcdc69dbd2d4915fe4985488eb0882ec3349e40f8d21190d28e8e2a98aa016b"
 
 
 def test_golden_other_report_bytes(tmp_path):

@@ -129,6 +129,27 @@ def test_next_event_touching_approaching_pair_is_immediate():
     assert ev.kind is EventKind.PAIR and ev.time_to_event == 0.0
 
 
+def test_next_event_refuses_starts_as_evolve_does():
+    # a contact approached inside the grazing band (radial speed 1e-10)
+    # is no collision at the start but a grazing event at time 0, and an
+    # overlap is an error: next_event settles the start as evolve does
+    grazing = make([(0, 0, 0), (A, 0, 0)], [(1e-10, 1, 0), (0, 0, 0)])
+    overlap = make([(0, 0, 0), (0.9 * A, 0, 0)], [(1, 0, 0), (-1, 0, 0)])
+    for cfg, direction, t, error in ((grazing, Direction.FORWARD, 1.0, DegeneracyError),
+                                     (overlap, Direction.FORWARD, 1.0, ValueError),
+                                     (overlap, Direction.BACKWARD, -1.0, ValueError)):
+        with pytest.raises(error) as ref:
+            evolve(cfg, t)
+        with pytest.raises(error) as err:
+            next_event(cfg, direction)
+        assert str(err.value) == str(ref.value)
+    with pytest.raises(DegeneracyError) as err:
+        next_event(grazing)
+    assert err.value.kind is DegeneracyKind.GRAZING_CONTACT
+    # backward, the grazing pair separates: no event at the start
+    assert next_event(grazing, Direction.BACKWARD).time_to_event > 0.0
+
+
 # -- evolve ------------------------------------------------------------------
 
 def test_evolve_zero_time_is_identity():

@@ -11,9 +11,9 @@ from hardsphere.hierarchy import (
     PhaseBox,
     SeriesParams,
     _series_stratum_stats,
+    _insert,
+    _uniform_spheres,
     build_history,
-    collision_operator,
-    collision_operator_quadrature,
     empirical_rho,
     pair_collision_rate,
     series_eval,
@@ -21,10 +21,12 @@ from hardsphere.hierarchy import (
 from hardsphere.measures import (
     CanonicalEq,
     InitialMeasure,
+    Maxwellian,
     ModulatedProduct,
+    config_to_arrays,
     correlation_map,
 )
-from hardsphere.stats import z_score
+from hardsphere.stats import RunningStats, SignedEstimate, z_score
 
 A = 1.0
 BOX = Domain(Vec3(0, 0, 0), Vec3(5, 5, 5), A)
@@ -144,19 +146,105 @@ def test_blocked_insertion_flagged():
 
 # -- collision operator ---------------------------------------------------------
 
+def mc_collision_operator(rho, config: Configuration, j: int, samples: int,
+                          rng: np.random.Generator, beta0: float | None = None,
+                          inner_samples: int | None = None) -> SignedEstimate:
+    """Signed MC estimate of the boundary flux coupling level n to n+1, in
+    the arithmetic ``checks._w_prop5_collision`` runs: each sample draws
+    the added momentum from a proposal Maxwellian at beta0 (default: the
+    measure's own beta) and a uniform contact direction; ``_insert`` then
+    places every sample's sphere and gives its flux weight, and the
+    admissible ones draw their inner samples in one ``draw_inner``.
+    Blocked directions contribute zero and count as samples."""
+    prop = Maxwellian(beta0 if beta0 is not None else rho.measure.beta)
+    q, p = config_to_arrays(config)
+    p_hat, omega = np.empty((samples, 3)), np.empty((samples, 3))
+    for k in range(samples):
+        p_hat[k] = prop.sample(rng, 3)
+        omega[k] = _uniform_spheres(rng, 1)[0]
+    q_aug, p_aug, weight, blocked = _insert(
+        np.broadcast_to(q, (samples, *q.shape)), np.broadcast_to(p, (samples, *p.shape)),
+        np.ones(samples), np.full(samples, j), p_hat, omega, config.domain)
+    ev = np.flatnonzero(~blocked)
+    ok, u = rho.draw_inner(q_aug[ev], rng, inner_samples)
+    vals = np.zeros(samples)
+    vals[ev[ok]] = rho.eval_drawn(q_aug[ev[ok]], p_aug[ev[ok]], u, inner_samples)
+    stats = RunningStats()
+    stats.add_many(4.0 * math.pi * weight * vals / prop.pdf(p_hat))
+    return SignedEstimate.from_stats(stats)
+
+
+def collision_operator_quadrature(rho_fn, config: Configuration, j: int,
+                                  beta0: float, n_radial: int = 16,
+                                  n_theta: int = 24, n_phi: int = 48) -> float:
+    """Deterministic oracle for the collision operator on an evaluatable
+    rho_fn(q_aug, p_aug) -> values, called once per direction node with
+    the augmented positions (n + 1, 3) and the augmented momenta of all
+    its momentum nodes (K, n + 1, 3).
+
+    Tensor Gauss-Hermite quadrature in the added momentum (rho_fn must
+    decay at least like the beta0 Maxwellian for the node compensation to
+    stay bounded) and a product cos(theta)/phi grid on the sphere with the
+    admissible-set indicator applied at each direction node.  A test
+    oracle at modest grid sizes, not a production estimator.
+    """
+    dom = config.domain
+    a = dom.a
+    p_j = np.array(config.particles[j].p.as_tuple())
+    q_j = np.array(config.particles[j].q.as_tuple())
+    base_q = np.array([pt.q.as_tuple() for pt in config.particles])
+    base_p = np.array([pt.p.as_tuple() for pt in config.particles])
+
+    nodes, weights = np.polynomial.hermite.hermgauss(n_radial)
+    comp = weights * np.exp(nodes * nodes)  # compensated weights for int F dp
+    scale = math.sqrt(2.0 / beta0)          # p = scale * x maps exp(-x^2) to h envelope
+    # the momentum nodes and their weights, x slowest and z fastest
+    p_new = scale * np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), -1).reshape(-1, 3)
+    w_new = (comp[:, None, None] * comp[:, None] * comp).ravel() * scale ** 3
+    p_aug = np.concatenate([np.broadcast_to(base_p, (len(p_new), *base_p.shape)),
+                            p_new[:, None]], axis=1)
+
+    x_theta, w_theta = np.polynomial.legendre.leggauss(n_theta)
+    phis = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+    w_phi = 2.0 * math.pi / n_phi
+
+    lo, hi = dom.inset_lower, dom.inset_upper
+    total = 0.0
+    for ct, wt in zip(x_theta, w_theta):
+        st = math.sqrt(max(0.0, 1.0 - ct * ct))
+        for phi in phis:
+            omega = np.array([st * math.cos(phi), st * math.sin(phi), ct])
+            q_new = q_j + a * omega
+            ok_geom = all(lo[ax] - 1e-12 <= q_new[ax] <= hi[ax] + 1e-12 for ax in range(3))
+            if ok_geom:
+                for i, pt in enumerate(config.particles):
+                    if i != j and np.linalg.norm(q_new - np.array(pt.q.as_tuple())) < a - 1e-12:
+                        ok_geom = False
+                        break
+            if not ok_geom:
+                continue
+            flux = (p_new - p_j) @ omega
+            vals = np.asarray(rho_fn(np.vstack([base_q, q_new]), p_aug), dtype=float)
+            total += wt * w_phi * float(np.sum(w_new * flux * vals))
+    return a * a * total
+
+
 class _ZeroRho:
     def __init__(self, measure):
         self.measure = measure
         self.n_max = measure.n_max
         self.z_rel_err = 0.0
 
-    def eval_arrays(self, q, p, rng, inner_samples=None):
-        return (0.0, 0.0)
+    def draw_inner(self, q, rng, inner_samples=None):
+        return np.arange(len(q)), np.zeros((len(q), 0))
+
+    def eval_drawn(self, q, p, u, inner_samples=None):
+        return np.zeros(len(q))
 
 
 def test_collision_operator_zero_density(eq2):
     cfg = single((2.5, 2.5, 2.5), (0.3, 0.1, 0.0), domain=BOX)
-    est = collision_operator(_ZeroRho(eq2), cfg, 0, 500, np.random.default_rng(1))
+    est = mc_collision_operator(_ZeroRho(eq2), cfg, 0, 500, np.random.default_rng(1))
     assert est.value == 0.0 and est.stderr == 0.0
 
 
@@ -164,13 +252,12 @@ def test_collision_operator_symmetry_cancellation(eq2):
     # a density depending on momentum only through |p| makes the flux
     # integrand odd under the hemisphere swap: the operator vanishes
     class IsotropicRho(_ZeroRho):
-        def eval_arrays(self, q, p, rng, inner_samples=None):
-            val = float(np.exp(-0.5 * np.sum(p * p)))
-            return (val, 0.0)
+        def eval_drawn(self, q, p, u, inner_samples=None):
+            return np.exp(-0.5 * np.sum(p * p, axis=(1, 2)))
 
     cfg = single((2.5, 2.5, 2.5), (0.0, 0.0, 0.0), domain=BOX)
     rho = IsotropicRho(eq2)
-    est = collision_operator(rho, cfg, 0, 4000, np.random.default_rng(2))
+    est = mc_collision_operator(rho, cfg, 0, 4000, np.random.default_rng(2))
     assert abs(est.value) <= 3 * est.stderr
     oracle = collision_operator_quadrature(
         lambda q, p: np.exp(-0.5 * np.sum(p * p, axis=(1, 2))), cfg, 0, beta0=1.0,
@@ -183,7 +270,7 @@ def test_collision_operator_matches_quadrature_oracle(eq2):
     # the wall at x = 0 cuts the contact sphere of the receiver, so the
     # operator does not vanish by symmetry there
     cfg = single((1.0, 2.5, 2.5), (0.6, -0.2, 0.3), domain=BOX)
-    est = collision_operator(rho, cfg, 0, 20_000, np.random.default_rng(3))
+    est = mc_collision_operator(rho, cfg, 0, 20_000, np.random.default_rng(3))
 
     def rho_fn(q_aug, p_aug):
         # eval_arrays at every momentum node with a fresh default_rng(4):
@@ -342,14 +429,14 @@ from hardsphere import checks
 from hardsphere import hierarchy
 from hardsphere.dynamics import DegeneracyError, DegeneracyKind
 from hardsphere.geometry import omega_admissible
-from hardsphere.hierarchy import HistoryOutcome, Maxwellian
+from hardsphere.hierarchy import HistoryOutcome
 from hardsphere.measures import (
     GrandCanonicalEq,
     config_from_arrays,
     config_to_arrays,
     get_measure,
 )
-from hardsphere.stats import RejectionCounter, RunningStats, falling_factorial
+from hardsphere.stats import RejectionCounter, falling_factorial
 
 # legs forced degenerate: those whose start has particle 0 at such an x
 FORCED = {"on": False}
@@ -365,24 +452,36 @@ def oracle_evolve(config, t, limit):
     return evolve(config, t, limit)
 
 
+def marking_kernel(real, forced):
+    """The lockstep kernel ``real`` with the moving rows whose start
+    ``forced(x)`` selects by the first coordinate made degenerate as it
+    makes them: marked, back as they went in and without events."""
+
+    def kernel(q, p, domain, dur, limit, events=None):
+        mark = np.array([forced(x) for x in q[:, 0, 0]], dtype=bool) & (dur != 0.0)
+        own = None if events is None else []
+        qf, pf, n_pair, n_wall, degenerate = real(q, p, domain, dur, limit, own)
+        qf[mark], pf[mark], n_pair[mark], n_wall[mark] = q[mark], p[mark], 0, 0
+        if events is not None:
+            events.extend(tuple(f[~mark[part[0]]] for f in part) for part in own)
+        return qf, pf, n_pair, n_wall, degenerate | mark
+
+    return kernel
+
+
 @pytest.fixture
 def forced(monkeypatch):
     """Force the same legs degenerate in the oracles and in the code under
-    test: the lockstep kernel flags them and the scalar engine raises."""
-    real_flow, real_lockstep = dyn._flow, dyn._lockstep
+    test: the lockstep kernel marks them and the scalar engine raises."""
+    real_flow = dyn._flow
 
     def flow(q, p, *args):
         if _forced(q[0][0]):
             raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
         return real_flow(q, p, *args)
 
-    def kernel(q, p, domain, dur, limit, *events):
-        qf, pf, n_pair, n_wall, flagged = real_lockstep(q, p, domain, dur, limit, *events)
-        forced = np.array([_forced(x) for x in q[:, 0, 0]], dtype=bool) & (dur != 0.0)
-        return qf, pf, n_pair, n_wall, flagged | forced
-
     monkeypatch.setattr(dyn, "_flow", flow)
-    monkeypatch.setattr(dyn, "_lockstep", kernel)
+    monkeypatch.setattr(dyn, "_lockstep", marking_kernel(dyn._lockstep, _forced))
     monkeypatch.setitem(FORCED, "on", True)
 
 
@@ -453,7 +552,7 @@ def oracle_stratum_stats(rho0, n, t, box, m, count, beta0, inner_samples, antith
             times = labels = momenta = ()
         prop_w = 1.0
         for pv in momenta:
-            prop_w *= prop.pdf_vec(pv)
+            prop_w *= float(prop.pdf(pv.as_tuple()))
         scale = vol * time_factor * label_factor * sphere_factor / prop_w
         start = config_from_arrays(q, p, dom)
         combo_vals = []
@@ -552,7 +651,7 @@ def oracle_prop5(args):
             stats.add(0.0)
             continue
         counter.accepted += 1
-        stats.add(vol * t * 4.0 * math.pi * total / prop.pdf_vec(p_hat))
+        stats.add(vol * t * 4.0 * math.pi * total / float(prop.pdf(p_hat.as_tuple())))
     return (stats, counter), rng
 
 
@@ -937,17 +1036,11 @@ def test_chunk_grand_small_group_and_cap_match_oracle(measures_by_n, force, monk
 def all_degenerate(monkeypatch):
     """Every trajectory that moves is degenerate, in the oracles and in
     the code under test."""
-    real_lockstep = dyn._lockstep
-
     def flow(*args):
         raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
 
-    def kernel(q, p, domain, dur, limit, *events):
-        qf, pf, n_pair, n_wall, flagged = real_lockstep(q, p, domain, dur, limit, *events)
-        return qf, pf, n_pair, n_wall, flagged | (dur != 0.0)
-
     monkeypatch.setattr(dyn, "_flow", flow)
-    monkeypatch.setattr(dyn, "_lockstep", kernel)
+    monkeypatch.setattr(dyn, "_lockstep", marking_kernel(dyn._lockstep, lambda x: True))
 
 
 def test_chunk_grand_all_degenerate_raises(measures_by_n, all_degenerate):
@@ -1008,11 +1101,10 @@ def test_array_paths_build_no_vec3(measures_by_n, monkeypatch):
 
 
 @pytest.mark.parametrize("force", [False, True])
-@pytest.mark.parametrize("big_n", [2, 3])
+@pytest.mark.parametrize("big_n", [2])
 def test_prop5_worker_modes_match_oracle(big_n, force, monkeypatch, request):
-    # N = 2: the terminals draw no inner samples, so all draws come first
-    # and the samples are built in trees of three (blocks patched down);
-    # N = 3: they do, and each sample is built in turn
+    # at N = n + 1 the terminals draw no inner samples, so all draws come
+    # first and the samples are built in trees of three (blocks patched down)
     if force:
         request.getfixturevalue("forced")
     monkeypatch.setattr(checks, "_LEVEL_ROWS", 6)

@@ -257,6 +257,15 @@ def touching(rng, rows, centers, dist, ulps=4):
     return centers + u * scale[:, None]
 
 
+def differing_rows(got, want, first=5) -> list:
+    """The first rows where two equal-length sequences differ, with both
+    values: a short failure message, where pytest's diff of two long lists
+    takes minutes."""
+    got, want = np.asarray(got), np.asarray(want)
+    return [(int(r), got[r].item(), want[r].item())
+            for r in np.flatnonzero(got != want)[:first]]
+
+
 # squared distances summed as they are (one order for every hard-core
 # test), straddling the thresholds by a few ulps
 STRADDLE = pytest.mark.parametrize("ulps", [4], ids=["as_is"])
@@ -270,7 +279,7 @@ def test_admissible_batch_matches_scalar(modulated2, ulps):
     q = np.stack([first, touching(rng, 3000, first, A - tol, ulps),
                   0.5 + rng.random((3000, 3)) * 4.0], axis=1)
     want = [modulated2.admissible(row) for row in q]
-    assert modulated2.admissible_batch(q).tolist() == want
+    assert differing_rows(modulated2.admissible_batch(q), want) == []
     assert 0 < sum(want) < len(want)
 
 
@@ -294,7 +303,7 @@ def test_batched_evaluation_matches_eval_arrays(spec_name, monkeypatch):
         got = np.zeros(len(q))
         got[rows] = rho.eval_drawn(q[rows], p[rows], u)
         want = [rho.eval_arrays(q[i], p[i], r_rows)[0] for i in range(len(q))]
-        assert got.tolist() == want
+        assert differing_rows(got, want) == []
         assert r_batch.random() == r_rows.random()
 
 
@@ -310,7 +319,7 @@ def test_exclusion_batch_near_contact_matches_scalar(ulps):
                                ulps).reshape(300, 8, 3)
     got = ms.exclusion_batch(base, inner)
     want = [ms._exclusion_of(inner[r], base[r])[0] for r in range(300)]
-    assert got.tolist() == want
+    assert differing_rows(got, want) == []
 
 
 def verbatim_pairwise_ok(q, a):
@@ -395,9 +404,7 @@ def test_clear_matches_verbatim_pairwise_ok(n, rows):
     q = near_contact_sets(np.random.default_rng(44 + n), rows, n)
     want = verbatim_pairwise_ok(q, A)
     got = measures._clear(np.ascontiguousarray(q.transpose(2, 1, 0)), A * A)
-    # the rows where they differ: a short message, where pytest's diff of
-    # two long lists takes minutes
-    assert np.flatnonzero(got != want).tolist() == []
+    assert differing_rows(got, want) == []
     if n > 1 and rows > 1:
         assert 0 < want.sum() < rows
 
