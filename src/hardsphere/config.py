@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 from hardsphere.geometry import Domain, Vec3
+from hardsphere.hierarchy import PhaseBox
 from hardsphere.measures import (
     NORM_PROPOSALS,
     DensitySpec,
@@ -55,12 +56,16 @@ CHECK_IDS = tuple(CHECK_PARAMS)
 
 # counts, sizes and times that must be positive wherever they appear
 _POSITIVE = ("samples", "trajectories", "inner_samples", "rate_samples", "outer_samples",
-             "points", "resolution", "events_target", "t")
+             "points", "resolution", "events_target", "t", "direction_draws")
 # the JSON types of the elements of each list parameter, and the lists
 # that must not be empty (a check with no case tests nothing)
 _ELEMENTS = {"deltas": ("object", "string"), "n_list": ("integer",), "times": ("number",),
              "allocation": ("number",), "micro_box": ("number",)}
 _NONEMPTY = ("deltas", "n_list", "times")
+# the key holding the phase boxes of each check whose boxes must hold the
+# check's n particles; grand_canonical_identity builds its own box
+_BOXES = {"liouville": "delta", "prop1_decomposition": "deltas", "prop5_onestep": "deltas",
+          "series_identity": "deltas", "grand_canonical_identity": None}
 
 
 def _json_kind(cls: type) -> str:
@@ -82,6 +87,24 @@ def _allowed_kinds(default) -> set[str]:
         return {_json_kind(default), "null"}
     # a delta preset name may also be an explicit box dict
     return {_json_kind(type(default))} | ({"object"} if isinstance(default, str) else set())
+
+
+def _box_problems(cid: str, own: dict) -> list[str]:
+    """A check's box entries that are not phase boxes or whose particle
+    count is not the check's n.  A preset name is a 1-particle box, and so
+    is the micro-box of grand_canonical_identity."""
+    key, n = _BOXES[cid], own["n"]
+    entries = ["micro"] if key is None else own[key] if key == "deltas" else [own[key]]
+    problems = []
+    for entry in entries:
+        try:
+            size = 1 if isinstance(entry, str) else PhaseBox.from_dict(entry).n
+        except (KeyError, TypeError, ValueError):
+            problems.append(f"{cid}: {key} entry {entry!r} is not a phase box")
+            continue
+        if isinstance(n, int) and size != n:
+            problems.append(f"{cid}: the box is {size}-particle, the check's n is {n}")
+    return problems
 
 
 def check_params(check_id: str, params: dict) -> dict:
@@ -128,6 +151,7 @@ class ExperimentConfig:
             if table is None:
                 problems.append(f"unknown check id {cid!r}")
                 continue
+            before = len(problems)
             for key, value in sorted(params.items()):
                 if key not in table:
                     problems.append(f"{cid}: unknown parameter {key!r}")
@@ -141,6 +165,10 @@ class ExperimentConfig:
                 elif key in _ELEMENTS and value is not None and not all(
                         _element_ok(x, _ELEMENTS[key]) for x in value):
                     problems.append(f"{cid}: {key} entries must be {' or '.join(_ELEMENTS[key])}")
+                elif key == "m_max" and value is not None and value < 0:
+                    problems.append(f"{cid}: m_max must not be negative")
+            if cid in _BOXES and len(problems) == before:
+                problems += _box_problems(cid, check_params(cid, params))
             if cid == "prop5_onestep":
                 # its collision term S_{n+1}(s) rho_{n+1}(0) is the identity's
                 # rho_{n+1}(s) only when the n + 1 particles are the whole system

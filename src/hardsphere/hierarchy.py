@@ -331,6 +331,10 @@ class SeriesParams:
     # blocked and admissible draws are rare
     direction_draws: int = 1
 
+    def __post_init__(self):
+        if self.direction_draws < 1:
+            raise ValueError(f"direction_draws must be at least 1, got {self.direction_draws}")
+
     def plan(self, n: int, measure: InitialMeasure) -> tuple[float, list[int]]:
         """The series plan for an n-particle box: the proposal beta0 and
         the sample count of each stratum m = 0 .. m_max, where m_max is
@@ -386,13 +390,15 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     momenta, then per direction draw m directions, and averages the
     histories of every sign combination.  The random stream is consumed
     exactly as by a loop that builds and evaluates one history at a time
-    and stops a sample at its first degenerate history.  When no draw can
-    depend on a history's outcome (m = 0, or one direction draw with a
-    terminal that needs no inner samples), all draws come first and the
-    histories of the whole chunk are built as one tree (lockstep mode);
-    otherwise each sample is built in turn and draws the inner samples of
-    its terminals before the next sample draws (sample mode).  Either way
-    the terminals' correlation values are computed in batches at the end.
+    and stops a sample at its first degenerate history.  At m = 0, and
+    when the terminals hold the measure's largest particle number and so
+    draw no inner samples, the draws of a block of samples come first and
+    the block is built as one tree (lockstep mode); a sample that stops
+    before its last direction draw ends its block, and the draws it never
+    made are taken back.  Otherwise each sample is built in turn and draws
+    the inner samples of its terminals before the next sample draws
+    (sample mode).  Either way the terminals' correlation values are
+    computed in batches at the end.
     """
     ms = rho0.measure
     dom = ms.domain
@@ -404,7 +410,7 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     combo_list = list(_sign_combos(m)) if (antithetic and m) else [(1.0,) * m]
     combos = len(combo_list)
     signs = np.array(combo_list, dtype=float).reshape(combos, m, 1)
-    draws = max(1, direction_draws) if m else 1
+    draws = direction_draws if m else 1
     width = draws * combos                 # histories of a sample
     counter = RejectionCounter()
     qs, ps = box.sample(rng, count)
@@ -455,63 +461,66 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
             pending.clear()
             held[:] = [0, 0]
 
-    if m == 0 or (draws == 1 and n + m >= rho0.n_max):
-        times = np.empty((len(rows), m))
-        labels = np.empty((len(rows), m), dtype=int)
-        momenta = np.empty((len(rows), m, 3))
-        dirs = np.empty((len(rows), m, 3))
-        scale = np.full(len(rows), vol * time_factor * label_factor * sphere_factor / 1.0)
-        for i in range(len(rows) if m else 0):
-            times[i], labels[i], momenta[i], scale[i] = insertions()
-            dirs[i] = _uniform_spheres(rng, m)
-        per = max(1, _LEVEL_ROWS // combos)
-        for b in range(0, len(rows), per):
-            blk = slice(b, b + per)
-            nb = len(rows[blk])
+    if m == 0 or n + m >= rho0.n_max:
+        # A sample's histories are listed draw-major, then by sign
+        # combination, as the loop builds them.  A sample that stops before
+        # its last direction draw ends the block: the loop never made its
+        # later draws, so the generator goes back to its state after the
+        # sample's insertions and makes only the draws up to the stop, and
+        # the next block starts at the following sample.
+        per = max(1, _LEVEL_ROWS // width)
+        b = 0
+        while b < len(rows):
+            nb = min(per, len(rows) - b)
+            times = np.empty((nb, m))
+            labels = np.empty((nb, m), dtype=int)
+            momenta = np.empty((nb, m, 3))
+            dirs = np.empty((nb, draws, 1, m, 3))
+            scale = np.full(nb, vol * time_factor * label_factor * sphere_factor / 1.0)
+            saved = []
+            for i in range(nb if m else 0):
+                times[i], labels[i], momenta[i], scale[i] = insertions()
+                if draws > 1:
+                    saved.append(rng.bit_generator.state)
+                dirs[i] = _uniform_spheres(rng, draws * m).reshape(draws, 1, m, 3)
             status, weight, q, p = _history_tree(
-                qs[rows[blk]], ps[rows[blk]], dom, t, times[blk], momenta[blk],
-                np.repeat(np.arange(nb), combos), np.repeat(labels[blk], combos, axis=0),
-                (signs * dirs[blk, None]).reshape(nb * combos, m, 3))
-            at = np.arange(b * width, (b + nb) * width).reshape(nb, width)
-            stop, blocked = record(at, status.reshape(nb, combos), weight.reshape(nb, combos),
-                                   q, p, scale[blk])
-            degenerate[blk] = stop < combos
+                qs[rows[b:b + nb]], ps[rows[b:b + nb]], dom, t, times, momenta,
+                np.repeat(np.arange(nb), width), np.repeat(labels, width, axis=0),
+                (signs * dirs).reshape(nb * width, m, 3))
+            status, weight = status.reshape(nb, width), weight.reshape(nb, width)
+            deg = status == _DEGENERATE
+            cut = np.where(deg.any(axis=1), deg.argmax(axis=1) // combos, draws)
+            early = np.flatnonzero(cut < draws - 1)
+            keep = early[0] + 1 if len(early) else nb
+            at = np.arange(b * width, (b + keep) * width).reshape(keep, width)
+            stop, blocked = record(at, status[:keep], weight[:keep], q[:keep * width],
+                                   p[:keep * width], scale[:keep])
+            degenerate[b:b + keep] = stop < width
             counter.blocked += blocked
+            if len(early):
+                rng.bit_generator.state = saved[keep - 1]
+                _uniform_spheres(rng, (cut[keep - 1] + 1) * m)
+            b += keep
     else:
-        # When the terminals need no inner samples, the direction draws of
-        # a sample are made together and built as one tree.  A degenerate
-        # history stops the draw-by-draw loop at its draw, so the generator
-        # is rewound and the draws up to that one are made again: the
-        # stream then ends where the loop ends it.  The histories recorded
-        # past the stop are neither evaluated nor counted (``record``).
-        together = draws if n + m >= rho0.n_max else 1
         for r, i in enumerate(rows):
             times, labels, momenta, scale = insertions()
             # the first leg is common to every history of the sample
             q1, p1, _, _, deg = evolve_batch(qs[i:i + 1], ps[i:i + 1], dom, -(t - times[0]))
-            rewind = rng.bit_generator.state if together > 1 else None
-            cut = None
-            for d in range(0, draws, together):
-                nd = min(together, draws - d)
-                dirs = _uniform_spheres(rng, nd * m).reshape(nd, 1, m, 3)
+            for d in range(draws):
+                dirs = signs * _uniform_spheres(rng, m)
                 if deg[0]:
-                    cut = 0
+                    degenerate[r] = True
                     break
                 status, weight, q, p = _history_tree(
                     q1, p1, dom, times[0], times[None], momenta[None],
-                    np.zeros(nd * combos, dtype=int), np.repeat([labels], nd * combos, axis=0),
-                    (signs * dirs).reshape(nd * combos, m, 3))
-                at = np.arange(r * width + d * combos, r * width + (d + nd) * combos)
+                    np.zeros(combos, dtype=int), np.repeat([labels], combos, axis=0), dirs)
+                at = np.arange(r * width + d * combos, r * width + (d + 1) * combos)
                 stop, blocked = record(at[None], status[None], weight[None], q, p,
                                        np.array([scale]))
                 counter.blocked += blocked
-                if stop[0] < nd * combos:
-                    cut = stop[0] // combos
+                if stop[0] < combos:
+                    degenerate[r] = True
                     break
-            if cut is not None and cut < nd - 1:
-                rng.bit_generator.state = rewind
-                _uniform_spheres(rng, (cut + 1) * m)
-            degenerate[r] = cut is not None
     evaluate()
     total = 0.0
     for c in range(width):

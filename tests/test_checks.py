@@ -7,6 +7,7 @@ import hardsphere.dynamics as dyn
 from hardsphere import checks as C
 from hardsphere.config import CHECK_IDS, dump_config, loads_config
 from hardsphere.geometry import Domain, Vec3
+from hardsphere.hierarchy import SeriesParams
 from hardsphere.measures import GrandCanonicalEq, ModulatedProduct
 from hardsphere.cli import default_experiment, main
 from hardsphere.dynamics import DegeneracyError, DegeneracyKind
@@ -174,6 +175,28 @@ def test_vacuous_or_mistyped_lists_exit_2(tmp_path, capsys):
     assert exp.validate() == []
 
 
+def test_direction_draws_and_m_max_out_of_range_exit_2(tmp_path, capsys):
+    # direction_draws below 1 ran silently as one draw, and a negative
+    # m_max ended in an error that names no key
+    cfg_path = tmp_path / "exp.ini"
+    for section, key, value, message in (
+            ("series_identity", "direction_draws", "0", "direction_draws must be positive"),
+            ("grand_canonical_identity", "direction_draws", "-3",
+             "direction_draws must be positive"),
+            ("series_identity", "m_max", "-1", "m_max must not be negative")):
+        cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
+                            + f"\n[check.{section}.bad]\n{key} = {value}\n")
+        assert main(["validate", "--config", str(cfg_path)]) == 2
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert f"config error: {section}: {message}" in capsys.readouterr().err
+    exp = small_exp()
+    exp.checks = [("series_identity", "", {"m_max": 0, "direction_draws": 2})]
+    assert exp.validate() == []
+    for draws in (0, -3):
+        with pytest.raises(ValueError, match=f"^direction_draws must be at least 1, got {draws}$"):
+            SeriesParams(direction_draws=draws)
+
+
 def test_prop5_rejects_more_than_n_plus_1_particles(tmp_path, capsys):
     # at N > n + 1 the collision term is the series cut after one
     # insertion, so the check would pass on a truncation
@@ -190,14 +213,16 @@ def test_prop5_rejects_more_than_n_plus_1_particles(tmp_path, capsys):
     with pytest.raises(ValueError, match=r"^the collision term is exact only at N = n \+ 1, "
                                          r"not at N = 3 > n \+ 1 = 2$"):
         C.run_check(exp, "prop5_onestep", params={"samples": 100})
-    exp.checks = [("prop5_onestep", "", {"n": 2})]
+    pair = {"q_lo": [[1] * 3] * 2, "q_hi": [[2] * 3] * 2, "p_lo": [[-1] * 3] * 2,
+            "p_hi": [[1] * 3] * 2}
+    exp.checks = [("prop5_onestep", "", {"n": 2, "deltas": [pair]})]
     assert exp.validate() == []
 
 
 def test_box_must_hold_the_checks_n_particles(tmp_path, capsys, monkeypatch):
     # a one-particle preset box with n = 2 would compare particle 0's
-    # intervals against both particles; every runner refuses it before
-    # any chunk runs
+    # intervals against both particles; validate refuses it, and every
+    # runner refuses it too before any chunk runs
     ran = []
     monkeypatch.setattr(C, "_map_ordered", lambda *args: ran.append(args))
     exp = small_exp()
@@ -210,11 +235,28 @@ def test_box_must_hold_the_checks_n_particles(tmp_path, capsys, monkeypatch):
         with pytest.raises(ValueError, match="^the box is 1-particle, the check's n is 2$"):
             C.run_check(exp, cid, params=params)
     cfg_path = tmp_path / "exp.ini"
-    cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
-                        + '\n[check.liouville]\nn = 2\nsamples = 30\ndelta = "bulk"\n')
-    assert main(["run", "--config", str(cfg_path), "--check", "liouville"]) == 2
-    assert "error: the box is 1-particle, the check's n is 2" in capsys.readouterr().err
+    for section in ('liouville]\ndelta = "bulk"', 'prop1_decomposition]\ndeltas = ["bulk"]',
+                    'prop5_onestep]\ndeltas = ["bulk"]', 'series_identity.two]',
+                    'grand_canonical_identity]'):
+        cid = section.split("]")[0].split(".")[0]
+        cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
+                            + f"\n[check.{section}\nn = 2\nsamples = 30\n")
+        for cmd in ("validate", "run"):
+            assert main([cmd, "--config", str(cfg_path)]) == 2
+            assert (f"config error: {cid}: the box is 1-particle, the check's n is 2"
+                    in capsys.readouterr().err)
     assert ran == []
+    # a box dict holds as many particles as it has intervals
+    pair = {"q_lo": [[1] * 3] * 2, "q_hi": [[2] * 3] * 2, "p_lo": [[-1] * 3] * 2,
+            "p_hi": [[1] * 3] * 2}
+    exp = small_exp()
+    exp.checks = [("liouville", "", {"n": 2, "delta": pair}),
+                  ("series_identity", "", {"n": 2, "deltas": [pair]}),
+                  ("prop1_decomposition", "", {"deltas": [pair]}),
+                  ("liouville", "", {"delta": {"q_lo": [[1] * 3]}})]
+    assert exp.validate() == [
+        "prop1_decomposition: the box is 2-particle, the check's n is 1",
+        "liouville: delta entry {'q_lo': [[1, 1, 1]]} is not a phase box"]
 
 
 def test_run_without_reports_exits_2(tmp_path, capsys):

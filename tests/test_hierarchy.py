@@ -756,15 +756,16 @@ def grand_box(domain):
 
 
 STRATA = ([(big_n, name, m, 1) for big_n in (2, 3) for name in ("bulk", "near_wall")
-           for m in range(big_n)] + [("grand", "micro", 0, 24), ("grand", "micro", 1, 24)])
+           for m in range(big_n)] + [(2, "bulk", 1, 3), ("grand", "micro", 0, 24),
+                                     ("grand", "micro", 1, 24)])
 
 
 @pytest.mark.parametrize("force", [False, True])
 @pytest.mark.parametrize("big_n, box_name, m, draws", STRATA)
 def test_stratum_stats_match_oracle(measures_by_n, big_n, box_name, m, draws, force, request):
-    # lockstep strata (m = 0, and the top ones) and sample strata (N = 3,
-    # m = 1; grand-canonical m = 1 with 24 direction draws) give the same
-    # statistics and counters and leave the stream where the loop does
+    # lockstep strata (m = 0, and the top ones with one or more direction
+    # draws) and sample strata (N = 3, m = 1) give the same statistics and
+    # counters and leave the stream where the loop does
     if force:
         request.getfixturevalue("forced")
     ms = measures_by_n[big_n]
@@ -781,6 +782,36 @@ def test_stratum_stats_match_oracle(measures_by_n, big_n, box_name, m, draws, fo
     assert rng_new.random() == rng_old.random()
     assert counter.accepted > count // 2
     assert (counter.degenerate > 0) == force
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_top_stratum_with_many_draws_builds_blocks(measures_by_n, monkeypatch, force, request):
+    # the grand-canonical m = 1 stratum with 24 direction draws (48
+    # histories a sample) is built in blocks of 4096 // 48 samples, one
+    # tree each; a sample that stops before its last draw ends its block,
+    # and the next block starts at the following sample
+    if force:
+        request.getfixturevalue("forced")
+    starts = []
+    real = hierarchy._history_tree
+
+    def counting(q0, *args):
+        starts.append(len(q0))
+        return real(q0, *args)
+
+    monkeypatch.setattr(hierarchy, "_history_tree", counting)
+    ms = measures_by_n["grand"]
+    box = grand_box(ms.domain)
+    rows = int(ms.admissible_batch(box.sample(np.random.default_rng(31), 200)[0]).sum())
+    _, counter = _series_stratum_stats(correlation_map(ms), 1, 2.0, box, 1, 200, 1.0, 32, True,
+                                       np.random.default_rng(31), 24)
+    assert len(starts) <= math.ceil(200 * 48 / 4096) + counter.degenerate
+    if force:
+        # the samples after an early stop were built in its block and
+        # again in the block that starts after it
+        assert counter.degenerate > 0 and sum(starts) > rows
+    else:
+        assert counter.degenerate == 0 and sum(starts) == rows
 
 
 @pytest.mark.parametrize("force", [False, True])
