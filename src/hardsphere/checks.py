@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from hardsphere.config import ExperimentConfig, check_params
+from hardsphere.config import ExperimentConfig, check_params, delta_preset
 from hardsphere.dynamics import (
     EPS_EVENT_REL,
     DegeneracyError,
@@ -271,30 +271,8 @@ def _run_chunks(exp: ExperimentConfig, estimators: list[Estimator]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# phase-box presets (single-particle boxes used by the default checks)
+# phase boxes, by preset name (``config.delta_preset``) or as a box dict
 # ---------------------------------------------------------------------------
-
-def delta_preset(name: str, domain: Domain, beta: float) -> PhaseBox:
-    lo = np.array(domain.inset_lower)
-    hi = np.array(domain.inset_upper)
-    span = hi - lo
-    sig = 1.0 / math.sqrt(beta)
-    if name == "bulk":
-        q_lo, q_hi = lo + 0.25 * span, hi - 0.25 * span
-        p_lo, p_hi = [-1.2 * sig] * 3, [1.2 * sig] * 3
-    elif name == "near_wall":
-        q_lo = lo.copy()
-        q_hi = hi.copy()
-        q_hi[0] = lo[0] + 0.15 * span[0]
-        p_lo, p_hi = [-1.2 * sig] * 3, [1.2 * sig] * 3
-    elif name == "high_momentum":
-        q_lo, q_hi = lo, hi
-        p_lo = [1.0 * sig, -2.0 * sig, -2.0 * sig]
-        p_hi = [3.0 * sig, 2.0 * sig, 2.0 * sig]
-    else:
-        raise ValueError(f"unknown delta preset {name!r}")
-    return PhaseBox.of([q_lo], [q_hi], [p_lo], [p_hi])
-
 
 def _resolve_delta(entry, domain: Domain, beta: float) -> tuple[str, PhaseBox]:
     if isinstance(entry, str):

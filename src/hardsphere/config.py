@@ -12,7 +12,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from hardsphere.geometry import Domain, Vec3
 from hardsphere.hierarchy import PhaseBox
@@ -68,6 +71,28 @@ _BOXES = {"liouville": "delta", "prop1_decomposition": "deltas", "prop5_onestep"
           "series_identity": "deltas", "grand_canonical_identity": None}
 
 
+# the one-particle phase boxes a check may name: (q_lo, q_hi, p_lo, p_hi)
+# over the domain's inset [lo, hi] and the thermal momentum sig
+_DELTA_PRESETS = {
+    "bulk": lambda lo, hi, sig: (lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo),
+                                 [-1.2 * sig] * 3, [1.2 * sig] * 3),
+    "near_wall": lambda lo, hi, sig: (lo, np.r_[lo[0] + 0.15 * (hi - lo)[0], hi[1:]],
+                                      [-1.2 * sig] * 3, [1.2 * sig] * 3),
+    "high_momentum": lambda lo, hi, sig: (lo, hi, [1.0 * sig, -2.0 * sig, -2.0 * sig],
+                                          [3.0 * sig, 2.0 * sig, 2.0 * sig]),
+}
+
+
+def delta_preset(name: str, domain: Domain, beta: float) -> PhaseBox:
+    """The one-particle phase box named ``name`` in a domain at inverse
+    temperature beta."""
+    if name not in _DELTA_PRESETS:
+        raise ValueError(f"unknown delta preset {name!r}")
+    bounds = _DELTA_PRESETS[name](np.array(domain.inset_lower), np.array(domain.inset_upper),
+                                  1.0 / math.sqrt(beta))
+    return PhaseBox.of(*([b] for b in bounds))
+
+
 def _json_kind(cls: type) -> str:
     """The JSON type of values of a Python type."""
     for types, kind in ((bool, "boolean"), ((int, float), "number"), (str, "string"),
@@ -80,6 +105,12 @@ def _json_kind(cls: type) -> str:
 def _element_ok(value, kinds) -> bool:
     kind = _json_kind(type(value))
     return kind in kinds or (kind == "number" and isinstance(value, int) and "integer" in kinds)
+
+
+def _integer(default) -> bool:
+    """Whether a setting with this default (or derived type) takes only
+    JSON integers."""
+    return default is int or (isinstance(default, int) and not isinstance(default, bool))
 
 
 def _allowed_kinds(default) -> set[str]:
@@ -97,6 +128,9 @@ def _box_problems(cid: str, own: dict) -> list[str]:
     entries = ["micro"] if key is None else own[key] if key == "deltas" else [own[key]]
     problems = []
     for entry in entries:
+        if key is not None and isinstance(entry, str) and entry not in _DELTA_PRESETS:
+            problems.append(f"{cid}: unknown delta preset {entry!r}")
+            continue
         try:
             size = 1 if isinstance(entry, str) else PhaseBox.from_dict(entry).n
         except (KeyError, TypeError, ValueError):
@@ -158,6 +192,9 @@ class ExperimentConfig:
                 elif _json_kind(type(value)) not in _allowed_kinds(table[key]):
                     kinds = " or ".join(sorted(_allowed_kinds(table[key])))
                     problems.append(f"{cid}: {key} must be {kinds}")
+                elif _integer(table[key]) and value is not None and not _element_ok(
+                        value, ("integer",)):
+                    problems.append(f"{cid}: {key} must be integer")
                 elif key in _POSITIVE and not value > 0:
                     problems.append(f"{cid}: {key} must be positive")
                 elif key in _NONEMPTY and value is not None and not value:
@@ -222,6 +259,10 @@ def loads_config(text: str) -> ExperimentConfig:
                 if section not in ("experiment", "domain", "density")
                 and not section.startswith("check.")]
     problems += _unknown_keys("experiment", exp, _EXPERIMENT_DEFAULTS)
+    kinds = {k: "integer" if _integer(d) else _json_kind(type(d))
+             for k, d in _EXPERIMENT_DEFAULTS.items()}
+    problems += [f"key {k!r} in [experiment] must be {kinds[k]}" for k, v in exp.items()
+                 if k in kinds and not _element_ok(v, (kinds[k],))]
 
     dom_sec = {k: _parse_value(v) for k, v in parser.items("domain")}
     problems += _unknown_keys("domain", dom_sec, ("box", "a"))

@@ -187,6 +187,12 @@ _LEVEL_ROWS = 4096
 _HELD_DRAWS = 1 << 19
 
 
+def _reached(status: np.ndarray) -> np.ndarray:
+    """The valid histories (..., H) that a one-at-a-time loop reaches: those
+    before the first degenerate one."""
+    return (np.cumsum(status == _DEGENERATE, axis=-1) == 0) & (status == _VALID)
+
+
 def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
@@ -211,8 +217,9 @@ def _insert(q, p, weight, j, p_hat, omega, domain):
             np.concatenate([p, p_hat[:, None]], axis=1), weight, blocked)
 
 
-def _history_tree(q0, p0, domain, t, times, momenta, root, labels, dirs):
-    """Build collision histories backward from time t down to 0.
+def _history_tree(q0, p0, domain, t, times, momenta, root, labels, dirs, end=0.0):
+    """Build collision histories backward from time t down to ``end`` (0,
+    or the last insertion time, where the last level's leg moves nothing).
 
     Row r of q0, p0 (R, n, 3) is a start, with insertion times
     ``times[r]`` (descending) and momenta ``momenta[r]`` (m, 3).  History h
@@ -240,7 +247,7 @@ def _history_tree(q0, p0, domain, t, times, momenta, root, labels, dirs):
     status = np.zeros(len(start), dtype=np.int8)
     prev = np.full(len(start), float(t))
     for k in range(m + 1):
-        t_next = times[start, k] if k < m else 0.0
+        t_next = times[start, k] if k < m else end
         # the backward legs of the live nodes, with the future-sided limit;
         # a level where no leg moves (a tree started at its first insertion
         # time) is skipped
@@ -395,10 +402,14 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     draw no inner samples, the draws of a block of samples come first and
     the block is built as one tree (lockstep mode); a sample that stops
     before its last direction draw ends its block, and the draws it never
-    made are taken back.  Otherwise each sample is built in turn and draws
-    the inner samples of its terminals before the next sample draws
-    (sample mode).  Either way the terminals' correlation values are
-    computed in batches at the end.
+    made are taken back.  Otherwise the terminals draw inner samples after
+    each direction draw, and how many depends on the outcome (deferred
+    mode): each sample of a block is built down to its last insertion and
+    draws the inner samples of the terminals it predicts, the block's last
+    legs then run together, and the first unit whose terminals differ from
+    the prediction ends the block, redrawn as the loop draws it.  Either
+    way the terminals' correlation values are computed in batches at the
+    end.
     """
     ms = rho0.measure
     dom = ms.domain
@@ -434,18 +445,23 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
         scale = vol * time_factor * label_factor * sphere_factor / prop_w
         return times, labels, np.reshape(momenta, (m, 3)), scale
 
-    def record(at: np.ndarray, status, weight, q, p, scale):
-        """Record histories grouped (samples, histories) in their order at
-        the flat slots ``at``; from a sample's first degenerate history on
-        they are neither evaluated nor counted, as the one-at-a-time loop
-        stops there.  Draws the inner samples of the evaluated terminals
-        now.  Returns the index of each sample's first degenerate history
-        (the number of histories when there is none) and the number of
-        blocked histories counted."""
+    def record(at: np.ndarray, status, weight, q, p, scale, drawn=None):
+        """Record histories grouped (samples or direction draws, histories)
+        in their order at the flat slots ``at``; from a group's first
+        degenerate history on they are neither evaluated nor counted, as
+        the one-at-a-time loop stops there.  Draws the inner samples of the
+        evaluated terminals now, or takes ``drawn``: the admissibility of
+        every terminal and the uniforms drawn beforehand for the admissible
+        evaluated ones.  Returns the index of each group's first degenerate
+        history (the number of histories when there is none) and the number
+        of blocked histories counted."""
         seen = np.cumsum(status == _DEGENERATE, axis=1) == 0
         factor.flat[at] = (scale[:, None] * weight).ravel()
         ev = np.flatnonzero(seen & (status == _VALID))
-        ok, u = rho0.draw_inner(q[ev], rng, inner_samples)
+        if drawn is None:
+            ok, u = rho0.draw_inner(q[ev], rng, inner_samples)
+        else:
+            ok, u = np.flatnonzero(drawn[0].flat[ev]), drawn[1]
         if len(ok):
             pending.append((at.ravel()[ev[ok]], q[ev[ok]], p[ev[ok]], u))
             held[0] += len(ok)
@@ -502,25 +518,85 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
                 _uniform_spheres(rng, (cut[keep - 1] + 1) * m)
             b += keep
     else:
-        for r, i in enumerate(rows):
+        # A sample draws its insertions and runs its first leg, common to all
+        # its histories; then per direction draw (a unit) its directions, the
+        # unit's histories down to the last insertion, and the inner samples
+        # of the terminals it predicts: those not blocked before its first
+        # degenerate history.  The last legs of a block of samples then run
+        # as one evolve_batch.  The first unit whose evaluated terminals fall
+        # short of the prediction (a degenerate last leg, an inadmissible
+        # terminal) ends the block: the generator goes back to the state
+        # before its inner draw and draws for the actual terminals, and the
+        # next block resumes its sample at the next draw, or starts at the
+        # following sample when the unit stopped it or was its last draw.
+        inner = rho0.inner_width(n + m, inner_samples)
+        per = max(1, min(_LEVEL_ROWS // width, _HELD_DRAWS // (width * inner)))
+        root = np.zeros(combos, dtype=int)
+
+        def chain(i):
             times, labels, momenta, scale = insertions()
-            # the first leg is common to every history of the sample
             q1, p1, _, _, deg = evolve_batch(qs[i:i + 1], ps[i:i + 1], dom, -(t - times[0]))
-            for d in range(draws):
-                dirs = signs * _uniform_spheres(rng, m)
-                if deg[0]:
-                    degenerate[r] = True
-                    break
-                status, weight, q, p = _history_tree(
-                    q1, p1, dom, times[0], times[None], momenta[None],
-                    np.zeros(combos, dtype=int), np.repeat([labels], combos, axis=0), dirs)
-                at = np.arange(r * width + d * combos, r * width + (d + 1) * combos)
-                stop, blocked = record(at[None], status[None], weight[None], q, p,
-                                       np.array([scale]))
-                counter.blocked += blocked
-                if stop[0] < combos:
-                    degenerate[r] = True
-                    break
+            return times, np.repeat([labels], combos, axis=0), momenta, scale, q1, p1, deg[0]
+
+        b, resume = 0, None
+        while b < len(rows):
+            # per unit: sample, its chain, draw, the histories' status, weight
+            # and arrays, the generator state before the inner draw, the draw
+            units = []
+            for r in range(b, min(b + per, len(rows))):
+                sample, d0 = resume or (chain(rows[r]), 0)
+                resume = None
+                times, labels, momenta, scale, q1, p1, deg = sample
+                for d in range(d0, draws):
+                    dirs = signs * _uniform_spheres(rng, m)
+                    if deg:
+                        status = np.full(combos, _DEGENERATE, dtype=np.int8)
+                        weight, q = np.zeros(combos), np.zeros((combos, n + m, 3))
+                        p = q
+                    elif m == 1:    # the chain is the insertion alone
+                        q, p, weight, blocked = _insert(q1[root], p1[root], np.ones(combos),
+                                                        labels[:, 0], momenta[root], dirs[:, 0],
+                                                        dom)
+                        status = np.where(blocked, _BLOCKED, _VALID).astype(np.int8)
+                        weight[blocked] = 0.0
+                    else:
+                        status, weight, q, p = _history_tree(
+                            q1, p1, dom, times[0], times[None], momenta[None], root, labels,
+                            dirs, end=times[-1])
+                    state = rng.bit_generator.state
+                    pred = np.count_nonzero(_reached(status))
+                    units.append((r, sample, d, status, weight, q, p, state,
+                                  rng.random((pred, inner))))
+                    if (status == _DEGENERATE).any():
+                        break
+            r_of, sample_of, d_of, status, weight, q, p, states, drawn = zip(*units)
+            status, weight = np.array(status), np.array(weight)
+            q, p = np.concatenate(q), np.concatenate(p)
+            pred = _reached(status)
+            legs = np.flatnonzero(pred)
+            ends = np.repeat([s[0][-1] for s in sample_of], combos)[legs]
+            q[legs], p[legs], _, _, bad = evolve_batch(q[legs], p[legs], dom, -ends)
+            status.flat[legs[bad]] = _DEGENERATE
+            admissible = np.zeros(status.shape, dtype=bool)
+            admissible.flat[legs] = ms.admissible_batch(q[legs])
+            evaluated = _reached(status) & admissible
+            short = np.flatnonzero(evaluated.sum(axis=1) < pred.sum(axis=1))
+            keep = short[0] + 1 if len(short) else len(units)
+            drawn = list(drawn[:keep])
+            if len(short):
+                rng.bit_generator.state = states[keep - 1]
+                drawn[-1] = rng.random((np.count_nonzero(evaluated[keep - 1]), inner))
+            r_of, d_of = np.array(r_of[:keep]), np.array(d_of[:keep])
+            at = (r_of * width + d_of * combos)[:, None] + np.arange(combos)
+            stop, blocked = record(at, status[:keep], weight[:keep], q[:keep * combos],
+                                   p[:keep * combos], np.array([s[3] for s in sample_of[:keep]]),
+                                   (admissible[:keep], np.concatenate(drawn)))
+            degenerate[r_of[stop < combos]] = True
+            counter.blocked += blocked
+            if stop[-1] == combos and d_of[-1] + 1 < draws:
+                b, resume = r_of[-1], (sample_of[keep - 1], d_of[-1] + 1)
+            else:
+                b = r_of[-1] + 1
     evaluate()
     total = 0.0
     for c in range(width):

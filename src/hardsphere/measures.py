@@ -504,11 +504,16 @@ class CorrelationVector:
         evaluates (the admissible ones), and the uniforms it draws for
         them: one row of u per evaluated row, drawn in row order, which
         consumes the random stream exactly as B calls of ``eval_arrays``."""
-        k = inner_samples if inner_samples is not None else self.inner_samples
         n = q.shape[1]
         rows = (np.flatnonzero(self.measure.admissible_batch(q)) if n <= self.n_max
                 else np.zeros(0, dtype=int))
-        return rows, rng.random((len(rows), 3 * k * sum(self._inner_sizes(n))))
+        return rows, rng.random((len(rows), self.inner_width(n, inner_samples)))
+
+    def inner_width(self, n: int, inner_samples: int | None = None) -> int:
+        """The uniforms ``draw_inner`` draws for one evaluated n-particle
+        configuration."""
+        k = inner_samples if inner_samples is not None else self.inner_samples
+        return 3 * k * sum(self._inner_sizes(n))
 
     def eval_drawn(self, q: np.ndarray, p: np.ndarray, u: np.ndarray,
                    inner_samples: int | None = None) -> np.ndarray:

@@ -138,7 +138,16 @@ def test_nonpositive_count_exits_2(tmp_path, capsys):
             ("n_list = [2]", "n_list = 2", "config error: lemma2_rate: n_list must be array"),
             ("workers = 1", "worker = 4", "error: unknown key 'worker' in [experiment]"),
             ("[check.lemma2_rate]", "[chek.lemma2_rate]",
-             "error: unknown section [chek.lemma2_rate]")):
+             "error: unknown section [chek.lemma2_rate]"),
+            # integer settings and parameters were truncated by int()
+            ("workers = 1", "workers = 2.5",
+             "error: key 'workers' in [experiment] must be integer"),
+            ("chunk_size = 5000", "chunk_size = 1000.7",
+             "error: key 'chunk_size' in [experiment] must be integer"),
+            ("workers = 1", 'workers = 1\nsigma = "three"',
+             "error: key 'sigma' in [experiment] must be number"),
+            ("samples = 5000", "samples = 300.5",
+             "config error: series_identity: samples must be integer")):
         cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl").replace(old, new))
         assert main(["validate", "--config", str(cfg_path)]) == 2
         assert main(["run", "--config", str(cfg_path), "--check", "lemma2_rate"]) == 2
@@ -176,14 +185,18 @@ def test_vacuous_or_mistyped_lists_exit_2(tmp_path, capsys):
 
 
 def test_direction_draws_and_m_max_out_of_range_exit_2(tmp_path, capsys):
-    # direction_draws below 1 ran silently as one draw, and a negative
-    # m_max ended in an error that names no key
+    # direction_draws below 1 ran silently as one draw, 1.5 as one draw, a
+    # negative or fractional m_max ended in an error that names no key, and
+    # so did an unknown preset name
     cfg_path = tmp_path / "exp.ini"
     for section, key, value, message in (
             ("series_identity", "direction_draws", "0", "direction_draws must be positive"),
             ("grand_canonical_identity", "direction_draws", "-3",
              "direction_draws must be positive"),
-            ("series_identity", "m_max", "-1", "m_max must not be negative")):
+            ("series_identity", "m_max", "-1", "m_max must not be negative"),
+            ("series_identity", "direction_draws", "1.5", "direction_draws must be integer"),
+            ("series_identity", "m_max", "0.5", "m_max must be integer"),
+            ("liouville", "delta", '"nowhere"', "unknown delta preset 'nowhere'")):
         cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
                             + f"\n[check.{section}.bad]\n{key} = {value}\n")
         assert main(["validate", "--config", str(cfg_path)]) == 2

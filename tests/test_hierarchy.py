@@ -742,7 +742,7 @@ def test_history_tree_shares_legs_bit_for_bit(force, request):
 @pytest.fixture(scope="module")
 def measures_by_n():
     out = {n: InitialMeasure(ModulatedProduct(n, 1.0), BOX, norm_proposals=20_000)
-           for n in (2, 3)}
+           for n in (2, 3, 4)}
     micro = Domain(Vec3(0, 0, 0), Vec3(2.5, 1.2, 1.2), A)
     out["grand"] = InitialMeasure(GrandCanonicalEq(50.0, 1.0), micro, norm_proposals=20_000)
     return out
@@ -757,15 +757,17 @@ def grand_box(domain):
 
 STRATA = ([(big_n, name, m, 1) for big_n in (2, 3) for name in ("bulk", "near_wall")
            for m in range(big_n)] + [(2, "bulk", 1, 3), ("grand", "micro", 0, 24),
-                                     ("grand", "micro", 1, 24)])
+                                     ("grand", "micro", 1, 24), (3, "bulk", 1, 3),
+                                     (3, "near_wall", 1, 2), (4, "bulk", 2, 1)])
 
 
 @pytest.mark.parametrize("force", [False, True])
 @pytest.mark.parametrize("big_n, box_name, m, draws", STRATA)
 def test_stratum_stats_match_oracle(measures_by_n, big_n, box_name, m, draws, force, request):
     # lockstep strata (m = 0, and the top ones with one or more direction
-    # draws) and sample strata (N = 3, m = 1) give the same statistics and
-    # counters and leave the stream where the loop does
+    # draws) and deferred strata (N = 3, m = 1 with one or more draws; N = 4,
+    # m = 2, whose chain has an intermediate leg) give the same statistics
+    # and counters and leave the stream where the loop does
     if force:
         request.getfixturevalue("forced")
     ms = measures_by_n[big_n]
@@ -1109,7 +1111,7 @@ def test_uniform_spheres_match_per_vector_loop(floor, monkeypatch):
 
 
 def test_array_paths_build_no_vec3(measures_by_n, monkeypatch):
-    # the series in sample mode (N = 3, m = 1) and grand-canonical forward
+    # the series in deferred mode (N = 3, m = 1) and grand-canonical forward
     # simulation run on arrays from the draw to the estimate
     rho3 = correlation_map(measures_by_n[3])
     grand = measures_by_n["grand"]
@@ -1151,8 +1153,9 @@ def test_prop5_worker_modes_match_oracle(big_n, force, monkeypatch, request):
 
 
 def test_sample_mode_makes_no_empty_level_call(measures_by_n, monkeypatch):
-    # sample mode (N = 3, m = 1) starts each tree at its insertion time:
-    # the level-0 leg moves nothing and must make no evolve_batch call
+    # deferred mode (N = 3, m = 1) runs each sample's first leg and then the
+    # block's last legs; a leg that moves nothing must make no evolve_batch
+    # call
     calls = []
     real = hierarchy.evolve_batch
 
@@ -1165,3 +1168,73 @@ def test_sample_mode_makes_no_empty_level_call(measures_by_n, monkeypatch):
                           checks.delta_preset("bulk", BOX, 1.0), 1, 60, 1.0, 16, True,
                           np.random.default_rng(4))
     assert len(calls) > 60 and all(calls)
+
+
+def test_deferred_last_legs_run_in_one_batch_per_block(measures_by_n, monkeypatch):
+    # the last legs of a block of N = 3, m = 1 samples run as one
+    # evolve_batch call; the first legs run one sample at a time
+    sizes = []
+    real = hierarchy.evolve_batch
+
+    def counting(q, *args, **kw):
+        sizes.append(len(q))
+        return real(q, *args, **kw)
+
+    monkeypatch.setattr(hierarchy, "evolve_batch", counting)
+    rho0 = correlation_map(measures_by_n[3])
+    held = 2 * rho0.inner_width(2, 32)     # uniforms of a sample's two terminals
+    per = max(1, min(hierarchy._LEVEL_ROWS // 2, hierarchy._HELD_DRAWS // held))
+    _, counter = _series_stratum_stats(rho0, 1, 5.0, checks.delta_preset("bulk", BOX, 1.0), 1,
+                                       200, 1.0, 32, True, np.random.default_rng(5))
+    batches = sum(size > 2 for size in sizes)
+    assert counter.degenerate == 0
+    assert 1 <= batches <= math.ceil(200 / per)
+
+
+@pytest.fixture
+def refused(monkeypatch):
+    """``admissible_batch`` refuses the two-particle configurations whose
+    second particle's x the rule selects, in the oracles and in the code
+    under test alike; a backward flow never leaves such a terminal, so no
+    other test meets one."""
+    real = InitialMeasure.admissible_batch
+
+    def admissible_batch(self, q):
+        ok = real(self, q)
+        if q.shape[1] == 2:
+            ok &= np.array([int(abs(float(x)) * 1e4) % 5 != 0 for x in q[:, 1, 0]], dtype=bool)
+        return ok
+
+    monkeypatch.setattr(InitialMeasure, "admissible_batch", admissible_batch)
+
+
+@pytest.mark.parametrize("one_per_block", [False, True])
+def test_inadmissible_terminal_resumes_its_sample(measures_by_n, refused, monkeypatch,
+                                                  one_per_block):
+    # an inadmissible terminal draws no inner samples, against the
+    # prediction: its block ends there, and the next block resumes the
+    # sample at its next draw with the same insertions and first leg
+    if one_per_block:
+        monkeypatch.setattr(hierarchy, "_LEVEL_ROWS", 6)    # one sample of 3 draws a block
+    particles = []
+    real = hierarchy.evolve_batch
+
+    def counting(q, *args, **kw):
+        particles.append(q.shape[1])
+        return real(q, *args, **kw)
+
+    monkeypatch.setattr(hierarchy, "evolve_batch", counting)
+    ms = measures_by_n[3]
+    rho0 = correlation_map(ms)
+    box = checks.delta_preset("bulk", BOX, 1.0)
+    args = (rho0, 1, 5.0, box, 1, 40, 1.0, 32, True)
+    rng_new, rng_old = np.random.default_rng(23), np.random.default_rng(23)
+    got = _series_stratum_stats(*args, rng_new, 3)
+    assert got == oracle_stratum_stats(*args, rng_old, 3)
+    assert rng_new.random() == rng_old.random()
+    rows = int(ms.admissible_batch(box.sample(np.random.default_rng(23), 40)[0]).sum())
+    first_legs, blocks = particles.count(1), particles.count(2)
+    assert blocks > 1
+    if one_per_block:
+        # each sample's first leg ran once, and some sample spanned blocks
+        assert first_legs == rows and blocks > rows
