@@ -391,7 +391,7 @@ def _w_prop5_collision(c: Chunk):
         ev = np.flatnonzero((status == _VALID) & ~degenerate[:, None])
         ok, u = rho0.draw_inner(q[ev], rng, inner)
         vals = np.zeros(nb * width)
-        vals[ev[ok]] = rho0.eval_drawn(q[ev[ok]], p[ev[ok]], u, inner)
+        vals[ev[ok]] = rho0.eval_drawn(q[ev[ok]], p[ev[ok]], u, inner)[0]
         vals = vals.reshape(nb, width)
         total = 0.0
         for h in range(width):

@@ -65,6 +65,11 @@ _POSITIVE = ("samples", "trajectories", "inner_samples", "rate_samples", "outer_
 _ELEMENTS = {"deltas": ("object", "string"), "n_list": ("integer",), "times": ("number",),
              "allocation": ("number",), "micro_box": ("number",)}
 _NONEMPTY = ("deltas", "n_list", "times")
+# the least value of a count, or of each entry of a list, below which a
+# check passes vacuously or crashes: the inverse map's error bar needs two
+# outer samples, one sphere never collides, and no sphere has no events
+_AT_LEAST = {("map_roundtrip", "outer_samples"): 2, ("lemma2_rate", "n_list"): 2,
+             ("reversibility", "n_list"): 1}
 # the key holding the phase boxes of each check whose boxes must hold the
 # check's n particles; grand_canonical_identity builds its own box
 _BOXES = {"liouville": "delta", "prop1_decomposition": "deltas", "prop5_onestep": "deltas",
@@ -133,8 +138,9 @@ def _box_problems(cid: str, own: dict) -> list[str]:
             continue
         try:
             size = 1 if isinstance(entry, str) else PhaseBox.from_dict(entry).n
-        except (KeyError, TypeError, ValueError):
-            problems.append(f"{cid}: {key} entry {entry!r} is not a phase box")
+        except (KeyError, TypeError, ValueError) as exc:
+            why = f": {exc}" if isinstance(exc, ValueError) else ""
+            problems.append(f"{cid}: {key} entry {entry!r} is not a phase box{why}")
             continue
         if isinstance(n, int) and size != n:
             problems.append(f"{cid}: the box is {size}-particle, the check's n is {n}")
@@ -204,6 +210,12 @@ class ExperimentConfig:
                     problems.append(f"{cid}: {key} entries must be {' or '.join(_ELEMENTS[key])}")
                 elif key == "m_max" and value is not None and value < 0:
                     problems.append(f"{cid}: m_max must not be negative")
+                elif key == "allocation" and not (len(value) == 3 and all(x > 0 for x in value)):
+                    # the sample split over m = 0, 1 and >= 2
+                    problems.append(f"{cid}: allocation must be three positive numbers")
+                elif (cid, key) in _AT_LEAST and min(np.ravel(value)) < _AT_LEAST[cid, key]:
+                    what = f"{key} entries" if key == "n_list" else key
+                    problems.append(f"{cid}: {what} must be at least {_AT_LEAST[cid, key]}")
             if cid in _BOXES and len(problems) == before:
                 problems += _box_problems(cid, check_params(cid, params))
             if cid == "prop5_onestep":

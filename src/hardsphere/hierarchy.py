@@ -79,6 +79,14 @@ class PhaseBox:
         box = PhaseBox(as_t(q_lo), as_t(q_hi), as_t(p_lo), as_t(p_hi))
         if not (len(box.q_lo) == len(box.q_hi) == len(box.p_lo) == len(box.p_hi)):
             raise ValueError("per-particle interval lists must have equal length")
+        # an empty, flat or inverted interval holds no mass: a check on it
+        # would pass at 0 against 0
+        for name, lo, hi in (("q", box.q_lo, box.q_hi), ("p", box.p_lo, box.p_hi)):
+            for i, (row_lo, row_hi) in enumerate(zip(lo, hi)):
+                for axis, a, b in zip("xyz", row_lo, row_hi):
+                    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+                        raise ValueError(f"particle {i}: {name}_lo.{axis} = {a} must be "
+                                         f"finite and below {name}_hi.{axis} = {b}")
         return box
 
     @property
@@ -341,6 +349,9 @@ class SeriesParams:
     def __post_init__(self):
         if self.direction_draws < 1:
             raise ValueError(f"direction_draws must be at least 1, got {self.direction_draws}")
+        if len(self.allocation) != 3 or not all(x > 0 for x in self.allocation):
+            raise ValueError("allocation must be three positive numbers, "
+                             f"got {list(self.allocation)}")
 
     def plan(self, n: int, measure: InitialMeasure) -> tuple[float, list[int]]:
         """The series plan for an n-particle box: the proposal beta0 and
@@ -473,7 +484,7 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     def evaluate():
         if pending:
             slots, q, p, u = (np.concatenate(x) for x in zip(*pending))
-            rho.flat[slots] = rho0.eval_drawn(q, p, u, inner_samples)
+            rho.flat[slots] = rho0.eval_drawn(q, p, u, inner_samples)[0]
             pending.clear()
             held[:] = [0, 0]
 

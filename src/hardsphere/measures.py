@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from hardsphere.geometry import Configuration, Domain, PhasePoint, Vec3
+from hardsphere.stats import falling_factorial
 
 NORM_PROPOSALS = 1_000_000
 INNER_SAMPLES = 192
@@ -392,25 +393,24 @@ class InitialMeasure:
                            samples: int = INNER_SAMPLES) -> tuple[float, float]:
         """MC estimate with standard error of the integral over m extra
         positions of prod g, restricted to placements compatible with the
-        fixed centers q_base and with each other."""
+        fixed centers q_base and with each other: ``exclusion_batch`` on
+        one row."""
         if m == 0:
             return (1.0, 0.0)
-        return self._exclusion_of(self.uniform_positions(rng, samples, m), q_base)
-
-    def _exclusion_of(self, q: np.ndarray, q_base: np.ndarray) -> tuple[float, float]:
-        """exclusion_integral over the drawn positions q (samples, m, 3)."""
-        samples, m = q.shape[:2]
         q_base = np.asarray(q_base, dtype=float).reshape(1, -1, 3)
-        vals = self._placement_weights(q_base, q[None])[0]
-        vol = self._ins_vol ** m
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-        return (vol * mean, vol * se)
+        mean, se = self.exclusion_batch(q_base, self.uniform_positions(rng, samples, m)[None])
+        return (float(mean[0]), float(se[0]))
 
-    def exclusion_batch(self, q_base: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """The value of ``_exclusion_of(q[r], q_base[r])`` for each row:
-        q_base (R, n, 3), q (R, samples, m, 3) with m >= 1."""
-        return self._ins_vol ** q.shape[2] * self._placement_weights(q_base, q).mean(axis=1)
+    def exclusion_batch(self, q_base: np.ndarray,
+                        q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The exclusion integral of each row over its drawn positions,
+        with its inner-sample standard error (0 for one sample): q_base
+        (R, n, 3), q (R, samples, m, 3) with m >= 1."""
+        samples, m = q.shape[1:3]
+        w = self._placement_weights(q_base, q)
+        vol = self._ins_vol ** m
+        se = w.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(len(w))
+        return vol * w.mean(axis=1), vol * se
 
     def _placement_weights(self, q_base: np.ndarray, q: np.ndarray) -> np.ndarray:
         """prod g of each drawn placement q (R, samples, m, 3), zero where it
@@ -464,31 +464,13 @@ class CorrelationVector:
 
     def eval_arrays(self, q: np.ndarray, p: np.ndarray, rng,
                     inner_samples: int | None = None) -> tuple[float, float]:
-        ms = self.measure
-        k = inner_samples if inner_samples is not None else self.inner_samples
-        n = len(q)
-        if n > self.n_max or not ms.admissible(q):
+        """Level len(q) at one configuration (n, 3) with its inner-sample
+        standard error: ``draw_inner`` and ``eval_drawn`` on one row."""
+        rows, u = self.draw_inner(q[None], rng, inner_samples)
+        if not len(rows):
             return (0.0, 0.0)
-        gw = float(np.prod(ms.g(q))) if n else 1.0
-        hw = float(np.prod(ms.maxwellian.pdf(p))) if n else 1.0
-        spec = ms.spec
-        if isinstance(spec, GrandCanonicalEq):
-            val = 0.0
-            var = 0.0
-            for m in range(0, self.n_max - n + 1):
-                em, se = ms.exclusion_integral(q, m, rng, k)
-                c = spec.z ** (n + m) / math.factorial(m)
-                val += c * em
-                var += (c * se) ** 2
-            scale = gw * hw / ms.grand_partition
-            return (scale * val, scale * math.sqrt(var))
-        big_n = spec.n_particles
-        ff = 1.0
-        for i in range(n):
-            ff *= big_n - i
-        em, se = ms.exclusion_integral(q, big_n - n, rng, k)
-        scale = ff * gw * hw / ms.position_partition(big_n)[0]
-        return (scale * em, scale * se)
+        val, se = self.eval_drawn(q[None], p[None], u, inner_samples)
+        return (float(val[0]), float(se[0]))
 
     def _inner_sizes(self, n: int) -> list[int]:
         """Extra positions m >= 1 of each exclusion integral that an
@@ -500,10 +482,10 @@ class CorrelationVector:
 
     def draw_inner(self, q: np.ndarray, rng,
                    inner_samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of B configurations (B, n, 3) that ``eval_arrays``
-        evaluates (the admissible ones), and the uniforms it draws for
-        them: one row of u per evaluated row, drawn in row order, which
-        consumes the random stream exactly as B calls of ``eval_arrays``."""
+        """The rows of B configurations (B, n, 3) that are evaluated (the
+        admissible ones) and the uniforms of their inner samples: one row
+        of u per evaluated row, drawn in row order, so that the B rows
+        consume the random stream as B calls of ``eval_arrays`` do."""
         n = q.shape[1]
         rows = (np.flatnonzero(self.measure.admissible_batch(q)) if n <= self.n_max
                 else np.zeros(0, dtype=int))
@@ -516,43 +498,44 @@ class CorrelationVector:
         return 3 * k * sum(self._inner_sizes(n))
 
     def eval_drawn(self, q: np.ndarray, p: np.ndarray, u: np.ndarray,
-                   inner_samples: int | None = None) -> np.ndarray:
-        """The values of ``eval_arrays`` for admissible configurations
-        (R, n, 3), bit for bit, from the uniforms ``draw_inner`` drew for
-        them; in blocks of rows that bound the inner-position arrays."""
+                   inner_samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The values at admissible configurations (R, n, 3) and their
+        inner-sample standard errors, from the uniforms ``draw_inner`` drew
+        for them; in blocks of rows that bound the inner-position arrays."""
         ms = self.measure
         k = inner_samples if inner_samples is not None else self.inner_samples
         n = q.shape[1]
         sizes = self._inner_sizes(n)
         step = max(1, _INNER_BLOCK // (k * sum(sizes))) if sizes else max(1, len(q))
-        ems = {m: np.empty(len(q)) for m in sizes}
+        # each size's exclusion integrals and their stderrs
+        ex = {m: np.empty((2, len(q))) for m in sizes}
         for b in range(0, len(q), step):
             blk = slice(b, b + step)
             off = 0
             for m in sizes:
                 qi = ms._ins_lo + u[blk, off:off + 3 * k * m].reshape(-1, k, m, 3) * (
                     ms._ins_hi - ms._ins_lo)
-                ems[m][blk] = ms.exclusion_batch(q[blk], qi)
+                ex[m][:, blk] = ms.exclusion_batch(q[blk], qi)
                 off += 3 * k * m
-        gw = np.prod(ms.g(q), axis=1) if n else 1.0
-        hw = np.prod(ms.maxwellian.pdf(p), axis=1) if n else 1.0
+        # the products over no particles are 1
+        gw = np.prod(ms.g(q), axis=1)
+        hw = np.prod(ms.maxwellian.pdf(p), axis=1)
         spec = ms.spec
         if isinstance(spec, GrandCanonicalEq):
-            val = 0.0
-            for m in range(0, self.n_max - n + 1):
+            # the fugacity sum; at m = 0 the integral is 1 without error
+            val, var = spec.z ** n, 0.0
+            for m in sizes:
                 c = spec.z ** (n + m) / math.factorial(m)
-                val += c * ems.get(m, 1.0)
-            return gw * hw / ms.grand_partition * val
+                val = val + c * ex[m][0]
+                # squared by libm's pow, as Python squares a float: it
+                # rounds differently from x * x about once in a thousand
+                var = var + np.power((c * ex[m][1]).astype(object), 2.0).astype(float)
+            scale = gw * hw / ms.grand_partition
+            return scale * val, scale * np.sqrt(var)
         big_n = spec.n_particles
-        ff = 1.0
-        for i in range(n):
-            ff *= big_n - i
-        return ff * gw * hw / ms.position_partition(big_n)[0] * ems.get(big_n - n, 1.0)
-
-    def eval_config(self, config: Configuration, rng,
-                    inner_samples: int | None = None) -> tuple[float, float]:
-        q, p = config_to_arrays(config)
-        return self.eval_arrays(q, p, rng, inner_samples)
+        em, se = ex[big_n - n] if sizes else (1.0, 0.0)
+        scale = falling_factorial(big_n, n) * gw * hw / ms.position_partition(big_n)[0]
+        return scale * em, scale * se
 
 
 def correlation_map(measure: InitialMeasure,
@@ -566,11 +549,14 @@ class InverseDensity:
 
     Evaluates the density level n as the signed sum over integrals of
     higher correlation levels; integrals are MC with uniform positions and
-    Maxwellian proposal momenta at beta0.
+    Maxwellian proposal momenta at beta0, each level's outer samples
+    evaluated in one batch.
     """
 
     def __init__(self, rho: CorrelationVector, beta0: float | None = None,
                  outer_samples: int = 256):
+        if outer_samples < 2:
+            raise ValueError(f"outer_samples must be at least 2, got {outer_samples}")
         self.rho = rho
         self.measure = rho.measure
         self.beta0 = beta0 if beta0 is not None else rho.measure.beta
@@ -581,24 +567,18 @@ class InverseDensity:
         ms = self.measure
         n = len(q)
         prop = Maxwellian(self.beta0)
-        total = 0.0
-        var = 0.0
-        for m in range(0, self.n_max - n + 1):
-            if m == 0:
-                v, se = self.rho.eval_arrays(q, p, rng)
-                total += v
-                var += se * se
-                continue
-            ko = self.outer_samples
+        total, se = self.rho.eval_arrays(q, p, rng)
+        var = se * se
+        ko = self.outer_samples
+        for m in range(1, self.n_max - n + 1):
             qx = ms.uniform_positions(rng, ko, m)
             px = prop.sample(rng, (ko, m, 3))
-            weights = np.prod(prop.pdf(px), axis=1)
-            vals = np.empty(ko)
-            for i in range(ko):
-                vq = np.concatenate([q.reshape(-1, 3), qx[i]])
-                vp = np.concatenate([p.reshape(-1, 3), px[i]])
-                ri, _ = self.rho.eval_arrays(vq, vp, rng)
-                vals[i] = ri / weights[i]
+            vq = np.concatenate([np.broadcast_to(q.reshape(-1, 3), (ko, n, 3)), qx], axis=1)
+            vp = np.concatenate([np.broadcast_to(p.reshape(-1, 3), (ko, n, 3)), px], axis=1)
+            rows, u = self.rho.draw_inner(vq, rng)
+            vals = np.zeros(ko)
+            vals[rows] = self.rho.eval_drawn(vq[rows], vp[rows], u)[0]
+            vals /= np.prod(prop.pdf(px), axis=1)
             vol = ms.domain.inset_volume ** m
             sign = (-1.0) ** m / math.factorial(m)
             total += sign * vol * float(vals.mean())

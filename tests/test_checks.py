@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ import hardsphere.dynamics as dyn
 from hardsphere import checks as C
 from hardsphere.config import CHECK_IDS, dump_config, loads_config
 from hardsphere.geometry import Domain, Vec3
-from hardsphere.hierarchy import SeriesParams
+from hardsphere.hierarchy import PhaseBox, SeriesParams
 from hardsphere.measures import GrandCanonicalEq, ModulatedProduct
 from hardsphere.cli import default_experiment, main
 from hardsphere.dynamics import DegeneracyError, DegeneracyKind
@@ -170,7 +171,13 @@ def test_vacuous_or_mistyped_lists_exit_2(tmp_path, capsys):
             ("series_identity", "allocation", "[0.5, null, 0.2]",
              "allocation entries must be number"),
             ("map_roundtrip", "micro_box", "[2.5, [1.2], 1.2]",
-             "micro_box entries must be number")):
+             "micro_box entries must be number"),
+            # one sphere never collides, and reversibility with no sphere
+            # (or a negative count) crashed after "config ok"
+            ("lemma2_rate", "n_list", "[1]", "n_list entries must be at least 2"),
+            ("lemma2_rate", "n_list", "[3, 1]", "n_list entries must be at least 2"),
+            ("reversibility", "n_list", "[0]", "n_list entries must be at least 1"),
+            ("reversibility", "n_list", "[-1]", "n_list entries must be at least 1")):
         cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
                             + f"\n[check.{section}.bad]\n{key} = {value}\n")
         assert main(["validate", "--config", str(cfg_path)]) == 2
@@ -196,7 +203,18 @@ def test_direction_draws_and_m_max_out_of_range_exit_2(tmp_path, capsys):
             ("series_identity", "m_max", "-1", "m_max must not be negative"),
             ("series_identity", "direction_draws", "1.5", "direction_draws must be integer"),
             ("series_identity", "m_max", "0.5", "m_max must be integer"),
-            ("liouville", "delta", '"nowhere"', "unknown delta preset 'nowhere'")):
+            ("liouville", "delta", '"nowhere"', "unknown delta preset 'nowhere'"),
+            # a short allocation crashed on a tuple index, all zeros on a
+            # division, and a negative share ran and passed
+            ("series_identity", "allocation", "[1.0]", "allocation must be three positive numbers"),
+            ("series_identity", "allocation", "[0, 0, 0]",
+             "allocation must be three positive numbers"),
+            ("series_identity", "allocation", "[0.5, -0.3, 0.2]",
+             "allocation must be three positive numbers"),
+            ("grand_canonical_identity", "allocation", "[0.35, 0.45, 0.2, 0.1]",
+             "allocation must be three positive numbers"),
+            # one outer sample reported a NaN error bar and passed
+            ("map_roundtrip", "outer_samples", "1", "outer_samples must be at least 2")):
         cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
                             + f"\n[check.{section}.bad]\n{key} = {value}\n")
         assert main(["validate", "--config", str(cfg_path)]) == 2
@@ -208,6 +226,35 @@ def test_direction_draws_and_m_max_out_of_range_exit_2(tmp_path, capsys):
     for draws in (0, -3):
         with pytest.raises(ValueError, match=f"^direction_draws must be at least 1, got {draws}$"):
             SeriesParams(direction_draws=draws)
+    for allocation in ((1.0,), (0, 0, 0), (0.5, -0.3, 0.2)):
+        message = f"allocation must be three positive numbers, got {list(allocation)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SeriesParams(allocation=allocation)
+
+
+def test_empty_or_inverted_box_exits_2(tmp_path, capsys):
+    # an inverted interval passed liouville at 0 against 0 and failed
+    # series_identity at z = 80; a flat one passed at 0 against 0
+    cfg_path = tmp_path / "exp.ini"
+    good = {"q_lo": [[1, 1, 1]], "q_hi": [[3, 3, 3]], "p_lo": [[-1] * 3], "p_hi": [[1] * 3]}
+    for section, key, field, row, reason in (
+            ("liouville", "delta", "q_lo", [3, 1, 1], "q_lo.x = 3.0 must be finite and below "
+                                                      "q_hi.x = 3.0"),
+            ("liouville", "delta", "q_hi", [0.5, 3, 3], "q_lo.x = 1.0 must be finite and below "
+                                                        "q_hi.x = 0.5"),
+            ("series_identity", "deltas", "p_hi", [1, 1, -1], "p_lo.z = -1.0 must be finite "
+                                                              "and below p_hi.z = -1.0")):
+        box = {**good, field: [row]}
+        value = json.dumps([box] if key == "deltas" else box)
+        cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
+                            + f"\n[check.{section}.bad]\n{key} = {value}\n")
+        assert main(["validate", "--config", str(cfg_path)]) == 2
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert (f"config error: {section}: {key} entry {box!r} is not a phase box: "
+                f"particle 0: {reason}") in capsys.readouterr().err
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be finite and below"):
+            PhaseBox.of([[1, 1, bad]], [[3, 3, 3]], [[-1] * 3], [[1] * 3])
 
 
 def test_prop5_rejects_more_than_n_plus_1_particles(tmp_path, capsys):

@@ -168,7 +168,7 @@ def mc_collision_operator(rho, config: Configuration, j: int, samples: int,
     ev = np.flatnonzero(~blocked)
     ok, u = rho.draw_inner(q_aug[ev], rng, inner_samples)
     vals = np.zeros(samples)
-    vals[ev[ok]] = rho.eval_drawn(q_aug[ev[ok]], p_aug[ev[ok]], u, inner_samples)
+    vals[ev[ok]] = rho.eval_drawn(q_aug[ev[ok]], p_aug[ev[ok]], u, inner_samples)[0]
     stats = RunningStats()
     stats.add_many(4.0 * math.pi * weight * vals / prop.pdf(p_hat))
     return SignedEstimate.from_stats(stats)
@@ -239,7 +239,7 @@ class _ZeroRho:
         return np.arange(len(q)), np.zeros((len(q), 0))
 
     def eval_drawn(self, q, p, u, inner_samples=None):
-        return np.zeros(len(q))
+        return np.zeros(len(q)), np.zeros(len(q))
 
 
 def test_collision_operator_zero_density(eq2):
@@ -253,7 +253,7 @@ def test_collision_operator_symmetry_cancellation(eq2):
     # integrand odd under the hemisphere swap: the operator vanishes
     class IsotropicRho(_ZeroRho):
         def eval_drawn(self, q, p, u, inner_samples=None):
-            return np.exp(-0.5 * np.sum(p * p, axis=(1, 2)))
+            return np.exp(-0.5 * np.sum(p * p, axis=(1, 2))), np.zeros(len(q))
 
     cfg = single((2.5, 2.5, 2.5), (0.0, 0.0, 0.0), domain=BOX)
     rho = IsotropicRho(eq2)
@@ -281,7 +281,7 @@ def test_collision_operator_matches_quadrature_oracle(eq2):
             return np.zeros(len(p_aug))
         k = len(p_aug)
         return rho.eval_drawn(np.broadcast_to(q_aug, (k, *q_aug.shape)), p_aug,
-                              np.repeat(u, k, axis=0), 256)
+                              np.repeat(u, k, axis=0), 256)[0]
 
     oracle = collision_operator_quadrature(rho_fn, cfg, 0, beta0=1.0,
                                            n_radial=8, n_theta=20, n_phi=40)
@@ -419,11 +419,12 @@ def test_series_headline_small_scale(mod2):
 # -- the history tree against the one-history-at-a-time loops -------------------
 #
 # The oracles below are the loops the array history builder replaced,
-# kept verbatim on scalar ``evolve``, ``Vec3`` and ``eval_arrays``.  The
-# builder must reproduce their status, weight and terminal state bit for
-# bit, and the stratum and check workers their statistics, counters and
-# consumption of the random stream.
+# kept verbatim on scalar ``evolve``, ``Vec3`` and the scalar correlation
+# evaluator of ``scalar_rho``.  The builder must reproduce their status,
+# weight and terminal state bit for bit, and the stratum and check workers
+# their statistics, counters and consumption of the random stream.
 
+import scalar_rho
 import hardsphere.dynamics as dyn
 from hardsphere import checks
 from hardsphere import hierarchy
@@ -570,8 +571,8 @@ def oracle_stratum_stats(rho0, n, t, box, m, count, beta0, inner_samples, antith
                     counter.blocked += 1
                     combo_vals.append(0.0)
                     continue
-                rho_val, _ = rho0.eval_arrays(*config_to_arrays(outcome.terminal),
-                                              rng, inner_samples)
+                rho_val, _ = scalar_rho.eval_arrays(rho0, *config_to_arrays(outcome.terminal),
+                                                    rng, inner_samples)
                 combo_vals.append(scale * outcome.weight * rho_val)
             if degenerate:
                 break
@@ -606,7 +607,7 @@ def oracle_backmap(args):
             stats.add(0.0)
             continue
         counter.accepted += 1
-        val, _ = rho0.eval_config(back, rng, inner)
+        val, _ = scalar_rho.eval_config(rho0, back, rng, inner)
         stats.add(vol * val)
     return (stats, counter), rng
 
@@ -642,7 +643,7 @@ def oracle_prop5(args):
                 if out.status is HistoryStatus.BLOCKED:
                     counter.blocked += 1
                     continue
-                val, _ = rho0.eval_config(out.terminal, rng, inner)
+                val, _ = scalar_rho.eval_config(rho0, out.terminal, rng, inner)
                 total += 0.5 * out.weight * val   # average the two directions
             if degenerate:
                 break
@@ -759,15 +760,23 @@ STRATA = ([(big_n, name, m, 1) for big_n in (2, 3) for name in ("bulk", "near_wa
            for m in range(big_n)] + [(2, "bulk", 1, 3), ("grand", "micro", 0, 24),
                                      ("grand", "micro", 1, 24), (3, "bulk", 1, 3),
                                      (3, "near_wall", 1, 2), (4, "bulk", 2, 1)])
+# strata built with each direction tuple as drawn, without its sign flips:
+# a lockstep one and a deferred one
+ONE_SIGN = [(2, "bulk", 1, 1), (3, "bulk", 1, 1)]
 
 
 @pytest.mark.parametrize("force", [False, True])
-@pytest.mark.parametrize("big_n, box_name, m, draws", STRATA)
-def test_stratum_stats_match_oracle(measures_by_n, big_n, box_name, m, draws, force, request):
+@pytest.mark.parametrize("big_n, box_name, m, draws, antithetic",
+                         [(*s, True) for s in STRATA] + [(*s, False) for s in ONE_SIGN],
+                         ids=["-".join(map(str, s)) for s in STRATA]
+                         + ["-".join(map(str, s)) + "-one_sign" for s in ONE_SIGN])
+def test_stratum_stats_match_oracle(measures_by_n, big_n, box_name, m, draws, antithetic, force,
+                                    request):
     # lockstep strata (m = 0, and the top ones with one or more direction
     # draws) and deferred strata (N = 3, m = 1 with one or more draws; N = 4,
     # m = 2, whose chain has an intermediate leg) give the same statistics
-    # and counters and leave the stream where the loop does
+    # and counters and leave the stream where the loop does, with and
+    # without the antithetic sign flips
     if force:
         request.getfixturevalue("forced")
     ms = measures_by_n[big_n]
@@ -776,7 +785,7 @@ def test_stratum_stats_match_oracle(measures_by_n, big_n, box_name, m, draws, fo
     t = 2.0 if big_n == "grand" else 5.0
     count = 40 if draws > 1 else 120
     seed = sum(map(ord, f"{big_n}{box_name}{m}"))
-    args = (rho0, 1, t, box, m, count, 1.0, 32, True)
+    args = (rho0, 1, t, box, m, count, 1.0, 32, antithetic)
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     stats, counter = _series_stratum_stats(*args, rng_new, draws)
     want_stats, want_counter = oracle_stratum_stats(*args, rng_old, draws)

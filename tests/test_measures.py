@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scalar_rho
 from hardsphere import measures
 from hardsphere.dynamics import pair_collide
 from hardsphere.geometry import Domain, Vec3
@@ -214,10 +215,59 @@ def test_inverse_of_zero_is_zero(gc_micro):
         def eval_arrays(self, q, p, rng, inner_samples=None):
             return (0.0, 0.0)
 
+        def draw_inner(self, q, rng, inner_samples=None):
+            return np.arange(len(q)), np.zeros((len(q), 0))
+
+        def eval_drawn(self, q, p, u, inner_samples=None):
+            return np.zeros(len(q)), np.zeros(len(q))
+
     inv = inverse_correlation_map(ZeroRho(), outer_samples=64)
     rng = np.random.default_rng(13)
     val, err = inv.eval_arrays(np.zeros((0, 3)), np.zeros((0, 3)), rng)
     assert val == 0.0 and err == 0.0
+
+
+@pytest.mark.parametrize("spec_name", ["modulated3", "grand"])
+def test_inverse_map_matches_outer_sample_loop(spec_name):
+    # each level's outer samples evaluated in one batch give the value,
+    # stderr and next random number of one scalar evaluation per sample
+    if spec_name == "grand":
+        ms = InitialMeasure(GrandCanonicalEq(50.0, 1.0), Domain(Vec3(0, 0, 0),
+                            Vec3(2.5, 1.2, 1.2), A), norm_proposals=20_000)
+    else:
+        ms = InitialMeasure(ModulatedProduct(3, 1.0), BOX, norm_proposals=20_000)
+    inv = inverse_correlation_map(correlation_map(ms, inner_samples=24), outer_samples=40)
+    rng = np.random.default_rng(44)
+    for n in range(ms.n_max + 1):
+        r_batch, r_loop = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(3):
+            q, p = ms.place(rng, n) if n else (np.zeros((0, 3)), np.zeros((0, 3)))
+            assert inv.eval_arrays(q, p, r_batch) == scalar_rho.inverse_eval_arrays(
+                inv, q, p, r_loop)
+        assert r_batch.random() == r_loop.random()
+
+
+def test_one_inner_sample_has_zero_stderr(gc_micro, modulated2):
+    # one inner sample has no spread: 0, as the scalar evaluator gives it,
+    # not the NaN of a one-sample standard deviation
+    for ms, q in ((gc_micro, np.zeros((0, 3))), (modulated2, np.array([[2.5, 2.5, 2.5]]))):
+        rho = correlation_map(ms, inner_samples=1)
+        p = np.zeros_like(q)
+        r1, r2 = np.random.default_rng(45), np.random.default_rng(45)
+        got = rho.eval_arrays(q, p, r1)
+        assert got == scalar_rho.eval_arrays(rho, q, p, r2)
+        assert got[0] > 0.0 and got[1] == 0.0
+        got = ms.exclusion_integral(q, 1, r1, 1)
+        assert got == scalar_rho.exclusion_integral(ms, q, 1, r2, 1) and got[1] == 0.0
+        assert r1.random() == r2.random()
+
+
+def test_inverse_map_needs_two_outer_samples(gc_micro):
+    # one outer sample has no variance: its error bar would be NaN
+    rho = correlation_map(gc_micro)
+    with pytest.raises(ValueError, match="^outer_samples must be at least 2, got 1$"):
+        inverse_correlation_map(rho, outer_samples=1)
+    assert inverse_correlation_map(rho, outer_samples=2).outer_samples == 2
 
 
 def test_roundtrip_recovers_density(gc_micro):
@@ -285,8 +335,9 @@ def test_admissible_batch_matches_scalar(modulated2, ulps):
 
 @pytest.mark.parametrize("spec_name", ["modulated3", "grand"])
 def test_batched_evaluation_matches_eval_arrays(spec_name, monkeypatch):
-    # values bit for bit, and the random stream left where row-by-row
-    # evaluation leaves it, across blocks of a few rows
+    # values and stderrs bit for bit against the scalar evaluator, and the
+    # random stream left where it leaves it, across blocks of a few rows;
+    # eval_arrays, the batch of one, too
     monkeypatch.setattr(measures, "_INNER_BLOCK", 300)
     if spec_name == "grand":
         ms = InitialMeasure(GrandCanonicalEq(50.0, 1.0), Domain(Vec3(0, 0, 0),
@@ -298,13 +349,14 @@ def test_batched_evaluation_matches_eval_arrays(spec_name, monkeypatch):
     for n in range(1, ms.n_max + 1):
         q = ms.uniform_positions(rng, 200, n)
         p = rng.normal(size=(200, n, 3))
-        r_batch, r_rows = np.random.default_rng(n), np.random.default_rng(n)
+        r_batch, r_one, r_rows = (np.random.default_rng(n) for _ in range(3))
         rows, u = rho.draw_inner(q, r_batch)
-        got = np.zeros(len(q))
-        got[rows] = rho.eval_drawn(q[rows], p[rows], u)
-        want = [rho.eval_arrays(q[i], p[i], r_rows)[0] for i in range(len(q))]
+        got = np.zeros((len(q), 2))
+        got[rows] = np.stack(rho.eval_drawn(q[rows], p[rows], u), axis=1)
+        want = [scalar_rho.eval_arrays(rho, q[i], p[i], r_rows) for i in range(len(q))]
         assert differing_rows(got, want) == []
-        assert r_batch.random() == r_rows.random()
+        assert [rho.eval_arrays(q[i], p[i], r_one) for i in range(len(q))] == want
+        assert r_batch.random() == r_one.random() == r_rows.random()
 
 
 @STRADDLE
@@ -317,8 +369,8 @@ def test_exclusion_batch_near_contact_matches_scalar(ulps):
                                ulps).reshape(300, 8, 3)
     inner[:, 8:, 1] = touching(rng, 300 * 8, inner[:, 8:, 0].reshape(-1, 3), A,
                                ulps).reshape(300, 8, 3)
-    got = ms.exclusion_batch(base, inner)
-    want = [ms._exclusion_of(inner[r], base[r])[0] for r in range(300)]
+    got = np.stack(ms.exclusion_batch(base, inner), axis=1)
+    want = [scalar_rho.exclusion_of(ms, inner[r], base[r]) for r in range(300)]
     assert differing_rows(got, want) == []
 
 
