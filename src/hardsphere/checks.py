@@ -27,7 +27,6 @@ from hardsphere.dynamics import (
     EPS_EVENT_REL,
     DegeneracyError,
     Limit,
-    PairEvents,
     evolve_arrays,
     evolve_batch,
 )
@@ -45,7 +44,7 @@ from hardsphere.hierarchy import (
     _series_stratum_stats,
     _uniform_spheres,
     empirical_chunk,
-    evolve_resampled,
+    evolve_sampled,
     pair_collision_rate,
 )
 from hardsphere.measures import (
@@ -203,7 +202,7 @@ class Chunk:
     seed: tuple
     n: int = 0
     t: float = 0.0
-    box: PhaseBox | None = None
+    boxes: tuple = ()
     m: int = 0
     beta0: float | None = None
     inner: int = 0
@@ -223,11 +222,11 @@ class Chunk:
 def _chunks(exp: ExperimentConfig, spec, samples: int, seed: tuple, domain: Domain | None = None,
             **own) -> list[Chunk]:
     """The chunks of an estimator of ``samples`` samples, with the workers'
-    own fields; chunk idx draws from the stream (exp.seed, *seed, idx).  A
-    box must hold the estimator's n particles."""
-    box = own.get("box")
-    if box is not None and box.n != own["n"]:
-        raise ValueError(f"the box is {box.n}-particle, the check's n is {own['n']}")
+    own fields; chunk idx draws from the stream (exp.seed, *seed, idx).
+    Each box must hold the estimator's n particles."""
+    for box in own.get("boxes", ()):
+        if box.n != own["n"]:
+            raise ValueError(f"the box is {box.n}-particle, the check's n is {own['n']}")
     return [Chunk(spec, domain or exp.domain, exp.norm_proposals, count, (exp.seed, *seed, idx),
                   **own)
             for idx, count in enumerate(_chunk_counts(samples, exp.chunk_size))]
@@ -285,50 +284,38 @@ def _resolve_delta(entry, domain: Domain, beta: float) -> tuple[str, PhaseBox]:
 # ---------------------------------------------------------------------------
 
 def _w_empirical(c: Chunk):
-    return empirical_chunk(c.measure, c.n, c.t, c.box, Limit.FROM_FUTURE, c.count, c.rng)
+    """Forward trajectories tallied in every box: the boxes' parts, then the counter."""
+    return empirical_chunk(c.measure, c.n, c.t, c.boxes, Limit.FROM_FUTURE, c.count, c.rng)
 
 
 def _w_series(c: Chunk):
     """Stratum c.m of the series; at m = 0 the integral over the box of the
     time-0 correlation function pulled back along the n-particle backward
     flow (the collision-free term)."""
-    return _series_stratum_stats(correlation_map(c.measure), c.n, c.t, c.box, c.m, c.count,
+    return _series_stratum_stats(correlation_map(c.measure), c.n, c.t, c.boxes[0], c.m, c.count,
                                  c.beta0, c.inner, c.antithetic, c.rng, c.draws)
 
 
 def _w_lemma2(c: Chunk):
     """Pair-collision counts over [0, t] for equilibrium trajectories."""
-    ms, rng = c.measure, c.rng
     counter = RejectionCounter()
-    qs, ps = ms.sample_batch(rng, c.count)
-    _, _, n_pair, _, degenerate = evolve_batch(qs, ps, c.domain, c.t)
-    for i in np.flatnonzero(degenerate):
-        n_pair[i] = evolve_resampled(ms, qs, ps, i, c.t, Limit.FROM_FUTURE, rng, counter)[2].n_pair
-    stats = RunningStats()
-    stats.add_many(n_pair)
-    counter.accepted += c.count
-    return (stats, counter)
+    _, _, n_pair, _ = evolve_sampled(c.measure, c.count, c.t, Limit.FROM_FUTURE, c.rng, counter)
+    return (RunningStats().add_many(n_pair), counter)
 
 
 def _w_prop1_forward(c: Chunk):
     """Cross-collision tallies: for every collision between the leading
     group and the rest, test whether the group state just after (and just
-    before) the collision, flowed alone to the final time, lands in the
-    box.  Returns statistics of the (after - before) difference.  The
-    trajectories run on ``evolve_batch`` with their pair events kept; a
-    degenerate one is re-drawn in index order as in
-    ``empirical_chunk_fixed``.  The group legs draw nothing, so those of
-    the whole chunk run together once every trajectory is drawn."""
-    ms, rng, n, t, box, domain = c.measure, c.rng, c.n, c.t, c.box, c.domain
+    before) the collision, flowed alone to the final time, lands in each
+    box.  Returns per box the statistics of the (after - before)
+    difference, of after and of before, then the chunk's counter.  The
+    trajectories run on ``evolve_sampled`` with their pair events kept.
+    The group legs draw nothing, so those of the whole chunk run together
+    once every trajectory is drawn, and every box is tallied on them."""
+    n, t, domain = c.n, c.t, c.domain
     counter = RejectionCounter()
-    qs, ps = ms.sample_batch(rng, c.count)
-    *_, degenerate, ev = evolve_batch(qs, ps, domain, t, pair_events=True)
-    parts = [ev]
-    for i in np.flatnonzero(degenerate):
-        log = evolve_resampled(ms, qs, ps, i, t, Limit.FROM_FUTURE, rng, counter,
-                               collect_log=True)[2]
-        parts.append(PairEvents.log_part(i, log, qs.shape[1]))
-    ev = PairEvents.of(parts, qs.shape[1])
+    *_, ev = evolve_sampled(c.measure, c.count, t, Limit.FROM_FUTURE, c.rng, counter,
+                            pair_events=True)
     # the cross collisions, and per group leg (just after, then just
     # before the collision) its start and duration
     cross = (ev.i < n) & (n <= ev.j)
@@ -337,14 +324,12 @@ def _w_prop1_forward(c: Chunk):
     qf, pf, _, _, degenerate = evolve_batch(q_leg, p_leg, domain,
                                             np.repeat(t - ev.time[cross], 2))
     counter.degenerate += int(degenerate.sum())
-    hit = (box.contains_batch(qf, pf) & ~degenerate).reshape(-1, 2)
-    c_plus, c_minus = (np.bincount(ev.row[cross], w, c.count) for w in hit.T)
-    d_stats, plus_stats, minus_stats = RunningStats(), RunningStats(), RunningStats()
-    d_stats.add_many(c_plus - c_minus)
-    plus_stats.add_many(c_plus)
-    minus_stats.add_many(c_minus)
-    counter.accepted += c.count
-    return (d_stats, plus_stats, minus_stats, counter)
+    parts = []
+    for box in c.boxes:
+        hit = (box.contains_batch(qf, pf) & ~degenerate).reshape(-1, 2)
+        c_plus, c_minus = (np.bincount(ev.row[cross], w, c.count) for w in hit.T)
+        parts += [RunningStats().add_many(v) for v in (c_plus - c_minus, c_plus, c_minus)]
+    return (*parts, counter)
 
 
 def _w_prop5_collision(c: Chunk):
@@ -355,7 +340,7 @@ def _w_prop5_collision(c: Chunk):
     share their first leg.  At N = n + 1 the terminals need no inner
     samples, so all draws come first and each block of samples is built
     as one tree, as in the series' lockstep mode."""
-    ms, rng, n, t, box, domain, inner = c.measure, c.rng, c.n, c.t, c.box, c.domain, c.inner
+    ms, rng, n, t, box, domain, inner = c.measure, c.rng, c.n, c.t, c.boxes[0], c.domain, c.inner
     rho0 = correlation_map(ms)
     prop = Maxwellian(c.beta0)
     vol = box.volume
@@ -403,9 +388,7 @@ def _w_prop5_collision(c: Chunk):
     for b in range(0, len(rows), per):
         build(slice(b, b + per))
     counter.accepted += c.count - counter.degenerate
-    stats = RunningStats()
-    stats.add_many(values)
-    return (stats, counter)
+    return (RunningStats().add_many(values), counter)
 
 
 def _w_reversibility(c: Chunk):
@@ -450,11 +433,13 @@ def _signed(merged):
     return SignedEstimate.from_stats(stats), counter
 
 
-def _empirical(exp, spec, domain, n, t, box, samples, key, role) -> Estimator:
-    """Forward simulation (``empirical_rho``) chunk by chunk."""
+def _empirical(exp, spec, domain, n, t, boxes, samples, key, role) -> Estimator:
+    """Forward simulation (``empirical_rho``) chunk by chunk, every box
+    tallied on the same trajectories: one ``EmpiricalResult`` per box."""
     return Estimator(_w_empirical, [_chunks(exp, spec, samples, (key, role), domain,
-                                            n=n, t=t, box=box)],
-                     lambda merged: EmpiricalResult.of(spec, n, samples, *merged))
+                                            n=n, t=t, boxes=boxes)],
+                     lambda merged: [EmpiricalResult.of(spec, n, samples, part, merged[-1])
+                                     for part in merged[:-1]])
 
 
 def _series(exp, spec, domain, n, t, box, params: SeriesParams, key, role) -> Estimator:
@@ -463,8 +448,8 @@ def _series(exp, spec, domain, n, t, box, params: SeriesParams, key, role) -> Es
     ms = get_measure(spec, domain, norm_proposals=exp.norm_proposals)
     beta0, counts = params.plan(n, ms)
     return Estimator(_w_series, [
-        _chunks(exp, spec, count, (key, role, m), domain, n=n, t=t, box=box, m=m, beta0=beta0,
-                inner=params.inner_samples, antithetic=params.antithetic,
+        _chunks(exp, spec, count, (key, role, m), domain, n=n, t=t, boxes=(box,), m=m,
+                beta0=beta0, inner=params.inner_samples, antithetic=params.antithetic,
                 draws=params.direction_draws)
         for m, count in enumerate(counts)], lambda *strata: SeriesResult.of(strata, ms.z_rel_err))
 
@@ -472,7 +457,7 @@ def _series(exp, spec, domain, n, t, box, params: SeriesParams, key, role) -> Es
 def _pullback(exp, spec, n, t, box, inner, samples, key) -> Estimator:
     """The collision-free term: the m = 0 stratum of the series on the
     streams (exp.seed, key, 2, idx)."""
-    return Estimator(_w_series, [_chunks(exp, spec, samples, (key, 2), n=n, t=t, box=box,
+    return Estimator(_w_series, [_chunks(exp, spec, samples, (key, 2), n=n, t=t, boxes=(box,),
                                          beta0=spec.beta, inner=inner)], _signed)
 
 
@@ -593,12 +578,12 @@ def _run_liouville(exp, label, params, key):
     n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
     times = params["times"] if params["times"] is not None else [t / 3.0, 2.0 * t / 3.0, t]
     _, box = _resolve_delta(params["delta"], exp.domain, spec.beta)
-    base, *ests = _run_chunks(exp, [
-        _empirical(exp, spec, exp.domain, n, float(tv), box, samples, key, i)
+    (base,), *ests = _run_chunks(exp, [
+        _empirical(exp, spec, exp.domain, n, float(tv), (box,), samples, key, i)
         for i, tv in enumerate([0.0, *times])])
     return [_stat_report("liouville", f"t{tv:g}", est.estimate, base.estimate, exp,
                          (est.counter, base.counter), n=n, t=float(tv), box=box)
-            for tv, est in zip(times, ests)]
+            for tv, (est,) in zip(times, ests)]
 
 
 def _run_special_flow(exp, label, params, key):
@@ -681,14 +666,17 @@ def _run_prop1(exp, label, params, key):
         raise ValueError("need at least n+1 particles")
     ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
     ff = falling_factorial(big_n, n)
-    cases = [_resolve_delta(entry, exp.domain, spec.beta) for entry in params["deltas"]]
-    results = _run_chunks(exp, [est for _, box in cases for est in (
-        _empirical(exp, spec, exp.domain, n, t, box, samples, key, 1),
-        _pullback(exp, spec, n, t, box, int(params["inner_samples"]), samples, key),
-        Estimator(_w_prop1_forward, [_chunks(exp, spec, samples, (key, 3), n=n, t=t, box=box)]))])
+    names, boxes = zip(*(_resolve_delta(d, exp.domain, spec.beta) for d in params["deltas"]))
+    forward, crossing, *backs = _run_chunks(exp, [
+        _empirical(exp, spec, exp.domain, n, t, boxes, samples, key, 1),
+        Estimator(_w_prop1_forward, [_chunks(exp, spec, samples, (key, 3), n=n, t=t, boxes=boxes)],
+                  lambda merged: [(*merged[k:k + 3], merged[-1])
+                                  for k in range(0, len(merged) - 1, 3)]),
+        *(_pullback(exp, spec, n, t, box, int(params["inner_samples"]), samples, key)
+          for box in boxes)])
     reports = []
-    for i, (name, box) in enumerate(cases):
-        lhs, (term1, ctr_b), (fstats, plus, minus, ctr_f) = results[3 * i:3 * i + 3]
+    for name, box, lhs, (fstats, plus, minus, ctr_f), (term1, ctr_b) in zip(
+            names, boxes, forward, crossing, backs):
         rhs = term1.plus(SignedEstimate.from_stats(fstats, scale=ff))
         rhs = rhs.with_extra_stderr(abs(term1.value) * ms.z_rel_err)
         reports.append(_stat_report(
@@ -711,15 +699,16 @@ def _run_prop5(exp, label, params, key):
     inner = int(params["inner_samples"])
     beta0 = float(params["beta0"] if params["beta0"] is not None else spec.beta)
     ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
-    cases = [_resolve_delta(entry, exp.domain, spec.beta) for entry in params["deltas"]]
-    results = _run_chunks(exp, [est for _, box in cases for est in (
-        _empirical(exp, spec, exp.domain, n, t, box, samples, key, 1),
-        _pullback(exp, spec, n, t, box, inner, samples // 2, key),
-        Estimator(_w_prop5_collision, [_chunks(exp, spec, samples, (key, 3), n=n, t=t, box=box,
-                                               beta0=beta0, inner=inner)], _signed))])
+    names, boxes = zip(*(_resolve_delta(d, exp.domain, spec.beta) for d in params["deltas"]))
+    forward, *per_box = _run_chunks(exp, [
+        _empirical(exp, spec, exp.domain, n, t, boxes, samples, key, 1),
+        *(_pullback(exp, spec, n, t, box, inner, samples // 2, key) for box in boxes),
+        *(Estimator(_w_prop5_collision, [_chunks(exp, spec, samples, (key, 3), n=n, t=t,
+                                                 boxes=(box,), beta0=beta0, inner=inner)],
+                    _signed) for box in boxes)])
     reports = []
-    for i, (name, box) in enumerate(cases):
-        lhs, (term1, ctr_b), (cterm, ctr_c) = results[3 * i:3 * i + 3]
+    for name, box, lhs, (term1, ctr_b), (cterm, ctr_c) in zip(
+            names, boxes, forward, per_box, per_box[len(boxes):]):
         rhs = term1.plus(cterm)
         rhs = rhs.with_extra_stderr(abs(rhs.value) * ms.z_rel_err)
         reports.append(_stat_report(
@@ -743,13 +732,12 @@ def _run_series_identity(exp, label, params, key):
         antithetic=bool(params["antithetic"]),
         direction_draws=int(params["direction_draws"]),
     )
-    cases = [_resolve_delta(entry, exp.domain, spec.beta) for entry in params["deltas"]]
-    results = _run_chunks(exp, [est for _, box in cases for est in (
-        _empirical(exp, spec, exp.domain, n, t, box, samples, key, 1),
-        _series(exp, spec, exp.domain, n, t, box, sp, key, 2))])
+    names, boxes = zip(*(_resolve_delta(d, exp.domain, spec.beta) for d in params["deltas"]))
+    forward, *series = _run_chunks(exp, [
+        _empirical(exp, spec, exp.domain, n, t, boxes, samples, key, 1),
+        *(_series(exp, spec, exp.domain, n, t, box, sp, key, 2) for box in boxes)])
     reports = []
-    for i, (name, box) in enumerate(cases):
-        lhs, res = results[2 * i:2 * i + 2]
+    for name, box, lhs, res in zip(names, boxes, forward, series):
         detail = {f"stratum_m{m}": {"value": e.value, "stderr": e.stderr, "count": e.count}
                   for m, e in res.strata.items()}
         reports.append(_stat_report(
@@ -784,8 +772,8 @@ def _run_grand_canonical(exp, label, params, key):
         allocation=tuple(params["allocation"]),
         direction_draws=int(params["direction_draws"]),
     )
-    lhs, res = _run_chunks(exp, [_empirical(exp, spec, domain, n, t, box, samples, key, 1),
-                                 _series(exp, spec, domain, n, t, box, sp, key, 2)])
+    (lhs,), res = _run_chunks(exp, [_empirical(exp, spec, domain, n, t, (box,), samples, key, 1),
+                                    _series(exp, spec, domain, n, t, box, sp, key, 2)])
     return [_stat_report(
         "grand_canonical_identity", label or "micro", lhs.estimate, res.total_with_norm_err, exp,
         (lhs.counter, res.counter), n=n, t=t, box=box,

@@ -57,9 +57,9 @@ CHECK_PARAMS = {
 
 CHECK_IDS = tuple(CHECK_PARAMS)
 
-# counts, sizes and times that must be positive wherever they appear
+# counts, sizes, times, beta0 and the fugacity z: positive wherever they appear
 _POSITIVE = ("samples", "trajectories", "inner_samples", "rate_samples", "outer_samples",
-             "points", "resolution", "events_target", "t", "direction_draws")
+             "points", "resolution", "events_target", "t", "direction_draws", "beta0", "z")
 # the JSON types of the elements of each list parameter, and the lists
 # that must not be empty (a check with no case tests nothing)
 _ELEMENTS = {"deltas": ("object", "string"), "n_list": ("integer",), "times": ("number",),
@@ -201,7 +201,7 @@ class ExperimentConfig:
                 elif _integer(table[key]) and value is not None and not _element_ok(
                         value, ("integer",)):
                     problems.append(f"{cid}: {key} must be integer")
-                elif key in _POSITIVE and not value > 0:
+                elif key in _POSITIVE and value is not None and not value > 0:
                     problems.append(f"{cid}: {key} must be positive")
                 elif key in _NONEMPTY and value is not None and not value:
                     problems.append(f"{cid}: {key} must not be empty")
@@ -213,6 +213,9 @@ class ExperimentConfig:
                 elif key == "allocation" and not (len(value) == 3 and all(x > 0 for x in value)):
                     # the sample split over m = 0, 1 and >= 2
                     problems.append(f"{cid}: allocation must be three positive numbers")
+                elif key == "micro_box" and not (len(value) == 3 and all(x > 1 for x in value)):
+                    # the sides in diameters; a side must leave a center its wall margin
+                    problems.append(f"{cid}: micro_box must be three sides above 1 diameter")
                 elif (cid, key) in _AT_LEAST and min(np.ravel(value)) < _AT_LEAST[cid, key]:
                     what = f"{key} entries" if key == "n_list" else key
                     problems.append(f"{cid}: {what} must be at least {_AT_LEAST[cid, key]}")

@@ -29,7 +29,7 @@ from itertools import permutations
 
 import numpy as np
 
-from hardsphere.dynamics import DegeneracyError, Limit, evolve_arrays, evolve_batch
+from hardsphere.dynamics import DegeneracyError, Limit, PairEvents, evolve_arrays, evolve_batch
 from hardsphere.geometry import (
     EPS_CONTACT_REL,
     Configuration,
@@ -616,9 +616,7 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     values[rows] = np.where(degenerate, 0.0, total / width)
     counter.degenerate += int(degenerate.sum())
     counter.accepted += len(rows) - int(degenerate.sum())
-    stats = RunningStats()
-    stats.add_many(values)
-    return stats, counter
+    return RunningStats().add_many(values), counter
 
 
 def _sign_combos(m: int):
@@ -669,54 +667,57 @@ class EmpiricalResult:
             binomial_estimate(part, samples, falling_factorial(spec.n_particles, n)), counter)
 
 
-def evolve_resampled(measure: InitialMeasure, qs: np.ndarray, ps: np.ndarray, i: int,
-                     t: float, limit: Limit, rng: np.random.Generator,
-                     counter: RejectionCounter, max_degenerate: float = math.inf,
-                     collect_log: bool = False):
-    """``evolve_arrays`` of row i of a sampled batch.  While the row is
-    degenerate it is counted and replaced in place by a fresh draw from
-    the measure; raises RuntimeError once the chunk's degenerate count
-    exceeds ``max_degenerate``."""
-    while True:
-        try:
-            return evolve_arrays(qs[i], ps[i], measure.domain, t, limit, collect_log)
-        except DegeneracyError:
-            counter.degenerate += 1
-            if counter.degenerate > max_degenerate:
-                raise RuntimeError("excessive degenerate-trajectory rate")
-            qs[i], ps[i] = measure.sample_arrays(rng)
+def evolve_sampled(measure: InitialMeasure, count: int, t: float, limit: Limit,
+                   rng: np.random.Generator, counter: RejectionCounter,
+                   max_degenerate: float = math.inf, pair_events: bool = False):
+    """``count`` configurations of a fixed-N measure flowed to time t on
+    ``evolve_batch``: each degenerate row, in index order, is counted and
+    redrawn until its scalar run succeeds, as a row-by-row loop draws it
+    (RuntimeError past ``max_degenerate``).  Returns the final positions
+    and momenta, the pair-collision counts and, with ``pair_events``, the
+    rows' ``PairEvents`` (else None)."""
+    qs, ps = measure.sample_batch(rng, count)
+    qf, pf, n_pair, _, degenerate, *parts = evolve_batch(qs, ps, measure.domain, t, limit,
+                                                         pair_events)
+    for i in np.flatnonzero(degenerate):
+        while True:
+            try:
+                qf[i], pf[i], log = evolve_arrays(qs[i], ps[i], measure.domain, t, limit,
+                                                  pair_events)
+                break
+            except DegeneracyError:
+                counter.degenerate += 1
+                if counter.degenerate > max_degenerate:
+                    raise RuntimeError("excessive degenerate-trajectory rate")
+                qs[i], ps[i] = measure.sample_arrays(rng)
+        n_pair[i] = log.n_pair
+        if pair_events:
+            parts.append(PairEvents.log_part(i, log, qs.shape[1]))
+    counter.accepted += count
+    return qf, pf, n_pair, PairEvents.of(parts, qs.shape[1]) if pair_events else None
 
 
-def empirical_chunk_fixed(measure: InitialMeasure, n: int, t: float, box: PhaseBox,
+def empirical_chunk_fixed(measure: InitialMeasure, n: int, t: float, boxes: tuple,
                           limit: Limit, count: int, rng: np.random.Generator,
-                          max_resample: int = 200) -> tuple[int, RejectionCounter]:
-    """Hit count for one chunk of forward trajectories of a fixed-N
-    measure; degenerate trajectories are re-sampled and counted.
-
-    Each batch runs on ``evolve_batch``; a degenerate row draws its
-    replacement in index order, before the next batch is drawn, so the
-    random stream is consumed exactly as by a row-by-row loop."""
+                          max_resample: int = 200) -> tuple:
+    """The hit count of each box, then the chunk's counter, for a chunk of
+    forward trajectories of a fixed-N measure, drawn and run in batches of
+    4096 by ``evolve_sampled``; every box is tallied on them."""
     counter = RejectionCounter()
-    hits = 0
-    done = 0
-    batch = 4096
-    while done < count:
-        want = min(batch, count - done)
-        qs, ps = measure.sample_batch(rng, want)
-        qf, pf, _, _, degenerate = evolve_batch(qs, ps, measure.domain, t, limit)
-        for i in np.flatnonzero(degenerate):
-            qf[i], pf[i], _ = evolve_resampled(measure, qs, ps, i, t, limit, rng, counter,
-                                               max_resample + count)
-        hits += int(box.contains_batch(qf[:, :n], pf[:, :n]).sum())
-        counter.accepted += want
-        done += want
-    return hits, counter
+    hits = [0] * len(boxes)
+    for done in range(0, count, 4096):
+        qf, pf, *_ = evolve_sampled(measure, min(4096, count - done), t, limit, rng, counter,
+                                    max_resample + count)
+        for k, box in enumerate(boxes):
+            hits[k] += int(box.contains_batch(qf[:, :n], pf[:, :n]).sum())
+    return (*hits, counter)
 
 
-def empirical_chunk_grand(measure: InitialMeasure, n: int, t: float, box: PhaseBox,
+def empirical_chunk_grand(measure: InitialMeasure, n: int, t: float, boxes: tuple,
                           limit: Limit, count: int, rng: np.random.Generator,
-                          max_resample: int = 200) -> tuple[RunningStats, RejectionCounter]:
-    """Ordered-tuple counts for one chunk of grand-canonical trajectories.
+                          max_resample: int = 200) -> tuple:
+    """The ordered-tuple count statistics of each box, then the chunk's
+    counter, for a chunk of grand-canonical trajectories.
 
     The chunk's shortfall of configurations is drawn in stream order and
     each particle number runs as one ``evolve_batch``; a configuration of
@@ -725,11 +726,11 @@ def empirical_chunk_grand(measure: InitialMeasure, n: int, t: float, box: PhaseB
     shortfall is drawn until ``count`` are accepted: the chunk takes the
     first ``count`` non-degenerate draws, as a one-at-a-time loop does."""
     counter = RejectionCounter()
-    stats = RunningStats()
+    stats = [RunningStats() for _ in boxes]
     while counter.accepted < count:
         drawn = [measure.sample_arrays(rng) for _ in range(count - counter.accepted)]
         sizes = np.array([len(q) for q, _ in drawn])
-        values = np.zeros(len(drawn))
+        values = np.zeros((len(boxes), len(drawn)))
         degenerate = np.zeros(len(drawn), dtype=bool)
         for k in np.unique(sizes[sizes >= n]):
             rows = np.flatnonzero(sizes == k)
@@ -737,28 +738,29 @@ def empirical_chunk_grand(measure: InitialMeasure, n: int, t: float, box: PhaseB
                 np.array([drawn[r][0] for r in rows]), np.array([drawn[r][1] for r in rows]),
                 measure.domain, t, limit)
             tuples = np.array(list(permutations(range(k), n)), dtype=int).reshape(-1, n)
-            inside = box.contains_batch(qf[:, tuples].reshape(-1, n, 3),
-                                        pf[:, tuples].reshape(-1, n, 3))
-            values[rows] = inside.reshape(len(rows), -1).sum(axis=1)
-        for value, bad in zip(values.tolist(), degenerate.tolist()):
+            q_tup, p_tup = qf[:, tuples].reshape(-1, n, 3), pf[:, tuples].reshape(-1, n, 3)
+            for b, box in enumerate(boxes):
+                values[b, rows] = box.contains_batch(q_tup, p_tup).reshape(len(rows), -1).sum(1)
+        for row, bad in zip(values.T.tolist(), degenerate.tolist()):
             if bad:
                 counter.degenerate += 1
                 if counter.degenerate > max_resample + count:
                     raise RuntimeError("excessive degenerate-trajectory rate")
             else:
-                stats.add(value)
+                for box_stats, value in zip(stats, row):
+                    box_stats.add(value)
                 counter.accepted += 1
-    return stats, counter
+    return (*stats, counter)
 
 
-def empirical_chunk(measure: InitialMeasure, n: int, t: float, box: PhaseBox, limit: Limit,
-                    count: int, rng: np.random.Generator, max_resample: int = 200):
-    """One chunk of forward trajectories: the hit count for a fixed-N
-    measure, the tuple-count statistics for a grand-canonical one, each
-    with its counter."""
+def empirical_chunk(measure: InitialMeasure, n: int, t: float, boxes: tuple, limit: Limit,
+                    count: int, rng: np.random.Generator, max_resample: int = 200) -> tuple:
+    """One chunk of forward trajectories, tallied in every box: per box the
+    hit count for a fixed-N measure, the tuple-count statistics for a
+    grand-canonical one, then the chunk's counter."""
     chunk = (empirical_chunk_grand if isinstance(measure.spec, GrandCanonicalEq)
              else empirical_chunk_fixed)
-    return chunk(measure, n, t, box, limit, count, rng, max_resample)
+    return chunk(measure, n, t, boxes, limit, count, rng, max_resample)
 
 
 def empirical_rho(measure: InitialMeasure, n: int, t: float, box: PhaseBox,
@@ -778,7 +780,7 @@ def empirical_rho(measure: InitialMeasure, n: int, t: float, box: PhaseBox,
     if not isinstance(measure.spec, GrandCanonicalEq) and n > measure.n_max:
         raise ValueError(f"n={n} exceeds particle number {measure.n_max}")
     return EmpiricalResult.of(measure.spec, n, samples, *empirical_chunk(
-        measure, n, t, box, limit, samples, rng, max_resample))
+        measure, n, t, (box,), limit, samples, rng, max_resample))
 
 
 # ---------------------------------------------------------------------------

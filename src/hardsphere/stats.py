@@ -29,9 +29,10 @@ class RunningStats:
         elif value < 0.0:
             self.negative += value
 
-    def add_many(self, values) -> None:
+    def add_many(self, values) -> "RunningStats":
         for v in values:
             self.add(float(v))
+        return self
 
     def merge(self, other: "RunningStats") -> None:
         self.count += other.count

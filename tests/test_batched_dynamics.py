@@ -453,19 +453,27 @@ def mod2():
 
 
 def test_chunk_fixed_matches_row_by_row_under_degeneracies(monkeypatch, mod2):
+    # 4200 rows cross the 4096-row batch boundary; every box is tallied on
+    # the same trajectories and equals its own row-by-row run, counter and
+    # stream position included
     force_degeneracies(monkeypatch)
-    box = delta_preset("bulk", BOX, 1.0)
-    # 4200 rows cross the 4096-row batch boundary
-    args = (mod2, 1, 2.0, box, Limit.FROM_FUTURE, 4200)
-    hits, counter = hierarchy.empirical_chunk_fixed(*args, np.random.default_rng(9))
-    ref_hits, ref_counter = reference_chunk_fixed(*args, np.random.default_rng(9))
+    boxes = (delta_preset("bulk", BOX, 1.0), delta_preset("near_wall", BOX, 1.0))
+    rng = np.random.default_rng(9)
+    got = hierarchy.empirical_chunk_fixed(mod2, 1, 2.0, boxes, Limit.FROM_FUTURE, 4200, rng)
+    after = rng.random()
+    *hits, counter = got
+    assert len(hits) == 2 and hits[0] != hits[1]
     assert counter.degenerate > 500
-    assert (hits, counter) == (ref_hits, ref_counter)
+    for box, box_hits in zip(boxes, hits):
+        ref_rng = np.random.default_rng(9)
+        want = reference_chunk_fixed(mod2, 1, 2.0, box, Limit.FROM_FUTURE, 4200, ref_rng)
+        assert (box_hits, counter) == want
+        assert ref_rng.random() == after
 
 
 def test_chunk_fixed_raises_past_resample_budget(monkeypatch, mod2):
     force_degeneracies(monkeypatch, always=True)
     box = delta_preset("bulk", BOX, 1.0)
     with pytest.raises(RuntimeError, match="excessive degenerate"):
-        hierarchy.empirical_chunk_fixed(mod2, 1, 2.0, box, Limit.FROM_FUTURE, 10,
+        hierarchy.empirical_chunk_fixed(mod2, 1, 2.0, (box,), Limit.FROM_FUTURE, 10,
                                         np.random.default_rng(3), max_resample=5)

@@ -214,14 +214,27 @@ def test_direction_draws_and_m_max_out_of_range_exit_2(tmp_path, capsys):
             ("grand_canonical_identity", "allocation", "[0.35, 0.45, 0.2, 0.1]",
              "allocation must be three positive numbers"),
             # one outer sample reported a NaN error bar and passed
-            ("map_roundtrip", "outer_samples", "1", "outer_samples must be at least 2")):
+            ("map_roundtrip", "outer_samples", "1", "outer_samples must be at least 2"),
+            # a non-positive beta0 raised from the proposal Maxwellian, a
+            # negative z ran and failed, and a side of one diameter or less
+            # raised from Domain, each after "config ok"
+            ("series_identity", "beta0", "0", "beta0 must be positive"),
+            ("prop5_onestep", "beta0", "-1.0", "beta0 must be positive"),
+            ("grand_canonical_identity", "z", "-5", "z must be positive"),
+            ("map_roundtrip", "z", "0", "z must be positive"),
+            ("grand_canonical_identity", "micro_box", "[2.5, 1.0, 1.2]",
+             "micro_box must be three sides above 1"),
+            ("map_roundtrip", "micro_box", "[0.5, 1.2, 1.2]",
+             "micro_box must be three sides above 1"),
+            ("map_roundtrip", "micro_box", "[2.5, 1.2]", "micro_box must be three sides above 1")):
         cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
                             + f"\n[check.{section}.bad]\n{key} = {value}\n")
         assert main(["validate", "--config", str(cfg_path)]) == 2
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert f"config error: {section}: {message}" in capsys.readouterr().err
     exp = small_exp()
-    exp.checks = [("series_identity", "", {"m_max": 0, "direction_draws": 2})]
+    exp.checks = [("series_identity", "", {"m_max": 0, "direction_draws": 2, "beta0": 0.5}),
+                  ("map_roundtrip", "", {"z": 0.5, "micro_box": [1.1, 1.1, 1.1]})]
     assert exp.validate() == []
     for draws in (0, -3):
         with pytest.raises(ValueError, match=f"^direction_draws must be at least 1, got {draws}$"):
@@ -494,6 +507,24 @@ def test_series_identity_passes_direction_draws(monkeypatch):
     assert seen == [{3}, {1}]
 
 
+def test_forward_workers_run_once_per_chunk_for_all_boxes(monkeypatch):
+    # a forward chunk's trajectories do not depend on the box, so a
+    # three-delta prop1_decomposition runs each forward worker once per
+    # chunk, with every box in it, not once per box
+    calls = []
+    for name in ("_w_empirical", "_w_prop1_forward"):
+        def counting(c, real=getattr(C, name), name=name):
+            calls.append((name, len(c.boxes)))
+            return real(c)
+
+        monkeypatch.setattr(C, name, counting)
+    exp = small_exp()
+    exp.chunk_size = 50
+    reports = C.run_check(exp, "prop1_decomposition", params={"samples": 120, "t": 2.0})
+    assert [r.case for r in reports] == ["bulk", "near_wall", "high_momentum"]
+    assert sorted(calls) == [("_w_empirical", 3)] * 3 + [("_w_prop1_forward", 3)] * 3
+
+
 def test_one_job_or_one_worker_opens_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was opened")
@@ -693,3 +724,47 @@ GOLDEN_OTHER_SHA256 = "6dcdc69dbd2d4915fe4985488eb0882ec3349e40f8d21190d28e8e2a9
 
 def test_golden_other_report_bytes(tmp_path):
     _assert_digest(GOLDEN_OTHER_INI, GOLDEN_OTHER_SHA256, tmp_path / "golden_other.jsonl")
+
+
+GOLDEN_MULTIBOX_INI = """
+[experiment]
+schema_version = 1
+seed = 16180339
+workers = 1
+norm_proposals = 100000
+chunk_size = 5000
+
+[domain]
+box = [0, 0, 0, 5, 5, 5]
+a = 1.0
+
+[density]
+variant = "modulated"
+n = 2
+beta = 1.0
+g_choice = "cos_x"
+g_amplitude = 0.5
+
+[check.prop5_onestep]
+samples = 6000
+t = 6.0
+inner_samples = 32
+deltas = ["bulk", "high_momentum"]
+
+[check.series_identity]
+samples = 6000
+t = 6.0
+inner_samples = 32
+deltas = ["bulk", "near_wall"]
+"""
+
+# SHA-256 of the canonical report of GOLDEN_MULTIBOX_INI, recorded while
+# each box still ran its own forward estimator (numpy 2.4, x86-64 Linux).
+# Both checks have two boxes on one forward run, and the first forward
+# chunk of 5000 trajectories crosses the 4096-row sampling batch, so a
+# change to the per-box tallies or to the batch boundary shows up here.
+GOLDEN_MULTIBOX_SHA256 = "0314bef2a49fb4c6c6c914bbd7f1dcd99a726ac6afbea95d51be3531140f7d67"
+
+
+def test_golden_multibox_report_bytes(tmp_path):
+    _assert_digest(GOLDEN_MULTIBOX_INI, GOLDEN_MULTIBOX_SHA256, tmp_path / "golden_multibox.jsonl")

@@ -749,11 +749,17 @@ def measures_by_n():
     return out
 
 
-def grand_box(domain):
+def grand_box(domain, share=0.4):
     lo, hi = np.array(domain.inset_lower), np.array(domain.inset_upper)
     q_hi = hi.copy()
-    q_hi[0] = lo[0] + 0.4 * (hi[0] - lo[0])
+    q_hi[0] = lo[0] + share * (hi[0] - lo[0])
     return PhaseBox.of([lo], [q_hi], [[-1.2] * 3], [[1.2] * 3])
+
+
+def grand_boxes(domain):
+    """The micro-box's box and a wider one, for forward chunks that tally
+    several boxes on the same trajectories."""
+    return grand_box(domain), grand_box(domain, 0.8)
 
 
 STRATA = ([(big_n, name, m, 1) for big_n in (2, 3) for name in ("bulk", "near_wall")
@@ -837,12 +843,12 @@ def test_check_workers_match_oracles(force, request):
         # the pull-back term is the series worker at m = 0
         back = (spec, BOX, 20_000, n, 4.0, box, 32, 150, (5, n, 2))
         got = checks._w_series(checks.Chunk(spec, BOX, 20_000, 150, (5, n, 2), n=n, t=4.0,
-                                            box=box, beta0=1.0, inner=32))
+                                            boxes=(box,), beta0=1.0, inner=32))
         want, rng = oracle_backmap(back)
         assert got == want
         one = (spec, BOX, 20_000, n, 4.0, box, 1.0, 32, 150, (5, n, 3))
         got = checks._w_prop5_collision(checks.Chunk(spec, BOX, 20_000, 150, (5, n, 3), n=n,
-                                                     t=4.0, box=box, beta0=1.0, inner=32))
+                                                     t=4.0, boxes=(box,), beta0=1.0, inner=32))
         want, rng = oracle_prop5(one)
         assert got == want
         assert got[1].blocked > 0
@@ -860,8 +866,8 @@ from hardsphere.dynamics import EPS_EVENT_REL, EventKind, reverse_momenta
 from hardsphere.measures import CanonicalEq
 
 
-def oracle_prop1_forward(c):
-    ms, rng, n, t, box, domain = c.measure, c.rng, c.n, c.t, c.box, c.domain
+def oracle_prop1_forward(c, box):
+    ms, rng, n, t, domain = c.measure, c.rng, c.n, c.t, c.domain
     d_stats = RunningStats()
     plus_stats = RunningStats()
     minus_stats = RunningStats()
@@ -991,20 +997,26 @@ def worker_and_stream(monkeypatch, worker, chunk):
 @pytest.mark.parametrize("count", [12, 160])
 def test_prop1_forward_matches_oracle(count, force, monkeypatch, request):
     # 12 trajectories give fewer group legs than the lockstep threshold,
-    # 160 more; on two boxes and for groups of one and two spheres
+    # 160 more; for groups of one and two spheres, each chunk tallied in
+    # several boxes, every one of which equals its own one-box loop
     if force:
         request.getfixturevalue("forced")
     spec = ModulatedProduct(3, 1.0)
+    pairs = [PhaseBox.of([[lo] * 3] * 2, [[hi] * 3] * 2, [[-1.5] * 3] * 2, [[1.5] * 3] * 2)
+             for lo, hi in ((0.5, 4.5), (1.0, 3.5))]
     legs = 0
-    for n, name in ((1, "bulk"), (1, "near_wall"), (2, None)):
-        box = (checks.delta_preset(name, BOX, 1.0) if name else
-               PhaseBox.of([[0.5] * 3] * 2, [[4.5] * 3] * 2, [[-1.5] * 3] * 2, [[1.5] * 3] * 2))
-        chunk = checks.Chunk(spec, BOX, 20_000, count, (7, n, count), n=n, t=6.0, box=box)
+    for n, boxes in ((1, tuple(checks.delta_preset(name, BOX, 1.0)
+                               for name in ("bulk", "near_wall", "high_momentum"))),
+                     (2, tuple(pairs))):
+        chunk = checks.Chunk(spec, BOX, 20_000, count, (7, n, count), n=n, t=6.0, boxes=boxes)
         got, rng = worker_and_stream(monkeypatch, checks._w_prop1_forward, chunk)
-        want, want_rng = oracle_prop1_forward(chunk)
-        assert got == want
-        assert rng.random() == want_rng.random()
-        legs += 2 * (got[1].total + got[2].total)
+        after = rng.random()
+        assert len(got) == 3 * len(boxes) + 1
+        for k, box in enumerate(boxes):
+            want, want_rng = oracle_prop1_forward(chunk, box)
+            assert (*got[3 * k:3 * k + 3], got[-1]) == want
+            assert want_rng.random() == after
+            legs += 2 * (got[3 * k + 1].total + got[3 * k + 2].total)
     assert legs > 0
 
 
@@ -1026,19 +1038,25 @@ def test_reversibility_worker_matches_oracle(force, monkeypatch, request):
 def test_chunk_grand_matches_oracle(measures_by_n, force, request):
     if force:
         request.getfixturevalue("forced")
+    # each chunk is tallied in two boxes, each equal to its own one-box loop
     ms = measures_by_n["grand"]
     lo, hi = ms.domain.inset_lower, ms.domain.inset_upper
-    pair_box = PhaseBox.of([lo, lo], [hi, hi], [[-3.0] * 3] * 2, [[3.0] * 3] * 2)
-    for n, t, box in ((1, 2.0, grand_box(ms.domain)), (2, 1.5, pair_box),
-                      (1, 0.0, grand_box(ms.domain))):
-        args = (ms, n, t, box, Limit.FROM_FUTURE, 400)
-        rng_new, rng_old = np.random.default_rng(n), np.random.default_rng(n)
-        got = hierarchy.empirical_chunk_grand(*args, rng_new)
-        want = oracle_chunk_grand(*args, rng_old)
-        assert got == want
-        assert rng_new.random() == rng_old.random()
-        assert got[0].total > 0
-        assert (got[1].degenerate > 0) == (force and t != 0.0)
+    pair_boxes = tuple(PhaseBox.of([lo, lo], [hi, hi], [[-p] * 3] * 2, [[p] * 3] * 2)
+                       for p in (3.0, 1.0))
+    for n, t, boxes in ((1, 2.0, grand_boxes(ms.domain)), (2, 1.5, pair_boxes),
+                        (1, 0.0, grand_boxes(ms.domain))):
+        rng_new = np.random.default_rng(n)
+        got = hierarchy.empirical_chunk_grand(ms, n, t, boxes, Limit.FROM_FUTURE, 400, rng_new)
+        after = rng_new.random()
+        *stats, counter = got
+        assert len(stats) == 2 and stats[0].total != stats[1].total
+        assert (counter.degenerate > 0) == (force and t != 0.0)
+        for box, box_stats in zip(boxes, stats):
+            rng_old = np.random.default_rng(n)
+            assert ((box_stats, counter)
+                    == oracle_chunk_grand(ms, n, t, box, Limit.FROM_FUTURE, 400, rng_old))
+            assert rng_old.random() == after
+            assert box_stats.total > 0
 
 
 @pytest.mark.parametrize("force", [False, True])
@@ -1058,20 +1076,30 @@ def test_chunk_grand_small_group_and_cap_match_oracle(measures_by_n, force, monk
         return real(q, *args, **kw)
 
     monkeypatch.setattr(hierarchy, "evolve_batch", spy)
-    args = (ms, 1, 2.0, grand_box(ms.domain), Limit.FROM_FUTURE, 150)
-    rng_new, rng_old = np.random.default_rng(9), np.random.default_rng(9)
-    got = hierarchy.empirical_chunk_grand(*args, rng_new)
-    want = oracle_chunk_grand(*args, rng_old)
-    assert got == want
-    assert rng_new.random() == rng_old.random()
+    boxes = grand_boxes(ms.domain)
+    args = (ms, 1, 2.0)
+    rng_new = np.random.default_rng(9)
+    got = hierarchy.empirical_chunk_grand(*args, boxes, Limit.FROM_FUTURE, 150, rng_new)
+    after = rng_new.random()
+    *stats, counter = got
+    for box, box_stats in zip(boxes, stats):
+        rng_old = np.random.default_rng(9)
+        assert ((box_stats, counter)
+                == oracle_chunk_grand(*args, box, Limit.FROM_FUTURE, 150, rng_old))
+        assert rng_old.random() == after
     assert min(rows[:2]) < dyn._BATCH_ROWS <= max(rows[:2])
-    assert (got[1].degenerate > 0) == force
+    assert (counter.degenerate > 0) == force
     if force:
-        cap = got[1].degenerate - args[-1]
-        for chunk in (hierarchy.empirical_chunk_grand, oracle_chunk_grand):
-            assert chunk(*args, np.random.default_rng(9), max_resample=cap) == got
+        cap = counter.degenerate - 150
+        for chunk, box, want in ((hierarchy.empirical_chunk_grand, boxes, got),
+                                 (oracle_chunk_grand, boxes[0], (stats[0], counter))):
+            def run(cap):
+                return chunk(*args, box, Limit.FROM_FUTURE, 150, np.random.default_rng(9),
+                             max_resample=cap)
+
+            assert run(cap) == want
             with pytest.raises(RuntimeError, match="^excessive degenerate-trajectory rate$"):
-                chunk(*args, np.random.default_rng(9), max_resample=cap - 1)
+                run(cap - 1)
 
 
 @pytest.fixture
@@ -1089,10 +1117,11 @@ def test_chunk_grand_all_degenerate_raises(measures_by_n, all_degenerate):
     # only the empty configurations are accepted, so the degenerate count
     # passes max_resample + count long before count draws are accepted
     ms = measures_by_n["grand"]
-    args = (ms, 1, 2.0, grand_box(ms.domain), Limit.FROM_FUTURE, 120)
-    for chunk in (hierarchy.empirical_chunk_grand, oracle_chunk_grand):
+    for chunk, box in ((hierarchy.empirical_chunk_grand, grand_boxes(ms.domain)),
+                       (oracle_chunk_grand, grand_box(ms.domain))):
         with pytest.raises(RuntimeError, match="^excessive degenerate-trajectory rate$"):
-            chunk(*args, np.random.default_rng(3), max_resample=10)
+            chunk(ms, 1, 2.0, box, Limit.FROM_FUTURE, 120, np.random.default_rng(3),
+                  max_resample=10)
 
 
 def oracle_uniform_sphere(rng):
@@ -1152,7 +1181,7 @@ def test_prop5_worker_modes_match_oracle(big_n, force, monkeypatch, request):
     monkeypatch.setattr(checks, "_LEVEL_ROWS", 6)
     spec = ModulatedProduct(big_n, 1.0)
     box = checks.delta_preset("near_wall", BOX, 1.0)
-    chunk = checks.Chunk(spec, BOX, 20_000, 40, (6, big_n), n=1, t=4.0, box=box, beta0=1.0,
+    chunk = checks.Chunk(spec, BOX, 20_000, 40, (6, big_n), n=1, t=4.0, boxes=(box,), beta0=1.0,
                          inner=16)
     got, rng = worker_and_stream(monkeypatch, checks._w_prop5_collision, chunk)
     want, want_rng = oracle_prop5((spec, BOX, 20_000, 1, 4.0, box, 1.0, 16, 40, (6, big_n)))
