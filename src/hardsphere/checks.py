@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from hardsphere.config import ExperimentConfig, check_params, delta_preset
+from hardsphere.config import ExperimentConfig, check_params, check_problems, delta_preset
 from hardsphere.dynamics import (
     EPS_EVENT_REL,
     DegeneracyError,
@@ -222,11 +222,7 @@ class Chunk:
 def _chunks(exp: ExperimentConfig, spec, samples: int, seed: tuple, domain: Domain | None = None,
             **own) -> list[Chunk]:
     """The chunks of an estimator of ``samples`` samples, with the workers'
-    own fields; chunk idx draws from the stream (exp.seed, *seed, idx).
-    Each box must hold the estimator's n particles."""
-    for box in own.get("boxes", ()):
-        if box.n != own["n"]:
-            raise ValueError(f"the box is {box.n}-particle, the check's n is {own['n']}")
+    own fields; chunk idx draws from the stream (exp.seed, *seed, idx)."""
     return [Chunk(spec, domain or exp.domain, exp.norm_proposals, count, (exp.seed, *seed, idx),
                   **own)
             for idx, count in enumerate(_chunk_counts(samples, exp.chunk_size))]
@@ -692,10 +688,6 @@ def _run_prop5(exp, label, params, key):
     if isinstance(spec, GrandCanonicalEq):
         raise ValueError("the one-step check needs a fixed particle number")
     n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
-    if spec.n_particles > n + 1:
-        # as in ExperimentConfig.validate: the term is the series cut after m = 1
-        raise ValueError(f"the collision term is exact only at N = n + 1, not at "
-                         f"N = {spec.n_particles} > n + 1 = {n + 1}")
     inner = int(params["inner_samples"])
     beta0 = float(params["beta0"] if params["beta0"] is not None else spec.beta)
     ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
@@ -833,7 +825,11 @@ _RUNNERS = {
 def run_check(exp: ExperimentConfig, check_id: str, label: str = "",
               params: dict | None = None) -> list[CheckReport]:
     """Run one check with ``params`` over its defaults (config.CHECK_PARAMS)
-    and stamp every report with the run's seed and config hash."""
+    and stamp every report with the run's seed and config hash; raises
+    ValueError with the problems of an entry that ``validate`` refuses."""
+    problems = check_problems(exp.density, check_id, params or {})
+    if problems:
+        raise ValueError("; ".join(problems))
     runner = _RUNNERS[check_id]
     key = _check_key(check_id, label)
     start = time.perf_counter()

@@ -153,6 +153,53 @@ def check_params(check_id: str, params: dict) -> dict:
     return {**defaults, **params}
 
 
+def check_problems(density: DensitySpec, cid: str, params: dict) -> list[str]:
+    """The problems of one check entry, its id and its parameters, in a
+    config of this density; empty means the entry is usable."""
+    table = CHECK_PARAMS.get(cid)
+    if table is None:
+        return [f"unknown check id {cid!r}"]
+    problems = []
+    for key, value in sorted(params.items()):
+        if key not in table:
+            problems.append(f"{cid}: unknown parameter {key!r}")
+        elif _json_kind(type(value)) not in _allowed_kinds(table[key]):
+            kinds = " or ".join(sorted(_allowed_kinds(table[key])))
+            problems.append(f"{cid}: {key} must be {kinds}")
+        elif _integer(table[key]) and value is not None and not _element_ok(
+                value, ("integer",)):
+            problems.append(f"{cid}: {key} must be integer")
+        elif key in _POSITIVE and value is not None and not value > 0:
+            problems.append(f"{cid}: {key} must be positive")
+        elif key in _NONEMPTY and value is not None and not value:
+            problems.append(f"{cid}: {key} must not be empty")
+        elif key in _ELEMENTS and value is not None and not all(
+                _element_ok(x, _ELEMENTS[key]) for x in value):
+            problems.append(f"{cid}: {key} entries must be {' or '.join(_ELEMENTS[key])}")
+        elif key == "m_max" and value is not None and value < 0:
+            problems.append(f"{cid}: m_max must not be negative")
+        elif key == "allocation" and not (len(value) == 3 and all(x > 0 for x in value)):
+            # the sample split over m = 0, 1 and >= 2
+            problems.append(f"{cid}: allocation must be three positive numbers")
+        elif key == "micro_box" and not (len(value) == 3 and all(x > 1 for x in value)):
+            # the sides in diameters; a side must leave a center its wall margin
+            problems.append(f"{cid}: micro_box must be three sides above 1 diameter")
+        elif (cid, key) in _AT_LEAST and min(np.ravel(value)) < _AT_LEAST[cid, key]:
+            what = f"{key} entries" if key == "n_list" else key
+            problems.append(f"{cid}: {what} must be at least {_AT_LEAST[cid, key]}")
+    if cid in _BOXES and not problems:
+        problems += _box_problems(cid, check_params(cid, params))
+    if cid == "prop5_onestep":
+        # its collision term S_{n+1}(s) rho_{n+1}(0) is the identity's
+        # rho_{n+1}(s) only when the n + 1 particles are the whole system
+        n, big_n = check_params(cid, params)["n"], getattr(density, "n_particles", 0)
+        if isinstance(n, int) and big_n > n + 1:
+            problems.append(f"{cid}: the collision term is exact only at N = n + 1, "
+                            f"at N = {big_n} > n + 1 = {n + 1} it is the series "
+                            "truncated after m = 1")
+    return problems
+
+
 @dataclass(slots=True)
 class ExperimentConfig:
     domain: Domain
@@ -185,50 +232,8 @@ class ExperimentConfig:
 
     def validate(self) -> list[str]:
         """Returns a list of problems; empty means the config is usable."""
-        problems = []
-        for cid, label, params in self.checks:
-            table = CHECK_PARAMS.get(cid)
-            if table is None:
-                problems.append(f"unknown check id {cid!r}")
-                continue
-            before = len(problems)
-            for key, value in sorted(params.items()):
-                if key not in table:
-                    problems.append(f"{cid}: unknown parameter {key!r}")
-                elif _json_kind(type(value)) not in _allowed_kinds(table[key]):
-                    kinds = " or ".join(sorted(_allowed_kinds(table[key])))
-                    problems.append(f"{cid}: {key} must be {kinds}")
-                elif _integer(table[key]) and value is not None and not _element_ok(
-                        value, ("integer",)):
-                    problems.append(f"{cid}: {key} must be integer")
-                elif key in _POSITIVE and value is not None and not value > 0:
-                    problems.append(f"{cid}: {key} must be positive")
-                elif key in _NONEMPTY and value is not None and not value:
-                    problems.append(f"{cid}: {key} must not be empty")
-                elif key in _ELEMENTS and value is not None and not all(
-                        _element_ok(x, _ELEMENTS[key]) for x in value):
-                    problems.append(f"{cid}: {key} entries must be {' or '.join(_ELEMENTS[key])}")
-                elif key == "m_max" and value is not None and value < 0:
-                    problems.append(f"{cid}: m_max must not be negative")
-                elif key == "allocation" and not (len(value) == 3 and all(x > 0 for x in value)):
-                    # the sample split over m = 0, 1 and >= 2
-                    problems.append(f"{cid}: allocation must be three positive numbers")
-                elif key == "micro_box" and not (len(value) == 3 and all(x > 1 for x in value)):
-                    # the sides in diameters; a side must leave a center its wall margin
-                    problems.append(f"{cid}: micro_box must be three sides above 1 diameter")
-                elif (cid, key) in _AT_LEAST and min(np.ravel(value)) < _AT_LEAST[cid, key]:
-                    what = f"{key} entries" if key == "n_list" else key
-                    problems.append(f"{cid}: {what} must be at least {_AT_LEAST[cid, key]}")
-            if cid in _BOXES and len(problems) == before:
-                problems += _box_problems(cid, check_params(cid, params))
-            if cid == "prop5_onestep":
-                # its collision term S_{n+1}(s) rho_{n+1}(0) is the identity's
-                # rho_{n+1}(s) only when the n + 1 particles are the whole system
-                n, big_n = check_params(cid, params)["n"], getattr(self.density, "n_particles", 0)
-                if isinstance(n, int) and big_n > n + 1:
-                    problems.append(f"{cid}: the collision term is exact only at N = n + 1, "
-                                    f"at N = {big_n} > n + 1 = {n + 1} it is the series "
-                                    "truncated after m = 1")
+        problems = [p for cid, _, params in self.checks
+                    for p in check_problems(self.density, cid, params)]
         if self.workers < 1:
             problems.append("workers must be >= 1")
         if self.sigma <= 0:

@@ -42,6 +42,7 @@ from hardsphere.measures import (
     GrandCanonicalEq,
     InitialMeasure,
     Maxwellian,
+    _clear,
     config_from_arrays,
     config_to_arrays,
 )
@@ -826,13 +827,8 @@ def pair_collision_rate(measure: InitialMeasure, samples: int,
         rest = lo + rng.random((b, big_n - 2, 3)) * (hi - lo)
         pos = np.concatenate([q1[:, None, :], q2[:, None, :], rest], axis=1)
         ok = ((pos >= lo - 1e-12) & (pos <= hi + 1e-12)).all(axis=(1, 2))
-        a2 = a * a * (1.0 - 1e-12)
-        for i in range(big_n):
-            for j in range(i + 1, big_n):
-                if i == 0 and j == 1:
-                    continue  # the contact pair itself sits exactly at a
-                d = pos[:, i, :] - pos[:, j, :]
-                ok &= np.einsum("ij,ij->i", d, d) >= a2
+        # every pair but the contact pair (0, 1), which sits exactly at a
+        ok &= _clear(np.ascontiguousarray(pos.transpose(2, 1, 0)), a * a * (1.0 - 1e-12), 2)
         w = np.prod(measure.g(pos), axis=1) * ok
         vals[done:done + b] = w
         done += b

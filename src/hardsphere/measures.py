@@ -30,6 +30,8 @@ _NORM_BLOCK = 4096
 # Inner positions evaluated per block by CorrelationVector.eval_drawn;
 # bounds its arrays to a few MB whatever the number of rows.
 _INNER_BLOCK = 1 << 17
+# the seed of every measure's normalization stream
+_NORM_SEED = 2_0250_101
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,33 +128,22 @@ def _g_factory(spec, domain: Domain):
     return g, 1.0 + amp
 
 
-def _sq3(d: np.ndarray) -> np.ndarray:
-    """Squared lengths over the last axis, summed x*x + y*y + z*z: every
-    hard-core test uses this one order, so a configuration near a
-    threshold gets the same verdict from each of them."""
-    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
-
-
-def _clear(c: np.ndarray, a2: float) -> np.ndarray:
-    """All-pairs hard-core test on coordinate-major centers c (3, n, L):
-    True where every pair is at squared distance a2 or more, each squared
-    distance summed dx*dx + dy*dy + dz*dz as ``_sq3`` sums it.  Each pair
-    runs through two row buffers, so a block of rows stays in cache."""
-    n, rows = c.shape[1:]
-    ok = np.ones(rows, dtype=bool)
-    s = np.empty(rows)
-    d = np.empty(rows)
-    hit = np.empty(rows, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            np.subtract(c[0, i], c[0, j], out=s)
-            s *= s
-            for k in (1, 2):
-                np.subtract(c[k, i], c[k, j], out=d)
-                d *= d
-                s += d
-            np.greater_equal(s, a2, out=hit)
-            ok &= hit
+def _clear(c: np.ndarray, a2: float, fixed: int = 0) -> np.ndarray:
+    """The hard-core test on contiguous coordinate-major centers c
+    (3, n, L): True where every pair is at squared distance a2 or more,
+    except pairs among the first ``fixed`` centers, which are not tested.
+    Every hard-core test of the measures runs here, each squared distance
+    summed dx*dx + dy*dy + dz*dz, so a configuration near a threshold gets
+    one verdict.  Most calls have a few rows, so nothing is written in
+    place into a one-element array, where numpy's aliased ``out=`` costs
+    twice a new array; the (3, L) difference never has one element."""
+    ok = np.empty(c.shape[2], dtype=bool)
+    ok.fill(True)   # a third of np.ones' cost on one row
+    for j in range(max(fixed, 1), c.shape[1]):
+        for i in range(j):
+            d = c[:, i] - c[:, j]
+            d *= d
+            ok = ok & (d[0] + d[1] + d[2] >= a2)
     return ok
 
 
@@ -163,7 +154,7 @@ class InitialMeasure:
     parallel workers just use independently seeded streams.
     """
 
-    def __init__(self, spec: DensitySpec, domain: Domain, norm_seed: int = 2_0250_101,
+    def __init__(self, spec: DensitySpec, domain: Domain,
                  norm_proposals: int = NORM_PROPOSALS):
         self.spec = spec
         self.domain = domain
@@ -173,7 +164,12 @@ class InitialMeasure:
         self._ins_lo = np.array(domain.inset_lower)
         self._ins_hi = np.array(domain.inset_upper)
         self._ins_vol = domain.inset_volume
-        rng = np.random.default_rng(np.random.SeedSequence((norm_seed, norm_proposals)))
+        # admissible_batch's coordinate-major wall bounds and squared
+        # diameter, each widened by a tolerance so that contact counts
+        tol = 1e-9 * domain.a
+        self._margins = ((self._ins_lo - tol)[:, None, None],
+                         (self._ins_hi + tol)[:, None, None], (domain.a - tol) ** 2)
+        rng = np.random.default_rng(np.random.SeedSequence((_NORM_SEED, norm_proposals)))
         if isinstance(spec, GrandCanonicalEq):
             self.n_max = self._probe_occupancy(spec.n_cap, rng)
             self._z_pos = {0: (1.0, 0.0)}
@@ -281,14 +277,9 @@ class InitialMeasure:
 
     def admissible_batch(self, q: np.ndarray) -> np.ndarray:
         """``admissible`` for each row of (B, n, 3) position sets."""
-        tol = 1e-9 * self.domain.a
-        ok = ~((q < self._ins_lo - tol) | (q > self._ins_hi + tol)).any(axis=(1, 2))
-        a2 = (self.domain.a - tol) ** 2
-        n = q.shape[1]
-        for i in range(n):
-            for j in range(i + 1, n):
-                ok &= _sq3(q[:, i] - q[:, j]) >= a2
-        return ok
+        c = np.ascontiguousarray(q.transpose(2, 1, 0))
+        lo, hi, a2 = self._margins
+        return ~((c < lo) | (c > hi)).any(axis=(0, 1)) & _clear(c, a2)
 
     # -- the spec operations --------------------------------------------------
 
@@ -415,16 +406,14 @@ class InitialMeasure:
     def _placement_weights(self, q_base: np.ndarray, q: np.ndarray) -> np.ndarray:
         """prod g of each drawn placement q (R, samples, m, 3), zero where it
         overlaps the base centers q_base (R, n, 3) or itself."""
-        m = q.shape[2]
-        a2 = self.domain.a ** 2
-        # squared distances of each drawn position to the base centers and
-        # to the drawn positions after it
-        d2 = [_sq3(q[:, :, :, None] - q_base[:, None, None])]
-        d2 += [_sq3(q[:, :, i, None] - q[:, :, i + 1:]) for i in range(m - 1)]
-        ok = np.ones(q.shape[:2], dtype=bool)
-        for d in d2:
-            ok &= (d >= a2).all(axis=tuple(range(2, d.ndim)))
-        return np.prod(self.g(q), axis=2) * ok
+        rows, k, m = q.shape[:3]
+        n = q_base.shape[1]
+        # the base centers, then the drawn ones, of each placement
+        c = np.empty((3, n + m, rows, k))
+        c[:, :n] = q_base.transpose(2, 1, 0)[..., None]
+        c[:, n:] = q.transpose(3, 2, 0, 1)
+        ok = _clear(c.reshape(3, n + m, rows * k), self.domain.a ** 2, n)
+        return np.prod(self.g(q), axis=2) * ok.reshape(rows, k)
 
 
 def config_from_arrays(q: np.ndarray, p: np.ndarray, domain: Domain) -> Configuration:
@@ -549,24 +538,22 @@ class InverseDensity:
 
     Evaluates the density level n as the signed sum over integrals of
     higher correlation levels; integrals are MC with uniform positions and
-    Maxwellian proposal momenta at beta0, each level's outer samples
-    evaluated in one batch.
+    Maxwellian proposal momenta at the measure's beta, each level's outer
+    samples evaluated in one batch.
     """
 
-    def __init__(self, rho: CorrelationVector, beta0: float | None = None,
-                 outer_samples: int = 256):
+    def __init__(self, rho: CorrelationVector, outer_samples: int = 256):
         if outer_samples < 2:
             raise ValueError(f"outer_samples must be at least 2, got {outer_samples}")
         self.rho = rho
         self.measure = rho.measure
-        self.beta0 = beta0 if beta0 is not None else rho.measure.beta
         self.outer_samples = outer_samples
         self.n_max = rho.n_max
 
     def eval_arrays(self, q: np.ndarray, p: np.ndarray, rng) -> tuple[float, float]:
         ms = self.measure
         n = len(q)
-        prop = Maxwellian(self.beta0)
+        prop = ms.maxwellian
         total, se = self.rho.eval_arrays(q, p, rng)
         var = se * se
         ko = self.outer_samples
@@ -586,9 +573,8 @@ class InverseDensity:
         return (total, math.sqrt(var))
 
 
-def inverse_correlation_map(rho: CorrelationVector, beta0: float | None = None,
-                            outer_samples: int = 256) -> InverseDensity:
-    return InverseDensity(rho, beta0, outer_samples)
+def inverse_correlation_map(rho: CorrelationVector, outer_samples: int = 256) -> InverseDensity:
+    return InverseDensity(rho, outer_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +624,9 @@ def spec_from_block(block: dict) -> tuple[DensitySpec, Domain]:
 
 
 @lru_cache(maxsize=64)
-def get_measure(spec: DensitySpec, domain: Domain, norm_seed: int = 2_0250_101,
+def get_measure(spec: DensitySpec, domain: Domain,
                 norm_proposals: int = NORM_PROPOSALS) -> InitialMeasure:
     """Cached measure factory: normalization constants are computed once
     per (spec, domain) in each process, from a fixed normalization
     stream, so parallel workers agree bit for bit."""
-    return InitialMeasure(spec, domain, norm_seed, norm_proposals)
+    return InitialMeasure(spec, domain, norm_proposals)

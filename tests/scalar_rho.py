@@ -67,7 +67,7 @@ def inverse_eval_arrays(inv, q, p, rng):
     """``InverseDensity.eval_arrays``, one outer sample at a time."""
     ms = inv.measure
     n = len(q)
-    prop = Maxwellian(inv.beta0)
+    prop = Maxwellian(ms.beta)
     total = 0.0
     var = 0.0
     for m in range(0, inv.n_max - n + 1):

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 import hardsphere.dynamics as dyn
 from hardsphere import checks as C
-from hardsphere.config import CHECK_IDS, dump_config, loads_config
+from hardsphere.config import CHECK_IDS, dump_config, load_config, loads_config
 from hardsphere.geometry import Domain, Vec3
 from hardsphere.hierarchy import PhaseBox, SeriesParams
 from hardsphere.measures import GrandCanonicalEq, ModulatedProduct
@@ -281,10 +282,11 @@ def test_prop5_rejects_more_than_n_plus_1_particles(tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("config error: prop5_onestep: the collision term is exact only at N = n + 1, "
             "at N = 3 > n + 1 = 2 it is the series truncated after m = 1") in err
-    # run_all and run_check skip validate: the runner refuses it itself
+    # run_check refuses it with validate's words
     exp = loads_config(cfg_path.read_text())
-    with pytest.raises(ValueError, match=r"^the collision term is exact only at N = n \+ 1, "
-                                         r"not at N = 3 > n \+ 1 = 2$"):
+    with pytest.raises(ValueError, match=r"^prop5_onestep: the collision term is exact only "
+                                         r"at N = n \+ 1, at N = 3 > n \+ 1 = 2 it is the "
+                                         r"series truncated after m = 1$"):
         C.run_check(exp, "prop5_onestep", params={"samples": 100})
     pair = {"q_lo": [[1] * 3] * 2, "q_hi": [[2] * 3] * 2, "p_lo": [[-1] * 3] * 2,
             "p_hi": [[1] * 3] * 2}
@@ -294,8 +296,8 @@ def test_prop5_rejects_more_than_n_plus_1_particles(tmp_path, capsys):
 
 def test_box_must_hold_the_checks_n_particles(tmp_path, capsys, monkeypatch):
     # a one-particle preset box with n = 2 would compare particle 0's
-    # intervals against both particles; validate refuses it, and every
-    # runner refuses it too before any chunk runs
+    # intervals against both particles; validate refuses it, and so does
+    # run_check for every check, before any chunk runs
     ran = []
     monkeypatch.setattr(C, "_map_ordered", lambda *args: ran.append(args))
     exp = small_exp()
@@ -305,7 +307,7 @@ def test_box_must_hold_the_checks_n_particles(tmp_path, capsys, monkeypatch):
                         ("prop5_onestep", {"n": 2, "samples": 10, "deltas": ["bulk"]}),
                         ("series_identity", {"n": 2, "samples": 10, "deltas": ["bulk"]}),
                         ("grand_canonical_identity", {"n": 2, "samples": 10})):
-        with pytest.raises(ValueError, match="^the box is 1-particle, the check's n is 2$"):
+        with pytest.raises(ValueError, match=f"^{cid}: the box is 1-particle, the check's n is 2$"):
             C.run_check(exp, cid, params=params)
     cfg_path = tmp_path / "exp.ini"
     for section in ('liouville]\ndelta = "bulk"', 'prop1_decomposition]\ndeltas = ["bulk"]',
@@ -399,6 +401,40 @@ def test_check_filter_keeps_seeds_stable(tmp_path):
             for r in C.run_all(exp, only=["lemma2_rate"])}
     for k, v in only.items():
         assert all_reports[k] == v
+
+
+def test_run_check_refuses_what_validate_refuses(monkeypatch):
+    # run_check and run_all call the same per-entry rules as validate and
+    # raise with its words before any runner starts
+    ran = []
+    monkeypatch.setattr(C, "_map_ordered", lambda *args: ran.append(args))
+    exp = small_exp()
+    for cid, params, problem in (
+            ("grand_canonical_identity", {"z": -5.0, "samples": 300}, "z must be positive"),
+            ("liouville", {"samples": 0}, "samples must be positive"),
+            ("liouville", {"bogus": 1}, "unknown parameter 'bogus'"),
+            ("series_identity", {"beta0": -1.0}, "beta0 must be positive")):
+        with pytest.raises(ValueError, match=f"^{cid}: {re.escape(problem)}$"):
+            C.run_check(exp, cid, params=params)
+        exp.checks = [(cid, "", params)]
+        assert exp.validate() == [f"{cid}: {problem}"]
+        with pytest.raises(ValueError, match=f"^{cid}: {re.escape(problem)}$"):
+            C.run_all(exp)
+    with pytest.raises(ValueError, match="^unknown check id 'bogus'$"):
+        C.run_check(exp, "bogus")
+    assert ran == []
+
+
+@pytest.mark.parametrize("source", ["configs/quick.ini", "configs/spec_default.ini",
+                                    "perfbench/suite.ini", "default_experiment"])
+def test_shipped_configs_validate(source):
+    # run_check now refuses what validate refuses, so a shipped config
+    # with a problem would stop a run or the benchmark's suite pass
+    root = Path(__file__).resolve().parent.parent
+    exp = default_experiment() if source == "default_experiment" else load_config(
+        str(root / source))
+    assert exp.checks
+    assert exp.validate() == []
 
 
 def test_cli_end_to_end(tmp_path, capsys):

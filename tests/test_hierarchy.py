@@ -6,6 +6,7 @@ import pytest
 from hardsphere.dynamics import Limit, evolve
 from hardsphere.geometry import Configuration, Domain, PhasePoint, Vec3
 from hardsphere.hierarchy import (
+    UNORDERED_PAIR_FACTOR,
     CollisionHistory,
     HistoryStatus,
     PhaseBox,
@@ -404,6 +405,63 @@ def test_pair_collision_rate_positive_and_tight(eq2):
     rate, err = pair_collision_rate(eq2, 400_000, np.random.default_rng(15))
     assert rate > 0
     assert err < 0.01 * rate
+
+
+def verbatim_pair_collision_rate(measure, samples, rng):
+    """``pair_collision_rate`` with the einsum loop that the hard-core
+    kernel replaced (fixed-N measures of two or more spheres)."""
+    big_n = measure.spec.n_particles
+    dom = measure.domain
+    a = dom.a
+    momentum_flux = 1.0 / math.sqrt(math.pi * measure.beta)
+
+    lo = np.array(dom.inset_lower)
+    hi = np.array(dom.inset_upper)
+    vol = measure.domain.inset_volume
+
+    vals = np.empty(samples)
+    done = 0
+    batch = 200_000
+    while done < samples:
+        b = min(batch, samples - done)
+        u = rng.normal(size=(b, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        q1 = lo + rng.random((b, 3)) * (hi - lo)
+        q2 = q1 + a * u
+        rest = lo + rng.random((b, big_n - 2, 3)) * (hi - lo)
+        pos = np.concatenate([q1[:, None, :], q2[:, None, :], rest], axis=1)
+        ok = ((pos >= lo - 1e-12) & (pos <= hi + 1e-12)).all(axis=(1, 2))
+        a2 = a * a * (1.0 - 1e-12)
+        for i in range(big_n):
+            for j in range(i + 1, big_n):
+                if i == 0 and j == 1:
+                    continue  # the contact pair itself sits exactly at a
+                d = pos[:, i, :] - pos[:, j, :]
+                ok &= np.einsum("ij,ij->i", d, d) >= a2
+        w = np.prod(measure.g(pos), axis=1) * ok
+        vals[done:done + b] = w
+        done += b
+    geom_mean = float(vals.mean())
+    geom_se = float(vals.std(ddof=1) / math.sqrt(samples))
+    z_n, z_err = measure.position_partition(big_n)
+    prefac = (UNORDERED_PAIR_FACTOR * a * a * momentum_flux
+              * falling_factorial(big_n, 2) / z_n
+              * 4.0 * math.pi * vol ** (big_n - 1))
+    rate = prefac * geom_mean
+    rel = math.sqrt((geom_se / geom_mean) ** 2 + (z_err / z_n) ** 2) if geom_mean > 0 else 0.0
+    return (rate, abs(rate) * rel)
+
+
+@pytest.mark.parametrize("big_n", [3, 5])
+def test_pair_collision_rate_matches_verbatim_loop(big_n):
+    # every pair but the contact pair is tested: rate, stderr and the
+    # stream equal the old loop's bit for bit, across a short last batch
+    ms = InitialMeasure(ModulatedProduct(big_n, 1.0), BOX, norm_proposals=20_000)
+    rng_new, rng_old = np.random.default_rng(16), np.random.default_rng(16)
+    got = pair_collision_rate(ms, 230_000, rng_new)
+    assert got == verbatim_pair_collision_rate(ms, 230_000, rng_old)
+    assert got[0] > 0
+    assert rng_new.random() == rng_old.random()
 
 
 def test_series_headline_small_scale(mod2):

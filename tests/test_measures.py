@@ -321,16 +321,43 @@ def differing_rows(got, want, first=5) -> list:
 STRADDLE = pytest.mark.parametrize("ulps", [4], ids=["as_is"])
 
 
+def sq3(d):
+    """Squared lengths over the last axis, as the hard-core tests summed
+    them before they ran on one kernel."""
+    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
+
+
+def verbatim_admissible_batch(self, q):
+    """``admissible_batch`` with the per-pair loop that the kernel
+    replaced."""
+    tol = 1e-9 * self.domain.a
+    ok = ~((q < self._ins_lo - tol) | (q > self._ins_hi + tol)).any(axis=(1, 2))
+    a2 = (self.domain.a - tol) ** 2
+    n = q.shape[1]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ok &= sq3(q[:, i] - q[:, j]) >= a2
+    return ok
+
+
 @STRADDLE
 def test_admissible_batch_matches_scalar(modulated2, ulps):
-    rng = np.random.default_rng(41)
+    # against the old per-pair loop, in bulk and one row at a time (the
+    # batches of place() and admissible), with one pair per row at the
+    # threshold a - tol give or take a few ulps and rows past the walls
     tol = 1e-9 * A
-    first = 1.5 + rng.random((3000, 3)) * 2.0
-    q = np.stack([first, touching(rng, 3000, first, A - tol, ulps),
-                  0.5 + rng.random((3000, 3)) * 4.0], axis=1)
-    want = [modulated2.admissible(row) for row in q]
-    assert differing_rows(modulated2.admissible_batch(q), want) == []
-    assert 0 < sum(want) < len(want)
+    for n in (2, 3, 5):
+        rng = np.random.default_rng(41 + n)
+        q = near_contact_sets(rng, 3000, n, A - tol, ulps)
+        # in every fifth row a center half, one or two tolerances past a wall
+        w = np.arange(1, len(q), 5)
+        out = rng.integers(0, 2, len(w))
+        q[w, 0, rng.integers(0, 3, len(w))] = (np.where(out, 4.5, 0.5) + (2 * out - 1) * tol
+                                               * rng.choice([0.5, 1.0, 2.0], len(w)))
+        want = verbatim_admissible_batch(modulated2, q)
+        assert differing_rows(modulated2.admissible_batch(q), want) == []
+        assert differing_rows([modulated2.admissible(row) for row in q], want) == []
+        assert 0 < want.sum() < len(want)
 
 
 @pytest.mark.parametrize("spec_name", ["modulated3", "grand"])
@@ -374,6 +401,40 @@ def test_exclusion_batch_near_contact_matches_scalar(ulps):
     assert differing_rows(got, want) == []
 
 
+def verbatim_placement_weights(self, q_base, q):
+    """``_placement_weights`` with the broadcast test that the kernel
+    replaced."""
+    m = q.shape[2]
+    a2 = self.domain.a ** 2
+    d2 = [sq3(q[:, :, :, None] - q_base[:, None, None])]
+    d2 += [sq3(q[:, :, i, None] - q[:, :, i + 1:]) for i in range(m - 1)]
+    ok = np.ones(q.shape[:2], dtype=bool)
+    for d in d2:
+        ok &= (d >= a2).all(axis=tuple(range(2, d.ndim)))
+    return np.prod(self.g(q), axis=2) * ok
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (1, 1), (1, 2), (2, 1), (2, 3)])
+def test_placement_weights_match_verbatim_broadcast(modulated2, n, m):
+    # a drawn center a few ulps either side of the diameter from a base
+    # center, and the next drawn one from it: the weights equal the old
+    # broadcast test's bit for bit
+    rng = np.random.default_rng(49 + 10 * n + m)
+    rows, k = 40, 16
+    base = 0.5 + rng.random((rows, n, 3)) * 4.0
+    inner = 0.5 + rng.random((rows, k, m, 3)) * 4.0
+    if n:
+        anchor = base[np.arange(rows)[:, None], rng.integers(0, n, (rows, k))]
+        inner[:, :, 0] = touching(rng, rows * k, anchor.reshape(-1, 3), A).reshape(rows, k, 3)
+    if m > 1:
+        inner[:, :, 1] = touching(rng, rows * k, inner[:, :, 0].reshape(-1, 3),
+                                  A).reshape(rows, k, 3)
+    got = modulated2._placement_weights(base, inner)
+    want = verbatim_placement_weights(modulated2, base, inner)
+    assert differing_rows(got.ravel(), want.ravel()) == []
+    assert 0 < (want > 0).sum() < want.size
+
+
 def verbatim_pairwise_ok(q, a):
     """The all-pairs exclusion test that the coordinate-major kernel
     replaced, on a batch of position sets (B, n, 3)."""
@@ -381,7 +442,7 @@ def verbatim_pairwise_ok(q, a):
     ok = np.ones(q.shape[0], dtype=bool)
     for i in range(n):
         for j in range(i + 1, n):
-            ok &= measures._sq3(q[:, i, :] - q[:, j, :]) >= a * a
+            ok &= sq3(q[:, i, :] - q[:, j, :]) >= a * a
     return ok
 
 
@@ -429,22 +490,22 @@ def test_normalization_matches_verbatim_loop(spec, domain, monkeypatch):
     assert rng_new.random() == rng_old.random()
 
 
-def near_contact_sets(rng, rows, n):
-    """Position sets (rows, n, 3) in BOX with one pair per row at the
-    diameter give or take a few ulps: every third pair axis-aligned with
-    exact coordinates (at A exactly when the offset is 0), the others in a
-    random direction."""
+def near_contact_sets(rng, rows, n, dist=A, ulps=4):
+    """Position sets (rows, n, 3) in BOX with one pair per row at ``dist``
+    give or take a few ulps: every third pair axis-aligned with exact
+    coordinates (at ``dist`` exactly, as float rounds it, when the offset
+    is 0), the others in a random direction."""
     q = 0.5 + rng.random((rows, n, 3)) * 4.0
     if n < 2:
         return q
     r = np.arange(rows)
     i = rng.integers(0, n, rows)
     j = (i + rng.integers(1, n, rows)) % n
-    q[r, j] = touching(rng, rows, q[r, i], A)
+    q[r, j] = touching(rng, rows, q[r, i], dist, ulps)
     e = r[::3]
     q[e, i[e]] = [1.5, 2.0, 2.0]
-    q[e, j[e]] = [2.5, 2.0, 2.0]
-    q[e, j[e], 0] += np.spacing(2.5) * rng.integers(-4, 5, len(e))
+    q[e, j[e]] = [1.5 + dist, 2.0, 2.0]
+    q[e, j[e], 0] += np.spacing(1.5 + dist) * rng.integers(-ulps, ulps + 1, len(e))
     return q
 
 
@@ -459,6 +520,20 @@ def test_clear_matches_verbatim_pairwise_ok(n, rows):
     assert differing_rows(got, want) == []
     if n > 1 and rows > 1:
         assert 0 < want.sum() < rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_clear_skips_only_pairs_among_the_fixed_centers(n):
+    # for each fixed, the verdict is the old per-pair test on every pair
+    # but those among the first fixed centers
+    q = near_contact_sets(np.random.default_rng(45 + n), 2000, n)
+    c = np.ascontiguousarray(q.transpose(2, 1, 0))
+    for fixed in range(n + 1):
+        want = np.ones(len(q), dtype=bool)
+        for i in range(n):
+            for j in range(max(i + 1, fixed), n):
+                want &= sq3(q[:, i] - q[:, j]) >= A * A
+        assert differing_rows(measures._clear(c, A * A, fixed), want) == []
 
 
 def verbatim_probe_occupancy(self, cap, rng):
