@@ -28,8 +28,9 @@ _NORM_BATCH = 250_000
 # so that the block's temporaries stay in cache.
 _NORM_BLOCK = 4096
 # Inner positions evaluated per block by CorrelationVector.eval_drawn;
-# bounds its arrays to a few MB whatever the number of rows.
-_INNER_BLOCK = 1 << 17
+# bounds its arrays to a few MB whatever the number of rows (the hard-core
+# kernel's coordinate-major copy of a block's centers included).
+_INNER_BLOCK = 1 << 16
 # the seed of every measure's normalization stream
 _NORM_SEED = 2_0250_101
 
