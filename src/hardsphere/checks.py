@@ -53,7 +53,6 @@ from hardsphere.measures import (
     GrandCanonicalEq,
     InitialMeasure,
     Maxwellian,
-    ModulatedProduct,
     correlation_map,
     get_measure,
     inverse_correlation_map,
@@ -333,10 +332,11 @@ def _w_prop5_collision(c: Chunk):
     time s, the box point, the added momentum and the contact direction,
     evaluated through the same history machinery as the series.  The 2n
     histories of a sample, (j, +omega) and (j, -omega) for each receiver j,
-    share their first leg.  At N = n + 1 the terminals need no inner
-    samples, so all draws come first and each block of samples is built
-    as one tree, as in the series' lockstep mode."""
+    share their first leg.  All draws come first and each block of
+    samples is built as one tree, as in the series; the terminals draw
+    their inner samples from a generator spawned from the chunk's."""
     ms, rng, n, t, box, domain, inner = c.measure, c.rng, c.n, c.t, c.boxes[0], c.domain, c.inner
+    inner_rng = rng.spawn(1)[0]
     rho0 = correlation_map(ms)
     prop = Maxwellian(c.beta0)
     vol = box.volume
@@ -370,7 +370,7 @@ def _w_prop5_collision(c: Chunk):
         degenerate = ~seen[:, -1]
         counter.degenerate += int(degenerate.sum())
         ev = np.flatnonzero((status == _VALID) & ~degenerate[:, None])
-        ok, u = rho0.draw_inner(q[ev], rng, inner)
+        ok, u = rho0.draw_inner(q[ev], inner_rng, inner)
         vals = np.zeros(nb * width)
         vals[ev[ok]] = rho0.eval_drawn(q[ev[ok]], p[ev[ok]], u, inner)[0]
         vals = vals.reshape(nb, width)
@@ -558,19 +558,10 @@ def _run_reversibility(exp, label, params, key):
             for (n, t, _), (worst, events, skipped, ctr) in zip(cases, results)]
 
 
-def _equilibrium_spec(exp) -> CanonicalEq:
-    spec = exp.density
-    if isinstance(spec, CanonicalEq):
-        return spec
-    if isinstance(spec, ModulatedProduct):
-        return CanonicalEq(spec.n_particles, spec.beta)
-    raise ValueError("equilibrium checks need a fixed particle number")
-
-
 def _run_liouville(exp, label, params, key):
     # stationarity holds for the equilibrium measure only, so a modulated
     # experiment density is swapped for its equilibrium counterpart here
-    spec = _equilibrium_spec(exp)
+    spec = CanonicalEq(exp.density.n_particles, exp.density.beta)
     n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
     times = params["times"] if params["times"] is not None else [t / 3.0, 2.0 * t / 3.0, t]
     _, box = _resolve_delta(params["delta"], exp.domain, spec.beta)
@@ -613,13 +604,15 @@ def _run_special_flow(exp, label, params, key):
 
     rot = SpecialFlow(RotationBase(alpha=0.5 * (math.sqrt(5.0) - 1.0)),
                       Ceiling(1.0, 0.3, 1))
+    chk = verify_identity(rot, t, resolution)
+    # the ladder ends at the check's own coarse quadrature
     ladder = (max(resolution // 16, 16), max(resolution // 4, 64), resolution)
-    errs = [abs(collision_count_sum(rot, t, r) - t) for r in ladder]
+    errs = [abs(collision_count_sum(rot, t, r) - t) for r in ladder[:-1]] + [abs(chk.coarse - t)]
     # midpoint quadrature converges at order ~2 on the kinked integrand but
     # oscillates locally, so measure the order across the whole ladder
     order = (math.log(errs[0] / errs[-1]) / math.log(ladder[-1] / ladder[0])
              if errs[-1] > 0 else math.inf)
-    rep = report("rotation", verify_identity(rot, t, resolution),
+    rep = report("rotation", chk,
                  detail={"refinement_errors": errs, "order": order,
                          "shrinking": bool(order >= 1.0 or errs[-1] < 1e-12)})
     rep.passed = bool(rep.passed and rep.detail["shrinking"])
@@ -654,12 +647,8 @@ def _run_lemma2(exp, label, params, key):
 
 def _run_prop1(exp, label, params, key):
     spec = exp.density
-    if isinstance(spec, GrandCanonicalEq):
-        raise ValueError("the decomposition check needs a fixed particle number")
     n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
     big_n = spec.n_particles
-    if big_n < n + 1:
-        raise ValueError("need at least n+1 particles")
     ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
     ff = falling_factorial(big_n, n)
     names, boxes = zip(*(_resolve_delta(d, exp.domain, spec.beta) for d in params["deltas"]))
@@ -685,8 +674,6 @@ def _run_prop1(exp, label, params, key):
 
 def _run_prop5(exp, label, params, key):
     spec = exp.density
-    if isinstance(spec, GrandCanonicalEq):
-        raise ValueError("the one-step check needs a fixed particle number")
     n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
     inner = int(params["inner_samples"])
     beta0 = float(params["beta0"] if params["beta0"] is not None else spec.beta)
@@ -712,8 +699,6 @@ def _run_prop5(exp, label, params, key):
 
 def _run_series_identity(exp, label, params, key):
     spec = exp.density
-    if isinstance(spec, GrandCanonicalEq):
-        raise ValueError("use grand_canonical_identity for grand-canonical specs")
     n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
     sp = SeriesParams(
         n_samples=samples,
@@ -826,8 +811,9 @@ def run_check(exp: ExperimentConfig, check_id: str, label: str = "",
               params: dict | None = None) -> list[CheckReport]:
     """Run one check with ``params`` over its defaults (config.CHECK_PARAMS)
     and stamp every report with the run's seed and config hash; raises
-    ValueError with the problems of an entry that ``validate`` refuses."""
-    problems = check_problems(exp.density, check_id, params or {})
+    ValueError with the problems of an entry or of the run-wide settings
+    that ``validate`` refuses."""
+    problems = check_problems(exp.density, check_id, params or {}) + exp.run_problems()
     if problems:
         raise ValueError("; ".join(problems))
     runner = _RUNNERS[check_id]

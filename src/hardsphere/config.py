@@ -22,6 +22,7 @@ from hardsphere.hierarchy import PhaseBox
 from hardsphere.measures import (
     NORM_PROPOSALS,
     DensitySpec,
+    GrandCanonicalEq,
     spec_from_block,
     spec_to_block,
 )
@@ -70,6 +71,11 @@ _NONEMPTY = ("deltas", "n_list", "times")
 # outer samples, one sphere never collides, and no sphere has no events
 _AT_LEAST = {("map_roundtrip", "outer_samples"): 2, ("lemma2_rate", "n_list"): 2,
              ("reversibility", "n_list"): 1}
+# the checks that need a fixed particle number N, and whether N must
+# exceed the check's n: the decomposition and the one-step identity
+# follow particle n + 1
+_FIXED_N = {"liouville": False, "prop1_decomposition": True, "prop5_onestep": True,
+            "series_identity": False}
 # the key holding the phase boxes of each check whose boxes must hold the
 # check's n particles; grand_canonical_identity builds its own box
 _BOXES = {"liouville": "delta", "prop1_decomposition": "deltas", "prop5_onestep": "deltas",
@@ -189,15 +195,28 @@ def check_problems(density: DensitySpec, cid: str, params: dict) -> list[str]:
             problems.append(f"{cid}: {what} must be at least {_AT_LEAST[cid, key]}")
     if cid in _BOXES and not problems:
         problems += _box_problems(cid, check_params(cid, params))
-    if cid == "prop5_onestep":
+    if cid in _FIXED_N:
+        problems += _particle_problems(density, cid, check_params(cid, params)["n"])
+    return problems
+
+
+def _particle_problems(density: DensitySpec, cid: str, n) -> list[str]:
+    """The problems of a fixed-N check's n against the density's N."""
+    if isinstance(density, GrandCanonicalEq):
+        return [f"{cid}: needs a fixed particle number, the density variant is grand_canonical"]
+    big_n = density.n_particles
+    if not isinstance(n, int):
+        return []
+    if _FIXED_N[cid] and big_n < n + 1:
+        return [f"{cid}: needs at least n + 1 = {n + 1} particles, the density's n is {big_n}"]
+    if big_n < n:
+        return [f"{cid}: n = {n} exceeds the density's n = {big_n}"]
+    if cid == "prop5_onestep" and big_n > n + 1:
         # its collision term S_{n+1}(s) rho_{n+1}(0) is the identity's
         # rho_{n+1}(s) only when the n + 1 particles are the whole system
-        n, big_n = check_params(cid, params)["n"], getattr(density, "n_particles", 0)
-        if isinstance(n, int) and big_n > n + 1:
-            problems.append(f"{cid}: the collision term is exact only at N = n + 1, "
-                            f"at N = {big_n} > n + 1 = {n + 1} it is the series "
-                            "truncated after m = 1")
-    return problems
+        return [f"{cid}: the collision term is exact only at N = n + 1, "
+                f"at N = {big_n} > n + 1 = {n + 1} it is the series truncated after m = 1"]
+    return []
 
 
 @dataclass(slots=True)
@@ -232,8 +251,21 @@ class ExperimentConfig:
 
     def validate(self) -> list[str]:
         """Returns a list of problems; empty means the config is usable."""
-        problems = [p for cid, _, params in self.checks
-                    for p in check_problems(self.density, cid, params)]
+        return [p for cid, _, params in self.checks
+                for p in check_problems(self.density, cid, params)] + self.run_problems()
+
+    def run_problems(self) -> list[str]:
+        """The problems of the run-wide settings and the density block,
+        which ``validate`` and ``checks.run_check`` both refuse."""
+        problems = []
+        density = self.density
+        if not density.beta > 0:
+            problems.append("density: beta must be positive")
+        if isinstance(density, GrandCanonicalEq):
+            if not density.z > 0:
+                problems.append("density: z must be positive")
+        elif density.n_particles < 1:
+            problems.append("density: n must be at least 1")
         if self.workers < 1:
             problems.append("workers must be >= 1")
         if self.sigma <= 0:

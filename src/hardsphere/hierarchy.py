@@ -196,12 +196,6 @@ _LEVEL_ROWS = 4096
 _HELD_DRAWS = 1 << 19
 
 
-def _reached(status: np.ndarray) -> np.ndarray:
-    """The valid histories (..., H) that a one-at-a-time loop reaches: those
-    before the first degenerate one."""
-    return (np.cumsum(status == _DEGENERATE, axis=-1) == 0) & (status == _VALID)
-
-
 def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
@@ -226,9 +220,8 @@ def _insert(q, p, weight, j, p_hat, omega, domain):
             np.concatenate([p, p_hat[:, None]], axis=1), weight, blocked)
 
 
-def _history_tree(q0, p0, domain, t, times, momenta, root, labels, dirs, end=0.0):
-    """Build collision histories backward from time t down to ``end`` (0,
-    or the last insertion time, where the last level's leg moves nothing).
+def _history_tree(q0, p0, domain, t, times, momenta, root, labels, dirs):
+    """Build collision histories backward from time t down to 0.
 
     Row r of q0, p0 (R, n, 3) is a start, with insertion times
     ``times[r]`` (descending) and momenta ``momenta[r]`` (m, 3).  History h
@@ -256,10 +249,9 @@ def _history_tree(q0, p0, domain, t, times, momenta, root, labels, dirs, end=0.0
     status = np.zeros(len(start), dtype=np.int8)
     prev = np.full(len(start), float(t))
     for k in range(m + 1):
-        t_next = times[start, k] if k < m else end
+        t_next = times[start, k] if k < m else 0.0
         # the backward legs of the live nodes, with the future-sided limit;
-        # a level where no leg moves (a tree started at its first insertion
-        # time) is skipped
+        # a level where no leg moves is skipped
         live = np.flatnonzero(status == _VALID)
         leg = -(prev - t_next)[live]
         if leg.any():
@@ -409,23 +401,19 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     momenta, then per direction draw m directions, and averages the
     histories of every sign combination.  The random stream is consumed
     exactly as by a loop that builds and evaluates one history at a time
-    and stops a sample at its first degenerate history.  At m = 0, and
-    when the terminals hold the measure's largest particle number and so
-    draw no inner samples, the draws of a block of samples come first and
-    the block is built as one tree (lockstep mode); a sample that stops
-    before its last direction draw ends its block, and the draws it never
-    made are taken back.  Otherwise the terminals draw inner samples after
-    each direction draw, and how many depends on the outcome (deferred
-    mode): each sample of a block is built down to its last insertion and
-    draws the inner samples of the terminals it predicts, the block's last
-    legs then run together, and the first unit whose terminals differ from
-    the prediction ends the block, redrawn as the loop draws it.  Either
-    way the terminals' correlation values are computed in batches at the
-    end.
+    and stops a sample at its first degenerate history.  The terminals
+    draw their inner samples from a generator spawned from ``rng``, in
+    the order the loop evaluates them, so the outer draws do not depend on
+    how many a terminal takes.  The draws of a block of samples come
+    first and the block is built as one tree; a sample that stops before
+    its last direction draw ends its block, and the draws it never made
+    are taken back.  The terminals' correlation values are computed in
+    batches at the end.
     """
     ms = rho0.measure
     dom = ms.domain
     prop = Maxwellian(beta0)
+    inner = rng.spawn(1)[0]
     vol = box.volume
     label_factor = falling_factorial(n + m - 1, m) if m else 1.0
     time_factor = t ** m / math.factorial(m)
@@ -457,31 +445,6 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
         scale = vol * time_factor * label_factor * sphere_factor / prop_w
         return times, labels, np.reshape(momenta, (m, 3)), scale
 
-    def record(at: np.ndarray, status, weight, q, p, scale, drawn=None):
-        """Record histories grouped (samples or direction draws, histories)
-        in their order at the flat slots ``at``; from a group's first
-        degenerate history on they are neither evaluated nor counted, as
-        the one-at-a-time loop stops there.  Draws the inner samples of the
-        evaluated terminals now, or takes ``drawn``: the admissibility of
-        every terminal and the uniforms drawn beforehand for the admissible
-        evaluated ones.  Returns the index of each group's first degenerate
-        history (the number of histories when there is none) and the number
-        of blocked histories counted."""
-        seen = np.cumsum(status == _DEGENERATE, axis=1) == 0
-        factor.flat[at] = (scale[:, None] * weight).ravel()
-        ev = np.flatnonzero(seen & (status == _VALID))
-        if drawn is None:
-            ok, u = rho0.draw_inner(q[ev], rng, inner_samples)
-        else:
-            ok, u = np.flatnonzero(drawn[0].flat[ev]), drawn[1]
-        if len(ok):
-            pending.append((at.ravel()[ev[ok]], q[ev[ok]], p[ev[ok]], u))
-            held[0] += len(ok)
-            held[1] += u.size
-            if held[0] >= _LEVEL_ROWS or held[1] >= _HELD_DRAWS:
-                evaluate()
-        return seen.sum(axis=1), int((seen & (status == _BLOCKED)).sum())
-
     def evaluate():
         if pending:
             slots, q, p, u = (np.concatenate(x) for x in zip(*pending))
@@ -489,126 +452,55 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
             pending.clear()
             held[:] = [0, 0]
 
-    if m == 0 or n + m >= rho0.n_max:
-        # A sample's histories are listed draw-major, then by sign
-        # combination, as the loop builds them.  A sample that stops before
-        # its last direction draw ends the block: the loop never made its
-        # later draws, so the generator goes back to its state after the
-        # sample's insertions and makes only the draws up to the stop, and
-        # the next block starts at the following sample.
-        per = max(1, _LEVEL_ROWS // width)
-        b = 0
-        while b < len(rows):
-            nb = min(per, len(rows) - b)
-            times = np.empty((nb, m))
-            labels = np.empty((nb, m), dtype=int)
-            momenta = np.empty((nb, m, 3))
-            dirs = np.empty((nb, draws, 1, m, 3))
-            scale = np.full(nb, vol * time_factor * label_factor * sphere_factor / 1.0)
-            saved = []
-            for i in range(nb if m else 0):
-                times[i], labels[i], momenta[i], scale[i] = insertions()
-                if draws > 1:
-                    saved.append(rng.bit_generator.state)
-                dirs[i] = _uniform_spheres(rng, draws * m).reshape(draws, 1, m, 3)
-            status, weight, q, p = _history_tree(
-                qs[rows[b:b + nb]], ps[rows[b:b + nb]], dom, t, times, momenta,
-                np.repeat(np.arange(nb), width), np.repeat(labels, width, axis=0),
-                (signs * dirs).reshape(nb * width, m, 3))
-            status, weight = status.reshape(nb, width), weight.reshape(nb, width)
-            deg = status == _DEGENERATE
-            cut = np.where(deg.any(axis=1), deg.argmax(axis=1) // combos, draws)
-            early = np.flatnonzero(cut < draws - 1)
-            keep = early[0] + 1 if len(early) else nb
-            at = np.arange(b * width, (b + keep) * width).reshape(keep, width)
-            stop, blocked = record(at, status[:keep], weight[:keep], q[:keep * width],
-                                   p[:keep * width], scale[:keep])
-            degenerate[b:b + keep] = stop < width
-            counter.blocked += blocked
-            if len(early):
-                rng.bit_generator.state = saved[keep - 1]
-                _uniform_spheres(rng, (cut[keep - 1] + 1) * m)
-            b += keep
-    else:
-        # A sample draws its insertions and runs its first leg, common to all
-        # its histories; then per direction draw (a unit) its directions, the
-        # unit's histories down to the last insertion, and the inner samples
-        # of the terminals it predicts: those not blocked before its first
-        # degenerate history.  The last legs of a block of samples then run
-        # as one evolve_batch.  The first unit whose evaluated terminals fall
-        # short of the prediction (a degenerate last leg, an inadmissible
-        # terminal) ends the block: the generator goes back to the state
-        # before its inner draw and draws for the actual terminals, and the
-        # next block resumes its sample at the next draw, or starts at the
-        # following sample when the unit stopped it or was its last draw.
-        inner = rho0.inner_width(n + m, inner_samples)
-        per = max(1, min(_LEVEL_ROWS // width, _HELD_DRAWS // (width * inner)))
-        root = np.zeros(combos, dtype=int)
-
-        def chain(i):
-            times, labels, momenta, scale = insertions()
-            q1, p1, _, _, deg = evolve_batch(qs[i:i + 1], ps[i:i + 1], dom, -(t - times[0]))
-            return times, np.repeat([labels], combos, axis=0), momenta, scale, q1, p1, deg[0]
-
-        b, resume = 0, None
-        while b < len(rows):
-            # per unit: sample, its chain, draw, the histories' status, weight
-            # and arrays, the generator state before the inner draw, the draw
-            units = []
-            for r in range(b, min(b + per, len(rows))):
-                sample, d0 = resume or (chain(rows[r]), 0)
-                resume = None
-                times, labels, momenta, scale, q1, p1, deg = sample
-                for d in range(d0, draws):
-                    dirs = signs * _uniform_spheres(rng, m)
-                    if deg:
-                        status = np.full(combos, _DEGENERATE, dtype=np.int8)
-                        weight, q = np.zeros(combos), np.zeros((combos, n + m, 3))
-                        p = q
-                    elif m == 1:    # the chain is the insertion alone
-                        q, p, weight, blocked = _insert(q1[root], p1[root], np.ones(combos),
-                                                        labels[:, 0], momenta[root], dirs[:, 0],
-                                                        dom)
-                        status = np.where(blocked, _BLOCKED, _VALID).astype(np.int8)
-                        weight[blocked] = 0.0
-                    else:
-                        status, weight, q, p = _history_tree(
-                            q1, p1, dom, times[0], times[None], momenta[None], root, labels,
-                            dirs, end=times[-1])
-                    state = rng.bit_generator.state
-                    pred = np.count_nonzero(_reached(status))
-                    units.append((r, sample, d, status, weight, q, p, state,
-                                  rng.random((pred, inner))))
-                    if (status == _DEGENERATE).any():
-                        break
-            r_of, sample_of, d_of, status, weight, q, p, states, drawn = zip(*units)
-            status, weight = np.array(status), np.array(weight)
-            q, p = np.concatenate(q), np.concatenate(p)
-            pred = _reached(status)
-            legs = np.flatnonzero(pred)
-            ends = np.repeat([s[0][-1] for s in sample_of], combos)[legs]
-            q[legs], p[legs], _, _, bad = evolve_batch(q[legs], p[legs], dom, -ends)
-            status.flat[legs[bad]] = _DEGENERATE
-            admissible = np.zeros(status.shape, dtype=bool)
-            admissible.flat[legs] = ms.admissible_batch(q[legs])
-            evaluated = _reached(status) & admissible
-            short = np.flatnonzero(evaluated.sum(axis=1) < pred.sum(axis=1))
-            keep = short[0] + 1 if len(short) else len(units)
-            drawn = list(drawn[:keep])
-            if len(short):
-                rng.bit_generator.state = states[keep - 1]
-                drawn[-1] = rng.random((np.count_nonzero(evaluated[keep - 1]), inner))
-            r_of, d_of = np.array(r_of[:keep]), np.array(d_of[:keep])
-            at = (r_of * width + d_of * combos)[:, None] + np.arange(combos)
-            stop, blocked = record(at, status[:keep], weight[:keep], q[:keep * combos],
-                                   p[:keep * combos], np.array([s[3] for s in sample_of[:keep]]),
-                                   (admissible[:keep], np.concatenate(drawn)))
-            degenerate[r_of[stop < combos]] = True
-            counter.blocked += blocked
-            if stop[-1] == combos and d_of[-1] + 1 < draws:
-                b, resume = r_of[-1], (sample_of[keep - 1], d_of[-1] + 1)
-            else:
-                b = r_of[-1] + 1
+    # A sample's histories are listed draw-major, then by sign combination,
+    # as the loop builds them.  A sample that stops before its last
+    # direction draw ends the block: the loop never made its later draws,
+    # so the generator goes back to its state after the sample's insertions
+    # and makes only the draws up to the stop, and the next block starts at
+    # the following sample.
+    per = max(1, _LEVEL_ROWS // width)
+    b = 0
+    while b < len(rows):
+        nb = min(per, len(rows) - b)
+        times = np.empty((nb, m))
+        labels = np.empty((nb, m), dtype=int)
+        momenta = np.empty((nb, m, 3))
+        dirs = np.empty((nb, draws, 1, m, 3))
+        scale = np.full(nb, vol * time_factor * label_factor * sphere_factor / 1.0)
+        saved = []
+        for i in range(nb if m else 0):
+            times[i], labels[i], momenta[i], scale[i] = insertions()
+            if draws > 1:
+                saved.append(rng.bit_generator.state)
+            dirs[i] = _uniform_spheres(rng, draws * m).reshape(draws, 1, m, 3)
+        status, weight, q, p = _history_tree(
+            qs[rows[b:b + nb]], ps[rows[b:b + nb]], dom, t, times, momenta,
+            np.repeat(np.arange(nb), width), np.repeat(labels, width, axis=0),
+            (signs * dirs).reshape(nb * width, m, 3))
+        status, weight = status.reshape(nb, width), weight.reshape(nb, width)
+        deg = status == _DEGENERATE
+        cut = np.where(deg.any(axis=1), deg.argmax(axis=1) // combos, draws)
+        early = np.flatnonzero(cut < draws - 1)
+        keep = early[0] + 1 if len(early) else nb
+        status, weight = status[:keep], weight[:keep]
+        # from a sample's first degenerate history on, its histories are
+        # neither evaluated nor counted, as the one-at-a-time loop stops there
+        seen = np.cumsum(deg[:keep], axis=1) == 0
+        factor[b:b + keep] = scale[:keep, None] * weight
+        degenerate[b:b + keep] = ~seen[:, -1]
+        counter.blocked += int((seen & (status == _BLOCKED)).sum())
+        ev = np.flatnonzero(seen & (status == _VALID))
+        ok, u = rho0.draw_inner(q[ev], inner, inner_samples)
+        if len(ok):
+            pending.append((b * width + ev[ok], q[ev[ok]], p[ev[ok]], u))
+            held[0] += len(ok)
+            held[1] += u.size
+            if held[0] >= _LEVEL_ROWS or held[1] >= _HELD_DRAWS:
+                evaluate()
+        if len(early):
+            rng.bit_generator.state = saved[keep - 1]
+            _uniform_spheres(rng, (cut[keep - 1] + 1) * m)
+        b += keep
     evaluate()
     total = 0.0
     for c in range(width):

@@ -477,15 +477,10 @@ class CorrelationVector:
         of u per evaluated row, drawn in row order, so that the B rows
         consume the random stream as B calls of ``eval_arrays`` do."""
         n = q.shape[1]
+        k = inner_samples if inner_samples is not None else self.inner_samples
         rows = (np.flatnonzero(self.measure.admissible_batch(q)) if n <= self.n_max
                 else np.zeros(0, dtype=int))
-        return rows, rng.random((len(rows), self.inner_width(n, inner_samples)))
-
-    def inner_width(self, n: int, inner_samples: int | None = None) -> int:
-        """The uniforms ``draw_inner`` draws for one evaluated n-particle
-        configuration."""
-        k = inner_samples if inner_samples is not None else self.inner_samples
-        return 3 * k * sum(self._inner_sizes(n))
+        return rows, rng.random((len(rows), 3 * k * sum(self._inner_sizes(n))))
 
     def eval_drawn(self, q: np.ndarray, p: np.ndarray, u: np.ndarray,
                    inner_samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -517,9 +512,8 @@ class CorrelationVector:
             for m in sizes:
                 c = spec.z ** (n + m) / math.factorial(m)
                 val = val + c * ex[m][0]
-                # squared by libm's pow, as Python squares a float: it
-                # rounds differently from x * x about once in a thousand
-                var = var + np.power((c * ex[m][1]).astype(object), 2.0).astype(float)
+                se = c * ex[m][1]
+                var = var + se * se
             scale = gw * hw / ms.grand_partition
             return scale * val, scale * np.sqrt(var)
         big_n = spec.n_particles
@@ -552,10 +546,14 @@ class InverseDensity:
         self.n_max = rho.n_max
 
     def eval_arrays(self, q: np.ndarray, p: np.ndarray, rng) -> tuple[float, float]:
+        """Density level len(q) at one configuration with its standard
+        error; the correlation values draw their inner samples from a
+        generator spawned from ``rng``."""
         ms = self.measure
         n = len(q)
         prop = ms.maxwellian
-        total, se = self.rho.eval_arrays(q, p, rng)
+        inner = rng.spawn(1)[0]
+        total, se = self.rho.eval_arrays(q, p, inner)
         var = se * se
         ko = self.outer_samples
         for m in range(1, self.n_max - n + 1):
@@ -563,14 +561,15 @@ class InverseDensity:
             px = prop.sample(rng, (ko, m, 3))
             vq = np.concatenate([np.broadcast_to(q.reshape(-1, 3), (ko, n, 3)), qx], axis=1)
             vp = np.concatenate([np.broadcast_to(p.reshape(-1, 3), (ko, n, 3)), px], axis=1)
-            rows, u = self.rho.draw_inner(vq, rng)
+            rows, u = self.rho.draw_inner(vq, inner)
             vals = np.zeros(ko)
             vals[rows] = self.rho.eval_drawn(vq[rows], vp[rows], u)[0]
             vals /= np.prod(prop.pdf(px), axis=1)
             vol = ms.domain.inset_volume ** m
             sign = (-1.0) ** m / math.factorial(m)
             total += sign * vol * float(vals.mean())
-            var += (vol / math.factorial(m)) ** 2 * float(vals.var(ddof=1)) / ko
+            w = vol / math.factorial(m)
+            var += w * w * float(vals.var(ddof=1)) / ko
         return (total, math.sqrt(var))
 
 

@@ -46,7 +46,7 @@ def eval_arrays(rho, q, p, rng, inner_samples=None):
             em, se = exclusion_integral(ms, q, m, rng, k)
             c = spec.z ** (n + m) / math.factorial(m)
             val += c * em
-            var += (c * se) ** 2
+            var += (c * se) * (c * se)
         scale = gw * hw / ms.grand_partition
         return (scale * val, scale * math.sqrt(var))
     big_n = spec.n_particles
@@ -64,15 +64,18 @@ def eval_config(rho, config, rng, inner_samples=None):
 
 
 def inverse_eval_arrays(inv, q, p, rng):
-    """``InverseDensity.eval_arrays``, one outer sample at a time."""
+    """``InverseDensity.eval_arrays``, one outer sample at a time; the
+    correlation values draw their inner samples from a generator spawned
+    from ``rng``."""
     ms = inv.measure
+    inner = rng.spawn(1)[0]
     n = len(q)
     prop = Maxwellian(ms.beta)
     total = 0.0
     var = 0.0
     for m in range(0, inv.n_max - n + 1):
         if m == 0:
-            v, se = eval_arrays(inv.rho, q, p, rng)
+            v, se = eval_arrays(inv.rho, q, p, inner)
             total += v
             var += se * se
             continue
@@ -84,10 +87,11 @@ def inverse_eval_arrays(inv, q, p, rng):
         for i in range(ko):
             vq = np.concatenate([q.reshape(-1, 3), qx[i]])
             vp = np.concatenate([p.reshape(-1, 3), px[i]])
-            ri, _ = eval_arrays(inv.rho, vq, vp, rng)
+            ri, _ = eval_arrays(inv.rho, vq, vp, inner)
             vals[i] = ri / weights[i]
         vol = ms.domain.inset_volume ** m
         sign = (-1.0) ** m / math.factorial(m)
         total += sign * vol * float(vals.mean())
-        var += (vol / math.factorial(m)) ** 2 * float(vals.var(ddof=1)) / ko
+        w = vol / math.factorial(m)
+        var += w * w * float(vals.var(ddof=1)) / ko
     return (total, math.sqrt(var))

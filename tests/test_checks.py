@@ -425,6 +425,63 @@ def test_run_check_refuses_what_validate_refuses(monkeypatch):
     assert ran == []
 
 
+def test_run_check_refuses_bad_run_wide_settings(monkeypatch):
+    # a negative sigma was scored as a failed case and a zero chunk size
+    # divided by zero: run_check and run_all check the run-wide settings
+    # with validate's words before any runner starts
+    ran = []
+    monkeypatch.setattr(C, "_map_ordered", lambda *args: ran.append(args))
+    for key, value, problem in (("sigma", -1.0, "sigma must be positive"),
+                                ("chunk_size", 0, "chunk_size must be positive")):
+        exp = small_exp()
+        setattr(exp, key, value)
+        assert exp.validate() == [problem]
+        for cid in ("lemma2_rate", "liouville"):
+            with pytest.raises(ValueError, match=f"^{problem}$"):
+                C.run_check(exp, cid, params={})
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            C.run_all(exp)
+    assert ran == []
+
+
+def test_validate_refuses_what_the_runners_refuse(tmp_path, capsys):
+    # each of these said "config ok": run then exited 2 with a message
+    # naming no key, or passed at 0 +- 0 (canonical n = 0 with liouville)
+    base = SMALL_INI.format(out=tmp_path / "r.jsonl").split("[check.")[0]
+    grand = 'variant = "grand_canonical"\nz = 2.0\nbeta = 1.0'
+    cfg_path = tmp_path / "exp.ini"
+    for density, section, problem in (
+            (grand, "liouville", "liouville: needs a fixed particle number, the density "
+                                 "variant is grand_canonical"),
+            (grand, "prop1_decomposition", "prop1_decomposition: needs a fixed particle "
+                                           "number, the density variant is grand_canonical"),
+            (grand, "prop5_onestep", "prop5_onestep: needs a fixed particle number, the "
+                                     "density variant is grand_canonical"),
+            (grand, "series_identity", "series_identity: needs a fixed particle number, the "
+                                       "density variant is grand_canonical"),
+            ('variant = "modulated"\nn = 1\nbeta = 1.0', "prop1_decomposition",
+             "prop1_decomposition: needs at least n + 1 = 2 particles, the density's n is 1"),
+            ('variant = "modulated"\nn = 1\nbeta = 1.0', "prop5_onestep",
+             "prop5_onestep: needs at least n + 1 = 2 particles, the density's n is 1"),
+            ('variant = "canonical"\nn = 0\nbeta = 1.0', "liouville",
+             "density: n must be at least 1"),
+            ('variant = "canonical"\nn = 0\nbeta = 1.0', "liouville",
+             "liouville: n = 1 exceeds the density's n = 0"),
+            ('variant = "modulated"\nn = 2\nbeta = -1.0', "liouville",
+             "density: beta must be positive"),
+            ('variant = "grand_canonical"\nz = -2.0\nbeta = 1.0', "conservation",
+             "density: z must be positive")):
+        text = base.replace('variant = "modulated"\nn = 2\nbeta = 1.0', density)
+        cfg_path.write_text(f"{text}\n[check.{section}]\nsamples = 30\n")
+        for cmd in ("validate", "run"):
+            assert main([cmd, "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {problem}\n" in err and "Traceback" not in err
+        exp = loads_config(cfg_path.read_text())
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            C.run_check(exp, section, params={"samples": 30})
+
+
 @pytest.mark.parametrize("source", ["configs/quick.ini", "configs/spec_default.ini",
                                     "perfbench/suite.ini", "default_experiment"])
 def test_shipped_configs_validate(source):
@@ -645,11 +702,13 @@ t = 6.0
 deltas = ["bulk"]
 """
 
-# SHA-256 of the canonical report of GOLDEN_INI, recorded with the scalar
-# per-trajectory engine (numpy 2.4, x86-64 Linux).  Any change to the
-# arithmetic of the dynamics, the conservation check or the order of
-# random draws shows up here as a different digest.
-GOLDEN_SHA256 = "c7d18c3ebd4c78dd17e32f1eec57fb5ab21faa634e8e0413971257bf3c49aad5"
+# SHA-256 of the canonical report of GOLDEN_INI (numpy 2.4, x86-64
+# Linux), recorded when the terminals' inner samples moved to their own
+# spawned generator; the conservation and lemma2_rate lines are those of
+# the scalar per-trajectory engine.  Any change to the arithmetic of the
+# dynamics, the conservation check or the order of random draws shows up
+# here as a different digest.
+GOLDEN_SHA256 = "0d009a90d28a2a5f92afe3d1328bfbd4a170bf057f552ed39d535d41ae445049"
 
 
 def test_golden_report_bytes(tmp_path):
@@ -686,13 +745,15 @@ samples = 1500
 direction_draws = 24
 """
 
-# SHA-256 of the canonical report of GOLDEN_SERIES_INI, recorded with the
-# one-history-at-a-time series loop (numpy 2.4, x86-64 Linux).  It covers
+# SHA-256 of the canonical report of GOLDEN_SERIES_INI (numpy 2.4, x86-64
+# Linux), recorded when the terminals' inner samples moved to their own
+# spawned generator, and equal to the one-history-at-a-time series loop
+# drawing them so.  It covers
 # the N = 3 strata m = 0, 1, 2 on two boxes and the grand-canonical
 # micro-box with 24 direction draws, so any change to the history
 # arithmetic, the correlation evaluation or the order of random draws in
 # the series shows up as a different digest.
-GOLDEN_SERIES_SHA256 = "4a7bf52053912dca5141260ef322d269ebd678db0676e0b41b6e1f9de2af8d3d"
+GOLDEN_SERIES_SHA256 = "9de0d26526f69765540cbf147ee3c89038fbc46cd2766368b4bd4812146cc133"
 
 
 def test_golden_series_report_bytes(tmp_path):
@@ -748,14 +809,14 @@ outer_samples = 96
 points = 3
 """
 
-# SHA-256 of the canonical report of GOLDEN_OTHER_INI, recorded with the
-# per-check chunk drivers and positional worker payloads (numpy 2.4,
-# x86-64 Linux).  It covers the checks the other two digests leave out,
+# SHA-256 of the canonical report of GOLDEN_OTHER_INI (numpy 2.4, x86-64
+# Linux), recorded when the terminals' inner samples moved to their own
+# spawned generator and every square became a product.  It covers the checks the other two digests leave out,
 # each over several chunks, so a change to their seeds, chunking, order
 # of random draws or report fields shows up as a different digest.  Its
 # prop5_onestep case runs at N = n + 1 on a two-particle box, the only
 # particle number the check accepts.
-GOLDEN_OTHER_SHA256 = "6dcdc69dbd2d4915fe4985488eb0882ec3349e40f8d21190d28e8e2a98aa016b"
+GOLDEN_OTHER_SHA256 = "a503f05063e915fc0fd7578a4e275d776057ccae6cb4f2d7cc2f3c33bda89983"
 
 
 def test_golden_other_report_bytes(tmp_path):
@@ -794,12 +855,13 @@ inner_samples = 32
 deltas = ["bulk", "near_wall"]
 """
 
-# SHA-256 of the canonical report of GOLDEN_MULTIBOX_INI, recorded while
-# each box still ran its own forward estimator (numpy 2.4, x86-64 Linux).
-# Both checks have two boxes on one forward run, and the first forward
+# SHA-256 of the canonical report of GOLDEN_MULTIBOX_INI (numpy 2.4,
+# x86-64 Linux), recorded when the terminals' inner samples moved to
+# their own spawned generator; its forward lines are those of one forward
+# estimator per box.  Both checks have two boxes on one forward run, and the first forward
 # chunk of 5000 trajectories crosses the 4096-row sampling batch, so a
 # change to the per-box tallies or to the batch boundary shows up here.
-GOLDEN_MULTIBOX_SHA256 = "0314bef2a49fb4c6c6c914bbd7f1dcd99a726ac6afbea95d51be3531140f7d67"
+GOLDEN_MULTIBOX_SHA256 = "ec9d6c8e66ad0b8e5b368ffd29f08d7931c9fc468fe967b96a3a31a5c6062443"
 
 
 def test_golden_multibox_report_bytes(tmp_path):

@@ -8,6 +8,7 @@ from hardsphere.specialflow import (
     ExchangeBase,
     RotationBase,
     SpecialFlow,
+    _forward,
     collision_count_sum,
     flow_from_block,
     flow_to_block,
@@ -105,3 +106,28 @@ def test_flow_block_roundtrip():
         assert back == flow
         chk = verify_identity(back, 1.1, 512)
         assert chk.passed
+
+
+def oracle_exchange_step(base, x):
+    """The exchange map as it was computed on every step, segments and
+    rearranged start included."""
+    segs = base._segments()
+    starts = [s for s, _ in segs]
+    idx = len(starts) - 1
+    for k in range(len(starts) - 1):
+        if x < starts[k + 1]:
+            idx = k
+            break
+    off = x - starts[idx]
+    return sum(segs[j][1] for j in base.perm[: base.perm.index(idx)]) + off
+
+
+@pytest.mark.parametrize("base", [ExchangeBase((0.3, 0.75), (2, 0, 1)),
+                                  ExchangeBase((0.1, 0.2, 0.55, 0.9), (3, 1, 4, 0, 2))])
+def test_exchange_step_matches_per_step_oracle(base):
+    # the segment tables are computed once per quadrature; each step must
+    # give the per-step computation's float, at the breaks too
+    step = _forward(base)
+    points = [i / 4099 for i in range(4099)] + [0.0, *base.breaks]
+    points += [math.nextafter(b, 0.0) for b in base.breaks]
+    assert [step(x) for x in points] == [oracle_exchange_step(base, x) for x in points]
