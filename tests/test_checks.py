@@ -747,12 +747,10 @@ direction_draws = 24
 
 # SHA-256 of the canonical report of GOLDEN_SERIES_INI (numpy 2.4, x86-64
 # Linux), recorded when the terminals' inner samples moved to their own
-# spawned generator, and equal to the one-history-at-a-time series loop
-# drawing them so.  It covers
-# the N = 3 strata m = 0, 1, 2 on two boxes and the grand-canonical
-# micro-box with 24 direction draws, so any change to the history
-# arithmetic, the correlation evaluation or the order of random draws in
-# the series shows up as a different digest.
+# spawned generator.  It covers the N = 3 strata m = 0, 1, 2 on two boxes
+# and the grand-canonical micro-box with 24 direction draws, so any
+# change to the history arithmetic, the correlation evaluation or the
+# order of random draws in the series shows up as a different digest.
 GOLDEN_SERIES_SHA256 = "9de0d26526f69765540cbf147ee3c89038fbc46cd2766368b4bd4812146cc133"
 
 
