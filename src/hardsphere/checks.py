@@ -332,9 +332,10 @@ def _w_prop5_collision(c: Chunk):
     time s, the box point, the added momentum and the contact direction,
     evaluated through the same history machinery as the series.  The 2n
     histories of a sample, (j, +omega) and (j, -omega) for each receiver j,
-    share their first leg.  All draws come first and each block of
-    samples is built as one tree, as in the series; the terminals draw
-    their inner samples from a generator spawned from the chunk's."""
+    share their first leg.  At N = n + 1 the terminals need no inner
+    samples: the generator spawned for them, as for every ``draw_inner``
+    call, is never drawn from.  All draws come first and each block of
+    samples is built as one tree, as in the series."""
     ms, rng, n, t, box, domain, inner = c.measure, c.rng, c.n, c.t, c.boxes[0], c.domain, c.inner
     inner_rng = rng.spawn(1)[0]
     rho0 = correlation_map(ms)

@@ -297,8 +297,8 @@ class FlowCheck:
     error_bound: float
     resolution: int
     passed: bool
-    # the sum at half the resolution (interval bases), or the value (atoms)
-    coarse: float
+    # interval bases only: the sum at half the resolution
+    coarse: float | None = None
 
 
 def verify_identity(flow: SpecialFlow, t: float, resolution: int = 4096) -> FlowCheck:
@@ -312,7 +312,7 @@ def verify_identity(flow: SpecialFlow, t: float, resolution: int = 4096) -> Flow
     if isinstance(flow.base, AtomBase):
         value = collision_count_sum(flow, t)
         tol = 1e-10 * max(1.0, abs(target))
-        return FlowCheck(value, target, tol, 0, abs(value - target) <= tol, value)
+        return FlowCheck(value, target, tol, 0, abs(value - target) <= tol)
     coarse = collision_count_sum(flow, t, resolution)
     fine = collision_count_sum(flow, t, 2 * resolution)
     gap = abs(fine - coarse)
