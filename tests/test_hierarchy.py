@@ -876,9 +876,9 @@ def test_stratum_stats_match_oracle(measures_by_n, big_n, box_name, m, draws, an
     rho0 = correlation_map(ms)
     box = grand_box(ms.domain) if big_n == "grand" else checks.delta_preset(box_name, BOX, 1.0)
     t = 2.0 if big_n == "grand" else 5.0
-    # the forced N = 4, m = 2 stratum loses about 40% of its samples to
-    # degenerate legs (73 of 120 accepted on average), so it draws twice as
-    # many to keep the guard below clear of its tail
+    # forced, the N = 4, m = 2 stratum loses about 40% of its samples to
+    # degenerate legs: 73 of 120 accepted on average over seeds, but 60 at
+    # this one, so it draws twice as many for the guard below
     count = 40 if draws > 1 else 240 if big_n == 4 else 120
     seed = sum(map(ord, f"{big_n}{box_name}{m}"))
     args = (rho0, 1, t, box, m, count, 1.0, 32, antithetic)
