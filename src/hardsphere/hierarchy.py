@@ -9,7 +9,8 @@ estimates the same quantity empirically by forward simulation so the two
 routes can be compared.
 
 Sampling measure for a history with m insertions: ordered times are
-sorted uniforms on [0,t]^m (simplex weight t^m/m!), the k-th label is
+sorted uniforms on [0,t]^m (simplex weight t^m/m!), the first insertion's
+receiver is summed over the n box particles, the k-th label (k >= 2) is
 uniform over its n+k-1 choices, insertion momenta come from a proposal
 Maxwellian at beta0 (reweighted), directions are uniform on the sphere
 (weight 4 pi each).  Directions falling outside the admissible set
@@ -397,11 +398,14 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
                           direction_draws: int = 1) -> tuple[RunningStats, RejectionCounter]:
     """Signed samples of stratum m of the series over one chunk.
 
-    Each admissible box point draws its insertion times, labels and
-    momenta, then per direction draw m directions, and averages the
-    histories of every sign combination.  The random stream is consumed
-    exactly as by a loop that builds and evaluates one history at a time
-    and stops a sample at its first degenerate history.  The terminals
+    Each admissible box point draws its insertion times, the labels of
+    its later insertions and the momenta, then per direction draw m
+    directions.  The first insertion's receiver is summed over the n box
+    particles, not drawn (a Rao-Blackwell average over that label), and
+    the histories are averaged over the direction draws and every sign
+    combination.  The random stream is consumed exactly as by a loop that
+    builds and evaluates one history at a time and stops a sample at its
+    first degenerate history.  The terminals
     draw their inner samples from a generator spawned from ``rng``, in
     the order the loop evaluates them, so the outer draws do not depend on
     how many a terminal takes.  The draws of a block of samples come
@@ -415,14 +419,15 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     prop = Maxwellian(beta0)
     inner = rng.spawn(1)[0]
     vol = box.volume
-    label_factor = falling_factorial(n + m - 1, m) if m else 1.0
+    label_factor = falling_factorial(n + m - 1, m - 1) if m else 1.0
     time_factor = t ** m / math.factorial(m)
     sphere_factor = (4.0 * math.pi) ** m
     combo_list = list(_sign_combos(m)) if (antithetic and m) else [(1.0,) * m]
     combos = len(combo_list)
     signs = np.array(combo_list, dtype=float).reshape(combos, m, 1)
     draws = direction_draws if m else 1
-    width = draws * combos                 # histories of a sample
+    receivers = n if m else 1
+    width = draws * receivers * combos     # histories of a sample
     counter = RejectionCounter()
     qs, ps = box.sample(rng, count)
     # box minus the admissible set carries no mass
@@ -437,7 +442,7 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
 
     def insertions():
         times = np.sort(rng.random(m))[::-1] * t
-        labels = [int(rng.integers(0, n + k)) for k in range(m)]
+        labels = [int(rng.integers(0, n + k)) for k in range(1, m)]
         momenta = [prop.sample(rng, 3) for _ in range(m)]
         prop_w = 1.0
         for pv in momenta:
@@ -452,12 +457,12 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
             pending.clear()
             held[:] = [0, 0]
 
-    # A sample's histories are listed draw-major, then by sign combination,
-    # as the loop builds them.  A sample that stops before its last
-    # direction draw ends the block: the loop never made its later draws,
-    # so the generator goes back to its state after the sample's insertions
-    # and makes only the draws up to the stop, and the next block starts at
-    # the following sample.
+    # A sample's histories are listed draw-major, then by first receiver,
+    # then by sign combination, as the loop builds them.  A sample that
+    # stops before its last direction draw ends the block: the loop never
+    # made its later draws, so the generator goes back to its state after
+    # the sample's insertions and makes only the draws up to the stop, and
+    # the next block starts at the following sample.
     per = max(1, _LEVEL_ROWS // width)
     b = 0
     while b < len(rows):
@@ -465,21 +470,24 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
         times = np.empty((nb, m))
         labels = np.empty((nb, m), dtype=int)
         momenta = np.empty((nb, m, 3))
-        dirs = np.empty((nb, draws, 1, m, 3))
+        dirs = np.empty((nb, draws, 1, 1, m, 3))
         scale = np.full(nb, vol * time_factor * label_factor * sphere_factor / 1.0)
         saved = []
         for i in range(nb if m else 0):
-            times[i], labels[i], momenta[i], scale[i] = insertions()
+            times[i], labels[i, 1:], momenta[i], scale[i] = insertions()
             if draws > 1:
                 saved.append(rng.bit_generator.state)
-            dirs[i] = _uniform_spheres(rng, draws * m).reshape(draws, 1, m, 3)
+            dirs[i] = _uniform_spheres(rng, draws * m).reshape(draws, 1, 1, m, 3)
+        labels = np.repeat(labels, width, axis=0)
+        labels[:, :1] = np.tile(np.repeat(np.arange(receivers), combos), nb * draws)[:, None]
         status, weight, q, p = _history_tree(
             qs[rows[b:b + nb]], ps[rows[b:b + nb]], dom, t, times, momenta,
-            np.repeat(np.arange(nb), width), np.repeat(labels, width, axis=0),
-            (signs * dirs).reshape(nb * width, m, 3))
+            np.repeat(np.arange(nb), width), labels,
+            np.broadcast_to(signs * dirs, (nb, draws, receivers, combos, m, 3))
+            .reshape(nb * width, m, 3))
         status, weight = status.reshape(nb, width), weight.reshape(nb, width)
         deg = status == _DEGENERATE
-        cut = np.where(deg.any(axis=1), deg.argmax(axis=1) // combos, draws)
+        cut = np.where(deg.any(axis=1), deg.argmax(axis=1) // (receivers * combos), draws)
         early = np.flatnonzero(cut < draws - 1)
         keep = early[0] + 1 if len(early) else nb
         status, weight = status[:keep], weight[:keep]
@@ -506,7 +514,7 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     for c in range(width):
         total = total + factor[:, c] * rho[:, c]
     values = np.zeros(count)
-    values[rows] = np.where(degenerate, 0.0, total / width)
+    values[rows] = np.where(degenerate, 0.0, total / (draws * combos))
     counter.degenerate += int(degenerate.sum())
     counter.accepted += len(rows) - int(degenerate.sum())
     return RunningStats().add_many(values), counter

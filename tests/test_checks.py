@@ -531,6 +531,48 @@ def test_prop1_collision_free_regime():
     assert abs(rep.detail["pullback_term"] - rep.rhs) < 0.005
 
 
+@pytest.mark.parametrize("perturb", [0.0, 1e-9])
+def test_map_roundtrip_top_level_is_deterministic(monkeypatch, perturb):
+    # the top level of the inverse map has no outer integral and returns
+    # the density up to rounding: a deterministic case at a rounding
+    # tolerance, which an inverse off by 1e-9 relative fails
+    from hardsphere.measures import InverseDensity
+
+    real = InverseDensity.eval_arrays
+
+    def eval_arrays(self, q, p, rng):
+        value, se = real(self, q, p, rng)
+        return value * (1.0 + perturb), se
+
+    monkeypatch.setattr(InverseDensity, "eval_arrays", eval_arrays)
+    reports = C.run_check(small_exp(), "map_roundtrip",
+                          params={"z": 50.0, "inner_samples": 16, "outer_samples": 8,
+                                  "points": 3})
+    *below, top = reports
+    assert [r.mode for r in below] == ["statistical"] * len(below) and len(below) >= 2
+    assert (top.case, top.mode, top.z, top.samples) == (f"level{len(below)}", "deterministic",
+                                                        None, 3)
+    assert top.tolerance == 1e-12 * abs(top.rhs) > 0.0
+    assert top.passed == (perturb == 0.0)
+
+
+def test_series_identity_with_a_pair_box():
+    # the series at n = 2 end to end: N = 3 on the two-particle box of the
+    # golden prop5 case, strata m = 0 and m = 1, the first insertion
+    # summed over both particles of the box
+    exp = small_exp()
+    exp.density = ModulatedProduct(3, 1.0)
+    exp.seed = 20250810
+    pair = {"name": "pair", "q_lo": [[1.0, 1.5, 1.5], [2.5, 1.5, 1.5]],
+            "q_hi": [[2.5, 3.5, 3.5], [4.0, 3.5, 3.5]],
+            "p_lo": [[-1.2] * 3] * 2, "p_hi": [[1.2] * 3] * 2}
+    (rep,) = C.run_check(exp, "series_identity",
+                         params={"samples": 20_000, "t": 6.0, "n": 2, "deltas": [pair]})
+    assert set(rep.detail) == {"stratum_m0", "stratum_m1", "blocked"}
+    assert rep.detail["stratum_m1"]["value"] != 0.0 and rep.detail["blocked"] > 0
+    assert rep.passed, rep.table_row()
+
+
 def test_summary_table_flags_failures():
     rep = C.CheckReport(
         check="series_identity", case="bulk", mode="statistical",
@@ -808,13 +850,14 @@ points = 3
 """
 
 # SHA-256 of the canonical report of GOLDEN_OTHER_INI (numpy 2.4, x86-64
-# Linux), recorded when the terminals' inner samples moved to their own
-# spawned generator and every square became a product.  It covers the checks the other two digests leave out,
-# each over several chunks, so a change to their seeds, chunking, order
-# of random draws or report fields shows up as a different digest.  Its
+# Linux), recorded when prop5's collision term became the series' m = 1
+# stratum and map_roundtrip's top level a deterministic identity.  It
+# covers the checks the other two digests leave out, each over several
+# chunks, so a change to their seeds, chunking, order of random draws or
+# report fields shows up as a different digest.  Its
 # prop5_onestep case runs at N = n + 1 on a two-particle box, the only
 # particle number the check accepts.
-GOLDEN_OTHER_SHA256 = "a503f05063e915fc0fd7578a4e275d776057ccae6cb4f2d7cc2f3c33bda89983"
+GOLDEN_OTHER_SHA256 = "dd065549f8f06ceaf54c7a21be58c25391156215471b055585ea04383e159e43"
 
 
 def test_golden_other_report_bytes(tmp_path):
@@ -854,12 +897,12 @@ deltas = ["bulk", "near_wall"]
 """
 
 # SHA-256 of the canonical report of GOLDEN_MULTIBOX_INI (numpy 2.4,
-# x86-64 Linux), recorded when the terminals' inner samples moved to
-# their own spawned generator; its forward lines are those of one forward
-# estimator per box.  Both checks have two boxes on one forward run, and the first forward
+# x86-64 Linux), recorded when prop5's collision term became the series'
+# m = 1 stratum; its forward lines are those of one forward estimator per
+# box.  Both checks have two boxes on one forward run, and the first forward
 # chunk of 5000 trajectories crosses the 4096-row sampling batch, so a
 # change to the per-box tallies or to the batch boundary shows up here.
-GOLDEN_MULTIBOX_SHA256 = "ec9d6c8e66ad0b8e5b368ffd29f08d7931c9fc468fe967b96a3a31a5c6062443"
+GOLDEN_MULTIBOX_SHA256 = "6280805636c1b99ed0b389fff485c5dacac3f73018c10b4749d8f386c2fa8c28"
 
 
 def test_golden_multibox_report_bytes(tmp_path):

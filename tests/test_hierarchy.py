@@ -151,13 +151,15 @@ def test_blocked_insertion_flagged():
 def mc_collision_operator(rho, config: Configuration, j: int, samples: int,
                           rng: np.random.Generator, beta0: float | None = None,
                           inner_samples: int | None = None) -> SignedEstimate:
-    """Signed MC estimate of the boundary flux coupling level n to n+1, in
-    the arithmetic ``checks._w_prop5_collision`` runs: each sample draws
-    the added momentum from a proposal Maxwellian at beta0 (default: the
-    measure's own beta) and a uniform contact direction; ``_insert`` then
-    places every sample's sphere and gives its flux weight, and the
-    admissible ones draw their inner samples in one ``draw_inner``.
-    Blocked directions contribute zero and count as samples."""
+    """Signed MC estimate of the boundary flux coupling level n to n+1 at
+    one configuration and one receiver j, in the insertion arithmetic of
+    the series (``hierarchy._series_stratum_stats``, whose m = 1 stratum
+    is prop5's collision term): each sample draws the added momentum from
+    a proposal Maxwellian at beta0 (default: the measure's own beta) and a
+    uniform contact direction; ``_insert`` then places every sample's
+    sphere and gives its flux weight, and the admissible ones draw their
+    inner samples in one ``draw_inner``.  Blocked directions contribute
+    zero and count as samples."""
     prop = Maxwellian(beta0 if beta0 is not None else rho.measure.beta)
     q, p = config_to_arrays(config)
     p_hat, omega = np.empty((samples, 3)), np.empty((samples, 3))
@@ -584,17 +586,21 @@ def oracle_sphere(rng):
 
 def oracle_stratum_stats(rho0, n, t, box, m, count, beta0, inner_samples, antithetic, rng,
                          direction_draws=1):
+    """A stratum of the series one history at a time: per direction draw,
+    the first insertion attaches to each of the n box particles in turn
+    and the later labels are drawn."""
     from itertools import product
 
     ms = rho0.measure
     dom = ms.domain
     prop = Maxwellian(beta0)
     vol = box.volume
-    label_factor = falling_factorial(n + m - 1, m) if m else 1.0
+    label_factor = falling_factorial(n + m - 1, m - 1) if m else 1.0
     time_factor = t ** m / math.factorial(m)
     sphere_factor = (4.0 * math.pi) ** m
     sign_combos = list(product((1.0, -1.0), repeat=m)) if (antithetic and m) else [(1.0,) * m]
     draws = max(1, direction_draws) if m else 1
+    receivers = n if m else 1
     inner = rng.spawn(1)[0]
     stats = RunningStats()
     counter = RejectionCounter()
@@ -607,10 +613,10 @@ def oracle_stratum_stats(rho0, n, t, box, m, count, beta0, inner_samples, antith
             continue
         if m:
             times = tuple(float(x) for x in np.sort(rng.random(m))[::-1] * t)
-            labels = tuple(int(rng.integers(0, n + k)) for k in range(m))
+            later = tuple(int(rng.integers(0, n + k)) for k in range(1, m))
             momenta = tuple(Vec3(*prop.sample(rng, 3)) for _ in range(m))
         else:
-            times = labels = momenta = ()
+            times = later = momenta = ()
         prop_w = 1.0
         for pv in momenta:
             prop_w *= float(prop.pdf(pv.as_tuple()))
@@ -620,10 +626,11 @@ def oracle_stratum_stats(rho0, n, t, box, m, count, beta0, inner_samples, antith
         degenerate = False
         for _ in range(draws):
             dirs = tuple(oracle_sphere(rng) for _ in range(m))
-            for signs in sign_combos:
+            for j, signs in product(range(receivers), sign_combos):
                 flipped = tuple(d if s > 0 else -d for d, s in zip(dirs, signs))
-                delta = CollisionHistory(times, labels, momenta, flipped)
-                outcome = oracle_build_history(start, t, delta)
+                labels = (j, *later) if m else ()
+                outcome = oracle_build_history(
+                    start, t, CollisionHistory(times, labels, momenta, flipped))
                 if outcome.status is HistoryStatus.DEGENERATE:
                     degenerate = True
                     break
@@ -641,7 +648,7 @@ def oracle_stratum_stats(rho0, n, t, box, m, count, beta0, inner_samples, antith
             stats.add(0.0)
             continue
         counter.accepted += 1
-        stats.add(sum(combo_vals) / len(combo_vals))
+        stats.add(sum(combo_vals) / (draws * len(sign_combos)))
     return stats, counter
 
 
@@ -841,10 +848,17 @@ def refused(monkeypatch):
     monkeypatch.setattr(InitialMeasure, "admissible_batch", admissible_batch)
 
 
+def pair_box():
+    """The two-particle box of the golden prop5 case."""
+    return PhaseBox.of([[1.0, 1.5, 1.5], [2.5, 1.5, 1.5]], [[2.5, 3.5, 3.5], [4.0, 3.5, 3.5]],
+                       [[-1.2] * 3] * 2, [[1.2] * 3] * 2)
+
+
 STRATA = ([(big_n, name, m, 1) for big_n in (2, 3) for name in ("bulk", "near_wall")
            for m in range(big_n)] + [(2, "bulk", 1, 3), ("grand", "micro", 0, 24),
                                      ("grand", "micro", 1, 24), (3, "bulk", 1, 3),
-                                     (3, "near_wall", 1, 2), (4, "bulk", 2, 1)])
+                                     (3, "near_wall", 1, 2), (4, "bulk", 2, 1),
+                                     (3, "pair", 1, 1), (4, "pair", 2, 1)])
 # strata built with each direction tuple as drawn, without its sign flips:
 # one whose terminals draw nothing and one whose terminals draw inner samples
 ONE_SIGN = [(2, "bulk", 1, 1), (3, "bulk", 1, 1)]
@@ -867,21 +881,23 @@ def test_stratum_stats_match_oracle(measures_by_n, big_n, box_name, m, draws, an
     # inner samples (N = 3, m = 1 with one or more draws, some terminals
     # inadmissible; N = 4, m = 2, with an intermediate leg) give the same
     # statistics and counters and leave the stream where the loop does,
-    # with and without the antithetic sign flips
+    # with and without the antithetic sign flips; on the pair box (n = 2)
+    # the first insertion attaches to each of the two particles
     if force:
         request.getfixturevalue("forced")
     if refuse:
         request.getfixturevalue("refused")
     ms = measures_by_n[big_n]
     rho0 = correlation_map(ms)
-    box = grand_box(ms.domain) if big_n == "grand" else checks.delta_preset(box_name, BOX, 1.0)
+    box = (grand_box(ms.domain) if big_n == "grand" else pair_box() if box_name == "pair"
+           else checks.delta_preset(box_name, BOX, 1.0))
     t = 2.0 if big_n == "grand" else 5.0
     # forced, the N = 4, m = 2 stratum loses about 40% of its samples to
     # degenerate legs: 73 of 120 accepted on average over seeds, but 60 at
     # this one, so it draws twice as many for the guard below
     count = 40 if draws > 1 else 240 if big_n == 4 else 120
     seed = sum(map(ord, f"{big_n}{box_name}{m}"))
-    args = (rho0, 1, t, box, m, count, 1.0, 32, antithetic)
+    args = (rho0, box.n, t, box, m, count, 1.0, 32, antithetic)
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     stats, counter = _series_stratum_stats(*args, rng_new, draws)
     want_stats, want_counter = oracle_stratum_stats(*args, rng_old, draws)
@@ -921,8 +937,20 @@ def test_top_stratum_with_many_draws_builds_blocks(measures_by_n, monkeypatch, f
         assert counter.degenerate == 0 and sum(starts) == rows
 
 
+def assert_matches_prop5_oracle(got, rng, want, want_rng):
+    """prop5's collision chunk (the series worker at m = 1) against
+    ``oracle_prop5``: the same counters, sample count and next random
+    number, and statistics equal to rounding, as the worker scales each
+    history before it sums them and the oracle scales the sum."""
+    (stats, counter), (want_stats, want_counter) = got, want
+    assert counter == want_counter and stats.count == want_stats.count
+    assert rng.random() == want_rng.random()
+    for name in ("total", "total_sq", "positive", "negative"):
+        assert getattr(stats, name) == pytest.approx(getattr(want_stats, name), rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("force", [False, True])
-def test_check_workers_match_oracles(force, request):
+def test_check_workers_match_oracles(force, monkeypatch, request):
     if force:
         request.getfixturevalue("forced")
     spec = ModulatedProduct(2, 1.0)
@@ -936,11 +964,13 @@ def test_check_workers_match_oracles(force, request):
                                             boxes=(box,), beta0=1.0, inner=32))
         want, rng = oracle_backmap(back)
         assert got == want
-        one = (spec, BOX, 20_000, n, 4.0, box, 1.0, 32, 150, (5, n, 3))
-        got = checks._w_prop5_collision(checks.Chunk(spec, BOX, 20_000, 150, (5, n, 3), n=n,
-                                                     t=4.0, boxes=(box,), beta0=1.0, inner=32))
-        want, rng = oracle_prop5(one)
-        assert got == want
+        # and the collision term the same worker at m = 1, on the N = n + 1
+        # particles the check accepts
+        top = ModulatedProduct(n + 1, 1.0)
+        one = (top, BOX, 20_000, n, 4.0, box, 1.0, 32, 150, (5, n, 3))
+        got, rng = worker_and_stream(monkeypatch, checks._w_series, checks.Chunk(
+            top, BOX, 20_000, 150, (5, n, 3), n=n, t=4.0, boxes=(box,), m=1, beta0=1.0, inner=32))
+        assert_matches_prop5_oracle(got, rng, *oracle_prop5(one))
         assert got[1].blocked > 0
 
 
@@ -1283,19 +1313,20 @@ def test_array_paths_build_no_vec3(measures_by_n, monkeypatch):
 
 
 @pytest.mark.parametrize("force", [False, True])
-@pytest.mark.parametrize("big_n", [2])
+@pytest.mark.parametrize("big_n", [2, 3])
 def test_prop5_worker_modes_match_oracle(big_n, force, monkeypatch, request):
-    # at N = n + 1 the terminals draw no inner samples, so all draws come
-    # first and the samples are built in trees of three (blocks patched down)
+    # prop5's collision term at N = n + 1 (n = 1 and n = 2): the terminals
+    # draw no inner samples, and the samples are built in trees of three
+    # (blocks patched down)
     if force:
         request.getfixturevalue("forced")
-    monkeypatch.setattr(checks, "_LEVEL_ROWS", 6)
+    n = big_n - 1
+    monkeypatch.setattr(hierarchy, "_LEVEL_ROWS", 6 * n)
     spec = ModulatedProduct(big_n, 1.0)
-    box = checks.delta_preset("near_wall", BOX, 1.0)
-    chunk = checks.Chunk(spec, BOX, 20_000, 40, (6, big_n), n=1, t=4.0, boxes=(box,), beta0=1.0,
-                         inner=16)
-    got, rng = worker_and_stream(monkeypatch, checks._w_prop5_collision, chunk)
-    want, want_rng = oracle_prop5((spec, BOX, 20_000, 1, 4.0, box, 1.0, 16, 40, (6, big_n)))
-    assert got == want
-    assert rng.random() == want_rng.random()
+    box = checks.delta_preset("near_wall", BOX, 1.0) if n == 1 else pair_box()
+    chunk = checks.Chunk(spec, BOX, 20_000, 40, (6, big_n), n=n, t=4.0, boxes=(box,), m=1,
+                         beta0=1.0, inner=16)
+    got, rng = worker_and_stream(monkeypatch, checks._w_series, chunk)
+    assert_matches_prop5_oracle(got, rng, *oracle_prop5(
+        (spec, BOX, 20_000, n, 4.0, box, 1.0, 16, 40, (6, big_n))))
     assert got[1].blocked > 0 and (got[1].degenerate > 0) == force
