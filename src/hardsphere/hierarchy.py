@@ -405,14 +405,14 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     the histories are averaged over the direction draws and every sign
     combination.  The random stream is consumed exactly as by a loop that
     builds and evaluates one history at a time and stops a sample at its
-    first degenerate history.  The terminals
-    draw their inner samples from a generator spawned from ``rng``, in
-    the order the loop evaluates them, so the outer draws do not depend on
-    how many a terminal takes.  The draws of a block of samples come
-    first and the block is built as one tree; a sample that stops before
-    its last direction draw ends its block, and the draws it never made
-    are taken back.  The terminals' correlation values are computed in
-    batches at the end.
+    first degenerate history.  The terminals draw their inner samples from
+    a generator spawned from ``rng``, in the order the loop evaluates them,
+    so the outer draws do not depend on how many a terminal takes.  The
+    draws of a block of samples come first: per sample only the loop's
+    stream calls, into block buffers (a momentum is 0.0 + sigma * z of the
+    normal draw z), then block-wide the time sort, the momenta, the
+    proposal density and the unit directions.  The block is built as one
+    tree.  The terminals' correlation values are computed in batches.
     """
     ms = rho0.measure
     dom = ms.domain
@@ -440,15 +440,32 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     pending = []    # (slots of rho, q, p, uniforms) of terminals to evaluate
     held = [0, 0]   # their rows and uniforms
 
-    def insertions():
-        times = np.sort(rng.random(m))[::-1] * t
-        labels = [int(rng.integers(0, n + k)) for k in range(1, m)]
-        momenta = [prop.sample(rng, 3) for _ in range(m)]
-        prop_w = 1.0
-        for pv in momenta:
-            prop_w *= float(prop.pdf(pv))
-        scale = vol * time_factor * label_factor * sphere_factor / prop_w
-        return times, labels, np.reshape(momenta, (m, 3)), scale
+    def draw(nb):
+        start = rng.bit_generator.state
+        times = np.empty((nb, m))
+        labels = np.zeros((nb, m), dtype=int)
+        z = np.empty((nb, m + draws * m, 3))
+        saved = []
+        for i in range(nb if m else 0):
+            rng.random(out=times[i])
+            for k in range(1, m):
+                labels[i, k] = rng.integers(0, n + k)
+            if draws > 1:
+                saved.append(rng.bit_generator.state)
+            rng.standard_normal(out=z[i])
+        r = np.sqrt(np.vecdot(z[:, m:], z[:, m:]))[..., None]
+        dirs = (0.0 + z[:, m:]) / r
+        low = (r <= _NORM_FLOOR).any(axis=(1, 2))
+        if low[:-1].any():
+            rng.bit_generator.state = start
+            return draw(int(low.argmax()) + 1)
+        if low[-1]:
+            ok = r[-1, :, 0] > _NORM_FLOOR
+            dirs[-1] = np.concatenate([dirs[-1, ok], _uniform_spheres(rng, int((~ok).sum()))])
+        momenta = 0.0 + prop.sigma * z[:, :m]
+        scale = vol * time_factor * label_factor * sphere_factor / prop.pdf(momenta).prod(axis=1)
+        return (np.sort(times, axis=1)[:, ::-1] * t, labels, momenta, scale,
+                dirs.reshape(nb, draws, 1, 1, m, 3), saved)
 
     def evaluate():
         if pending:
@@ -460,24 +477,17 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     # A sample's histories are listed draw-major, then by first receiver,
     # then by sign combination, as the loop builds them.  A sample that
     # stops before its last direction draw ends the block: the loop never
-    # made its later draws, so the generator goes back to its state after
-    # the sample's insertions and makes only the draws up to the stop, and
-    # the next block starts at the following sample.
+    # made its later draws, so the generator goes back to its state before
+    # the sample's normal draws and makes only those up to the stop, and
+    # the next block starts at the following sample.  The loop redraws a
+    # direction triple at or below the norm floor at once, so the first
+    # sample with one ends its block too: the block's draws are made again
+    # up to it, and its shortfall is drawn after it.
     per = max(1, _LEVEL_ROWS // width)
     b = 0
     while b < len(rows):
-        nb = min(per, len(rows) - b)
-        times = np.empty((nb, m))
-        labels = np.empty((nb, m), dtype=int)
-        momenta = np.empty((nb, m, 3))
-        dirs = np.empty((nb, draws, 1, 1, m, 3))
-        scale = np.full(nb, vol * time_factor * label_factor * sphere_factor / 1.0)
-        saved = []
-        for i in range(nb if m else 0):
-            times[i], labels[i, 1:], momenta[i], scale[i] = insertions()
-            if draws > 1:
-                saved.append(rng.bit_generator.state)
-            dirs[i] = _uniform_spheres(rng, draws * m).reshape(draws, 1, 1, m, 3)
+        times, labels, momenta, scale, dirs, saved = draw(min(per, len(rows) - b))
+        nb = len(times)
         labels = np.repeat(labels, width, axis=0)
         labels[:, :1] = np.tile(np.repeat(np.arange(receivers), combos), nb * draws)[:, None]
         status, weight, q, p = _history_tree(
@@ -507,12 +517,11 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
                 evaluate()
         if len(early):
             rng.bit_generator.state = saved[keep - 1]
+            rng.standard_normal(3 * m)
             _uniform_spheres(rng, (cut[keep - 1] + 1) * m)
         b += keep
     evaluate()
-    total = 0.0
-    for c in range(width):
-        total = total + factor[:, c] * rho[:, c]
+    total = np.add.accumulate(factor * rho, axis=1)[:, -1]
     values = np.zeros(count)
     values[rows] = np.where(degenerate, 0.0, total / (draws * combos))
     counter.degenerate += int(degenerate.sum())
@@ -642,15 +651,12 @@ def empirical_chunk_grand(measure: InitialMeasure, n: int, t: float, boxes: tupl
             q_tup, p_tup = qf[:, tuples].reshape(-1, n, 3), pf[:, tuples].reshape(-1, n, 3)
             for b, box in enumerate(boxes):
                 values[b, rows] = box.contains_batch(q_tup, p_tup).reshape(len(rows), -1).sum(1)
-        for row, bad in zip(values.T.tolist(), degenerate.tolist()):
-            if bad:
-                counter.degenerate += 1
-                if counter.degenerate > max_resample + count:
-                    raise RuntimeError("excessive degenerate-trajectory rate")
-            else:
-                for box_stats, value in zip(stats, row):
-                    box_stats.add(value)
-                counter.accepted += 1
+        counter.degenerate += int(degenerate.sum())
+        if counter.degenerate > max_resample + count:
+            raise RuntimeError("excessive degenerate-trajectory rate")
+        for box_stats, row in zip(stats, values[:, ~degenerate]):
+            box_stats.add_many(row)
+        counter.accepted += int((~degenerate).sum())
     return (*stats, counter)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(slots=True)
 class RunningStats:
@@ -30,8 +32,11 @@ class RunningStats:
             self.negative += value
 
     def add_many(self, values) -> "RunningStats":
-        for v in values:
-            self.add(float(v))
+        v = np.asarray(values, dtype=float)   # as ``add`` on each: sums run left to right
+        self.count += len(v)
+        for name, part in (("total", v), ("total_sq", v * v), ("positive", v[v > 0.0]),
+                           ("negative", v[v < 0.0])):
+            setattr(self, name, float(np.add.accumulate(np.r_[getattr(self, name), part])[-1]))
         return self
 
     def merge(self, other: "RunningStats") -> None:

@@ -577,10 +577,12 @@ def oracle_build_history(config, t, delta):
 
 
 def oracle_sphere(rng):
+    # one unit vector per normal triple, redrawn at or below the module's
+    # norm floor
     while True:
         v = rng.normal(size=3)
         r = math.sqrt(float(v @ v))
-        if r > 1e-12:
+        if r > hierarchy._NORM_FLOOR:
             return Vec3(v[0] / r, v[1] / r, v[2] / r)
 
 
@@ -864,29 +866,43 @@ STRATA = ([(big_n, name, m, 1) for big_n in (2, 3) for name in ("bulk", "near_wa
 ONE_SIGN = [(2, "bulk", 1, 1), (3, "bulk", 1, 1)]
 # strata whose two-particle terminals the ``refused`` rule makes inadmissible
 REFUSED = [(3, "bulk", 1, 1), (3, "bulk", 1, 3)]
+# strata built at norm floor 1.0, where about a fifth of the direction
+# triples are redrawn (at the shipped floor no seed is known to meet one)
+FLOOR = [(3, "bulk", 1, 1), (4, "bulk", 2, 1), ("grand", "micro", 1, 24)]
 
 
 @pytest.mark.parametrize("force", [False, True])
-@pytest.mark.parametrize("big_n, box_name, m, draws, antithetic, refuse",
-                         [(*s, True, False) for s in STRATA]
-                         + [(*s, False, False) for s in ONE_SIGN]
-                         + [(*s, True, True) for s in REFUSED],
+@pytest.mark.parametrize("big_n, box_name, m, draws, antithetic, refuse, floor",
+                         [(*s, True, False, False) for s in STRATA]
+                         + [(*s, False, False, False) for s in ONE_SIGN]
+                         + [(*s, True, True, False) for s in REFUSED]
+                         + [(*s, True, False, True) for s in FLOOR],
                          ids=["-".join(map(str, s)) for s in STRATA]
                          + ["-".join(map(str, s)) + "-one_sign" for s in ONE_SIGN]
-                         + ["-".join(map(str, s)) + "-refused" for s in REFUSED])
-def test_stratum_stats_match_oracle(measures_by_n, big_n, box_name, m, draws, antithetic, refuse,
-                                    force, request):
+                         + ["-".join(map(str, s)) + "-refused" for s in REFUSED]
+                         + ["-".join(map(str, s)) + "-floor" for s in FLOOR])
+def test_stratum_stats_match_oracle(measures_by_n, monkeypatch, big_n, box_name, m, draws,
+                                    antithetic, refuse, floor, force, request):
     # strata whose terminals draw nothing (m = 0 at N = n + m, the top ones
     # with one or more direction draws) and strata whose terminals draw
     # inner samples (N = 3, m = 1 with one or more draws, some terminals
     # inadmissible; N = 4, m = 2, with an intermediate leg) give the same
     # statistics and counters and leave the stream where the loop does,
     # with and without the antithetic sign flips; on the pair box (n = 2)
-    # the first insertion attaches to each of the two particles
+    # the first insertion attaches to each of the two particles; at the
+    # raised norm floor a block ends at its first sample with a redrawn
+    # triple, and a sample that also stops early takes back the draws it
+    # never made, redraws included
     if force:
         request.getfixturevalue("forced")
     if refuse:
         request.getfixturevalue("refused")
+    redraws = []
+    if floor:
+        monkeypatch.setattr(hierarchy, "_NORM_FLOOR", 1.0)
+        real = hierarchy._uniform_spheres
+        monkeypatch.setattr(hierarchy, "_uniform_spheres",
+                            lambda rng, k: redraws.append(k) or real(rng, k))
     ms = measures_by_n[big_n]
     rho0 = correlation_map(ms)
     box = (grand_box(ms.domain) if big_n == "grand" else pair_box() if box_name == "pair"
@@ -905,6 +921,7 @@ def test_stratum_stats_match_oracle(measures_by_n, big_n, box_name, m, draws, an
     assert rng_new.random() == rng_old.random()
     assert counter.accepted > count // 2
     assert (counter.degenerate > 0) == force
+    assert (len(redraws) > 5) == floor
 
 
 @pytest.mark.parametrize("force", [False, True])
@@ -1264,16 +1281,6 @@ def test_chunk_grand_all_degenerate_raises(measures_by_n, all_degenerate):
                   max_resample=10)
 
 
-def oracle_uniform_sphere(rng):
-    # the per-vector loop ``hierarchy._uniform_spheres`` replaced, at the
-    # module's norm floor
-    while True:
-        v = rng.normal(size=3)
-        r = math.sqrt(float(v @ v))
-        if r > hierarchy._NORM_FLOOR:
-            return v / r
-
-
 @pytest.mark.parametrize("floor", [1e-12, 1.0])
 def test_uniform_spheres_match_per_vector_loop(floor, monkeypatch):
     # at floor 1.0 about a fifth of the normal triples are redrawn
@@ -1281,7 +1288,7 @@ def test_uniform_spheres_match_per_vector_loop(floor, monkeypatch):
     for k in (0, 1, 2, 48):
         rng_new, rng_old = np.random.default_rng(k), np.random.default_rng(k)
         got = hierarchy._uniform_spheres(rng_new, k)
-        want = np.reshape([oracle_uniform_sphere(rng_old) for _ in range(k)], (k, 3))
+        want = np.reshape([oracle_sphere(rng_old).as_tuple() for _ in range(k)], (k, 3))
         assert got.shape == (k, 3) and got.tobytes() == want.tobytes()
         assert rng_new.random() == rng_old.random()
     first = np.random.default_rng(48).normal(size=(48, 3))
@@ -1330,3 +1337,18 @@ def test_prop5_worker_modes_match_oracle(big_n, force, monkeypatch, request):
     assert_matches_prop5_oracle(got, rng, *oracle_prop5(
         (spec, BOX, 20_000, n, 4.0, box, 1.0, 16, 40, (6, big_n))))
     assert got[1].blocked > 0 and (got[1].degenerate > 0) == force
+
+
+@pytest.mark.parametrize("values", [[], [0.0] * 5, [-0.0, 0.0, -0.0], [1.5, -2.25, 0.0, -0.0, 3.0],
+                                    np.random.default_rng(8).normal(size=4000) * 1e3])
+def test_add_many_equals_repeated_add(values):
+    # on a fresh and on a used accumulator, to the last bit and the sign of
+    # zero
+    got, want = RunningStats(), RunningStats()
+    for start in (values, [0.1, -0.3], values):
+        got.add_many(np.asarray(start))
+        for v in start:
+            want.add(v)
+        assert got == want
+        assert [math.copysign(1.0, x) for x in (got.total, got.positive, got.negative)] == [
+            math.copysign(1.0, x) for x in (want.total, want.positive, want.negative)]
