@@ -17,12 +17,13 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from hardsphere.config import ExperimentConfig, check_params, check_problems, delta_preset
+from hardsphere.config import ExperimentConfig, check_params, delta_preset
 from hardsphere.dynamics import (
     EPS_EVENT_REL,
     DegeneracyError,
@@ -169,11 +170,26 @@ def _chunk_counts(total: int, size: int) -> list[int]:
     return [size] * full + ([rem] if rem or not full else [])
 
 
+@contextmanager
 def _map_ordered(fn, payloads, workers: int):
+    """fn over the payloads, in order; with two or more of each, over a pool
+    that takes every payload on entry and shuts down at the last result, or
+    on exit with the pending payloads cancelled."""
     if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, payloads, chunksize=1))
+        yield map(fn, payloads)
+        return
+    ex = ProcessPoolExecutor(max_workers=workers)
+
+    def ordered(results):
+        for i, result in enumerate(results, 1):
+            if i == len(payloads):
+                ex.shutdown()      # live forked workers make this process's writes copy pages
+            yield result
+
+    try:
+        yield ordered(ex.map(fn, payloads, chunksize=1))
+    finally:
+        ex.shutdown(cancel_futures=True)
 
 
 def _call(job):
@@ -214,9 +230,11 @@ class Chunk:
 def _chunks(exp: ExperimentConfig, spec, samples: int, seed: tuple, domain: Domain | None = None,
             **own) -> list[Chunk]:
     """The chunks of an estimator of ``samples`` samples, with the workers'
-    own fields; chunk idx draws from the stream (exp.seed, *seed, idx)."""
-    return [Chunk(spec, domain or exp.domain, exp.norm_proposals, count, (exp.seed, *seed, idx),
-                  **own)
+    own fields; chunk idx draws from the stream (exp.seed, *seed, idx).
+    Their measure is built here, so forked workers inherit it."""
+    domain = domain or exp.domain
+    get_measure(spec, domain, norm_proposals=exp.norm_proposals)
+    return [Chunk(spec, domain, exp.norm_proposals, count, (exp.seed, *seed, idx), **own)
             for idx, count in enumerate(_chunk_counts(samples, exp.chunk_size))]
 
 
@@ -234,27 +252,6 @@ class Estimator(NamedTuple):
     worker: Callable
     groups: list[list[Chunk]]
     combine: Callable = lambda merged: merged
-
-
-def _run_chunks(exp: ExperimentConfig, estimators: list[Estimator]) -> list:
-    """Run every chunk of the estimators of a check in one ordered map over
-    exp.workers processes and return each estimator's combined result.  A
-    group's chunk results merge field by field in chunk order: statistics
-    and counters merge, counts add, and a float (a worst case) takes the
-    max.  The chunks' measures are built here first, so forked workers
-    inherit them."""
-    jobs = [(e.worker, c) for e in estimators for group in e.groups for c in group]
-    for _, c in jobs:
-        c.measure                  # cached in this process before any fork
-    results = iter(_map_ordered(_call, jobs, exp.workers))
-
-    def merged(group):
-        acc = next(results)
-        for _ in group[1:]:
-            acc = tuple(map(_merge, acc, next(results)))
-        return acc
-
-    return [e.combine(*map(merged, e.groups)) for e in estimators]
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +405,7 @@ def _worst(values: np.ndarray) -> float:
 
 
 def _run_conservation(exp, label, params, key):
+    yield []
     samples = int(params["samples"])
     rng = _rng(exp.seed, key, 1)
     sig = 1.0 / math.sqrt(exp.density.beta)
@@ -484,7 +482,7 @@ def _run_reversibility(exp, label, params, key):
         rate = max(int(ev.sum()) / len(ev), 1e-9) / pilot_t
         t = float(params["events_target"]) / rate
         cases.append((n, t, _chunks(exp, spec, trajectories, (key, 10 + n), t=t)))
-    results = _run_chunks(exp, [Estimator(_w_reversibility, [chunks]) for *_, chunks in cases])
+    results = yield [Estimator(_w_reversibility, [chunks]) for *_, chunks in cases]
     return [_det_report("reversibility", f"n{n}", worst, 0.0, 1e-8, samples=trajectories,
                         degenerate_rate=ctr.degenerate_rate, n=n, t=t,
                         detail={"mean_events": events / trajectories,
@@ -499,15 +497,16 @@ def _run_liouville(exp, label, params, key):
     n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
     times = params["times"] if params["times"] is not None else [t / 3.0, 2.0 * t / 3.0, t]
     _, box = _resolve_delta(params["delta"], exp.domain, spec.beta)
-    (base,), *ests = _run_chunks(exp, [
+    (base,), *ests = yield [
         _empirical(exp, spec, exp.domain, n, float(tv), (box,), samples, key, i)
-        for i, tv in enumerate([0.0, *times])])
+        for i, tv in enumerate([0.0, *times])]
     return [_stat_report("liouville", f"t{tv:g}", est.estimate, base.estimate, exp,
                          (est.counter, base.counter), n=n, t=float(tv), box=box)
             for tv, (est,) in zip(times, ests)]
 
 
 def _run_special_flow(exp, label, params, key):
+    yield []
     from hardsphere.specialflow import (
         AtomBase,
         Ceiling,
@@ -566,8 +565,8 @@ def _run_lemma2(exp, label, params, key):
     trajectories = int(params["trajectories"])
     rate_samples = int(params["rate_samples"])
     n_list = [int(n) for n in params["n_list"]]
-    results = _run_chunks(exp, [Estimator(_w_lemma2, [_chunks(
-        exp, CanonicalEq(n, beta), trajectories, (key, 20 + n), t=t)], _signed) for n in n_list])
+    results = yield [Estimator(_w_lemma2, [_chunks(
+        exp, CanonicalEq(n, beta), trajectories, (key, 20 + n), t=t)], _signed) for n in n_list]
     reports = []
     for n, (emp, counter) in zip(n_list, results):
         ms = get_measure(CanonicalEq(n, beta), exp.domain, norm_proposals=exp.norm_proposals)
@@ -586,13 +585,13 @@ def _run_prop1(exp, label, params, key):
     ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
     ff = falling_factorial(big_n, n)
     names, boxes = zip(*(_resolve_delta(d, exp.domain, spec.beta) for d in params["deltas"]))
-    forward, crossing, *backs = _run_chunks(exp, [
+    forward, crossing, *backs = yield [
         _empirical(exp, spec, exp.domain, n, t, boxes, samples, key, 1),
         Estimator(_w_prop1_forward, [_chunks(exp, spec, samples, (key, 3), n=n, t=t, boxes=boxes)],
                   lambda merged: [(*merged[k:k + 3], merged[-1])
                                   for k in range(0, len(merged) - 1, 3)]),
         *(Estimator(_w_series, [_pullback(exp, spec, n, t, box, int(params["inner_samples"]),
-                                          samples, key)], _signed) for box in boxes)])
+                                          samples, key)], _signed) for box in boxes)]
     reports = []
     for name, box, lhs, (fstats, plus, minus, ctr_f), (term1, ctr_b) in zip(
             names, boxes, forward, crossing, backs):
@@ -615,13 +614,13 @@ def _run_prop5(exp, label, params, key):
     names, boxes = zip(*(_resolve_delta(d, exp.domain, spec.beta) for d in params["deltas"]))
     # per box the series strata m = 0 (the pull-back term) and m = 1 (the
     # collision term, on the streams (exp.seed, key, 3, idx))
-    forward, *per_box = _run_chunks(exp, [
+    forward, *per_box = yield [
         _empirical(exp, spec, exp.domain, n, t, boxes, samples, key, 1),
         *(Estimator(_w_series, [
             _pullback(exp, spec, n, t, box, inner, samples // 2, key),
             _chunks(exp, spec, samples, (key, 3), n=n, t=t, boxes=(box,), m=1, beta0=beta0,
                     inner=inner)], lambda *strata: SeriesResult.of(strata, ms.z_rel_err))
-          for box in boxes)])
+          for box in boxes)]
     return [_stat_report("prop5_onestep", name, lhs.estimate, res.total_with_norm_err, exp,
                          (lhs.counter, res.counter), n=n, t=t, box=box,
                          detail={"pullback_term": res.strata[0].value,
@@ -642,9 +641,9 @@ def _run_series_identity(exp, label, params, key):
         direction_draws=int(params["direction_draws"]),
     )
     names, boxes = zip(*(_resolve_delta(d, exp.domain, spec.beta) for d in params["deltas"]))
-    forward, *series = _run_chunks(exp, [
+    forward, *series = yield [
         _empirical(exp, spec, exp.domain, n, t, boxes, samples, key, 1),
-        *(_series(exp, spec, exp.domain, n, t, box, sp, key, 2) for box in boxes)])
+        *(_series(exp, spec, exp.domain, n, t, box, sp, key, 2) for box in boxes)]
     reports = []
     for name, box, lhs, res in zip(names, boxes, forward, series):
         detail = {f"stratum_m{m}": {"value": e.value, "stderr": e.stderr, "count": e.count}
@@ -681,8 +680,8 @@ def _run_grand_canonical(exp, label, params, key):
         allocation=tuple(params["allocation"]),
         direction_draws=int(params["direction_draws"]),
     )
-    (lhs,), res = _run_chunks(exp, [_empirical(exp, spec, domain, n, t, (box,), samples, key, 1),
-                                    _series(exp, spec, domain, n, t, box, sp, key, 2)])
+    (lhs,), res = yield [_empirical(exp, spec, domain, n, t, (box,), samples, key, 1),
+                         _series(exp, spec, domain, n, t, box, sp, key, 2)]
     return [_stat_report(
         "grand_canonical_identity", label or "micro", lhs.estimate, res.total_with_norm_err, exp,
         (lhs.counter, res.counter), n=n, t=t, box=box,
@@ -697,6 +696,7 @@ _ROUNDING = 1e-12
 
 
 def _run_map_roundtrip(exp, label, params, key):
+    yield []
     spec, domain = _micro_setup(exp, params)
     ms = get_measure(spec, domain, norm_proposals=exp.norm_proposals)
     rho = correlation_map(ms, inner_samples=int(params["inner_samples"]))
@@ -753,37 +753,62 @@ _RUNNERS = {
 }
 
 
+def _run(exp: ExperimentConfig, entries: list[tuple[str, str, dict]]) -> list[CheckReport]:
+    """Run check entries (id, label, params) as one plan: refuse them with
+    ``validate``'s words before any runner starts, advance each runner to
+    the estimators it yields, map every chunk of the run in order over one
+    pool, merge each group in chunk order, and send each runner its results
+    in entry order.  A check's runtime is its setup plus the time spent
+    waiting for and finishing it, so a run's runtimes add up to its wall time."""
+    problems = exp.validate(entries)
+    if problems:
+        raise ValueError("; ".join(problems))
+    plans, jobs = [], []
+    start = time.perf_counter()
+    for cid, label, params in entries:
+        runner = _RUNNERS[cid](exp, label, check_params(cid, params), _check_key(cid, label))
+        estimators = next(runner)
+        jobs += [(e.worker, c) for e in estimators for group in e.groups for c in group]
+        now = time.perf_counter()
+        plans.append((label, runner, estimators, now - start))
+        start = now
+    config_hash = exp.config_hash
+    reports = []
+    with _map_ordered(_call, jobs, exp.workers) as results:
+        def merged(group):
+            acc = next(results)
+            for _ in group[1:]:
+                acc = tuple(map(_merge, acc, next(results)))
+            return acc
+
+        for label, runner, estimators, setup in plans:
+            try:
+                runner.send([e.combine(*map(merged, e.groups)) for e in estimators])
+            except StopIteration as done:
+                own = done.value
+            now = time.perf_counter()
+            elapsed, start = setup + now - start, now
+            for rep in own:
+                rep.seed = exp.seed
+                rep.config_hash = config_hash
+                rep.runtime_s = elapsed / len(own)
+                if label and not rep.case.startswith(label):
+                    rep.case = f"{label}.{rep.case}" if rep.case else label
+            reports += own
+    return reports
+
+
 def run_check(exp: ExperimentConfig, check_id: str, label: str = "",
               params: dict | None = None) -> list[CheckReport]:
     """Run one check with ``params`` over its defaults (config.CHECK_PARAMS)
     and stamp every report with the run's seed and config hash; raises
     ValueError with the problems of an entry or of the run-wide settings
     that ``validate`` refuses."""
-    problems = check_problems(exp.density, check_id, params or {}) + exp.run_problems()
-    if problems:
-        raise ValueError("; ".join(problems))
-    runner = _RUNNERS[check_id]
-    key = _check_key(check_id, label)
-    start = time.perf_counter()
-    reports = runner(exp, label, check_params(check_id, params or {}), key)
-    elapsed = time.perf_counter() - start
-    config_hash = exp.config_hash
-    for rep in reports:
-        rep.seed = exp.seed
-        rep.config_hash = config_hash
-        rep.runtime_s = elapsed / len(reports)
-        if label and not rep.case.startswith(label):
-            rep.case = f"{label}.{rep.case}" if rep.case else label
-    return reports
+    return _run(exp, [(check_id, label, params or {})])
 
 
 def run_all(exp: ExperimentConfig, only: list[str] | None = None) -> list[CheckReport]:
-    reports = []
-    for cid, label, params in exp.checks:
-        if only and cid not in only:
-            continue
-        reports.extend(run_check(exp, cid, label, params))
-    return reports
+    return _run(exp, [e for e in exp.checks if not only or e[0] in only])
 
 
 def write_report(reports: list[CheckReport], path: str) -> None:

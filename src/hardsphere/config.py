@@ -249,15 +249,11 @@ class ExperimentConfig:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    def validate(self) -> list[str]:
-        """Returns a list of problems; empty means the config is usable."""
-        return [p for cid, _, params in self.checks
-                for p in check_problems(self.density, cid, params)] + self.run_problems()
-
-    def run_problems(self) -> list[str]:
-        """The problems of the run-wide settings and the density block,
-        which ``validate`` and ``checks.run_check`` both refuse."""
-        problems = []
+    def validate(self, checks: list | None = None) -> list[str]:
+        """The problems of the check entries (``checks``, else the config's
+        own), the run-wide settings and the density; empty means usable."""
+        problems = [p for cid, _, params in (self.checks if checks is None else checks)
+                    for p in check_problems(self.density, cid, params)]
         density = self.density
         if not density.beta > 0:
             problems.append("density: beta must be positive")

@@ -440,19 +440,17 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     pending = []    # (slots of rho, q, p, uniforms) of terminals to evaluate
     held = [0, 0]   # their rows and uniforms
 
-    def draw(nb):
+    def draw(nb, last=draws):
+        # the last sample makes ``last`` direction draws; the rest stay ones
         start = rng.bit_generator.state
         times = np.empty((nb, m))
         labels = np.zeros((nb, m), dtype=int)
-        z = np.empty((nb, m + draws * m, 3))
-        saved = []
+        z = np.ones((nb, m + draws * m, 3))
         for i in range(nb if m else 0):
             rng.random(out=times[i])
             for k in range(1, m):
                 labels[i, k] = rng.integers(0, n + k)
-            if draws > 1:
-                saved.append(rng.bit_generator.state)
-            rng.standard_normal(out=z[i])
+            rng.standard_normal(out=z[i] if i < nb - 1 else z[i, :m + last * m])
         r = np.sqrt(np.vecdot(z[:, m:], z[:, m:]))[..., None]
         dirs = (0.0 + z[:, m:]) / r
         low = (r <= _NORM_FLOOR).any(axis=(1, 2))
@@ -465,7 +463,7 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
         momenta = 0.0 + prop.sigma * z[:, :m]
         scale = vol * time_factor * label_factor * sphere_factor / prop.pdf(momenta).prod(axis=1)
         return (np.sort(times, axis=1)[:, ::-1] * t, labels, momenta, scale,
-                dirs.reshape(nb, draws, 1, 1, m, 3), saved)
+                dirs.reshape(nb, draws, 1, 1, m, 3), start)
 
     def evaluate():
         if pending:
@@ -477,8 +475,8 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     # A sample's histories are listed draw-major, then by first receiver,
     # then by sign combination, as the loop builds them.  A sample that
     # stops before its last direction draw ends the block: the loop never
-    # made its later draws, so the generator goes back to its state before
-    # the sample's normal draws and makes only those up to the stop, and
+    # made its later draws, so the generator goes back to the block's start
+    # and the block's draws are made again up to that sample's stop, and
     # the next block starts at the following sample.  The loop redraws a
     # direction triple at or below the norm floor at once, so the first
     # sample with one ends its block too: the block's draws are made again
@@ -486,7 +484,7 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     per = max(1, _LEVEL_ROWS // width)
     b = 0
     while b < len(rows):
-        times, labels, momenta, scale, dirs, saved = draw(min(per, len(rows) - b))
+        times, labels, momenta, scale, dirs, start = draw(min(per, len(rows) - b))
         nb = len(times)
         labels = np.repeat(labels, width, axis=0)
         labels[:, :1] = np.tile(np.repeat(np.arange(receivers), combos), nb * draws)[:, None]
@@ -516,9 +514,8 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
             if held[0] >= _LEVEL_ROWS or held[1] >= _HELD_DRAWS:
                 evaluate()
         if len(early):
-            rng.bit_generator.state = saved[keep - 1]
-            rng.standard_normal(3 * m)
-            _uniform_spheres(rng, (cut[keep - 1] + 1) * m)
+            rng.bit_generator.state = start
+            draw(keep, cut[keep - 1] + 1)
         b += keep
     evaluate()
     total = np.add.accumulate(factor * rho, axis=1)[:, -1]

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import multiprocessing
 import re
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
 
 import hardsphere.dynamics as dyn
 from hardsphere import checks as C
-from hardsphere.config import CHECK_IDS, dump_config, load_config, loads_config
+from hardsphere.config import CHECK_IDS, check_params, dump_config, load_config, loads_config
 from hardsphere.geometry import Domain, Vec3
 from hardsphere.hierarchy import PhaseBox, SeriesParams
 from hardsphere.measures import GrandCanonicalEq, ModulatedProduct
@@ -622,23 +625,14 @@ def test_reversibility_pilot_without_usable_trajectory(monkeypatch):
         C.run_check(small_exp(), "reversibility", params={"trajectories": 4, "n_list": [2]})
 
 
-def test_series_identity_passes_direction_draws(monkeypatch):
-    # the draws of every series chunk the runner hands to the driver
+def test_series_identity_passes_direction_draws():
+    # the draws of every series chunk among the estimators the runner yields
     seen = []
-
-    class Planned(Exception):
-        pass
-
-    def planned(exp, estimators):
+    for extra in ({"direction_draws": 3}, {}):
+        params = check_params("series_identity", {"samples": 10, "deltas": ["bulk"], **extra})
+        estimators = next(C._run_series_identity(small_exp(), "", params, 0))
         seen.append({c.draws for e in estimators if e.worker is C._w_series
                      for group in e.groups for c in group})
-        raise Planned
-
-    monkeypatch.setattr(C, "_run_chunks", planned)
-    for extra in ({"direction_draws": 3}, {}):
-        with pytest.raises(Planned):
-            C.run_check(small_exp(), "series_identity",
-                        params={"samples": 10, "deltas": ["bulk"], **extra})
     assert seen == [{3}, {1}]
 
 
@@ -671,6 +665,85 @@ def test_one_job_or_one_worker_opens_no_pool(monkeypatch):
     C.run_check(exp, "lemma2_rate", params={**params, "n_list": [2]})     # one job
     exp.workers = 1
     C.run_check(exp, "lemma2_rate", params={**params, "n_list": [2, 3]})  # one worker
+
+
+def test_run_all_maps_every_chunk_over_one_pool(monkeypatch):
+    # the chunks of every check of a run go through one pool, and the
+    # reports do not depend on it; the pool's workers have ended by the
+    # time the last check with chunks finishes in this process
+    opened = []
+    real = C.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        opened.append(kwargs)
+        return real(*args, **kwargs)
+
+    children = []
+    rate = C.pair_collision_rate
+    monkeypatch.setattr(C, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(C, "pair_collision_rate",
+                        lambda *args: children.append(multiprocessing.active_children())
+                        or rate(*args))
+    exp = small_exp()
+    exp.chunk_size = 20
+    exp.checks = [("conservation", "", {"samples": 100}),
+                  ("liouville", "", {"samples": 40, "t": 2.0}),
+                  ("lemma2_rate", "", {"trajectories": 40, "rate_samples": 1000,
+                                       "n_list": [2, 3]})]
+    serial = [r.to_json_line() for r in C.run_all(exp)]
+    assert opened == []
+    exp.workers = 2
+    assert [r.to_json_line() for r in C.run_all(exp)] == serial
+    assert opened == [{"max_workers": 2}]
+    assert children == [[]] * 4
+
+
+def test_run_all_refuses_every_entry_before_any_runner_starts(monkeypatch):
+    # the second entry is refused before the first one's runner starts
+    ran = []
+    real = C._RUNNERS["conservation"]
+    monkeypatch.setitem(C._RUNNERS, "conservation", lambda *args: ran.append(args) or real(*args))
+    monkeypatch.setattr(C, "_map_ordered", lambda *args: ran.append(args))
+    exp = small_exp()
+    exp.checks = [("conservation", "", {"samples": 100}), ("liouville", "", {"samples": 0})]
+    assert exp.validate() == ["liouville: samples must be positive"]
+    with pytest.raises(ValueError, match="^liouville: samples must be positive$"):
+        C.run_all(exp)
+    assert ran == []
+
+
+def test_check_that_raises_cancels_the_other_checks_chunks(monkeypatch, tmp_path):
+    # the first check raises in this process after its chunk is in, while
+    # the twelve chunks of the second check run and wait in the pool: the
+    # error reaches the caller after the few chunks the workers already
+    # hold, and the pool's processes have ended by then
+    real = C.evolve_sampled
+
+    def slow(measure, *args, **kwargs):
+        if measure.spec.n_particles == 3:
+            tempfile.NamedTemporaryFile(dir=tmp_path, delete=False).close()
+        time.sleep(0.2)
+        return real(measure, *args, **kwargs)
+
+    def failing(*args):
+        raise RuntimeError("rate failed")
+
+    monkeypatch.setattr(C, "evolve_sampled", slow)   # forked workers inherit it
+    monkeypatch.setattr(C, "pair_collision_rate", failing)
+    exp = small_exp()
+    exp.workers = 2
+    exp.chunk_size = 1
+    params = {"trajectories": 12, "t": 1.0, "rate_samples": 1000}
+    exp.checks = [("lemma2_rate", "a", {**params, "trajectories": 1, "n_list": [2]}),
+                  ("lemma2_rate", "b", {**params, "n_list": [3]})]
+    try:
+        C.run_all(exp)
+    except RuntimeError as exc:
+        assert str(exc) == "rate failed"
+        assert multiprocessing.active_children() == []
+    else:
+        raise AssertionError("the failed check did not end the run")
+    assert 1 <= len(list(tmp_path.iterdir())) < 12
 
 
 def test_error_in_pooled_chunk_exits_2(tmp_path, monkeypatch, capsys):
