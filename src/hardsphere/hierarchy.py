@@ -108,12 +108,16 @@ class PhaseBox:
         return bool(self.contains_batch(q[None], p[None])[0])
 
     def contains_batch(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Vectorized membership for arrays of shape (B, n, 3)."""
-        ql, qh = np.asarray(self.q_lo), np.asarray(self.q_hi)
-        pl, ph = np.asarray(self.p_lo), np.asarray(self.p_hi)
-        ok_q = ((q >= ql) & (q <= qh)).all(axis=(1, 2))
-        ok_p = ((p >= pl) & (p <= ph)).all(axis=(1, 2))
-        return ok_q & ok_p
+        """Vectorized membership for arrays of shape (B, n, 3).  The bounds
+        are compared on contiguous coordinate-major copies (3, n, B) and
+        reduced over their leading axes, several times faster than over the
+        two short trailing axes of (B, n, 3)."""
+        ok = np.ones(len(q), dtype=bool)
+        for x, lo, hi in ((q, self.q_lo, self.q_hi), (p, self.p_lo, self.p_hi)):
+            c = np.ascontiguousarray(x.transpose(2, 1, 0))
+            ok &= ((c >= np.transpose(lo)[..., None])
+                   & (c <= np.transpose(hi)[..., None])).all(axis=(0, 1))
+        return ok
 
     def sample(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
         ql, qh = np.asarray(self.q_lo), np.asarray(self.q_hi)
@@ -191,10 +195,9 @@ class HistoryOutcome:
 _VALID, _BLOCKED, _DEGENERATE = 0, 1, 2
 _STATUS = (HistoryStatus.VALID, HistoryStatus.BLOCKED, HistoryStatus.DEGENERATE)
 
-# rows of one level of a whole-chunk history tree, and the most terminals
-# (rows, inner-sample uniforms) a stratum holds before evaluating them
+# rows of one level of a block's history tree; the block's terminals are
+# evaluated before the next block is drawn
 _LEVEL_ROWS = 4096
-_HELD_DRAWS = 1 << 19
 
 
 def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -412,7 +415,8 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     stream calls, into block buffers (a momentum is 0.0 + sigma * z of the
     normal draw z), then block-wide the time sort, the momenta, the
     proposal density and the unit directions.  The block is built as one
-    tree.  The terminals' correlation values are computed in batches.
+    tree, its valid terminals are evaluated in one ``eval_batch`` call, and
+    its samples' values are written before the next block is drawn.
     """
     ms = rho0.measure
     dom = ms.domain
@@ -432,13 +436,7 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     qs, ps = box.sample(rng, count)
     # box minus the admissible set carries no mass
     rows = np.flatnonzero(ms.admissible_batch(qs))
-    counter.accepted += count - len(rows)
-    # per sample and history: scale * weight, and the correlation value
-    factor = np.zeros((len(rows), width))
-    rho = np.zeros((len(rows), width))
-    degenerate = np.zeros(len(rows), dtype=bool)
-    pending = []    # (slots of rho, q, p, uniforms) of terminals to evaluate
-    held = [0, 0]   # their rows and uniforms
+    values = np.zeros(count)
 
     def draw(nb, last=draws):
         # the last sample makes ``last`` direction draws; the rest stay ones
@@ -464,13 +462,6 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
         scale = vol * time_factor * label_factor * sphere_factor / prop.pdf(momenta).prod(axis=1)
         return (np.sort(times, axis=1)[:, ::-1] * t, labels, momenta, scale,
                 dirs.reshape(nb, draws, 1, 1, m, 3), start)
-
-    def evaluate():
-        if pending:
-            slots, q, p, u = (np.concatenate(x) for x in zip(*pending))
-            rho.flat[slots] = rho0.eval_drawn(q, p, u, inner_samples)[0]
-            pending.clear()
-            held[:] = [0, 0]
 
     # A sample's histories are listed draw-major, then by first receiver,
     # then by sign combination, as the loop builds them.  A sample that
@@ -502,27 +493,21 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
         # from a sample's first degenerate history on, its histories are
         # neither evaluated nor counted, as the one-at-a-time loop stops there
         seen = np.cumsum(deg[:keep], axis=1) == 0
-        factor[b:b + keep] = scale[:keep, None] * weight
-        degenerate[b:b + keep] = ~seen[:, -1]
         counter.blocked += int((seen & (status == _BLOCKED)).sum())
         ev = np.flatnonzero(seen & (status == _VALID))
-        ok, u = rho0.draw_inner(q[ev], inner, inner_samples)
-        if len(ok):
-            pending.append((b * width + ev[ok], q[ev[ok]], p[ev[ok]], u))
-            held[0] += len(ok)
-            held[1] += u.size
-            if held[0] >= _LEVEL_ROWS or held[1] >= _HELD_DRAWS:
-                evaluate()
+        rho = np.zeros(keep * width)
+        rho[ev] = rho0.eval_batch(q[ev], p[ev], inner, inner_samples)[0]
+        # each sample's histories summed left to right, as the loop adds them
+        total = np.add.accumulate(scale[:keep, None] * weight * rho.reshape(keep, width),
+                                  axis=1)[:, -1]
+        values[rows[b:b + keep]] = np.where(seen[:, -1], total / (draws * combos), 0.0)
+        counter.degenerate += keep - int(seen[:, -1].sum())
         if len(early):
             rng.bit_generator.state = start
             draw(keep, cut[keep - 1] + 1)
         b += keep
-    evaluate()
-    total = np.add.accumulate(factor * rho, axis=1)[:, -1]
-    values = np.zeros(count)
-    values[rows] = np.where(degenerate, 0.0, total / (draws * combos))
-    counter.degenerate += int(degenerate.sum())
-    counter.accepted += len(rows) - int(degenerate.sum())
+    # the samples outside the admissible set count as accepted, with value 0
+    counter.accepted = count - counter.degenerate
     return RunningStats().add_many(values), counter
 
 

@@ -27,9 +27,10 @@ _NORM_BATCH = 250_000
 # Proposal rows mapped and weighed at a time within a normalization batch,
 # so that the block's temporaries stay in cache.
 _NORM_BLOCK = 4096
-# Inner positions evaluated per block by CorrelationVector.eval_drawn;
-# bounds its arrays to a few MB whatever the number of rows (the hard-core
-# kernel's coordinate-major copy of a block's centers included).
+# Inner positions drawn and evaluated per block by
+# CorrelationVector.eval_batch; bounds its uniforms and inner positions to a
+# few MB whatever the number of rows (the hard-core kernel's
+# coordinate-major copy of a block's centers included).
 _INNER_BLOCK = 1 << 16
 # the seed of every measure's normalization stream
 _NORM_SEED = 2_0250_101
@@ -455,11 +456,8 @@ class CorrelationVector:
     def eval_arrays(self, q: np.ndarray, p: np.ndarray, rng,
                     inner_samples: int | None = None) -> tuple[float, float]:
         """Level len(q) at one configuration (n, 3) with its inner-sample
-        standard error: ``draw_inner`` and ``eval_drawn`` on one row."""
-        rows, u = self.draw_inner(q[None], rng, inner_samples)
-        if not len(rows):
-            return (0.0, 0.0)
-        val, se = self.eval_drawn(q[None], p[None], u, inner_samples)
+        standard error: ``eval_batch`` on one row."""
+        val, se = self.eval_batch(q[None], p[None], rng, inner_samples)
         return (float(val[0]), float(se[0]))
 
     def _inner_sizes(self, n: int) -> list[int]:
@@ -470,56 +468,55 @@ class CorrelationVector:
         extra = self.measure.spec.n_particles - n
         return [extra] if extra > 0 else []
 
-    def draw_inner(self, q: np.ndarray, rng,
+    def eval_batch(self, q: np.ndarray, p: np.ndarray, rng,
                    inner_samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of B configurations (B, n, 3) that are evaluated (the
-        admissible ones) and the uniforms of their inner samples: one row
-        of u per evaluated row, drawn in row order, so that the B rows
-        consume the random stream as B calls of ``eval_arrays`` do."""
-        n = q.shape[1]
-        k = inner_samples if inner_samples is not None else self.inner_samples
-        rows = (np.flatnonzero(self.measure.admissible_batch(q)) if n <= self.n_max
-                else np.zeros(0, dtype=int))
-        return rows, rng.random((len(rows), 3 * k * sum(self._inner_sizes(n))))
-
-    def eval_drawn(self, q: np.ndarray, p: np.ndarray, u: np.ndarray,
-                   inner_samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The values at admissible configurations (R, n, 3) and their
-        inner-sample standard errors, from the uniforms ``draw_inner`` drew
-        for them; in blocks of rows that bound the inner-position arrays."""
+        """The values at B configurations (B, n, 3) and their inner-sample
+        standard errors; 0 at the rows that are inadmissible or have
+        n > n_max, which draw nothing.  The admissible rows draw their
+        inner samples from ``rng`` in row order, so that the B rows consume
+        the stream as B calls of ``eval_arrays`` do; a block of rows at a
+        time is drawn and evaluated, which bounds its uniforms and inner
+        positions."""
         ms = self.measure
         k = inner_samples if inner_samples is not None else self.inner_samples
         n = q.shape[1]
         sizes = self._inner_sizes(n)
-        step = max(1, _INNER_BLOCK // (k * sum(sizes))) if sizes else max(1, len(q))
-        # each size's exclusion integrals and their stderrs
-        ex = {m: np.empty((2, len(q))) for m in sizes}
-        for b in range(0, len(q), step):
-            blk = slice(b, b + step)
-            off = 0
-            for m in sizes:
-                qi = ms._ins_lo + u[blk, off:off + 3 * k * m].reshape(-1, k, m, 3) * (
-                    ms._ins_hi - ms._ins_lo)
-                ex[m][:, blk] = ms.exclusion_batch(q[blk], qi)
-                off += 3 * k * m
-        # the products over no particles are 1
-        gw = np.prod(ms.g(q), axis=1)
-        hw = np.prod(ms.maxwellian.pdf(p), axis=1)
+        out = np.zeros((2, len(q)))
+        rows = (np.flatnonzero(ms.admissible_batch(q)) if n <= self.n_max
+                else np.zeros(0, dtype=int))
+        step = max(1, _INNER_BLOCK // (k * sum(sizes))) if sizes else max(1, len(rows))
         spec = ms.spec
-        if isinstance(spec, GrandCanonicalEq):
-            # the fugacity sum; at m = 0 the integral is 1 without error
-            val, var = spec.z ** n, 0.0
+        for b in range(0, len(rows), step):
+            r = rows[b:b + step]
+            u = rng.random((len(r), 3 * k * sum(sizes)))
+            # mapped in place to the inner positions, as uniform_positions maps
+            pos = u.reshape(-1, 3)
+            pos *= ms._ins_hi - ms._ins_lo
+            pos += ms._ins_lo
+            # each size's exclusion integrals and their stderrs
+            ex, off = {}, 0
             for m in sizes:
-                c = spec.z ** (n + m) / math.factorial(m)
-                val = val + c * ex[m][0]
-                se = c * ex[m][1]
-                var = var + se * se
-            scale = gw * hw / ms.grand_partition
-            return scale * val, scale * np.sqrt(var)
-        big_n = spec.n_particles
-        em, se = ex[big_n - n] if sizes else (1.0, 0.0)
-        scale = falling_factorial(big_n, n) * gw * hw / ms.position_partition(big_n)[0]
-        return scale * em, scale * se
+                ex[m] = ms.exclusion_batch(q[r], u[:, off:off + 3 * k * m].reshape(-1, k, m, 3))
+                off += 3 * k * m
+            # the products over no particles are 1
+            gw = np.prod(ms.g(q[r]), axis=1)
+            hw = np.prod(ms.maxwellian.pdf(p[r]), axis=1)
+            if isinstance(spec, GrandCanonicalEq):
+                # the fugacity sum; at m = 0 the integral is 1 without error
+                val, var = spec.z ** n, 0.0
+                for m in sizes:
+                    c = spec.z ** (n + m) / math.factorial(m)
+                    val = val + c * ex[m][0]
+                    se = c * ex[m][1]
+                    var = var + se * se
+                scale = gw * hw / ms.grand_partition
+                out[:, r] = scale * val, scale * np.sqrt(var)
+            else:
+                big_n = spec.n_particles
+                em, se = ex[big_n - n] if sizes else (1.0, 0.0)
+                scale = falling_factorial(big_n, n) * gw * hw / ms.position_partition(big_n)[0]
+                out[:, r] = scale * em, scale * se
+        return out[0], out[1]
 
 
 def correlation_map(measure: InitialMeasure,
@@ -561,10 +558,7 @@ class InverseDensity:
             px = prop.sample(rng, (ko, m, 3))
             vq = np.concatenate([np.broadcast_to(q.reshape(-1, 3), (ko, n, 3)), qx], axis=1)
             vp = np.concatenate([np.broadcast_to(p.reshape(-1, 3), (ko, n, 3)), px], axis=1)
-            rows, u = self.rho.draw_inner(vq, inner)
-            vals = np.zeros(ko)
-            vals[rows] = self.rho.eval_drawn(vq[rows], vp[rows], u)[0]
-            vals /= np.prod(prop.pdf(px), axis=1)
+            vals = self.rho.eval_batch(vq, vp, inner)[0] / np.prod(prop.pdf(px), axis=1)
             vol = ms.domain.inset_volume ** m
             sign = (-1.0) ** m / math.factorial(m)
             total += sign * vol * float(vals.mean())

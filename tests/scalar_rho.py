@@ -1,7 +1,7 @@
-"""The scalar correlation evaluator that ``CorrelationVector.draw_inner``
-and ``eval_drawn`` replaced, kept verbatim as the oracle of the batch
-path: one configuration at a time, each exclusion integral drawing its own
-inner samples.  Also the inverse map's loop over its outer samples."""
+"""The scalar correlation evaluator that ``CorrelationVector.eval_batch``
+replaced, kept verbatim as the oracle of the batch path: one
+configuration at a time, each exclusion integral drawing its own inner
+samples.  Also the inverse map's loop over its outer samples."""
 
 import math
 

@@ -69,6 +69,38 @@ def test_phase_box_volume_and_membership():
     assert PhaseBox.from_dict(box.to_dict()) == box
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_contains_batch_matches_per_row_loop(n):
+    # random points in and around the box, and points with one coordinate
+    # exactly on a face, which count as inside
+    box = bulk_box() if n == 1 else PhaseBox.of(
+        [[1.0, 1.5, 1.5], [2.5, 1.0, 0.5]], [[2.5, 3.5, 3.5], [4.0, 3.0, 2.5]],
+        [[-1.2] * 3, [-0.5, -1.0, 0.0]], [[1.2] * 3, [0.5, 1.0, 1.5]])
+    rng = np.random.default_rng(17)
+    k = 4000
+    # each coordinate uniform over its interval widened by a fifth each way
+    q, p = (np.asarray(lo) - 0.2 * (np.asarray(hi) - lo)
+            + 1.4 * (np.asarray(hi) - lo) * rng.random((k, n, 3))
+            for lo, hi in ((box.q_lo, box.q_hi), (box.p_lo, box.p_hi)))
+    # the second half: box points with one coordinate moved onto a face
+    q[k // 2:], p[k // 2:] = box.sample(rng, k - k // 2)
+    rows = np.arange(k // 2, k)
+    i, ax, top, on_p = (rng.integers(0, b, len(rows)) for b in (n, 3, 2, 2))
+    for x, lo_t, hi_t, sel in ((q, box.q_lo, box.q_hi, on_p == 0),
+                               (p, box.p_lo, box.p_hi, on_p == 1)):
+        face = np.where(top == 1, np.asarray(hi_t)[i, ax], np.asarray(lo_t)[i, ax])
+        x[rows[sel], i[sel], ax[sel]] = face[sel]
+
+    def inside(x, lo, hi):
+        return all(lo[j][a] <= x[j, a] <= hi[j][a] for j in range(n) for a in range(3))
+
+    want = [inside(q[r], box.q_lo, box.q_hi) and inside(p[r], box.p_lo, box.p_hi)
+            for r in range(k)]
+    got = box.contains_batch(q, p)
+    assert got.dtype == bool and got.tolist() == want
+    assert all(want[k // 2:]) and 0 < sum(want[:k // 2]) < k // 2
+
+
 # -- history construction ------------------------------------------------------
 
 def test_empty_history_is_pure_backward_flow():
@@ -157,9 +189,9 @@ def mc_collision_operator(rho, config: Configuration, j: int, samples: int,
     is prop5's collision term): each sample draws the added momentum from
     a proposal Maxwellian at beta0 (default: the measure's own beta) and a
     uniform contact direction; ``_insert`` then places every sample's
-    sphere and gives its flux weight, and the admissible ones draw their
-    inner samples in one ``draw_inner``.  Blocked directions contribute
-    zero and count as samples."""
+    sphere and gives its flux weight, and the unblocked ones are evaluated
+    in one ``eval_batch`` call.  Blocked directions contribute zero and
+    count as samples."""
     prop = Maxwellian(beta0 if beta0 is not None else rho.measure.beta)
     q, p = config_to_arrays(config)
     p_hat, omega = np.empty((samples, 3)), np.empty((samples, 3))
@@ -170,9 +202,8 @@ def mc_collision_operator(rho, config: Configuration, j: int, samples: int,
         np.broadcast_to(q, (samples, *q.shape)), np.broadcast_to(p, (samples, *p.shape)),
         np.ones(samples), np.full(samples, j), p_hat, omega, config.domain)
     ev = np.flatnonzero(~blocked)
-    ok, u = rho.draw_inner(q_aug[ev], rng, inner_samples)
     vals = np.zeros(samples)
-    vals[ev[ok]] = rho.eval_drawn(q_aug[ev[ok]], p_aug[ev[ok]], u, inner_samples)[0]
+    vals[ev] = rho.eval_batch(q_aug[ev], p_aug[ev], rng, inner_samples)[0]
     stats = RunningStats()
     stats.add_many(4.0 * math.pi * weight * vals / prop.pdf(p_hat))
     return SignedEstimate.from_stats(stats)
@@ -239,10 +270,7 @@ class _ZeroRho:
         self.n_max = measure.n_max
         self.z_rel_err = 0.0
 
-    def draw_inner(self, q, rng, inner_samples=None):
-        return np.arange(len(q)), np.zeros((len(q), 0))
-
-    def eval_drawn(self, q, p, u, inner_samples=None):
+    def eval_batch(self, q, p, rng, inner_samples=None):
         return np.zeros(len(q)), np.zeros(len(q))
 
 
@@ -256,7 +284,7 @@ def test_collision_operator_symmetry_cancellation(eq2):
     # a density depending on momentum only through |p| makes the flux
     # integrand odd under the hemisphere swap: the operator vanishes
     class IsotropicRho(_ZeroRho):
-        def eval_drawn(self, q, p, u, inner_samples=None):
+        def eval_batch(self, q, p, rng, inner_samples=None):
             return np.exp(-0.5 * np.sum(p * p, axis=(1, 2))), np.zeros(len(q))
 
     cfg = single((2.5, 2.5, 2.5), (0.0, 0.0, 0.0), domain=BOX)
@@ -278,14 +306,13 @@ def test_collision_operator_matches_quadrature_oracle(eq2):
 
     def rho_fn(q_aug, p_aug):
         # eval_arrays at every momentum node with a fresh default_rng(4):
-        # the inner draws depend on the positions only, so one draw serves
-        # all nodes
-        ok, u = rho.draw_inner(q_aug[None], np.random.default_rng(4), 256)
-        if not len(ok):
-            return np.zeros(len(p_aug))
-        k = len(p_aug)
-        return rho.eval_drawn(np.broadcast_to(q_aug, (k, *q_aug.shape)), p_aug,
-                              np.repeat(u, k, axis=0), 256)[0]
+        # the inner draws depend on the positions only and the value on
+        # the momenta only through the Maxwellian factor, so one row
+        # evaluated at rest, scaled by the Maxwellian ratio, serves all nodes
+        rest = np.zeros_like(q_aug)
+        val = rho.eval_batch(q_aug[None], rest[None], np.random.default_rng(4), 256)[0]
+        pdf = rho.measure.maxwellian.pdf
+        return val * np.prod(pdf(p_aug), axis=1) / np.prod(pdf(rest))
 
     oracle = collision_operator_quadrature(rho_fn, cfg, 0, beta0=1.0,
                                            n_radial=8, n_theta=20, n_phi=40)
@@ -488,7 +515,7 @@ def test_series_headline_small_scale(mod2):
 import scalar_rho
 import hardsphere.dynamics as dyn
 from hardsphere import checks
-from hardsphere import hierarchy
+from hardsphere import hierarchy, measures
 from hardsphere.dynamics import DegeneracyError, DegeneracyKind
 from hardsphere.geometry import omega_admissible
 from hardsphere.hierarchy import HistoryOutcome
@@ -1009,6 +1036,47 @@ def test_outer_stream_does_not_depend_on_inner_samples(measures_by_n):
             inv.eval_arrays(q, p, rng)
         seen.append((counter.blocked, counter.degenerate, rng.bit_generator.state))
     assert seen[0] == seen[1] and seen[0][0] > 0
+
+
+class _Recording:
+    """A generator that passes every call to ``gen``, records the size of
+    each ``random`` draw of the generators it spawns, and spawns
+    recording ones."""
+
+    def __init__(self, gen, sizes, record=False):
+        self._gen, self._sizes, self._record = gen, sizes, record
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def random(self, *args, **kwargs):
+        out = self._gen.random(*args, **kwargs)
+        if self._record:
+            self._sizes.append(np.size(out))
+        return out
+
+    def spawn(self, k):
+        return [_Recording(g, self._sizes, True) for g in self._gen.spawn(k)]
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_stratum_draws_inner_samples_a_block_at_a_time(measures_by_n, monkeypatch, m):
+    # with the inner block patched down, no generator call of a stratum's
+    # evaluations draws more than three uniforms per inner position of a
+    # block, and the statistics, counters and stream are those of the
+    # shipped block
+    ms = measures_by_n[3]
+    box = checks.delta_preset("bulk", BOX, 1.0)
+    args = (correlation_map(ms), 1, 5.0, box, m, 200, 1.0, 16, True)
+    rng_want = np.random.default_rng(9)
+    want = _series_stratum_stats(*args, rng_want)
+    monkeypatch.setattr(measures, "_INNER_BLOCK", 64)
+    sizes = []
+    rng = np.random.default_rng(9)
+    assert _series_stratum_stats(*args, _Recording(rng, sizes)) == want
+    assert rng.random() == rng_want.random()
+    assert max(sizes) <= 3 * measures._INNER_BLOCK
+    assert len(sizes) > 10
 
 
 # -- the forward-simulation workers against the loops they replaced -------------

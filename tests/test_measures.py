@@ -215,10 +215,7 @@ def test_inverse_of_zero_is_zero(gc_micro):
         def eval_arrays(self, q, p, rng, inner_samples=None):
             return (0.0, 0.0)
 
-        def draw_inner(self, q, rng, inner_samples=None):
-            return np.arange(len(q)), np.zeros((len(q), 0))
-
-        def eval_drawn(self, q, p, u, inner_samples=None):
+        def eval_batch(self, q, p, rng, inner_samples=None):
             return np.zeros(len(q)), np.zeros(len(q))
 
     inv = inverse_correlation_map(ZeroRho(), outer_samples=64)
@@ -362,9 +359,9 @@ def test_admissible_batch_matches_scalar(modulated2, ulps):
 
 @pytest.mark.parametrize("spec_name", ["modulated3", "grand"])
 def test_batched_evaluation_matches_eval_arrays(spec_name, monkeypatch):
-    # values and stderrs bit for bit against the scalar evaluator, and the
-    # random stream left where it leaves it, across blocks of a few rows;
-    # eval_arrays, the batch of one, too
+    # values and stderrs of all rows, admissible or not, bit for bit against
+    # the scalar evaluator, and the random stream left where it leaves it,
+    # across blocks of a few rows; eval_arrays, the batch of one, too
     monkeypatch.setattr(measures, "_INNER_BLOCK", 300)
     if spec_name == "grand":
         ms = InitialMeasure(GrandCanonicalEq(50.0, 1.0), Domain(Vec3(0, 0, 0),
@@ -377,9 +374,7 @@ def test_batched_evaluation_matches_eval_arrays(spec_name, monkeypatch):
         q = ms.uniform_positions(rng, 200, n)
         p = rng.normal(size=(200, n, 3))
         r_batch, r_one, r_rows = (np.random.default_rng(n) for _ in range(3))
-        rows, u = rho.draw_inner(q, r_batch)
-        got = np.zeros((len(q), 2))
-        got[rows] = np.stack(rho.eval_drawn(q[rows], p[rows], u), axis=1)
+        got = np.stack(rho.eval_batch(q, p, r_batch), axis=1)
         want = [scalar_rho.eval_arrays(rho, q[i], p[i], r_rows) for i in range(len(q))]
         assert differing_rows(got, want) == []
         assert [rho.eval_arrays(q[i], p[i], r_one) for i in range(len(q))] == want
