@@ -24,13 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from hardsphere.config import ExperimentConfig, check_params, delta_preset
-from hardsphere.dynamics import (
-    EPS_EVENT_REL,
-    DegeneracyError,
-    Limit,
-    evolve_arrays,
-    evolve_batch,
-)
+from hardsphere.dynamics import EPS_EVENT_REL, Limit, evolve_batch, pair_exchange
 from hardsphere.geometry import Domain, Vec3
 from hardsphere.hierarchy import (
     EmpiricalResult,
@@ -307,8 +301,8 @@ def _w_prop1_forward(c: Chunk):
     cross = (ev.i < n) & (n <= ev.j)
     q_leg = np.repeat(ev.q[cross, :n], 2, axis=0)
     p_leg = np.stack([ev.p_after[cross, :n], ev.p_before[cross, :n]], axis=1).reshape(-1, n, 3)
-    qf, pf, _, _, degenerate = evolve_batch(q_leg, p_leg, domain,
-                                            np.repeat(t - ev.time[cross], 2))
+    qf, pf, _, _, degenerate, *_ = evolve_batch(q_leg, p_leg, domain,
+                                                np.repeat(t - ev.time[cross], 2))
     counter.degenerate += int(degenerate.sum())
     parts = []
     for box in c.boxes:
@@ -320,34 +314,35 @@ def _w_prop1_forward(c: Chunk):
 
 def _w_reversibility(c: Chunk):
     """Worst relative round-trip error of forward-then-reversed flows over
-    time c.t, with the events run and the trajectories skipped."""
+    time c.t, with the events run and the trajectories skipped.  Each
+    round draws the shortfall in stream order, flows it forward in one
+    recorded ``evolve_batch`` call and back in one call on the rows that
+    are not degenerate.  A row degenerate either way is counted, one with
+    an event gap below the threshold skipped, and every other accepted,
+    so the chunk takes the draws a one-at-a-time loop takes."""
     ms, rng, t, domain = c.measure, c.rng, c.t, c.domain
     diag = math.sqrt(sum(s * s for s in domain.sides))
     worst = 0.0
     events = 0
     counter = RejectionCounter()
     skipped_gap = 0
-    done = 0
-    while done < c.count:
-        q0, p0 = ms.sample_arrays(rng)
-        try:
-            q1, p1, log = evolve_arrays(q0, p0, domain, t, collect_log=True)
-            q2, p2, _ = evolve_arrays(q1, -p1, domain, t)
-        except DegeneracyError:
-            counter.degenerate += 1
-            continue
-        gaps = [b.time - a.time for a, b in zip(log.entries, log.entries[1:])]
-        pscale = max(1.0, float(np.abs(p0).max()))
-        eps_gap = 10.0 * EPS_EVENT_REL * domain.a / pscale
-        if gaps and min(gaps) < eps_gap:
-            skipped_gap += 1
-            continue
+    while counter.accepted < c.count:
+        q0, p0 = map(np.array, zip(*(ms.sample_arrays(rng)
+                                     for _ in range(c.count - counter.accepted))))
+        fwd = evolve_batch(q0, p0, domain, t, pair_events=True)
+        rows = np.flatnonzero(~fwd.degenerate)
+        q2, p2, _, _, back_degenerate, *_ = evolve_batch(fwd.q[rows], -fwd.p[rows], domain, t)
+        pscale = np.maximum(1.0, np.abs(p0[rows]).max(axis=(1, 2)))
+        small = fwd.gap[rows] < 10.0 * EPS_EVENT_REL * domain.a / pscale
+        ok = ~back_degenerate & ~small
+        counter.degenerate += len(q0) - len(rows) + int(back_degenerate.sum())
+        skipped_gap += int((~back_degenerate & small).sum())
         # the round trip ends at (q2, -p2); norms in the Vec3 operation order
-        dq, dp = q0 - q2, p0 - (-p2)
-        worst = max(worst, float(max((_norm(*dq.T) / diag).max(), (_norm(*dp.T) / pscale).max())))
-        events += log.n_events
-        counter.accepted += 1
-        done += 1
+        dq, dp = (q0[rows] - q2)[ok], (p0[rows] - (-p2))[ok]
+        worst = max(worst, _worst(_norm(dq.transpose(2, 0, 1)) / diag),
+                    _worst(_norm(dp.transpose(2, 0, 1)) / pscale[ok, None]))
+        events += int((fwd.n_pair + fwd.n_wall)[rows[ok]].sum())
+        counter.accepted += int(ok.sum())
     return (worst, events, skipped_gap, counter)
 
 
@@ -392,12 +387,12 @@ def _pullback(exp, spec, n, t, box, inner, samples, key) -> list[Chunk]:
 # the checks
 # ---------------------------------------------------------------------------
 
-def _norm2(x, y, z):
-    return x * x + y * y + z * z
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _norm(x, y, z):
-    return np.sqrt(x * x + y * y + z * z)
+def _norm(u):
+    return np.sqrt(_dot(u, u))
 
 
 def _worst(values: np.ndarray) -> float:
@@ -414,44 +409,29 @@ def _run_conservation(exp, label, params, key):
     om_arr = rng.normal(size=(samples, 3))
     om_arr /= np.linalg.norm(om_arr, axis=1)[:, None]
 
-    # column arithmetic in the operation order of pair_collide,
-    # wall_reflect and Vec3.dot/norm, so the worst cases match the
-    # per-sample Vec3 evaluation bit for bit
-    ix, iy, iz = pi_arr.T
-    jx, jy, jz = pj_arr.T
-    ox, oy, oz = om_arr.T
+    # on (3, samples) component rows: the pair law the engines apply, the
+    # rest in the operation order of wall_reflect and Vec3.dot/norm, so the
+    # worst cases match the per-sample Vec3 evaluation bit for bit
+    o, pi, pj = om_arr.T, pi_arr.T, pj_arr.T
+    pi2, pj2 = map(np.array, pair_exchange(o, pi, pj))
+    pscale = np.maximum(1.0, _norm(pi + pj))
+    worst_mom = _worst(_norm((pi2 + pj2) - (pi + pj)) / pscale)
+    e0 = _dot(pi, pi) + _dot(pj, pj)
+    worst_en = _worst(np.abs(_dot(pi2, pi2) + _dot(pj2, pj2) - e0) / e0)
+    pi3, pj3 = map(np.array, pair_exchange(o, pi2, pj2))
+    worst_inv = _worst(_norm(pi3 - pi) + _norm(pj3 - pj))
+    normal_in = _dot(o, pi - pj)
+    worst_flip = _worst(np.abs(_dot(o, pi2 - pj2) + normal_in)
+                        / np.maximum(1.0, np.abs(normal_in)))
 
-    def collide(ix, iy, iz, jx, jy, jz):
-        c = ox * (ix - jx) + oy * (iy - jy) + oz * (iz - jz)
-        return ix - c * ox, iy - c * oy, iz - c * oz, jx + c * ox, jy + c * oy, jz + c * oz
-
-    ix2, iy2, iz2, jx2, jy2, jz2 = collide(ix, iy, iz, jx, jy, jz)
-    pscale = np.maximum(1.0, _norm(ix + jx, iy + jy, iz + jz))
-    worst_mom = _worst(_norm((ix2 + jx2) - (ix + jx), (iy2 + jy2) - (iy + jy),
-                             (iz2 + jz2) - (iz + jz)) / pscale)
-    e0 = _norm2(ix, iy, iz) + _norm2(jx, jy, jz)
-    worst_en = _worst(np.abs(_norm2(ix2, iy2, iz2) + _norm2(jx2, jy2, jz2) - e0) / e0)
-    ix3, iy3, iz3, jx3, jy3, jz3 = collide(ix2, iy2, iz2, jx2, jy2, jz2)
-    worst_inv = _worst(_norm(ix3 - ix, iy3 - iy, iz3 - iz) + _norm(jx3 - jx, jy3 - jy, jz3 - jz))
-    normal_in = ox * (ix - jx) + oy * (iy - jy) + oz * (iz - jz)
-    flip = ox * (ix2 - jx2) + oy * (iy2 - jy2) + oz * (iz2 - jz2) + normal_in
-    worst_flip = _worst(np.abs(flip) / np.maximum(1.0, np.abs(normal_in)))
-
-    p_arr = rng.normal(0, sig, (samples // 4, 3))
+    p = rng.normal(0, sig, (samples // 4, 3)).T
     n_arr = rng.normal(size=(samples // 4, 3))
     n_arr /= np.linalg.norm(n_arr, axis=1)[:, None]
-    px, py, pz = p_arr.T
-    nx, ny, nz = n_arr.T
-
-    def reflect(px, py, pz):
-        c = 2.0 * (nx * px + ny * py + nz * pz)
-        return px - c * nx, py - c * ny, pz - c * nz
-
-    px2, py2, pz2 = reflect(px, py, pz)
-    speed = _norm(px, py, pz)
-    worst_wall = _worst(np.abs(_norm(px2, py2, pz2) - speed) / np.maximum(1.0, speed))
-    px3, py3, pz3 = reflect(px2, py2, pz2)
-    worst_wall_inv = _worst(_norm(px3 - px, py3 - py, pz3 - pz))
+    reflect = lambda v: v - 2.0 * _dot(n_arr.T, v) * n_arr.T
+    p2 = reflect(p)
+    speed = _norm(p)
+    worst_wall = _worst(np.abs(_norm(p2) - speed) / np.maximum(1.0, speed))
+    worst_wall_inv = _worst(_norm(reflect(p2) - p))
 
     return [
         _det_report("conservation", case, worst, 0.0, tol, samples=samples)
@@ -474,7 +454,7 @@ def _run_reversibility(exp, label, params, key):
         ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
         pilot_rng = _rng(exp.seed, key, 2, n)
         qs, ps = map(np.array, zip(*(ms.sample_arrays(pilot_rng) for _ in range(32))))
-        _, _, n_pair, n_wall, degenerate = evolve_batch(qs, ps, exp.domain, pilot_t)
+        _, _, n_pair, n_wall, degenerate, *_ = evolve_batch(qs, ps, exp.domain, pilot_t)
         ev = (n_pair + n_wall)[~degenerate]
         if not len(ev):
             raise RuntimeError(f"reversibility: every pilot trajectory for n={n} "

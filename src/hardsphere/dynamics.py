@@ -18,11 +18,11 @@ integration and simply separates otherwise.
 Two engines share these rules.  The scalar engine integrates one
 configuration on plain floats and is the reference: ``evolve_arrays`` on
 (n, 3) position and momentum arrays, ``evolve`` on a ``Configuration``.
-``evolve_batch`` is the one entry for many independent configurations of
-the same particle number, each with its own duration.  From _BATCH_ROWS
-moving rows on it runs them in lockstep on arrays, bit for bit as the
-scalar engine would, degenerate rows included; below that it runs the
-scalar engine row by row, which is faster there.  Either way a
+``evolve_batch``, the program's one entry to the flow, runs independent
+configurations of one particle number, each with its own duration.  From
+_BATCH_ROWS moving rows on it runs them in lockstep on arrays, bit for
+bit as the scalar engine would, degenerate rows included; below that it
+runs the scalar engine row by row, which is faster there.  Either way a
 degenerate row is reported and comes back as it went in.
 """
 
@@ -178,6 +178,19 @@ class PairEvents(NamedTuple):
                 snap([e.momenta_after for e in es]))
 
 
+class BatchFlow(NamedTuple):
+    """The result of ``evolve_batch``, per row; ``events`` and ``gap`` are
+    None unless the call is recorded."""
+
+    q: np.ndarray
+    p: np.ndarray
+    n_pair: np.ndarray
+    n_wall: np.ndarray
+    degenerate: np.ndarray
+    events: PairEvents | None = None
+    gap: np.ndarray | None = None
+
+
 def pair_collide(p_i: Vec3, p_j: Vec3, omega: Vec3) -> tuple[Vec3, Vec3]:
     """Elastic hard-sphere momentum exchange along the contact normal.
 
@@ -186,9 +199,18 @@ def pair_collide(p_i: Vec3, p_j: Vec3, omega: Vec3) -> tuple[Vec3, Vec3]:
     and kinetic energy are conserved up to roundoff, and applying the map
     twice restores the inputs.
     """
-    c = omega.dot(p_i - p_j)
-    d = omega.scale(c)
-    return (p_i - d, p_j + d)
+    new_i, new_j = pair_exchange(omega.as_tuple(), p_i.as_tuple(), p_j.as_tuple())
+    return Vec3(*new_i), Vec3(*new_j)
+
+
+def pair_exchange(o, p_i, p_j):
+    """``pair_collide`` on (x, y, z) component triples of floats or of
+    arrays, in its operation order: the unit vector ``o`` from center i
+    to center j and the two momenta.  Returns the new (p_i, p_j) triples.
+    The lockstep kernel and the conservation check apply this law."""
+    c = o[0] * (p_i[0] - p_j[0]) + o[1] * (p_i[1] - p_j[1]) + o[2] * (p_i[2] - p_j[2])
+    return ((p_i[0] - c * o[0], p_i[1] - c * o[1], p_i[2] - c * o[2]),
+            (p_j[0] + c * o[0], p_j[1] + c * o[1], p_j[2] + c * o[2]))
 
 
 def wall_reflect(p: Vec3, normal: Vec3) -> Vec3:
@@ -538,18 +560,19 @@ _BATCH_ROWS = 48
 
 
 def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
-                 limit: Limit = Limit.FROM_FUTURE, pair_events: bool = False):
+                 limit: Limit = Limit.FROM_FUTURE, pair_events: bool = False) -> BatchFlow:
     """Flow B independent N-sphere configurations by a signed time t.
 
     ``q`` and ``p`` have shape (B, N, 3); ``t`` is one time for all rows
     or one per row (all of one sign; a row with t = 0 is returned as it
     came).  Each row ends as the scalar engine ends it, bit for bit.
-    Returns ``(q_final, p_final, n_pair, n_wall, degenerate)``: a row that
-    meets a degenerate trajectory is marked, has no events and comes back
-    as it went in.  With ``pair_events`` a sixth item, ``PairEvents``,
-    holds the pair entries the scalar log of each row would hold, bit for
-    bit.  An overlapping start raises ValueError and a row past the event
-    cap RuntimeError, as in ``evolve``.
+    Returns a ``BatchFlow``: a row that meets a degenerate trajectory is
+    marked, has no events and comes back as it went in.  With
+    ``pair_events`` the call is recorded: ``events`` holds the pair
+    entries of each row's scalar log and ``gap`` the smallest difference
+    of consecutive entry times, pair or wall (inf below two entries), bit
+    for bit.  An overlapping start raises ValueError and a row past the
+    event cap RuntimeError, as in ``evolve``.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -560,28 +583,27 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
     if min(dur, default=0.0) < 0.0 < max(dur, default=0.0):
         raise ValueError("per-row times must share one sign")
     rows = [r for r, d in enumerate(dur) if d != 0.0]
-    parts = [] if pair_events else None
-    if len(rows) >= _BATCH_ROWS or q.shape[1] == 0:   # the kernel passes empty rows through
-        q_out, p_out, n_pair, n_wall, degenerate = _lockstep(q, p, domain, np.array(dur), limit,
-                                                             parts)
-    else:
-        q_out, p_out = q.copy(), p.copy()
-        n_pair = np.zeros(len(q), dtype=np.int64)
-        n_wall = np.zeros(len(q), dtype=np.int64)
-        degenerate = np.zeros(len(q), dtype=bool)
-        for r in rows:
-            qr, pr = q[r].tolist(), p[r].tolist()
-            try:
-                log = _flow(qr, pr, domain, dur[r], limit, pair_events, _MAX_EVENTS_DEFAULT)
-            except DegeneracyError:
-                degenerate[r] = True
-                continue
-            q_out[r], p_out[r], n_pair[r], n_wall[r] = qr, pr, log.n_pair, log.n_wall
-            if pair_events:
-                parts.append(PairEvents.log_part(r, log, q.shape[1]))
-    if pair_events:
-        return q_out, p_out, n_pair, n_wall, degenerate, PairEvents.of(parts, q.shape[1])
-    return q_out, p_out, n_pair, n_wall, degenerate
+    if len(rows) >= _BATCH_ROWS and q.shape[1]:
+        return _lockstep(q, p, domain, np.array(dur), limit, pair_events)
+    q_out, p_out = q.copy(), p.copy()
+    n_pair = np.zeros(len(q), dtype=np.int64)
+    n_wall = np.zeros(len(q), dtype=np.int64)
+    degenerate = np.zeros(len(q), dtype=bool)
+    parts, gap = [], np.full(len(q), math.inf)
+    for r in rows:
+        qr, pr = q[r].tolist(), p[r].tolist()
+        try:
+            log = _flow(qr, pr, domain, dur[r], limit, pair_events, _MAX_EVENTS_DEFAULT)
+        except DegeneracyError:
+            degenerate[r] = True
+            continue
+        q_out[r], p_out[r], n_pair[r], n_wall[r] = qr, pr, log.n_pair, log.n_wall
+        if pair_events:
+            parts.append(PairEvents.log_part(r, log, q.shape[1]))
+            gap[r] = min((b.time - a.time for a, b in zip(log.entries, log.entries[1:])),
+                         default=math.inf)
+    return BatchFlow(q_out, p_out, n_pair, n_wall, degenerate,
+                     *((PairEvents.of(parts, q.shape[1]), gap) if pair_events else ()))
 
 
 # ---------------------------------------------------------------------------
@@ -589,30 +611,28 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
 # ---------------------------------------------------------------------------
 
 def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limit,
-              events: list | None = None):
-    """The lockstep kernel of ``evolve_batch`` on (B, N, 3) rows with
-    durations ``dur`` (B,) of one sign.
+              record: bool = False) -> BatchFlow:
+    """The lockstep kernel of ``evolve_batch`` on (B, N, 3) rows, N >= 1,
+    with durations ``dur`` (B,) of one sign.
 
     Every row follows the scalar engine's arithmetic and candidate order
     exactly, so each row of the result equals the scalar engine on that
-    row bit for bit.  Returns ``(q_final, p_final, n_pair, n_wall,
-    degenerate)``.  Contacts at the start are settled as
+    row bit for bit.  Contacts at the start are settled as
     ``settle_contacts`` does: pairs in (i, j) order, then walls.  A row
     on which the scalar engine raises DegeneracyError stops there: it is
     marked degenerate, has no events and comes back as it went in.  An
     overlapping start raises ValueError for the first such row and a row
     past the event cap RuntimeError, with the scalar engine's messages.
-    Given a list ``events``, the pair events of every row that is not
-    degenerate are appended to it as parts for ``PairEvents.of``.
+    With ``record`` the elapsed times are kept, and the result holds the
+    pair events and event gaps of every row that is not degenerate.
     """
     bsz, n, _ = q.shape
     n_pair = np.zeros(bsz, dtype=np.int64)
     n_wall = np.zeros(bsz, dtype=np.int64)
     degenerate = np.zeros(bsz, dtype=bool)
     out_q, out_p = q.copy(), p.copy()
+    parts, gap_out = [], np.full(bsz, np.inf)
     moving = dur != 0.0
-    if n == 0 or not moving.any():
-        return out_q, out_p, n_pair, n_wall, degenerate
     backward = bool((dur < 0.0).any())
     if backward:
         # momentum reversal, forward flow, reversal, with the limit mapped
@@ -651,26 +671,16 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
 
     # recorded momenta as they appear on the trajectory's own time axis
     p_sign = -1.0 if backward else 1.0
-    parts = [] if events is not None else None
 
     def collide(r, i, j, at):
         # _Engine.apply_pair on rows r (pair i, j per row) at elapsed times at
-        qi, qj = qw[:, r, i], qw[:, r, j]
-        ox, oy, oz = qj - qi
-        dist = np.sqrt(ox * ox + oy * oy + oz * oz)
-        ox, oy, oz = ox / dist, oy / dist, oz / dist
-        pi, pj = pw[:, r, i], pw[:, r, j]
-        if parts is not None:
+        o = qw[:, r, j] - qw[:, r, i]
+        o = o / np.sqrt(o[0] * o[0] + o[1] * o[1] + o[2] * o[2])
+        if record:
             p_before = p_sign * pw[:, r].transpose(1, 2, 0)
-        cc = ox * (pi[0] - pj[0]) + oy * (pi[1] - pj[1]) + oz * (pi[2] - pj[2])
-        pw[0, r, i] = pi[0] - cc * ox
-        pw[1, r, i] = pi[1] - cc * oy
-        pw[2, r, i] = pi[2] - cc * oz
-        pw[0, r, j] = pj[0] + cc * ox
-        pw[1, r, j] = pj[1] + cc * oy
-        pw[2, r, j] = pj[2] + cc * oz
+        pw[:, r, i], pw[:, r, j] = pair_exchange(o, pw[:, r, i], pw[:, r, j])
         cnt_pair[r] += 1
-        if parts is not None:
+        if record:
             k = len(r)
             parts.append((idx[r], at, np.broadcast_to(i, k), np.broadcast_to(j, k),
                           qw[:, r].transpose(1, 2, 0), p_before,
@@ -708,7 +718,12 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
             pw = np.where(out, -pw, pw)
             cnt_wall += out.sum(axis=(0, 2))
         remaining = np.abs(dur[idx])
-        elapsed = np.zeros(len(idx)) if parts is not None else None
+        if record:
+            # the elapsed time, the time of the last event and the smallest
+            # gap so far; settling happens at elapsed 0
+            elapsed = np.zeros(len(idx))
+            last = np.where(cnt_pair + cnt_wall > 0, 0.0, -np.inf)
+            gap = np.where(cnt_pair + cnt_wall > 1, 0.0, np.inf)
 
         while len(idx):
             rows = np.arange(len(idx))
@@ -745,12 +760,14 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
 
             dt = np.where(beyond, remaining, np.where(flag, 0.0, best_t))
             qw += dt[None, :, None] * pw
-            if parts is not None:
+            if record:
                 elapsed = elapsed + dt
+                gap = np.where(apply, np.minimum(gap, elapsed - last), gap)
+                last = np.where(apply, elapsed, last)
 
             r = np.flatnonzero(apply & is_pair)
             if len(r):
-                at = elapsed[r] if parts is not None else None
+                at = elapsed[r] if record else None
                 collide(r, col_i[best[r]], col_jax[best[r]], at)
             r = np.flatnonzero(apply & ~is_pair)
             if len(r):
@@ -770,11 +787,12 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
                 idx = idx[cont]
                 qw, pw = qw[:, cont], pw[:, cont]
                 eps_t, best_t, remaining = eps_t[cont], best_t[cont], remaining[cont]
-                if parts is not None:
-                    elapsed = elapsed[cont]
+                if record:
+                    gap_out[dest] = gap[ok]
+                    elapsed, last, gap = elapsed[cont], last[cont], gap[cont]
                 cnt_pair, cnt_wall = cnt_pair[cont], cnt_wall[cont]
             remaining = remaining - best_t
 
-    if events is not None:
-        events.extend(tuple(f[~degenerate[part[0]]] for f in part) for part in parts)
-    return out_q, out_p, n_pair, n_wall, degenerate
+    kept = [tuple(f[~degenerate[part[0]]] for f in part) for part in parts]
+    return BatchFlow(out_q, out_p, n_pair, n_wall, degenerate,
+                     *((PairEvents.of(kept, n), gap_out) if record else ()))

@@ -30,7 +30,7 @@ from itertools import permutations
 
 import numpy as np
 
-from hardsphere.dynamics import DegeneracyError, Limit, PairEvents, evolve_arrays, evolve_batch
+from hardsphere.dynamics import Limit, PairEvents, evolve_batch
 from hardsphere.geometry import (
     EPS_CONTACT_REL,
     Configuration,
@@ -259,7 +259,7 @@ def _history_tree(q0, p0, domain, t, times, momenta, root, labels, dirs):
         live = np.flatnonzero(status == _VALID)
         leg = -(prev - t_next)[live]
         if leg.any():
-            q[live], p[live], _, _, degenerate = evolve_batch(q[live], p[live], domain, leg)
+            q[live], p[live], _, _, degenerate, *_ = evolve_batch(q[live], p[live], domain, leg)
             status[live[degenerate]] = _DEGENERATE
         if k == m:
             break
@@ -564,29 +564,28 @@ def evolve_sampled(measure: InitialMeasure, count: int, t: float, limit: Limit,
                    max_degenerate: float = math.inf, pair_events: bool = False):
     """``count`` configurations of a fixed-N measure flowed to time t on
     ``evolve_batch``: each degenerate row, in index order, is counted and
-    redrawn until its scalar run succeeds, as a row-by-row loop draws it
-    (RuntimeError past ``max_degenerate``).  Returns the final positions
-    and momenta, the pair-collision counts and, with ``pair_events``, the
-    rows' ``PairEvents`` (else None)."""
+    redrawn, and the new draw flowed on ``evolve_batch`` alone, until one
+    is not degenerate, as a row-by-row loop draws it (RuntimeError past
+    ``max_degenerate``).  Returns the final positions and momenta, the
+    pair-collision counts and, with ``pair_events``, the rows'
+    ``PairEvents`` (else None)."""
     qs, ps = measure.sample_batch(rng, count)
-    qf, pf, n_pair, _, degenerate, *parts = evolve_batch(qs, ps, measure.domain, t, limit,
-                                                         pair_events)
-    for i in np.flatnonzero(degenerate):
+    out = evolve_batch(qs, ps, measure.domain, t, limit, pair_events)
+    parts = [out.events]
+    for i in np.flatnonzero(out.degenerate):
         while True:
-            try:
-                qf[i], pf[i], log = evolve_arrays(qs[i], ps[i], measure.domain, t, limit,
-                                                  pair_events)
+            counter.degenerate += 1
+            if counter.degenerate > max_degenerate:
+                raise RuntimeError("excessive degenerate-trajectory rate")
+            qs[i], ps[i] = measure.sample_arrays(rng)
+            one = evolve_batch(qs[i:i + 1], ps[i:i + 1], measure.domain, t, limit, pair_events)
+            if not one.degenerate[0]:
                 break
-            except DegeneracyError:
-                counter.degenerate += 1
-                if counter.degenerate > max_degenerate:
-                    raise RuntimeError("excessive degenerate-trajectory rate")
-                qs[i], ps[i] = measure.sample_arrays(rng)
-        n_pair[i] = log.n_pair
+        out.q[i], out.p[i], out.n_pair[i] = one.q[0], one.p[0], one.n_pair[0]
         if pair_events:
-            parts.append(PairEvents.log_part(i, log, qs.shape[1]))
+            parts.append(one.events._replace(row=np.full_like(one.events.row, i)))
     counter.accepted += count
-    return qf, pf, n_pair, PairEvents.of(parts, qs.shape[1]) if pair_events else None
+    return out.q, out.p, out.n_pair, PairEvents.of(parts, qs.shape[1]) if pair_events else None
 
 
 def empirical_chunk_fixed(measure: InitialMeasure, n: int, t: float, boxes: tuple,
@@ -626,7 +625,7 @@ def empirical_chunk_grand(measure: InitialMeasure, n: int, t: float, boxes: tupl
         degenerate = np.zeros(len(drawn), dtype=bool)
         for k in np.unique(sizes[sizes >= n]):
             rows = np.flatnonzero(sizes == k)
-            qf, pf, _, _, degenerate[rows] = evolve_batch(
+            qf, pf, _, _, degenerate[rows], *_ = evolve_batch(
                 np.array([drawn[r][0] for r in rows]), np.array([drawn[r][1] for r in rows]),
                 measure.domain, t, limit)
             tuples = np.array(list(permutations(range(k), n)), dtype=int).reshape(-1, n)

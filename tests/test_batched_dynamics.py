@@ -33,6 +33,7 @@ from hardsphere.measures import (
     config_to_arrays,
 )
 from hardsphere.stats import RejectionCounter
+from marking_kernel import marking_kernel
 
 A = 1.0
 BOX = Domain(Vec3(0, 0, 0), Vec3(5, 5, 5), A)
@@ -77,7 +78,7 @@ def assert_rows_match(q, p, domain, t, limit):
     """Compare the kernel with the scalar engine row by row: a row the
     scalar engine refuses is degenerate and comes back as it went in, any
     other row is its scalar run.  Returns the degenerate mask."""
-    qf, pf, n_pair, n_wall, degenerate = lockstep(q, p, domain, t, limit)
+    qf, pf, n_pair, n_wall, degenerate, *_ = lockstep(q, p, domain, t, limit)
     for r, ref in enumerate(scalar_rows(q, p, domain, t, limit)):
         if isinstance(ref, DegeneracyKind):
             assert degenerate[r], f"row {r} raises {ref} but is not degenerate"
@@ -103,7 +104,7 @@ def test_sampled_rows_match_scalar(n, rows, t, limit):
 
 def test_zero_time_is_identity():
     q, p = sample_starts(np.random.default_rng(2), 5, 3)
-    qf, pf, n_pair, n_wall, degenerate = evolve_batch(q, p, BOX, 0.0)
+    qf, pf, n_pair, n_wall, degenerate, *_ = evolve_batch(q, p, BOX, 0.0)
     assert np.array_equal(qf, q) and np.array_equal(pf, p)
     assert not degenerate.any() and not n_pair.any() and not n_wall.any()
 
@@ -223,7 +224,7 @@ def test_per_row_durations_match_scalar(sign):
         q, p = sample_starts(rng, 60, n)
         t = sign * rng.uniform(0.0, 9.0, size=60)
         t[::7] = 0.0
-        qf, pf, n_pair, n_wall, degenerate = lockstep(q, p, BOX, t)
+        qf, pf, n_pair, n_wall, degenerate, *_ = lockstep(q, p, BOX, t)
         for r in range(60):
             ref = scalar_rows(q[r:r + 1], p[r:r + 1], BOX, t[r], Limit.FROM_FUTURE)[0]
             if isinstance(ref, DegeneracyKind):
@@ -256,23 +257,6 @@ def _forced_degenerate(x: float) -> bool:
     return int(x * 1e4) % 5 == 0
 
 
-def marking_kernel(real, forced):
-    """The lockstep kernel ``real`` with the moving rows whose start
-    ``forced(x)`` selects by the first coordinate made degenerate as it
-    makes them: marked, back as they went in and without events."""
-
-    def kernel(q, p, domain, dur, limit, events=None):
-        mark = np.array([forced(x) for x in q[:, 0, 0]], dtype=bool) & (dur != 0.0)
-        own = None if events is None else []
-        qf, pf, n_pair, n_wall, degenerate = real(q, p, domain, dur, limit, own)
-        qf[mark], pf[mark], n_pair[mark], n_wall[mark] = q[mark], p[mark], 0, 0
-        if events is not None:
-            events.extend(tuple(f[~mark[part[0]]] for f in part) for part in own)
-        return qf, pf, n_pair, n_wall, degenerate | mark
-
-    return kernel
-
-
 def force_degeneracies(monkeypatch, always=False):
     """The scalar engine raises, and the lockstep kernel marks degenerate,
     the same fixed subset of starts (all of them with ``always``)."""
@@ -300,7 +284,7 @@ def test_batch_entry_matches_row_by_row(rows, force, monkeypatch):
     q, p = sample_starts(rng, rows, 3)
     t = -rng.uniform(0.0, 9.0, size=rows)
     t[::9] = 0.0
-    degenerate = assert_entry_rows(q, p, t, *evolve_batch(q, p, BOX, t))
+    degenerate = assert_entry_rows(q, p, t, *evolve_batch(q, p, BOX, t)[:5])
     assert degenerate.any() == force
 
 
@@ -350,6 +334,20 @@ def with_contacts(rng, q, p):
     return q, p
 
 
+def with_settling(q, p, sign):
+    """Every seventh row from the fourth on made a start that settles two
+    events at elapsed 0 when flowed in the direction of ``sign``: sphere 1
+    touching sphere 0 and approaching it along x, and sphere 0 on the
+    lower y margin moving outward; the other spheres sit clear of both."""
+    q, p = q.copy(), p.copy()
+    start = [[2.2137, 0.5, 2.5], [3.2137, 0.5, 2.5],
+             [4.0, 3.5, 1.0], [4.2, 3.0, 4.0], [1.0, 4.0, 4.0]]
+    for r in range(3, len(q), 7):
+        q[r] = start[:q.shape[1]]
+        p[r, :2, :2] = sign * np.array([[0.3, -0.6], [-0.5, 0.4]])
+    return q, p
+
+
 def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
@@ -359,26 +357,32 @@ def bits(x) -> bytes:
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_pair_events_match_scalar_log(n, sign, rows, force, monkeypatch):
-    # the pair entries of each row's scalar log, bit for bit: from the
-    # kernel and from the scalar path below the row threshold; a
-    # degenerate row has none
+    # the pair entries of each row's scalar log and the smallest gap
+    # between its consecutive entries, bit for bit: from the kernel and
+    # from the scalar path below the row threshold; a degenerate row has
+    # no events and no gap
     if force:
         force_degeneracies(monkeypatch)
     rng = np.random.default_rng(100 * n + rows)
-    q, p = with_contacts(rng, *sample_starts(rng, rows, n))
+    q, p = with_settling(*with_contacts(rng, *sample_starts(rng, rows, n)), sign)
     t = sign * rng.uniform(0.0, 12.0, size=rows)
     t[::11] = 0.0
-    *_, degenerate, ev = evolve_batch(q, p, BOX, t, pair_events=True)
+    out = evolve_batch(q, p, BOX, t, pair_events=True)
+    degenerate, ev = out.degenerate, out.events
     assert ev.q.shape[1:] == ev.p_before.shape[1:] == ev.p_after.shape[1:] == (n, 3)
     assert (np.diff(ev.row) >= 0).all()
-    at_start = 0
+    at_start = no_gap = 0
     for r in range(rows):
         got = np.flatnonzero(ev.row == r)
         try:
             log = evolve_arrays(q[r], p[r], BOX, t[r], collect_log=True)[2]
         except DegeneracyError:
-            assert degenerate[r] and not len(got)
+            assert degenerate[r] and not len(got) and out.gap[r] == math.inf
             continue
+        times = [e.time for e in log.entries]
+        assert bits(out.gap[r]) == bits(min((b - a for a, b in zip(times, times[1:])),
+                                            default=math.inf)), f"row {r}"
+        no_gap += out.gap[r] == 0.0
         want = [e for e in log.entries if e.event.kind is EventKind.PAIR]
         assert len(got) == len(want), f"row {r}"
         for k, e in zip(got, want):
@@ -388,7 +392,7 @@ def test_pair_events_match_scalar_log(n, sign, rows, force, monkeypatch):
             assert bits(ev.p_before[k]) == bits(e.momenta_before)
             assert bits(ev.p_after[k]) == bits(e.momenta_after)
             at_start += e.time == 0.0
-    assert len(ev.row) > rows // 4 and at_start > 0
+    assert len(ev.row) > rows // 4 and at_start > 0 and no_gap > 0
     assert degenerate.any() == force
 
 

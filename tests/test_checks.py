@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import re
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -16,6 +17,7 @@ from hardsphere.hierarchy import PhaseBox, SeriesParams
 from hardsphere.measures import GrandCanonicalEq, ModulatedProduct
 from hardsphere.cli import default_experiment, main
 from hardsphere.dynamics import DegeneracyError, DegeneracyKind
+from marking_kernel import marking_kernel
 
 SMALL_INI = """
 [experiment]
@@ -623,6 +625,50 @@ def test_reversibility_pilot_without_usable_trajectory(monkeypatch):
     monkeypatch.setattr(dyn, "_flow", degenerate)
     with pytest.raises(RuntimeError, match=r"reversibility.*n=2"):
         C.run_check(small_exp(), "reversibility", params={"trajectories": 4, "n_list": [2]})
+
+
+def test_checks_reach_the_flow_only_through_evolve_batch(monkeypatch):
+    # every trajectory a check runs, reversibility's and the redrawn
+    # degenerate rows' included, is flowed by evolve_batch: the scalar
+    # engine is never called from anywhere else.  A fixed subset of starts
+    # is degenerate, so forward runs redraw rows
+    forced = lambda x: int(abs(float(x)) * 1e4) % 97 == 0
+    callers = []
+    real = dyn._flow
+
+    def flow(q, p, *args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        if forced(q[0][0]):
+            raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
+        return real(q, p, *args)
+
+    monkeypatch.setattr(dyn, "_flow", flow)
+    monkeypatch.setattr(dyn, "_lockstep", marking_kernel(dyn._lockstep, forced))
+    exp = small_exp()
+    exp.checks += [("reversibility", "", {"trajectories": 60, "n_list": [2, 3]}),
+                   ("prop1_decomposition", "", {"samples": 400, "t": 4.0, "deltas": ["bulk"]})]
+    reports = C.run_all(exp)
+    assert {r.check for r in reports} >= {"reversibility", "lemma2_rate",
+                                          "prop1_decomposition", "series_identity"}
+    assert all(r.degenerate_rate > 0 for r in reports if r.check == "lemma2_rate")
+    assert callers and set(callers) == {"evolve_batch"}
+
+
+def test_conservation_certifies_the_engines_pair_law(monkeypatch):
+    # conservation applies the pair exchange the lockstep kernel applies,
+    # so a non-conserving exchange in its place fails pair_momentum
+    assert C.pair_exchange is dyn.pair_exchange
+    params = {"samples": 4000}
+    assert all(r.passed for r in C.run_check(small_exp(), "conservation", params=params))
+
+    def leaky(o, p_i, p_j):
+        new_i, new_j = dyn.pair_exchange(o, p_i, p_j)
+        return new_i, tuple(1.001 * c for c in new_j)
+
+    monkeypatch.setattr(C, "pair_exchange", leaky)
+    failed = {r.case for r in C.run_check(small_exp(), "conservation", params=params)
+              if not r.passed}
+    assert "pair_momentum" in failed
 
 
 def test_series_identity_passes_direction_draws():
