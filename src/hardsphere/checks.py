@@ -225,7 +225,10 @@ def _chunks(exp: ExperimentConfig, spec, samples: int, seed: tuple, domain: Doma
             **own) -> list[Chunk]:
     """The chunks of an estimator of ``samples`` samples, with the workers'
     own fields; chunk idx draws from the stream (exp.seed, *seed, idx).
-    Their measure is built here, so forked workers inherit it."""
+    Their measure is built here, so forked workers inherit it.  A fixed-N
+    measure is normalized on first read, and ``_run`` reads it before the
+    pool forks only where a chunk's worker reads it (``_READS_Z``), so
+    forked workers inherit that too and never normalize."""
     domain = domain or exp.domain
     get_measure(spec, domain, norm_proposals=exp.norm_proposals)
     return [Chunk(spec, domain, exp.norm_proposals, count, (exp.seed, *seed, idx), **own)
@@ -344,6 +347,10 @@ def _w_reversibility(c: Chunk):
         events += int((fwd.n_pair + fwd.n_wall)[rows[ok]].sum())
         counter.accepted += int(ok.sum())
     return (worst, events, skipped_gap, counter)
+
+
+# the workers that read their measure's partition function
+_READS_Z = (_w_series,)
 
 
 # ---------------------------------------------------------------------------
@@ -738,8 +745,10 @@ def _run(exp: ExperimentConfig, entries: list[tuple[str, str, dict]]) -> list[Ch
     ``validate``'s words before any runner starts, advance each runner to
     the estimators it yields, map every chunk of the run in order over one
     pool, merge each group in chunk order, and send each runner its results
-    in entry order.  A check's runtime is its setup plus the time spent
-    waiting for and finishing it, so a run's runtimes add up to its wall time."""
+    in entry order.  A chunk whose worker reads the partition function has
+    its measure normalized in a check's setup, before the pool forks.  A
+    check's runtime is its setup plus the time spent waiting for and
+    finishing it, so a run's runtimes add up to its wall time."""
     problems = exp.validate(entries)
     if problems:
         raise ValueError("; ".join(problems))
@@ -749,6 +758,9 @@ def _run(exp: ExperimentConfig, entries: list[tuple[str, str, dict]]) -> list[Ch
         runner = _RUNNERS[cid](exp, label, check_params(cid, params), _check_key(cid, label))
         estimators = next(runner)
         jobs += [(e.worker, c) for e in estimators for group in e.groups for c in group]
+        for ms in {c.measure for e in estimators if e.worker in _READS_Z
+                   for group in e.groups for c in group}:
+            ms.z_rel_err       # normalized on first read
         now = time.perf_counter()
         plans.append((label, runner, estimators, now - start))
         start = now

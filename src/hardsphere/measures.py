@@ -6,14 +6,17 @@ momenta.  Momentum integrals are then exact and only position-space
 exclusion integrals need Monte Carlo: the partition constants are
 estimated once per measure with at least NORM_PROPOSALS proposals and
 cached together with their standard error, which downstream checks fold
-into their error budgets.
+into their error budgets.  A fixed-N measure estimates its one on first
+read, since sampling needs the density only up to a constant; a
+grand-canonical one at construction, since its sampler reads the
+occupancy they give.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -152,8 +155,10 @@ def _clear(c: np.ndarray, a2: float, fixed: int = 0) -> np.ndarray:
 class InitialMeasure:
     """A density specification bound to a domain, with cached normalization.
 
-    Immutable after construction; samplers take an explicit RNG so that
-    parallel workers just use independently seeded streams.
+    The normalization comes from the measure's own stream, so it is the
+    same whenever it is computed.  Immutable after construction but for
+    that cache; samplers take an explicit RNG so that parallel workers
+    just use independently seeded streams.
     """
 
     def __init__(self, spec: DensitySpec, domain: Domain,
@@ -171,8 +176,9 @@ class InitialMeasure:
         tol = 1e-9 * domain.a
         self._margins = ((self._ins_lo - tol)[:, None, None],
                          (self._ins_hi + tol)[:, None, None], (domain.a - tol) ** 2)
-        rng = np.random.default_rng(np.random.SeedSequence((_NORM_SEED, norm_proposals)))
+        self._norm_proposals = norm_proposals
         if isinstance(spec, GrandCanonicalEq):
+            rng = self._norm_rng()
             self.n_max = self._probe_occupancy(spec.n_cap, rng)
             self._z_pos = {0: (1.0, 0.0)}
             for n in range(1, self.n_max + 1):
@@ -189,15 +195,30 @@ class InitialMeasure:
             self._occupancy_cdf /= self._occupancy_cdf[-1]
             self.z_rel_err = math.sqrt(sum(e * e for e in errs)) / total
         else:
-            n = spec.n_particles
-            self.n_max = n
-            self._z_pos = {n: self._position_integral(n, norm_proposals, rng)}
-            z, ze = self._z_pos[n]
-            if z <= 0.0:
-                raise ValueError(f"box cannot fit {n} spheres of diameter {domain.a}")
-            self.z_rel_err = ze / z
+            self.n_max = spec.n_particles
 
     # -- normalization machinery -------------------------------------------
+
+    def _norm_rng(self) -> np.random.Generator:
+        """A new generator on the measure's normalization stream."""
+        return np.random.default_rng(np.random.SeedSequence((_NORM_SEED, self._norm_proposals)))
+
+    # A grand-canonical measure sets these two in __init__, which shadows
+    # the cached properties; a fixed-N one computes them on first read.
+    @cached_property
+    def _z_pos(self) -> dict[int, tuple[float, float]]:
+        """The position integral of each particle number with its standard
+        error; a fixed-N measure has the one of N."""
+        n = self.n_max
+        z = self._position_integral(n, self._norm_proposals, self._norm_rng())
+        if z[0] <= 0.0:
+            raise ValueError(f"box cannot fit {n} spheres of diameter {self.domain.a}")
+        return {n: z}
+
+    @cached_property
+    def z_rel_err(self) -> float:
+        z, ze = self._z_pos[self.n_max]
+        return ze / z
 
     def uniform_positions(self, rng, count: int, n: int) -> np.ndarray:
         """Uniform center proposals in the inset box, shape (count, n, 3)."""
@@ -621,6 +642,9 @@ def spec_from_block(block: dict) -> tuple[DensitySpec, Domain]:
 def get_measure(spec: DensitySpec, domain: Domain,
                 norm_proposals: int = NORM_PROPOSALS) -> InitialMeasure:
     """Cached measure factory: normalization constants are computed once
-    per (spec, domain) in each process, from a fixed normalization
-    stream, so parallel workers agree bit for bit."""
+    per (spec, domain) in each process, a fixed-N measure's on first read,
+    from a fixed normalization stream, so parallel workers agree bit for
+    bit.  A forked worker inherits what its parent had computed before
+    the fork; ``checks`` reads the partition function before the pool forks
+    for every measure whose chunks read it in a worker."""
     return InitialMeasure(spec, domain, norm_proposals)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import multiprocessing
+import os
 import re
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from hardsphere import checks as C
 from hardsphere.config import CHECK_IDS, check_params, dump_config, load_config, loads_config
 from hardsphere.geometry import Domain, Vec3
 from hardsphere.hierarchy import PhaseBox, SeriesParams
-from hardsphere.measures import GrandCanonicalEq, ModulatedProduct
+from hardsphere.measures import GrandCanonicalEq, InitialMeasure, ModulatedProduct
 from hardsphere.cli import default_experiment, main
 from hardsphere.dynamics import DegeneracyError, DegeneracyKind
 from marking_kernel import marking_kernel
@@ -817,6 +818,102 @@ def test_error_in_pooled_chunk_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(cfg_path), "--check", "liouville"]) == 2
     assert "error: excessive degenerate-trajectory rate" in capsys.readouterr().err
     assert pooled == [True]
+
+
+def test_checks_normalize_only_what_they_read(normalizations):
+    # reversibility and liouville only sample; lemma2_rate reads each
+    # N's partition function in its collision rate
+    exp = small_exp()
+    exp.chunk_size = 40
+    C.run_check(exp, "reversibility", params={"trajectories": 20, "n_list": [2, 3]})
+    C.run_check(exp, "liouville", params={"samples": 80, "t": 2.0})
+    assert normalizations == []
+    C.run_check(exp, "lemma2_rate", params={"trajectories": 80, "rate_samples": 1000,
+                                            "n_list": [2, 3]})
+    assert normalizations == [2, 3]
+
+
+ALL_CHECKS_INI = """
+[experiment]
+schema_version = 1
+seed = 5150
+workers = 2
+norm_proposals = 20000
+chunk_size = 100
+
+[domain]
+box = [0, 0, 0, 5, 5, 5]
+a = 1.0
+
+[density]
+variant = "modulated"
+n = 2
+beta = 1.0
+
+[check.conservation]
+samples = 400
+
+[check.reversibility]
+trajectories = 20
+n_list = [2, 3]
+
+[check.special_flow]
+resolution = 256
+
+[check.lemma2_rate]
+trajectories = 200
+t = 4.0
+rate_samples = 20000
+
+[check.liouville]
+samples = 200
+t = 4.0
+
+[check.prop1_decomposition]
+samples = 200
+t = 4.0
+inner_samples = 16
+deltas = ["bulk"]
+
+[check.prop5_onestep]
+samples = 200
+t = 4.0
+inner_samples = 16
+
+[check.series_identity]
+samples = 200
+t = 4.0
+inner_samples = 16
+deltas = ["bulk"]
+
+[check.grand_canonical_identity]
+samples = 200
+inner_samples = 16
+
+[check.map_roundtrip]
+inner_samples = 16
+outer_samples = 16
+points = 2
+"""
+
+
+def test_no_pool_worker_normalizes(normalizations, monkeypatch):
+    # every measure a worker reads the partition function of is
+    # normalized in this process before the pool forks
+    parent = os.getpid()
+    counted = InitialMeasure._position_integral
+
+    def here_only(self, *args):
+        if os.getpid() != parent:
+            raise AssertionError("a pool worker normalized a measure")
+        return counted(self, *args)
+
+    monkeypatch.setattr(InitialMeasure, "_position_integral", here_only)
+    exp = loads_config(ALL_CHECKS_INI)
+    reports = C.run_all(exp)
+    assert sorted({r.check for r in reports}) == sorted(CHECK_IDS)
+    assert all(r.passed for r in reports)
+    assert normalizations
 
 
 def _assert_digest(ini, sha256, out):

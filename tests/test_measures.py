@@ -5,8 +5,9 @@ import pytest
 
 import scalar_rho
 from hardsphere import measures
-from hardsphere.dynamics import pair_collide
+from hardsphere.dynamics import Limit, pair_collide
 from hardsphere.geometry import Domain, Vec3
+from hardsphere.hierarchy import PhaseBox, empirical_rho, evolve_sampled
 from hardsphere.measures import (
     CanonicalEq,
     GrandCanonicalEq,
@@ -19,6 +20,7 @@ from hardsphere.measures import (
     spec_from_block,
     spec_to_block,
 )
+from hardsphere.stats import RejectionCounter
 
 A = 1.0
 BOX = Domain(Vec3(0, 0, 0), Vec3(5, 5, 5), A)
@@ -288,9 +290,48 @@ def test_spec_block_roundtrip():
 
 
 def test_sampler_infeasible_geometry_raises():
+    # a fixed-N measure is normalized on first read, so the box is refused
+    # there; the sampler, which never reads it, gives up on its first draw
     tight = Domain(Vec3(0, 0, 0), Vec3(1.4, 1.4, 1.4), A)
-    with pytest.raises(ValueError):
-        InitialMeasure(CanonicalEq(3, 1.0), tight, norm_proposals=20_000)
+    ms = InitialMeasure(CanonicalEq(3, 1.0), tight, norm_proposals=20_000)
+    with pytest.raises(ValueError, match="^box cannot fit 3 spheres of diameter 1.0$"):
+        ms.position_partition(3)
+    with pytest.raises(RuntimeError, match="^no admissible 3-sphere placement in 1000 rounds$"):
+        ms.sample_arrays(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("spec", [CanonicalEq(3, 1.0), ModulatedProduct(2, 1.0)])
+def test_sampling_never_normalizes(spec, normalizations):
+    ms = InitialMeasure(spec, BOX, norm_proposals=20_000)
+    rng = np.random.default_rng(8)
+    n = spec.n_particles
+    box = PhaseBox.of([[0.5] * 3], [[4.5] * 3], [[-2.0] * 3], [[2.0] * 3])
+    ms.sample_batch(rng, 50)
+    ms.sample_arrays(rng)
+    evolve_sampled(ms, 20, 2.0, Limit.FROM_FUTURE, rng, RejectionCounter())
+    empirical_rho(ms, 1, 2.0, box, Limit.FROM_FUTURE, 40, rng)
+    assert normalizations == []
+    # the first read normalizes, once
+    ms.position_partition(n), ms.z_rel_err, ms.bound_constant, correlation_map(ms)
+    assert normalizations == [n]
+
+
+@pytest.mark.parametrize("spec", [CanonicalEq(3, 1.0), ModulatedProduct(5, 1.0)])
+def test_lazy_normalization_matches_eager_loop(spec, normalizations, monkeypatch):
+    # read after sampling, the partition function is, bit for bit, the one
+    # the verbatim loop computes on the measure's normalization stream at
+    # construction; batches of 30,000 with a short last one, blocks that
+    # do not divide them
+    monkeypatch.setattr(measures, "_NORM_BATCH", 30_000)
+    monkeypatch.setattr(measures, "_NORM_BLOCK", 7_000)
+    ms = InitialMeasure(spec, BOX, norm_proposals=71_000)
+    ms.sample_batch(np.random.default_rng(1), 10)
+    n = spec.n_particles
+    z = ms._z_pos
+    rng = np.random.default_rng(np.random.SeedSequence((measures._NORM_SEED, 71_000)))
+    assert z == {n: verbatim_position_integral(ms, n, 71_000, rng)}
+    assert ms.z_rel_err == z[n][1] / z[n][0]
+    assert normalizations == [n]
 
 
 # -- batched evaluation against the scalar path ----------------------------------
