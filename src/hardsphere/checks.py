@@ -226,8 +226,8 @@ def _chunks(exp: ExperimentConfig, spec, samples: int, seed: tuple, domain: Doma
     """The chunks of an estimator of ``samples`` samples, with the workers'
     own fields; chunk idx draws from the stream (exp.seed, *seed, idx).
     Their measure is built here, so forked workers inherit it.  A fixed-N
-    measure is normalized on first read, and ``_run`` reads it before the
-    pool forks only where a chunk's worker reads it (``_READS_Z``), so
+    measure is normalized on first read: ``_series`` and ``_pullback``,
+    whose workers read it, read it at setup, before the pool forks, so
     forked workers inherit that too and never normalize."""
     domain = domain or exp.domain
     get_measure(spec, domain, norm_proposals=exp.norm_proposals)
@@ -349,10 +349,6 @@ def _w_reversibility(c: Chunk):
     return (worst, events, skipped_gap, counter)
 
 
-# the workers that read their measure's partition function
-_READS_Z = (_w_series,)
-
-
 # ---------------------------------------------------------------------------
 # the two routes, chunk by chunk
 # ---------------------------------------------------------------------------
@@ -376,16 +372,19 @@ def _series(exp, spec, domain, n, t, box, params: SeriesParams, key, role) -> Es
     the streams (exp.seed, key, role, m, idx)."""
     ms = get_measure(spec, domain, norm_proposals=exp.norm_proposals)
     beta0, counts = params.plan(n, ms)
+    norm_err = ms.z_rel_err     # read before the pool forks: the workers read Z
     return Estimator(_w_series, [
         _chunks(exp, spec, count, (key, role, m), domain, n=n, t=t, boxes=(box,), m=m,
                 beta0=beta0, inner=params.inner_samples, antithetic=params.antithetic,
                 draws=params.direction_draws)
-        for m, count in enumerate(counts)], lambda *strata: SeriesResult.of(strata, ms.z_rel_err))
+        for m, count in enumerate(counts)], lambda *strata: SeriesResult.of(strata, norm_err))
 
 
 def _pullback(exp, spec, n, t, box, inner, samples, key) -> list[Chunk]:
     """The chunks of the collision-free term: the m = 0 stratum of the
-    series on the streams (exp.seed, key, 2, idx)."""
+    series on the streams (exp.seed, key, 2, idx).  Its workers read the
+    measure's Z, so it is read here, before the pool forks."""
+    get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals).z_rel_err
     return _chunks(exp, spec, samples, (key, 2), n=n, t=t, boxes=(box,), beta0=spec.beta,
                    inner=inner)
 
@@ -745,10 +744,8 @@ def _run(exp: ExperimentConfig, entries: list[tuple[str, str, dict]]) -> list[Ch
     ``validate``'s words before any runner starts, advance each runner to
     the estimators it yields, map every chunk of the run in order over one
     pool, merge each group in chunk order, and send each runner its results
-    in entry order.  A chunk whose worker reads the partition function has
-    its measure normalized in a check's setup, before the pool forks.  A
-    check's runtime is its setup plus the time spent waiting for and
-    finishing it, so a run's runtimes add up to its wall time."""
+    in entry order.  A check's runtime is its setup plus the time spent
+    waiting for and finishing it, so a run's runtimes add up to its wall time."""
     problems = exp.validate(entries)
     if problems:
         raise ValueError("; ".join(problems))
@@ -758,9 +755,6 @@ def _run(exp: ExperimentConfig, entries: list[tuple[str, str, dict]]) -> list[Ch
         runner = _RUNNERS[cid](exp, label, check_params(cid, params), _check_key(cid, label))
         estimators = next(runner)
         jobs += [(e.worker, c) for e in estimators for group in e.groups for c in group]
-        for ms in {c.measure for e in estimators if e.worker in _READS_Z
-                   for group in e.groups for c in group}:
-            ms.z_rel_err       # normalized on first read
         now = time.perf_counter()
         plans.append((label, runner, estimators, now - start))
         start = now

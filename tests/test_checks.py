@@ -15,7 +15,7 @@ from hardsphere import checks as C
 from hardsphere.config import CHECK_IDS, check_params, dump_config, load_config, loads_config
 from hardsphere.geometry import Domain, Vec3
 from hardsphere.hierarchy import PhaseBox, SeriesParams
-from hardsphere.measures import GrandCanonicalEq, InitialMeasure, ModulatedProduct
+from hardsphere.measures import GrandCanonicalEq, InitialMeasure, ModulatedProduct, get_measure
 from hardsphere.cli import default_experiment, main
 from hardsphere.dynamics import DegeneracyError, DegeneracyKind
 from marking_kernel import marking_kernel
@@ -914,6 +914,11 @@ def test_no_pool_worker_normalizes(normalizations, monkeypatch):
     assert sorted({r.check for r in reports}) == sorted(CHECK_IDS)
     assert all(r.passed for r in reports)
     assert normalizations
+    # each check alone, so that no other check's setup has normalized
+    # its measure before the fork
+    for cid in CHECK_IDS:
+        get_measure.cache_clear()
+        assert all(r.passed for r in C.run_all(exp, only=[cid]))
 
 
 def _assert_digest(ini, sha256, out):

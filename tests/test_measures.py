@@ -316,24 +316,6 @@ def test_sampling_never_normalizes(spec, normalizations):
     assert normalizations == [n]
 
 
-@pytest.mark.parametrize("spec", [CanonicalEq(3, 1.0), ModulatedProduct(5, 1.0)])
-def test_lazy_normalization_matches_eager_loop(spec, normalizations, monkeypatch):
-    # read after sampling, the partition function is, bit for bit, the one
-    # the verbatim loop computes on the measure's normalization stream at
-    # construction; batches of 30,000 with a short last one, blocks that
-    # do not divide them
-    monkeypatch.setattr(measures, "_NORM_BATCH", 30_000)
-    monkeypatch.setattr(measures, "_NORM_BLOCK", 7_000)
-    ms = InitialMeasure(spec, BOX, norm_proposals=71_000)
-    ms.sample_batch(np.random.default_rng(1), 10)
-    n = spec.n_particles
-    z = ms._z_pos
-    rng = np.random.default_rng(np.random.SeedSequence((measures._NORM_SEED, 71_000)))
-    assert z == {n: verbatim_position_integral(ms, n, 71_000, rng)}
-    assert ms.z_rel_err == z[n][1] / z[n][0]
-    assert normalizations == [n]
-
-
 # -- batched evaluation against the scalar path ----------------------------------
 
 def touching(rng, rows, centers, dist, ulps=4):
@@ -514,11 +496,16 @@ def test_normalization_matches_verbatim_loop(spec, domain, monkeypatch):
     # loop's bit for bit
     monkeypatch.setattr(measures, "_NORM_BATCH", 30_000)
     monkeypatch.setattr(measures, "_NORM_BLOCK", 7_000)
+    # a fixed-N measure normalizes on first read: read, after sampling,
+    # before the loop is swapped in
     new = InitialMeasure(spec, domain, norm_proposals=71_000)
+    new.sample_arrays(np.random.default_rng(1))
+    new.z_rel_err
     blocked = InitialMeasure._position_integral
     monkeypatch.setattr(InitialMeasure, "_position_integral", verbatim_position_integral)
     old = InitialMeasure(spec, domain, norm_proposals=71_000)
     assert new._z_pos == old._z_pos
+    assert new.z_rel_err == old.z_rel_err
     # straight from a generator, at a count below one batch
     rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
     assert (blocked(new, new.n_max, 20_000, rng_new)
