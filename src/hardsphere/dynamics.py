@@ -22,8 +22,8 @@ configuration on plain floats and is the reference: ``evolve_arrays`` on
 configurations of one particle number, each with its own duration.  From
 _BATCH_ROWS moving rows on it runs them in lockstep on arrays, bit for
 bit as the scalar engine would, degenerate rows included; below that it
-runs the scalar engine row by row, which is faster there.  Either way a
-degenerate row is reported and comes back as it went in.
+runs the scalar engine row by row, the faster one on few rows.  Either
+way a degenerate row is reported and comes back as it went in.
 """
 
 from __future__ import annotations
@@ -207,7 +207,8 @@ def pair_exchange(o, p_i, p_j):
     """``pair_collide`` on (x, y, z) component triples of floats or of
     arrays, in its operation order: the unit vector ``o`` from center i
     to center j and the two momenta.  Returns the new (p_i, p_j) triples.
-    The lockstep kernel and the conservation check apply this law."""
+    The scalar engine, the lockstep kernel and the conservation check
+    apply this law."""
     c = o[0] * (p_i[0] - p_j[0]) + o[1] * (p_i[1] - p_j[1]) + o[2] * (p_i[2] - p_j[2])
     return ((p_i[0] - c * o[0], p_i[1] - c * o[1], p_i[2] - c * o[2]),
             (p_j[0] + c * o[0], p_j[1] + c * o[1], p_j[2] + c * o[2]))
@@ -283,17 +284,11 @@ class _Engine:
         qi, qj, pi, pj = self.q[i], self.q[j], self.p[i], self.p[j]
         rx, ry, rz = qj[0] - qi[0], qj[1] - qi[1], qj[2] - qi[2]
         dist = math.sqrt(rx * rx + ry * ry + rz * rz)
-        ox, oy, oz = rx / dist, ry / dist, rz / dist
-        c = ox * (pi[0] - pj[0]) + oy * (pi[1] - pj[1]) + oz * (pi[2] - pj[2])
+        o = (rx / dist, ry / dist, rz / dist)
         p_before = self.snapshot_p() if self.collect else ()
-        pi[0] -= c * ox
-        pi[1] -= c * oy
-        pi[2] -= c * oz
-        pj[0] += c * ox
-        pj[1] += c * oy
-        pj[2] += c * oz
+        pi[:], pj[:] = pair_exchange(o, pi, pj)
         self.log.n_pair += 1
-        self._record(p_before, lambda: Event(EventKind.PAIR, 0.0, i, j=j, omega=Vec3(ox, oy, oz)))
+        self._record(p_before, lambda: Event(EventKind.PAIR, 0.0, i, j=j, omega=Vec3(*o)))
 
     def apply_wall(self, i: int, axis: int, side: int) -> None:
         p_before = self.snapshot_p() if self.collect else ()
@@ -554,8 +549,8 @@ def evolve_arrays(q: np.ndarray, p: np.ndarray, domain, t: float,
 
 
 # From this many moving rows on, ``evolve_batch`` runs the lockstep kernel;
-# fewer (the histories of one sample) run on the scalar engine, which is
-# faster there.
+# fewer run on the scalar engine.  Which is faster depends on the event
+# steps per row, so this is a compromise, not the crossover.
 _BATCH_ROWS = 48
 
 

@@ -14,10 +14,12 @@ receiver is summed over the n box particles, the k-th label (k >= 2) is
 uniform over its n+k-1 choices, insertion momenta come from a proposal
 Maxwellian at beta0 (reweighted), directions are uniform on the sphere
 (weight 4 pi each).  Directions falling outside the admissible set
-contribute zero; backward legs that hit a degenerate trajectory are
-counted and contribute zero as well (they sample a null set).  The
-forward-simulation estimator instead re-samples degenerate trajectories,
-keeping its denominator at the requested sample count.
+contribute zero.  A backward leg that hits a degenerate trajectory and a
+direction drawn as a normal triple at or below the norm floor both
+sample a null set: the sample is counted as degenerate and contributes
+zero, and no outer draw depends on either.  The forward-simulation
+estimator instead re-samples degenerate trajectories, keeping its
+denominator at the requested sample count.
 """
 
 from __future__ import annotations
@@ -304,27 +306,6 @@ def build_history(config: Configuration, t: float, delta: CollisionHistory) -> H
 
 
 # ---------------------------------------------------------------------------
-# contact directions
-# ---------------------------------------------------------------------------
-
-# a normal triple at most this long is redrawn rather than scaled to unit length
-_NORM_FLOOR = 1e-12
-
-
-def _uniform_spheres(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k unit vectors uniform on the sphere, shape (k, 3): normal triples
-    scaled to unit length, the ones at or below the norm floor dropped and
-    their shortfall drawn again.  This consumes the stream and gives the
-    bits of k one-vector draws (``vecdot`` squares as ``v @ v`` does)."""
-    v = rng.normal(size=(k, 3))
-    r = np.sqrt(np.vecdot(v, v))[:, None]
-    keep = r[:, 0] > _NORM_FLOOR
-    if keep.all():
-        return v / r
-    return np.concatenate([v[keep] / r[keep], _uniform_spheres(rng, k - int(keep.sum()))])
-
-
-# ---------------------------------------------------------------------------
 # series evaluation (stratified over the number of insertions)
 # ---------------------------------------------------------------------------
 
@@ -395,6 +376,11 @@ class SeriesResult:
         return SeriesResult(reduce(SignedEstimate.plus, ests.values()), ests, counter, norm_rel_err)
 
 
+# a sample with a direction's normal triple at most this long counts as
+# degenerate: the triple is not scaled to unit length
+_NORM_FLOOR = 1e-12
+
+
 def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseBox,
                           m: int, count: int, beta0: float, inner_samples: int,
                           antithetic: bool, rng,
@@ -406,17 +392,20 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     directions.  The first insertion's receiver is summed over the n box
     particles, not drawn (a Rao-Blackwell average over that label), and
     the histories are averaged over the direction draws and every sign
-    combination.  The random stream is consumed exactly as by a loop that
-    builds and evaluates one history at a time and stops a sample at its
-    first degenerate history.  The terminals draw their inner samples from
-    a generator spawned from ``rng``, in the order the loop evaluates them,
-    so the outer draws do not depend on how many a terminal takes.  The
-    draws of a block of samples come first: per sample only the loop's
-    stream calls, into block buffers (a momentum is 0.0 + sigma * z of the
-    normal draw z), then block-wide the time sort, the momenta, the
-    proposal density and the unit directions.  The block is built as one
-    tree, its valid terminals are evaluated in one ``eval_batch`` call, and
-    its samples' values are written before the next block is drawn.
+    combination.  Every admissible sample makes all of its stream calls,
+    whatever its histories do: ``rng.random`` for its m times,
+    ``rng.integers`` for each later label, and one normal call for its
+    momenta and all draws x m direction triples (a momentum is 0.0 +
+    sigma * z of the normal draw z).  A sample with a degenerate history
+    or with a triple at or below the norm floor contributes 0 and counts
+    as degenerate (both are null sets); its histories from the first
+    degenerate one on, and all of a sample with a floor triple, are
+    neither evaluated nor counted as blocked.  The terminals draw their
+    inner samples from a generator spawned from ``rng``, in the order the
+    histories are listed, so the outer draws depend on no outcome.  A
+    block of samples is drawn, built as one tree, its valid terminals
+    evaluated in one ``eval_batch`` call and its samples' values written
+    before the next block is drawn.
     """
     ms = rho0.measure
     dom = ms.domain
@@ -438,44 +427,30 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     rows = np.flatnonzero(ms.admissible_batch(qs))
     values = np.zeros(count)
 
-    def draw(nb, last=draws):
-        # the last sample makes ``last`` direction draws; the rest stay ones
-        start = rng.bit_generator.state
+    def draw(nb):
         times = np.empty((nb, m))
         labels = np.zeros((nb, m), dtype=int)
-        z = np.ones((nb, m + draws * m, 3))
+        z = np.empty((nb, m + draws * m, 3))
         for i in range(nb if m else 0):
             rng.random(out=times[i])
             for k in range(1, m):
                 labels[i, k] = rng.integers(0, n + k)
-            rng.standard_normal(out=z[i] if i < nb - 1 else z[i, :m + last * m])
+            rng.standard_normal(out=z[i])
         r = np.sqrt(np.vecdot(z[:, m:], z[:, m:]))[..., None]
-        dirs = (0.0 + z[:, m:]) / r
-        low = (r <= _NORM_FLOOR).any(axis=(1, 2))
-        if low[:-1].any():
-            rng.bit_generator.state = start
-            return draw(int(low.argmax()) + 1)
-        if low[-1]:
-            ok = r[-1, :, 0] > _NORM_FLOOR
-            dirs[-1] = np.concatenate([dirs[-1, ok], _uniform_spheres(rng, int((~ok).sum()))])
+        # a triple at or below the floor is built along a fixed axis, not
+        # as drawn, which would put its sphere on the receiver
+        low = r <= _NORM_FLOOR
+        dirs = np.where(low, (0.0, 0.0, 1.0), 0.0 + z[:, m:]) / np.where(low, 1.0, r)
         momenta = 0.0 + prop.sigma * z[:, :m]
         scale = vol * time_factor * label_factor * sphere_factor / prop.pdf(momenta).prod(axis=1)
         return (np.sort(times, axis=1)[:, ::-1] * t, labels, momenta, scale,
-                dirs.reshape(nb, draws, 1, 1, m, 3), start)
+                dirs.reshape(nb, draws, 1, 1, m, 3), low.any(axis=(1, 2)))
 
-    # A sample's histories are listed draw-major, then by first receiver,
-    # then by sign combination, as the loop builds them.  A sample that
-    # stops before its last direction draw ends the block: the loop never
-    # made its later draws, so the generator goes back to the block's start
-    # and the block's draws are made again up to that sample's stop, and
-    # the next block starts at the following sample.  The loop redraws a
-    # direction triple at or below the norm floor at once, so the first
-    # sample with one ends its block too: the block's draws are made again
-    # up to it, and its shortfall is drawn after it.
+    # a sample's histories are listed draw-major, then by first receiver,
+    # then by sign combination
     per = max(1, _LEVEL_ROWS // width)
-    b = 0
-    while b < len(rows):
-        times, labels, momenta, scale, dirs, start = draw(min(per, len(rows) - b))
+    for b in range(0, len(rows), per):
+        times, labels, momenta, scale, dirs, low = draw(min(per, len(rows) - b))
         nb = len(times)
         labels = np.repeat(labels, width, axis=0)
         labels[:, :1] = np.tile(np.repeat(np.arange(receivers), combos), nb * draws)[:, None]
@@ -485,27 +460,15 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
             np.broadcast_to(signs * dirs, (nb, draws, receivers, combos, m, 3))
             .reshape(nb * width, m, 3))
         status, weight = status.reshape(nb, width), weight.reshape(nb, width)
-        deg = status == _DEGENERATE
-        cut = np.where(deg.any(axis=1), deg.argmax(axis=1) // (receivers * combos), draws)
-        early = np.flatnonzero(cut < draws - 1)
-        keep = early[0] + 1 if len(early) else nb
-        status, weight = status[:keep], weight[:keep]
-        # from a sample's first degenerate history on, its histories are
-        # neither evaluated nor counted, as the one-at-a-time loop stops there
-        seen = np.cumsum(deg[:keep], axis=1) == 0
+        seen = (np.cumsum(status == _DEGENERATE, axis=1) == 0) & ~low[:, None]
         counter.blocked += int((seen & (status == _BLOCKED)).sum())
         ev = np.flatnonzero(seen & (status == _VALID))
-        rho = np.zeros(keep * width)
+        rho = np.zeros(nb * width)
         rho[ev] = rho0.eval_batch(q[ev], p[ev], inner, inner_samples)[0]
-        # each sample's histories summed left to right, as the loop adds them
-        total = np.add.accumulate(scale[:keep, None] * weight * rho.reshape(keep, width),
-                                  axis=1)[:, -1]
-        values[rows[b:b + keep]] = np.where(seen[:, -1], total / (draws * combos), 0.0)
-        counter.degenerate += keep - int(seen[:, -1].sum())
-        if len(early):
-            rng.bit_generator.state = start
-            draw(keep, cut[keep - 1] + 1)
-        b += keep
+        # each sample's histories summed left to right
+        total = np.add.accumulate(scale[:, None] * weight * rho.reshape(nb, width), axis=1)[:, -1]
+        values[rows[b:b + nb]] = np.where(seen[:, -1], total / (draws * combos), 0.0)
+        counter.degenerate += nb - int(seen[:, -1].sum())
     # the samples outside the admissible set count as accepted, with value 0
     counter.accepted = count - counter.degenerate
     return RunningStats().add_many(values), counter

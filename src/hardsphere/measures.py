@@ -329,13 +329,14 @@ class InitialMeasure:
         """Draw ``count`` configurations for a fixed particle number
         (canonical variants): returns positions and momenta arrays
         (count, N, 3).  Rejection against the spatial weight and the hard
-        core; raises after max_attempts rounds without progress."""
+        core; raises after 64 * max_attempts consecutive rejected
+        proposals, whatever ``count`` is."""
         if isinstance(self.spec, GrandCanonicalEq):
             raise TypeError("sample_batch needs a fixed particle number")
         n = self.spec.n_particles
         out = []
         got = 0
-        attempts = 0
+        rejected = 0
         while got < count:
             b = max(2 * (count - got), 64)
             q = self.uniform_positions(rng, b, n)
@@ -348,12 +349,12 @@ class InitialMeasure:
             if len(sel):
                 out.append(sel[: count - got])
                 got += len(out[-1])
-                attempts = 0
+                rejected = 0
             else:
-                attempts += 1
-                if attempts >= max_attempts:
+                rejected += b
+                if rejected >= 64 * max_attempts:
                     raise RuntimeError(
-                        f"no admissible {n}-sphere placement in {max_attempts} rounds"
+                        f"no admissible {n}-sphere placement in {rejected} proposals"
                     )
         qs = np.concatenate(out) if len(out) > 1 else out[0]
         ps = self.maxwellian.sample(rng, (count, n, 3))

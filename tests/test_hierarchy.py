@@ -13,7 +13,6 @@ from hardsphere.hierarchy import (
     SeriesParams,
     _series_stratum_stats,
     _insert,
-    _uniform_spheres,
     build_history,
     empirical_rho,
     pair_collision_rate,
@@ -197,7 +196,8 @@ def mc_collision_operator(rho, config: Configuration, j: int, samples: int,
     p_hat, omega = np.empty((samples, 3)), np.empty((samples, 3))
     for k in range(samples):
         p_hat[k] = prop.sample(rng, 3)
-        omega[k] = _uniform_spheres(rng, 1)[0]
+        v = rng.normal(size=3)
+        omega[k] = v / np.sqrt(np.vecdot(v, v))
     q_aug, p_aug, weight, blocked = _insert(
         np.broadcast_to(q, (samples, *q.shape)), np.broadcast_to(p, (samples, *p.shape)),
         np.ones(samples), np.full(samples, j), p_hat, omega, config.domain)
@@ -588,20 +588,20 @@ def oracle_build_history(config, t, delta):
 
 
 def oracle_sphere(rng):
-    # one unit vector per normal triple, redrawn at or below the module's
+    # one unit vector per normal triple, None at or below the module's
     # norm floor
-    while True:
-        v = rng.normal(size=3)
-        r = math.sqrt(float(v @ v))
-        if r > hierarchy._NORM_FLOOR:
-            return Vec3(v[0] / r, v[1] / r, v[2] / r)
+    v = rng.normal(size=3)
+    r = math.sqrt(float(v @ v))
+    return Vec3(v[0] / r, v[1] / r, v[2] / r) if r > hierarchy._NORM_FLOOR else None
 
 
 def oracle_stratum_stats(rho0, n, t, box, m, count, beta0, inner_samples, antithetic, rng,
                          direction_draws=1):
-    """A stratum of the series one history at a time: per direction draw,
-    the first insertion attaches to each of the n box particles in turn
-    and the later labels are drawn."""
+    """A stratum of the series one history at a time: a sample draws all
+    of its direction tuples first, and is degenerate if one of them holds
+    a triple at or below the norm floor; per direction draw, the first
+    insertion attaches to each of the n box particles in turn and the
+    later labels are drawn."""
     from itertools import product
 
     ms = rho0.measure
@@ -636,9 +636,9 @@ def oracle_stratum_stats(rho0, n, t, box, m, count, beta0, inner_samples, antith
         scale = vol * time_factor * label_factor * sphere_factor / prop_w
         start = config_from_arrays(q, p, dom)
         combo_vals = []
-        degenerate = False
-        for _ in range(draws):
-            dirs = tuple(oracle_sphere(rng) for _ in range(m))
+        tuples = [tuple(oracle_sphere(rng) for _ in range(m)) for _ in range(draws)]
+        degenerate = any(d is None for dirs in tuples for d in dirs)
+        for dirs in [] if degenerate else tuples:
             for j, signs in product(range(receivers), sign_combos):
                 flipped = tuple(d if s > 0 else -d for d, s in zip(dirs, signs))
                 labels = (j, *later) if m else ()
@@ -713,9 +713,9 @@ def oracle_prop5(args):
         p_hat = Vec3(*prop.sample(rng, 3))
         omega = oracle_sphere(rng)
         total = 0.0
-        degenerate = False
+        degenerate = omega is None
         cfg = config_from_arrays(qs[i], ps[i], domain)
-        for j in range(n):
+        for j in range(0 if degenerate else n):
             for om in (omega, -omega):
                 delta = CollisionHistory((s,), (j,), (p_hat,), (om,))
                 out = oracle_build_history(cfg, t, delta)
@@ -877,8 +877,10 @@ STRATA = ([(big_n, name, m, 1) for big_n in (2, 3) for name in ("bulk", "near_wa
 ONE_SIGN = [(2, "bulk", 1, 1), (3, "bulk", 1, 1)]
 # strata whose two-particle terminals the ``refused`` rule makes inadmissible
 REFUSED = [(3, "bulk", 1, 1), (3, "bulk", 1, 3)]
-# strata built at norm floor 1.0, where about a fifth of the direction
-# triples are redrawn (at the shipped floor no seed is known to meet one)
+# strata built at norm floor 0.3, where about 0.7% of the direction
+# triples fall at or below it and make their sample degenerate (at 1.0 a
+# fifth would, and about 0.5% of 24-draw samples would survive; at the
+# shipped floor no seed is known to meet one)
 FLOOR = [(3, "bulk", 1, 1), (4, "bulk", 2, 1), ("grand", "micro", 1, 24)]
 
 
@@ -901,19 +903,13 @@ def test_stratum_stats_match_oracle(measures_by_n, monkeypatch, big_n, box_name,
     # statistics and counters and leave the stream where the loop does,
     # with and without the antithetic sign flips; on the pair box (n = 2)
     # the first insertion attaches to each of the two particles; at the
-    # raised norm floor a block ends at its first sample with a redrawn
-    # triple, and a sample that also stops early takes back the draws it
-    # never made, redraws included
+    # raised norm floor a sample with a triple at or below it is degenerate
     if force:
         request.getfixturevalue("forced")
     if refuse:
         request.getfixturevalue("refused")
-    redraws = []
     if floor:
-        monkeypatch.setattr(hierarchy, "_NORM_FLOOR", 1.0)
-        real = hierarchy._uniform_spheres
-        monkeypatch.setattr(hierarchy, "_uniform_spheres",
-                            lambda rng, k: redraws.append(k) or real(rng, k))
+        monkeypatch.setattr(hierarchy, "_NORM_FLOOR", 0.3)
     ms = measures_by_n[big_n]
     rho0 = correlation_map(ms)
     box = (grand_box(ms.domain) if big_n == "grand" else pair_box() if box_name == "pair"
@@ -931,16 +927,15 @@ def test_stratum_stats_match_oracle(measures_by_n, monkeypatch, big_n, box_name,
     assert (stats, counter) == (want_stats, want_counter)
     assert rng_new.random() == rng_old.random()
     assert counter.accepted > count // 2
-    assert (counter.degenerate > 0) == force
-    assert (len(redraws) > 5) == floor
+    assert (counter.degenerate > 0) == (force or floor)
 
 
 @pytest.mark.parametrize("force", [False, True])
 def test_top_stratum_with_many_draws_builds_blocks(measures_by_n, monkeypatch, force, request):
     # the grand-canonical m = 1 stratum with 24 direction draws (48
     # histories a sample) is built in blocks of 4096 // 48 samples, one
-    # tree each; a sample that stops before its last draw ends its block,
-    # and the next block starts at the following sample
+    # tree each, and every admissible row is built once, whether or not a
+    # sample meets a degenerate history
     if force:
         request.getfixturevalue("forced")
     starts = []
@@ -956,13 +951,9 @@ def test_top_stratum_with_many_draws_builds_blocks(measures_by_n, monkeypatch, f
     rows = int(ms.admissible_batch(box.sample(np.random.default_rng(31), 200)[0]).sum())
     _, counter = _series_stratum_stats(correlation_map(ms), 1, 2.0, box, 1, 200, 1.0, 32, True,
                                        np.random.default_rng(31), 24)
-    assert len(starts) <= math.ceil(200 * 48 / 4096) + counter.degenerate
-    if force:
-        # the samples after an early stop were built in its block and
-        # again in the block that starts after it
-        assert counter.degenerate > 0 and sum(starts) > rows
-    else:
-        assert counter.degenerate == 0 and sum(starts) == rows
+    assert rows == 200 and len(starts) == math.ceil(200 * 48 / 4096)
+    assert sum(starts) == rows
+    assert (counter.degenerate > 0) == force
 
 
 def assert_matches_prop5_oracle(got, rng, want, want_rng):
@@ -1020,6 +1011,54 @@ def test_outer_stream_does_not_depend_on_inner_samples(measures_by_n):
             inv.eval_arrays(q, p, rng)
         seen.append((counter.blocked, counter.degenerate, rng.bit_generator.state))
     assert seen[0] == seen[1] and seen[0][0] > 0
+
+
+@pytest.mark.parametrize("big_n, draws", [(3, 3), ("grand", 24)])
+def test_stratum_outer_draws_depend_on_no_outcome(measures_by_n, request, big_n, draws):
+    # a sample makes all of its direction draws whatever its histories do,
+    # so forcing legs degenerate (N = 3 bulk at 3 draws, the grand micro
+    # box at 24) changes the counters but leaves the stream where it is
+    ms = measures_by_n[big_n]
+    box = grand_box(ms.domain) if big_n == "grand" else checks.delta_preset("bulk", BOX, 1.0)
+    args = (correlation_map(ms), 1, 2.0 if big_n == "grand" else 5.0, box, 1, 60, 1.0, 32, True)
+    rng_free = np.random.default_rng(12)
+    _, free = _series_stratum_stats(*args, rng_free, draws)
+    request.getfixturevalue("forced")
+    rng_forced = np.random.default_rng(12)
+    _, forced = _series_stratum_stats(*args, rng_forced, draws)
+    assert free.degenerate == 0 and forced.degenerate > 0
+    assert rng_forced.random() == rng_free.random()
+
+
+class _ZeroFirstDirection:
+    """A generator that passes every call to ``gen`` and zeroes row 1 of
+    its first ``standard_normal(out=...)`` draw: the first direction
+    triple of an m = 1 sample."""
+
+    def __init__(self, gen):
+        self._gen, self._done = gen, False
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        self._gen.standard_normal(*args, out=out, **kwargs)
+        if not self._done:
+            out[1], self._done = 0.0, True
+        return out
+
+
+def test_stratum_zero_direction_triple_is_degenerate(measures_by_n):
+    # a direction triple of zeros makes its sample degenerate without a
+    # division by its norm, and is not built as drawn, which would put the
+    # new sphere on its receiver
+    ms = measures_by_n[3]
+    args = (correlation_map(ms), 1, 5.0, checks.delta_preset("bulk", BOX, 1.0), 1, 40, 1.0,
+            16, True)
+    _, want = _series_stratum_stats(*args, np.random.default_rng(4))
+    with np.errstate(divide="raise", invalid="raise"):
+        _, got = _series_stratum_stats(*args, _ZeroFirstDirection(np.random.default_rng(4)))
+    assert (want.degenerate, got.degenerate) == (0, 1)
 
 
 class _Recording:
@@ -1339,20 +1378,6 @@ def test_chunk_grand_all_degenerate_raises(measures_by_n, all_degenerate):
         with pytest.raises(RuntimeError, match="^excessive degenerate-trajectory rate$"):
             chunk(ms, 1, 2.0, box, Limit.FROM_FUTURE, 120, np.random.default_rng(3),
                   max_resample=10)
-
-
-@pytest.mark.parametrize("floor", [1e-12, 1.0])
-def test_uniform_spheres_match_per_vector_loop(floor, monkeypatch):
-    # at floor 1.0 about a fifth of the normal triples are redrawn
-    monkeypatch.setattr(hierarchy, "_NORM_FLOOR", floor)
-    for k in (0, 1, 2, 48):
-        rng_new, rng_old = np.random.default_rng(k), np.random.default_rng(k)
-        got = hierarchy._uniform_spheres(rng_new, k)
-        want = np.reshape([oracle_sphere(rng_old).as_tuple() for _ in range(k)], (k, 3))
-        assert got.shape == (k, 3) and got.tobytes() == want.tobytes()
-        assert rng_new.random() == rng_old.random()
-    first = np.random.default_rng(48).normal(size=(48, 3))
-    assert (np.sqrt(np.vecdot(first, first)) <= floor).any() == (floor == 1.0)
 
 
 def test_array_paths_build_no_vec3(measures_by_n, monkeypatch):

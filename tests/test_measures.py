@@ -292,12 +292,16 @@ def test_spec_block_roundtrip():
 def test_sampler_infeasible_geometry_raises():
     # a fixed-N measure is normalized on first read, so the box is refused
     # there; the sampler, which never reads it, gives up on its first draw
+    # after 64 * max_attempts rejected proposals
     tight = Domain(Vec3(0, 0, 0), Vec3(1.4, 1.4, 1.4), A)
     ms = InitialMeasure(CanonicalEq(3, 1.0), tight, norm_proposals=20_000)
     with pytest.raises(ValueError, match="^box cannot fit 3 spheres of diameter 1.0$"):
         ms.position_partition(3)
-    with pytest.raises(RuntimeError, match="^no admissible 3-sphere placement in 1000 rounds$"):
+    with pytest.raises(RuntimeError, match="^no admissible 3-sphere placement in 64000 proposals$"):
         ms.sample_arrays(np.random.default_rng(0))
+    # a large request makes two rounds of 2 * count proposals, not 1000
+    with pytest.raises(RuntimeError, match="^no admissible 3-sphere placement in 100000 "):
+        ms.sample_batch(np.random.default_rng(0), 25_000)
 
 
 @pytest.mark.parametrize("spec", [CanonicalEq(3, 1.0), ModulatedProduct(2, 1.0)])
