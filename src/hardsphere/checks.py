@@ -220,15 +220,21 @@ class Chunk:
         """A new generator on the chunk's stream."""
         return _rng(*self.seed)
 
+    @property
+    def max_degenerate(self) -> int:
+        """The degenerate (or skipped) rows past which a chunk gives up, as
+        ``empirical_chunk`` does."""
+        return 200 + self.count
+
 
 def _chunks(exp: ExperimentConfig, spec, samples: int, seed: tuple, domain: Domain | None = None,
             **own) -> list[Chunk]:
     """The chunks of an estimator of ``samples`` samples, with the workers'
     own fields; chunk idx draws from the stream (exp.seed, *seed, idx).
     Their measure is built here, so forked workers inherit it.  A fixed-N
-    measure is normalized on first read: ``_series`` and ``_pullback``,
-    whose workers read it, read it at setup, before the pool forks, so
-    forked workers inherit that too and never normalize."""
+    measure is normalized on first read: ``_series``, whose workers read
+    it, reads it at setup, before the pool forks, so forked workers
+    inherit that too and never normalize."""
     domain = domain or exp.domain
     get_measure(spec, domain, norm_proposals=exp.norm_proposals)
     return [Chunk(spec, domain, exp.norm_proposals, count, (exp.seed, *seed, idx), **own)
@@ -282,7 +288,8 @@ def _w_series(c: Chunk):
 def _w_lemma2(c: Chunk):
     """Pair-collision counts over [0, t] for equilibrium trajectories."""
     counter = RejectionCounter()
-    _, _, n_pair, _ = evolve_sampled(c.measure, c.count, c.t, Limit.FROM_FUTURE, c.rng, counter)
+    _, _, n_pair, _ = evolve_sampled(c.measure, c.count, c.t, Limit.FROM_FUTURE, c.rng, counter,
+                                     c.max_degenerate)
     return (RunningStats().add_many(n_pair), counter)
 
 
@@ -298,7 +305,7 @@ def _w_prop1_forward(c: Chunk):
     n, t, domain = c.n, c.t, c.domain
     counter = RejectionCounter()
     *_, ev = evolve_sampled(c.measure, c.count, t, Limit.FROM_FUTURE, c.rng, counter,
-                            pair_events=True)
+                            c.max_degenerate, pair_events=True)
     # the cross collisions, and per group leg (just after, then just
     # before the collision) its start and duration
     cross = (ev.i < n) & (n <= ev.j)
@@ -322,7 +329,8 @@ def _w_reversibility(c: Chunk):
     recorded ``evolve_batch`` call and back in one call on the rows that
     are not degenerate.  A row degenerate either way is counted, one with
     an event gap below the threshold skipped, and every other accepted,
-    so the chunk takes the draws a one-at-a-time loop takes."""
+    so the chunk takes the draws a one-at-a-time loop takes; past
+    ``max_degenerate`` rows counted or skipped it gives up."""
     ms, rng, t, domain = c.measure, c.rng, c.t, c.domain
     diag = math.sqrt(sum(s * s for s in domain.sides))
     worst = 0.0
@@ -346,17 +354,14 @@ def _w_reversibility(c: Chunk):
                     _worst(_norm(dp.transpose(2, 0, 1)) / pscale[ok, None]))
         events += int((fwd.n_pair + fwd.n_wall)[rows[ok]].sum())
         counter.accepted += int(ok.sum())
+        if counter.degenerate + skipped_gap > c.max_degenerate:
+            raise RuntimeError("excessive degenerate-trajectory rate")
     return (worst, events, skipped_gap, counter)
 
 
 # ---------------------------------------------------------------------------
 # the two routes, chunk by chunk
 # ---------------------------------------------------------------------------
-
-def _signed(merged):
-    stats, counter = merged
-    return SignedEstimate.from_stats(stats), counter
-
 
 def _empirical(exp, spec, domain, n, t, boxes, samples, key, role) -> Estimator:
     """Forward simulation (``empirical_rho``) chunk by chunk, every box
@@ -367,26 +372,17 @@ def _empirical(exp, spec, domain, n, t, boxes, samples, key, role) -> Estimator:
                                      for part in merged[:-1]])
 
 
-def _series(exp, spec, domain, n, t, box, params: SeriesParams, key, role) -> Estimator:
-    """The series (``series_eval``) chunk by chunk; stratum m draws from
-    the streams (exp.seed, key, role, m, idx)."""
-    ms = get_measure(spec, domain, norm_proposals=exp.norm_proposals)
-    beta0, counts = params.plan(n, ms)
-    norm_err = ms.z_rel_err     # read before the pool forks: the workers read Z
+def _series(exp, spec, domain, n, t, box, strata, beta0, inner, antithetic=True,
+            draws=1) -> Estimator:
+    """The series (``series_eval``) chunk by chunk, as a ``SeriesResult``:
+    stratum m takes ``strata[m]``, its sample count and the seed tuple of
+    its streams (exp.seed, *seed, idx).  Its workers read the measure's Z,
+    so it is read here, before the pool forks."""
+    norm_err = get_measure(spec, domain, norm_proposals=exp.norm_proposals).z_rel_err
     return Estimator(_w_series, [
-        _chunks(exp, spec, count, (key, role, m), domain, n=n, t=t, boxes=(box,), m=m,
-                beta0=beta0, inner=params.inner_samples, antithetic=params.antithetic,
-                draws=params.direction_draws)
-        for m, count in enumerate(counts)], lambda *strata: SeriesResult.of(strata, norm_err))
-
-
-def _pullback(exp, spec, n, t, box, inner, samples, key) -> list[Chunk]:
-    """The chunks of the collision-free term: the m = 0 stratum of the
-    series on the streams (exp.seed, key, 2, idx).  Its workers read the
-    measure's Z, so it is read here, before the pool forks."""
-    get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals).z_rel_err
-    return _chunks(exp, spec, samples, (key, 2), n=n, t=t, boxes=(box,), beta0=spec.beta,
-                   inner=inner)
+        _chunks(exp, spec, count, seed, domain, n=n, t=t, boxes=(box,), m=m, beta0=beta0,
+                inner=inner, antithetic=antithetic, draws=draws)
+        for m, (count, seed) in enumerate(strata)], lambda *s: SeriesResult.of(s, norm_err))
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +548,10 @@ def _run_lemma2(exp, label, params, key):
     rate_samples = int(params["rate_samples"])
     n_list = [int(n) for n in params["n_list"]]
     results = yield [Estimator(_w_lemma2, [_chunks(
-        exp, CanonicalEq(n, beta), trajectories, (key, 20 + n), t=t)], _signed) for n in n_list]
+        exp, CanonicalEq(n, beta), trajectories, (key, 20 + n), t=t)]) for n in n_list]
     reports = []
-    for n, (emp, counter) in zip(n_list, results):
+    for n, (stats, counter) in zip(n_list, results):
+        emp = SignedEstimate.from_stats(stats)
         ms = get_measure(CanonicalEq(n, beta), exp.domain, norm_proposals=exp.norm_proposals)
         rate, rate_err = pair_collision_rate(ms, rate_samples, _rng(exp.seed, key, 40 + n))
         oracle = SignedEstimate(t * rate, t * rate_err, rate_samples)
@@ -567,24 +564,24 @@ def _run_lemma2(exp, label, params, key):
 def _run_prop1(exp, label, params, key):
     spec = exp.density
     n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
-    big_n = spec.n_particles
-    ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
-    ff = falling_factorial(big_n, n)
+    ff = falling_factorial(spec.n_particles, n)
     names, boxes = zip(*(_resolve_delta(d, exp.domain, spec.beta) for d in params["deltas"]))
+    # the pull-back term is the series' m = 0 stratum
     forward, crossing, *backs = yield [
         _empirical(exp, spec, exp.domain, n, t, boxes, samples, key, 1),
         Estimator(_w_prop1_forward, [_chunks(exp, spec, samples, (key, 3), n=n, t=t, boxes=boxes)],
                   lambda merged: [(*merged[k:k + 3], merged[-1])
                                   for k in range(0, len(merged) - 1, 3)]),
-        *(Estimator(_w_series, [_pullback(exp, spec, n, t, box, int(params["inner_samples"]),
-                                          samples, key)], _signed) for box in boxes)]
+        *(_series(exp, spec, exp.domain, n, t, box, [(samples, (key, 2))], spec.beta,
+                  int(params["inner_samples"])) for box in boxes)]
     reports = []
-    for name, box, lhs, (fstats, plus, minus, ctr_f), (term1, ctr_b) in zip(
+    for name, box, lhs, (fstats, plus, minus, ctr_f), back in zip(
             names, boxes, forward, crossing, backs):
+        term1 = back.total
         rhs = term1.plus(SignedEstimate.from_stats(fstats, scale=ff))
-        rhs = rhs.with_extra_stderr(abs(term1.value) * ms.z_rel_err)
+        rhs = rhs.with_extra_stderr(abs(term1.value) * back.norm_rel_err)
         reports.append(_stat_report(
-            "prop1_decomposition", name, lhs.estimate, rhs, exp, (lhs.counter, ctr_b, ctr_f),
+            "prop1_decomposition", name, lhs.estimate, rhs, exp, (lhs.counter, back.counter, ctr_f),
             n=n, t=t, box=box,
             detail={"pullback_term": term1.value, "collision_gain": ff * plus.mean,
                     "collision_loss": ff * minus.mean}))
@@ -596,17 +593,13 @@ def _run_prop5(exp, label, params, key):
     n, t, samples = int(params["n"]), float(params["t"]), int(params["samples"])
     inner = int(params["inner_samples"])
     beta0 = float(params["beta0"] if params["beta0"] is not None else spec.beta)
-    ms = get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals)
     names, boxes = zip(*(_resolve_delta(d, exp.domain, spec.beta) for d in params["deltas"]))
-    # per box the series strata m = 0 (the pull-back term) and m = 1 (the
-    # collision term, on the streams (exp.seed, key, 3, idx))
+    # per box the series strata m = 0 (the pull-back term, which draws no
+    # momenta and so reads no beta0) and m = 1 (the collision term)
+    strata = [(samples // 2, (key, 2)), (samples, (key, 3))]
     forward, *per_box = yield [
         _empirical(exp, spec, exp.domain, n, t, boxes, samples, key, 1),
-        *(Estimator(_w_series, [
-            _pullback(exp, spec, n, t, box, inner, samples // 2, key),
-            _chunks(exp, spec, samples, (key, 3), n=n, t=t, boxes=(box,), m=1, beta0=beta0,
-                    inner=inner)], lambda *strata: SeriesResult.of(strata, ms.z_rel_err))
-          for box in boxes)]
+        *(_series(exp, spec, exp.domain, n, t, box, strata, beta0, inner) for box in boxes)]
     return [_stat_report("prop5_onestep", name, lhs.estimate, res.total_with_norm_err, exp,
                          (lhs.counter, res.counter), n=n, t=t, box=box,
                          detail={"pullback_term": res.strata[0].value,
@@ -626,10 +619,13 @@ def _run_series_identity(exp, label, params, key):
         antithetic=bool(params["antithetic"]),
         direction_draws=int(params["direction_draws"]),
     )
+    beta0, counts = sp.plan(n, get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals))
+    strata = [(count, (key, 2, m)) for m, count in enumerate(counts)]
     names, boxes = zip(*(_resolve_delta(d, exp.domain, spec.beta) for d in params["deltas"]))
     forward, *series = yield [
         _empirical(exp, spec, exp.domain, n, t, boxes, samples, key, 1),
-        *(_series(exp, spec, exp.domain, n, t, box, sp, key, 2) for box in boxes)]
+        *(_series(exp, spec, exp.domain, n, t, box, strata, beta0, sp.inner_samples,
+                  sp.antithetic, sp.direction_draws) for box in boxes)]
     reports = []
     for name, box, lhs, res in zip(names, boxes, forward, series):
         detail = {f"stratum_m{m}": {"value": e.value, "stderr": e.stderr, "count": e.count}
@@ -666,8 +662,11 @@ def _run_grand_canonical(exp, label, params, key):
         allocation=tuple(params["allocation"]),
         direction_draws=int(params["direction_draws"]),
     )
+    beta0, counts = sp.plan(n, ms)
+    strata = [(count, (key, 2, m)) for m, count in enumerate(counts)]
     (lhs,), res = yield [_empirical(exp, spec, domain, n, t, (box,), samples, key, 1),
-                         _series(exp, spec, domain, n, t, box, sp, key, 2)]
+                         _series(exp, spec, domain, n, t, box, strata, beta0, sp.inner_samples,
+                                 sp.antithetic, sp.direction_draws)]
     return [_stat_report(
         "grand_canonical_identity", label or "micro", lhs.estimate, res.total_with_norm_err, exp,
         (lhs.counter, res.counter), n=n, t=t, box=box,

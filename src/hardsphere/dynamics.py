@@ -19,11 +19,12 @@ Two engines share these rules.  The scalar engine integrates one
 configuration on plain floats and is the reference: ``evolve_arrays`` on
 (n, 3) position and momentum arrays, ``evolve`` on a ``Configuration``.
 ``evolve_batch``, the program's one entry to the flow, runs independent
-configurations of one particle number, each with its own duration.  From
-_BATCH_ROWS moving rows on it runs them in lockstep on arrays, bit for
-bit as the scalar engine would, degenerate rows included; below that it
-runs the scalar engine row by row, the faster one on few rows.  Either
-way a degenerate row is reported and comes back as it went in.
+configurations of one particle number, each with its own duration.  A
+recorded call, and any call from _BATCH_ROWS moving rows on, runs them
+in lockstep on arrays, bit for bit as the scalar engine would,
+degenerate rows included; the kernel is the one recorder of pair events.
+An unrecorded call on fewer rows runs the scalar engine row by row.
+Either way a degenerate row is reported and comes back as it went in.
 """
 
 from __future__ import annotations
@@ -165,17 +166,6 @@ class PairEvents(NamedTuple):
         fields = [np.concatenate(f) for f in zip(*parts)]
         order = np.argsort(fields[0], kind="stable")
         return PairEvents(*(f[order] for f in fields))
-
-    @staticmethod
-    def log_part(row: int, log: TrajectoryLog, n: int) -> tuple:
-        """The pair entries of one row's scalar log as a part for ``of``."""
-        es = [e for e in log.entries if e.event.kind is EventKind.PAIR]
-        snap = lambda rows: np.array(rows, dtype=float).reshape(len(es), n, 3)
-        return (np.full(len(es), row, dtype=np.int64), np.array([e.time for e in es], dtype=float),
-                np.array([e.event.i for e in es], dtype=np.int64),
-                np.array([e.event.j for e in es], dtype=np.int64),
-                snap([e.positions for e in es]), snap([e.momenta_before for e in es]),
-                snap([e.momenta_after for e in es]))
 
 
 class BatchFlow(NamedTuple):
@@ -548,9 +538,10 @@ def evolve_arrays(q: np.ndarray, p: np.ndarray, domain, t: float,
     return np.array(q, dtype=float).reshape(-1, 3), np.array(p, dtype=float).reshape(-1, 3), log
 
 
-# From this many moving rows on, ``evolve_batch`` runs the lockstep kernel;
-# fewer run on the scalar engine.  Which is faster depends on the event
-# steps per row, so this is a compromise, not the crossover.
+# From this many moving rows on, an unrecorded ``evolve_batch`` call runs
+# the lockstep kernel; fewer run on the scalar engine.  Which is faster
+# depends on the event steps per row, so this is a compromise, not the
+# crossover.
 _BATCH_ROWS = 48
 
 
@@ -563,11 +554,12 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
     came).  Each row ends as the scalar engine ends it, bit for bit.
     Returns a ``BatchFlow``: a row that meets a degenerate trajectory is
     marked, has no events and comes back as it went in.  With
-    ``pair_events`` the call is recorded: ``events`` holds the pair
-    entries of each row's scalar log and ``gap`` the smallest difference
-    of consecutive entry times, pair or wall (inf below two entries), bit
-    for bit.  An overlapping start raises ValueError and a row past the
-    event cap RuntimeError, as in ``evolve``.
+    ``pair_events`` the call is recorded, on the lockstep kernel whatever
+    its row count: ``events`` holds the pair entries of each row's scalar
+    log and ``gap`` the smallest difference of consecutive entry times,
+    pair or wall (inf below two entries), bit for bit.  An overlapping
+    start raises ValueError and a row past the event cap RuntimeError, as
+    in ``evolve``.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -578,27 +570,23 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
     if min(dur, default=0.0) < 0.0 < max(dur, default=0.0):
         raise ValueError("per-row times must share one sign")
     rows = [r for r, d in enumerate(dur) if d != 0.0]
-    if len(rows) >= _BATCH_ROWS and q.shape[1]:
+    if (pair_events or len(rows) >= _BATCH_ROWS) and q.shape[1]:
         return _lockstep(q, p, domain, np.array(dur), limit, pair_events)
     q_out, p_out = q.copy(), p.copy()
     n_pair = np.zeros(len(q), dtype=np.int64)
     n_wall = np.zeros(len(q), dtype=np.int64)
     degenerate = np.zeros(len(q), dtype=bool)
-    parts, gap = [], np.full(len(q), math.inf)
     for r in rows:
         qr, pr = q[r].tolist(), p[r].tolist()
         try:
-            log = _flow(qr, pr, domain, dur[r], limit, pair_events, _MAX_EVENTS_DEFAULT)
+            log = _flow(qr, pr, domain, dur[r], limit, False, _MAX_EVENTS_DEFAULT)
         except DegeneracyError:
             degenerate[r] = True
             continue
         q_out[r], p_out[r], n_pair[r], n_wall[r] = qr, pr, log.n_pair, log.n_wall
-        if pair_events:
-            parts.append(PairEvents.log_part(r, log, q.shape[1]))
-            gap[r] = min((b.time - a.time for a, b in zip(log.entries, log.entries[1:])),
-                         default=math.inf)
+    # a recorded call lands here only without spheres, so without events
     return BatchFlow(q_out, p_out, n_pair, n_wall, degenerate,
-                     *((PairEvents.of(parts, q.shape[1]), gap) if pair_events else ()))
+                     *((PairEvents.of([], 0), np.full(len(q), math.inf)) if pair_events else ()))
 
 
 # ---------------------------------------------------------------------------

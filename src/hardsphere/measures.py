@@ -284,13 +284,6 @@ class InitialMeasure:
     def position_partition(self, n: int) -> tuple[float, float]:
         return self._z_pos.get(n, (0.0, 0.0))
 
-    @property
-    def bound_constant(self) -> float:
-        """c such that every density level is bounded by c * prod h_beta."""
-        if isinstance(self.spec, GrandCanonicalEq):
-            return max(self.spec.z ** n for n in range(self.n_max + 1)) / self.grand_partition
-        return self.g_max ** self.spec.n_particles / self._z_pos[self.spec.n_particles][0]
-
     # -- admissibility on arrays --------------------------------------------
 
     def admissible(self, q: np.ndarray) -> bool:

@@ -257,11 +257,10 @@ def _forced_degenerate(x: float) -> bool:
     return int(x * 1e4) % 5 == 0
 
 
-def force_degeneracies(monkeypatch, always=False):
+def force_degeneracies(monkeypatch, forced=_forced_degenerate):
     """The scalar engine raises, and the lockstep kernel marks degenerate,
-    the same fixed subset of starts (all of them with ``always``)."""
+    the same starts, those whose first coordinate ``forced`` selects."""
     real_flow = dyn._flow
-    forced = lambda x: always or _forced_degenerate(x)
 
     def flow(q, p, *args):
         if forced(q[0][0]):
@@ -358,9 +357,8 @@ def bits(x) -> bytes:
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_pair_events_match_scalar_log(n, sign, rows, force, monkeypatch):
     # the pair entries of each row's scalar log and the smallest gap
-    # between its consecutive entries, bit for bit: from the kernel and
-    # from the scalar path below the row threshold; a degenerate row has
-    # no events and no gap
+    # between its consecutive entries, bit for bit, below the row
+    # threshold too; a degenerate row has no events and no gap
     if force:
         force_degeneracies(monkeypatch)
     rng = np.random.default_rng(100 * n + rows)
@@ -368,11 +366,42 @@ def test_pair_events_match_scalar_log(n, sign, rows, force, monkeypatch):
     t = sign * rng.uniform(0.0, 12.0, size=rows)
     t[::11] = 0.0
     out = evolve_batch(q, p, BOX, t, pair_events=True)
+    events, at_start, no_gap = assert_recorded_rows(q, p, t, out)
+    assert events > rows // 4 and at_start > 0 and no_gap > 0
+    assert out.degenerate.any() == force
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("rows", [1, 12, dyn._BATCH_ROWS - 1])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_recording_runs_on_the_kernel_alone(sign, rows, force, monkeypatch):
+    # recording has one home: a recorded call on few rows runs the kernel,
+    # never the scalar engine, and each row still equals its scalar log,
+    # gaps included; with ``force`` row 0 is degenerate
+    rng = np.random.default_rng(rows)
+    q, p = with_settling(*with_contacts(rng, *sample_starts(rng, rows, 3)), sign)
+    t = sign * rng.uniform(0.5, 12.0, size=rows)
+    if force:
+        force_degeneracies(monkeypatch, forced=lambda x: x == q[0, 0, 0])
+    calls = []
+    flow = dyn._flow
+    monkeypatch.setattr(dyn, "_flow", lambda *args: calls.append(args) or flow(*args))
+    out = evolve_batch(q, p, BOX, t, pair_events=True)
+    assert calls == []
+    assert_recorded_rows(q, p, t, out)
+    assert out.degenerate.tolist() == [force] + [False] * (rows - 1)
+
+
+def assert_recorded_rows(q, p, t, out):
+    """Each row's pair events and event gap in a recorded call's result
+    are those of its scalar log, bit for bit; a row on which that raises
+    DegeneracyError is marked and has neither.  Returns the number of
+    events, of those at elapsed 0 and of rows with a zero gap."""
     degenerate, ev = out.degenerate, out.events
-    assert ev.q.shape[1:] == ev.p_before.shape[1:] == ev.p_after.shape[1:] == (n, 3)
+    assert ev.q.shape[1:] == ev.p_before.shape[1:] == ev.p_after.shape[1:] == q.shape[1:]
     assert (np.diff(ev.row) >= 0).all()
     at_start = no_gap = 0
-    for r in range(rows):
+    for r in range(len(q)):
         got = np.flatnonzero(ev.row == r)
         try:
             log = evolve_arrays(q[r], p[r], BOX, t[r], collect_log=True)[2]
@@ -392,8 +421,7 @@ def test_pair_events_match_scalar_log(n, sign, rows, force, monkeypatch):
             assert bits(ev.p_before[k]) == bits(e.momenta_before)
             assert bits(ev.p_after[k]) == bits(e.momenta_after)
             at_start += e.time == 0.0
-    assert len(ev.row) > rows // 4 and at_start > 0 and no_gap > 0
-    assert degenerate.any() == force
+    return len(ev.row), at_start, no_gap
 
 
 def test_kernel_rows_never_reach_the_scalar_engine(monkeypatch):
@@ -476,7 +504,7 @@ def test_chunk_fixed_matches_row_by_row_under_degeneracies(monkeypatch, mod2):
 
 
 def test_chunk_fixed_raises_past_resample_budget(monkeypatch, mod2):
-    force_degeneracies(monkeypatch, always=True)
+    force_degeneracies(monkeypatch, forced=lambda x: True)
     box = delta_preset("bulk", BOX, 1.0)
     with pytest.raises(RuntimeError, match="excessive degenerate"):
         hierarchy.empirical_chunk_fixed(mod2, 1, 2.0, (box,), Limit.FROM_FUTURE, 10,

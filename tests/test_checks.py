@@ -500,6 +500,25 @@ def test_shipped_configs_validate(source):
     assert exp.validate() == []
 
 
+@pytest.mark.parametrize("check", ["reversibility", "liouville", "lemma2_rate",
+                                   "prop1_decomposition", "prop5_onestep", "series_identity"])
+def test_infeasible_box_exits_2(check, tmp_path, capsys):
+    # a box that fits no configuration of the density's spheres is an
+    # error in every check that draws from it: exit 2 with an error line,
+    # not a failed check and not a traceback
+    root = Path(__file__).resolve().parent.parent
+    quick = (root / "configs/quick.ini").read_text()
+    text = (quick.replace("box = [0, 0, 0, 5, 5, 5]", "box = [0, 0, 0, 1.4, 1.4, 1.4]")
+            .replace("norm_proposals = 1000000", "norm_proposals = 20000"))
+    assert text.count("1.4") == 3 and "20000" in text
+    cfg_path = tmp_path / "tight.ini"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.jsonl"),
+                 "--check", check]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"^error: \S", err, re.M) and "Traceback" not in err
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     cfg_path = tmp_path / "exp.ini"
     out_path = tmp_path / "rep.jsonl"

@@ -1172,6 +1172,8 @@ def oracle_reversibility(c, eps_event=EPS_EVENT_REL):
     skipped_gap = 0
     done = 0
     while done < c.count:
+        if counter.degenerate + skipped_gap > 200 + c.count:
+            raise RuntimeError("excessive degenerate-trajectory rate")
         cfg = ms.sample(rng)
         try:
             fwd, log = evolve(cfg, t, collect_log=True)
@@ -1272,22 +1274,32 @@ def test_prop1_forward_matches_oracle(count, force, monkeypatch, request):
 
 @pytest.mark.parametrize("force", [False, True])
 def test_reversibility_worker_matches_oracle(force, monkeypatch, request):
-    # 30 trajectories run on the scalar engine and 160 on the lockstep
-    # kernel; the small-gap threshold raised in the worker and the oracle
-    # alike makes both skip trajectories, round after round
+    # chunks of 30 and 160 trajectories; the small-gap threshold raised in
+    # the worker and the oracle alike makes both skip trajectories, round
+    # after round.  Where the oracle's degenerate and skipped rows pass
+    # 200 + count (forced, 160 rows, the raised threshold, N = 3), the
+    # worker gives up too
     if force:
         request.getfixturevalue("forced")
+    tripped = 0
     for count, eps_event in product((30, 160), (EPS_EVENT_REL, 2e-3)):
         monkeypatch.setattr(checks, "EPS_EVENT_REL", eps_event)
         for n in (2, 3):
             chunk = checks.Chunk(CanonicalEq(n, 1.0), BOX, 20_000, count, (8, n), t=25.0)
+            try:
+                want, want_rng = oracle_reversibility(chunk, eps_event)
+            except RuntimeError:
+                with pytest.raises(RuntimeError, match="^excessive degenerate-trajectory rate$"):
+                    checks._w_reversibility(chunk)
+                tripped += 1
+                continue
             got, rng = worker_and_stream(monkeypatch, checks._w_reversibility, chunk)
-            want, want_rng = oracle_reversibility(chunk, eps_event)
             assert got == want
             assert rng.random() == want_rng.random()
             assert got[0] > 0.0 and got[1] > 0
             assert (got[2] > 0) == (eps_event > EPS_EVENT_REL)
             assert (got[3].degenerate > 0) == force
+    assert tripped == force
 
 
 @pytest.mark.parametrize("force", [False, True])
@@ -1361,12 +1373,22 @@ def test_chunk_grand_small_group_and_cap_match_oracle(measures_by_n, force, monk
 @pytest.fixture
 def all_degenerate(monkeypatch):
     """Every trajectory that moves is degenerate, in the oracles and in
-    the code under test."""
+    the code under test.  Past 2000 calls into the engines the test fails,
+    so that a redraw loop without a cap ends."""
+    calls = []
+    kernel = marking_kernel(dyn._lockstep, lambda x: True)
+
+    def bounded():
+        calls.append(1)
+        if len(calls) > 2000:
+            raise AssertionError("a degenerate-redraw loop ran past 2000 engine calls")
+
     def flow(*args):
+        bounded()
         raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
 
     monkeypatch.setattr(dyn, "_flow", flow)
-    monkeypatch.setattr(dyn, "_lockstep", marking_kernel(dyn._lockstep, lambda x: True))
+    monkeypatch.setattr(dyn, "_lockstep", lambda *args: bounded() or kernel(*args))
 
 
 def test_chunk_grand_all_degenerate_raises(measures_by_n, all_degenerate):
@@ -1378,6 +1400,18 @@ def test_chunk_grand_all_degenerate_raises(measures_by_n, all_degenerate):
         with pytest.raises(RuntimeError, match="^excessive degenerate-trajectory rate$"):
             chunk(ms, 1, 2.0, box, Limit.FROM_FUTURE, 120, np.random.default_rng(3),
                   max_resample=10)
+
+
+@pytest.mark.parametrize("worker", ["_w_lemma2", "_w_prop1_forward", "_w_reversibility"])
+def test_forward_workers_cap_degenerate_redraws(measures_by_n, all_degenerate, worker):
+    # with every trajectory degenerate, each worker that redraws them gives
+    # up past 200 + count degenerate (or skipped) rows, as empirical_chunk
+    # does, instead of redrawing forever
+    ms = measures_by_n[3]
+    chunk = checks.Chunk(ms.spec, ms.domain, 20_000, 5, (3, 7), n=1, t=2.0,
+                         boxes=(checks.delta_preset("bulk", BOX, 1.0),))
+    with pytest.raises(RuntimeError, match="^excessive degenerate-trajectory rate$"):
+        getattr(checks, worker)(chunk)
 
 
 def test_array_paths_build_no_vec3(measures_by_n, monkeypatch):

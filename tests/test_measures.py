@@ -115,7 +115,8 @@ def test_uniform_modulation_matches_canonical(canonical2):
 
 def test_density_bounded_by_equilibrium_envelope(modulated2):
     rng = np.random.default_rng(5)
-    c = modulated2.bound_constant
+    # every density level is bounded by c * prod h_beta, c = g_max^N / Z_N
+    c = modulated2.g_max ** 2 / modulated2.position_partition(2)[0]
     h = modulated2.maxwellian
     q, p = modulated2.sample_batch(rng, 500)
     for i in range(500):
@@ -316,7 +317,7 @@ def test_sampling_never_normalizes(spec, normalizations):
     empirical_rho(ms, 1, 2.0, box, Limit.FROM_FUTURE, 40, rng)
     assert normalizations == []
     # the first read normalizes, once
-    ms.position_partition(n), ms.z_rel_err, ms.bound_constant, correlation_map(ms)
+    ms.position_partition(n), ms.z_rel_err, correlation_map(ms)
     assert normalizations == [n]
 
 
