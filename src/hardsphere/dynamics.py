@@ -23,8 +23,12 @@ configurations of one particle number, each with its own duration.  A
 recorded call, and any call from _BATCH_ROWS moving rows on, runs them
 in lockstep on arrays, bit for bit as the scalar engine would,
 degenerate rows included; the kernel is the one recorder of pair events.
-An unrecorded call on fewer rows runs the scalar engine row by row.
-Either way a degenerate row is reported and comes back as it went in.
+The kernel keeps rows on the last axis: the state is (component,
+particle, row) and the candidate times (column, row), pairs first, then
+walls, an order that parts from the scalar engine's only on exact ties,
+which are degenerate in both.  An unrecorded call on fewer rows runs the
+scalar engine row by row.  Either way a degenerate row is reported and
+comes back as it went in, as does a row without spheres.
 """
 
 from __future__ import annotations
@@ -550,16 +554,16 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
     """Flow B independent N-sphere configurations by a signed time t.
 
     ``q`` and ``p`` have shape (B, N, 3); ``t`` is one time for all rows
-    or one per row (all of one sign; a row with t = 0 is returned as it
-    came).  Each row ends as the scalar engine ends it, bit for bit.
-    Returns a ``BatchFlow``: a row that meets a degenerate trajectory is
-    marked, has no events and comes back as it went in.  With
-    ``pair_events`` the call is recorded, on the lockstep kernel whatever
-    its row count: ``events`` holds the pair entries of each row's scalar
-    log and ``gap`` the smallest difference of consecutive entry times,
-    pair or wall (inf below two entries), bit for bit.  An overlapping
-    start raises ValueError and a row past the event cap RuntimeError, as
-    in ``evolve``.
+    or one per row (all of one sign; a row with t = 0 or without spheres
+    is returned as it came).  Each row ends as the scalar engine ends it,
+    bit for bit.  Returns a ``BatchFlow``: a row that meets a degenerate
+    trajectory is marked, has no events and comes back as it went in.
+    With ``pair_events`` the call is recorded, on the lockstep kernel
+    whatever its row count: ``events`` holds the pair entries of each
+    row's scalar log and ``gap`` the smallest difference of consecutive
+    entry times, pair or wall (inf below two entries), bit for bit.  An
+    overlapping start raises ValueError and a row past the event cap
+    RuntimeError, as in ``evolve``.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -569,8 +573,8 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
     dur = t.tolist() if t.ndim else [float(t)] * len(q)
     if min(dur, default=0.0) < 0.0 < max(dur, default=0.0):
         raise ValueError("per-row times must share one sign")
-    rows = [r for r, d in enumerate(dur) if d != 0.0]
-    if (pair_events or len(rows) >= _BATCH_ROWS) and q.shape[1]:
+    rows = [r for r, d in enumerate(dur) if d != 0.0] if q.shape[1] else []
+    if q.shape[1] and (pair_events or len(rows) >= _BATCH_ROWS):
         return _lockstep(q, p, domain, np.array(dur), limit, pair_events)
     q_out, p_out = q.copy(), p.copy()
     n_pair = np.zeros(len(q), dtype=np.int64)
@@ -598,9 +602,14 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
     """The lockstep kernel of ``evolve_batch`` on (B, N, 3) rows, N >= 1,
     with durations ``dur`` (B,) of one sign.
 
-    Every row follows the scalar engine's arithmetic and candidate order
-    exactly, so each row of the result equals the scalar engine on that
-    row bit for bit.  Contacts at the start are settled as
+    Every row follows the scalar engine's arithmetic exactly, so each row
+    of the result equals the scalar engine on that row bit for bit.  The
+    state, copied from the caller's arrays, is (component, particle, row)
+    and the candidate times (column, row): pairs (i, j) in the scalar
+    order, then walls (axis, particle).  The event is the first column at
+    a row's minimum; another column order picks another only on an exact
+    tie, whose zero gap makes the row degenerate either way, as the
+    scalar engine raises on it.  Contacts at the start are settled as
     ``settle_contacts`` does: pairs in (i, j) order, then walls.  A row
     on which the scalar engine raises DegeneracyError stops there: it is
     marked degenerate, has no events and comes back as it went in.  An
@@ -622,6 +631,8 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
         p = -p
         limit = Limit.FROM_PAST if limit is Limit.FROM_FUTURE else Limit.FROM_FUTURE
     from_future = limit is Limit.FROM_FUTURE
+    # recorded momenta as they appear on the trajectory's own time axis
+    p_sign = -1.0 if backward else 1.0
 
     a = domain.a
     a2 = a * a
@@ -632,74 +643,67 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
     lo_eps = np.array([x + eps_len for x in domain.inset_lower]).reshape(3, 1, 1)
     hi_eps = np.array([x - eps_len for x in domain.inset_upper]).reshape(3, 1, 1)
 
-    # candidate columns in the scalar order: for each i the pairs (i, j > i),
-    # then the walls of i along x, y, z; a column is (is_pair, i, j or axis)
-    cols = []
-    for i in range(n):
-        cols += [(True, i, j) for j in range(i + 1, n)] + [(False, i, ax) for ax in range(3)]
-    col_pair = np.array([c[0] for c in cols])
-    col_i = np.array([c[1] for c in cols])
-    col_jax = np.array([c[2] for c in cols])
-    pair_cols, wall_cols = np.flatnonzero(col_pair), np.flatnonzero(~col_pair)
-    pi_idx, pj_idx = col_i[pair_cols], col_jax[pair_cols]
-    # index of each pair column within the pair arrays
-    col_pairnum = np.cumsum(col_pair) - 1
+    # candidate columns: the pairs (i, j > i) in the scalar order, then the
+    # walls, column npair + axis * n + i; weights count down from the first
+    # column, so the largest weight at a row's minimum names its first column
+    pi_idx, pj_idx = np.triu_indices(n, 1)
+    npair = len(pi_idx)
+    ncol = npair + 3 * n
+    weight = np.arange(ncol, 0, -1, dtype=np.min_scalar_type(ncol))[:, None]
 
-    # component-major working state (3, rows, N) of the moving rows
+    # the working state (q or p, component, particle, row) of the moving
+    # rows; compress copies, so it never aliases the caller's arrays
     idx = np.flatnonzero(moving)
-    qw = np.ascontiguousarray(q.transpose(2, 0, 1)[:, moving])
-    pw = np.ascontiguousarray(p.transpose(2, 0, 1)[:, moving])
+    state = np.stack((q, p)).transpose(0, 3, 2, 1).compress(moving, axis=-1)
+    qw, pw = state
     cnt_pair = np.zeros(len(idx), dtype=np.int64)
     cnt_wall = np.zeros(len(idx), dtype=np.int64)
 
-    # recorded momenta as they appear on the trajectory's own time axis
-    p_sign = -1.0 if backward else 1.0
-
     def collide(r, i, j, at):
         # _Engine.apply_pair on rows r (pair i, j per row) at elapsed times at
-        o = qw[:, r, j] - qw[:, r, i]
-        o = o / np.sqrt(o[0] * o[0] + o[1] * o[1] + o[2] * o[2])
+        o = qw[:, j, r] - qw[:, i, r]
+        o2 = o * o
+        o /= np.sqrt(o2[0] + o2[1] + o2[2])
         if record:
-            p_before = p_sign * pw[:, r].transpose(1, 2, 0)
-        pw[:, r, i], pw[:, r, j] = pair_exchange(o, pw[:, r, i], pw[:, r, j])
+            p_before = p_sign * pw[:, :, r].T
+        pw[:, i, r], pw[:, j, r] = pair_exchange(o, pw[:, i, r], pw[:, j, r])
         cnt_pair[r] += 1
         if record:
             k = len(r)
             parts.append((idx[r], at, np.broadcast_to(i, k), np.broadcast_to(j, k),
-                          qw[:, r].transpose(1, 2, 0), p_before,
-                          p_sign * pw[:, r].transpose(1, 2, 0)))
+                          qw[:, :, r].T, p_before, p_sign * pw[:, :, r].T))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # eps_t from the left-to-right sum of all squared components
-        v2 = pw[0, :, 0] * pw[0, :, 0]
+        v2 = pw[0, 0] * pw[0, 0]
         for i in range(n):
             for ax in range(3):
                 if i or ax:
-                    v2 = v2 + pw[ax, :, i] * pw[ax, :, i]
+                    v2 = v2 + pw[ax, i] * pw[ax, i]
         eps_t = (EPS_EVENT_REL * a) / np.sqrt(v2)
 
         # settle_contacts: an overlap is the caller's error; touching pairs
         # approaching through the grazing band collide, in (i, j) order
-        rx = qw[:, :, pj_idx] - qw[:, :, pi_idx]
+        rx = qw[:, pj_idx] - qw[:, pi_idx]
         dist = np.sqrt(rx[0] * rx[0] + rx[1] * rx[1] + rx[2] * rx[2])
         overlap = dist < a - eps_len
         if overlap.any():
-            r, k = np.argwhere(overlap)[0]
+            r, k = np.argwhere(overlap.T)[0]
             raise ValueError(f"overlapping spheres {pi_idx[k]},{pj_idx[k]}: "
-                             f"dist={float(dist[r, k])}")
+                             f"dist={float(dist[k, r])}")
         touch = ~(dist > a + eps_len)
-        for k in np.flatnonzero(touch.any(axis=0)):
-            r, i, j = np.flatnonzero(touch[:, k]), pi_idx[k], pj_idx[k]
-            wx = pw[:, r, j] - pw[:, r, i]
-            radial = rx[0, r, k] * wx[0] + rx[1, r, k] * wx[1] + rx[2, r, k] * wx[2]
+        for k in np.flatnonzero(touch.any(axis=1)):
+            r, i, j = np.flatnonzero(touch[k]), pi_idx[k], pj_idx[k]
+            wx = pw[:, j, r] - pw[:, i, r]
+            radial = rx[0, k, r] * wx[0] + rx[1, k, r] * wx[1] + rx[2, k, r] * wx[2]
             wnorm = np.sqrt(wx[0] * wx[0] + wx[1] * wx[1] + wx[2] * wx[2])
-            r = r[radial < -EPS_GRAZE_REL * wnorm * dist[r, k]]
+            r = r[radial < -EPS_GRAZE_REL * wnorm * dist[k, r]]
             collide(r, i, j, np.zeros(len(r)))
         # then centers on a wall margin moving outward reflect
         out = ((qw <= lo_eps) & (pw < 0.0)) | ((qw >= hi_eps) & (pw > 0.0))
         if out.any():
-            pw = np.where(out, -pw, pw)
-            cnt_wall += out.sum(axis=(0, 2))
+            np.negative(pw, out=pw, where=out)
+            cnt_wall += out.sum(axis=(0, 1))
         remaining = np.abs(dur[idx])
         if record:
             # the elapsed time, the time of the last event and the smallest
@@ -709,40 +713,45 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
             gap = np.where(cnt_pair + cnt_wall > 1, 0.0, np.inf)
 
         while len(idx):
-            rows = np.arange(len(idx))
-            cand = np.empty((len(idx), len(cols)))
-            rx = qw[:, :, pi_idx] - qw[:, :, pj_idx]
-            wx = pw[:, :, pi_idx] - pw[:, :, pj_idx]
-            b = rx[0] * wx[0] + rx[1] * wx[1] + rx[2] * wx[2]
-            c = rx[0] * rx[0] + rx[1] * rx[1] + rx[2] * rx[2] - a2
-            w2 = wx[0] * wx[0] + wx[1] * wx[1] + wx[2] * wx[2]
+            m = len(idx)
+            cand = np.empty((ncol, m))
+            # pair roots as find_next takes them, component sums left to right
+            rx, wx = state.take(pi_idx, axis=2) - state.take(pj_idx, axis=2)
+            b, c, w2 = rx * wx, rx * rx, wx * wx
+            b = b[0] + b[1] + b[2]
+            c = c[0] + c[1] + c[2] - a2
+            w2 = w2[0] + w2[1] + w2[2]
             disc = b * b - w2 * c
-            tau = np.where(c <= 0.0, 0.0, c / (-b + np.sqrt(disc)))
-            cand[:, pair_cols] = np.where((b < 0.0) & (disc > 0.0), tau, np.inf)
-            tau = np.where(pw > 0.0, (hi - qw) / pw,
-                           np.where(pw < 0.0, (lo - qw) / pw, np.inf))
-            cand[:, wall_cols] = tau.transpose(1, 2, 0).reshape(len(idx), -1)
+            tau = np.divide(c, np.sqrt(disc) - b, out=cand[:npair])
+            np.copyto(tau, 0.0, where=c <= 0.0)
+            np.copyto(tau, np.inf, where=(b >= 0.0) | (disc <= 0.0))
+            # the scalar (hi - q) / v or (lo - q) / v, written in place
+            walls = np.subtract(np.where(pw > 0.0, hi, lo), qw, out=cand[npair:].reshape(3, n, m))
+            walls /= pw
+            np.copyto(walls, np.inf, where=pw == 0.0)
 
-            best = np.argmin(cand, axis=1)
-            best_t = cand[rows, best]
-            cand[rows, best] = np.inf
-            second_t = cand.min(axis=1)
+            best_t = cand.min(axis=0)
+            best = ncol - ((cand == best_t) * weight).max(axis=0).astype(np.intp)
+            cand[best, np.arange(m)] = np.inf
+            second_t = cand.min(axis=0)
 
+            # without events best_t = second_t = inf, a nan gap, never flagged
             none = best_t == np.inf
-            flag = ~none & (second_t - best_t <= eps_t)
-            is_pair = col_pair[best]
+            flag = second_t - best_t <= eps_t
+            is_pair = best < npair
             pr = np.flatnonzero(is_pair & ~none)
-            k = col_pairnum[best[pr]]
-            flag[pr] |= disc[pr, k] <= graze * w2[pr, k]
+            k = best[pr]
+            flag[pr] |= disc[k, pr] <= graze * w2[k, pr]
+            # the soonest event lies past the end, or before it by more than
+            # eps_t; in between it lands on the end
             beyond = none | (best_t > remaining + eps_t)
-            on_event = ~beyond & (best_t >= remaining - eps_t)
-            cont = ~beyond & ~on_event & ~flag
-            apply = cont | (on_event & ~flag & from_future)
+            cont = ~(flag | (best_t >= remaining - eps_t))
+            apply = ~(flag | beyond) if from_future else cont
             if (apply & (cnt_pair + cnt_wall >= _MAX_EVENTS_DEFAULT)).any():
                 raise RuntimeError(f"event count exceeded {_MAX_EVENTS_DEFAULT}")
 
             dt = np.where(beyond, remaining, np.where(flag, 0.0, best_t))
-            qw += dt[None, :, None] * pw
+            qw += dt * pw
             if record:
                 elapsed = elapsed + dt
                 gap = np.where(apply, np.minimum(gap, elapsed - last), gap)
@@ -751,30 +760,31 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
             r = np.flatnonzero(apply & is_pair)
             if len(r):
                 at = elapsed[r] if record else None
-                collide(r, col_i[best[r]], col_jax[best[r]], at)
+                collide(r, pi_idx[best[r]], pj_idx[best[r]], at)
             r = np.flatnonzero(apply & ~is_pair)
             if len(r):
-                i, ax = col_i[best[r]], col_jax[best[r]]
-                pw[ax, r, i] = -pw[ax, r, i]
+                # wall column npair + axis * n + i flips pw[axis, i]
+                pw.reshape(3 * n, m)[best[r] - npair, r] *= -1.0
                 cnt_wall[r] += 1
 
+            remaining = remaining - best_t
             done = ~cont
             if done.any():
                 ok = done & ~flag
                 dest = idx[ok]
-                out_q[dest] = qw[:, ok].transpose(1, 2, 0)
-                out_p[dest] = p_sign * pw[:, ok].transpose(1, 2, 0)
+                fin_q, fin_p = state[..., ok]
+                out_q[dest], out_p[dest] = fin_q.T, p_sign * fin_p.T
                 n_pair[dest] = cnt_pair[ok]
                 n_wall[dest] = cnt_wall[ok]
                 degenerate[idx[flag]] = True
                 idx = idx[cont]
-                qw, pw = qw[:, cont], pw[:, cont]
-                eps_t, best_t, remaining = eps_t[cont], best_t[cont], remaining[cont]
+                state = state.compress(cont, axis=-1)
+                qw, pw = state
+                eps_t, remaining = eps_t[cont], remaining[cont]
                 if record:
                     gap_out[dest] = gap[ok]
                     elapsed, last, gap = elapsed[cont], last[cont], gap[cont]
                 cnt_pair, cnt_wall = cnt_pair[cont], cnt_wall[cont]
-            remaining = remaining - best_t
 
     kept = [tuple(f[~degenerate[part[0]]] for f in part) for part in parts]
     return BatchFlow(out_q, out_p, n_pair, n_wall, degenerate,

@@ -38,14 +38,16 @@ from marking_kernel import marking_kernel
 A = 1.0
 BOX = Domain(Vec3(0, 0, 0), Vec3(5, 5, 5), A)
 HUGE = Domain(Vec3(-500, -500, -500), Vec3(500, 500, 500), A)
+MICRO = Domain(Vec3(0, 0, 0), Vec3(2.5, 1.2, 1.2), A)
 
 
-def sample_starts(rng, rows, n):
-    """Non-overlapping uniform centers in the 5a box, normal momenta."""
+def sample_starts(rng, rows, n, domain=BOX):
+    """Non-overlapping uniform centers in the domain (the 5a box by
+    default), normal momenta."""
     qs = np.empty((rows, n, 3))
     for r in range(rows):
         while True:
-            q = rng.uniform(0.5, 4.5, size=(n, 3))
+            q = rng.uniform(domain.inset_lower, domain.inset_upper, size=(n, 3))
             if all(np.linalg.norm(q[i] - q[j]) > A
                    for i in range(n) for j in range(i + 1, n)):
                 break
@@ -54,11 +56,13 @@ def sample_starts(rng, rows, n):
 
 
 def scalar_rows(q, p, domain, t, limit):
-    """Scalar evolve per row: (q, p, n_pair, n_wall) or the raised kind."""
+    """Scalar evolve per row, with one duration or one per row: (q, p,
+    n_pair, n_wall) or the raised kind."""
     out = []
+    t = np.broadcast_to(np.asarray(t, dtype=float), (len(q),))
     for r in range(len(q)):
         try:
-            fin, log = evolve(config_from_arrays(q[r], p[r], domain), t, limit)
+            fin, log = evolve(config_from_arrays(q[r], p[r], domain), float(t[r]), limit)
         except DegeneracyError as exc:
             out.append(exc.kind)
             continue
@@ -145,6 +149,14 @@ FORCED = {
     "simultaneous": (BOX, [[1.0, 2.5, 2.5], [4.0, 2.5, 2.5]], [[-1.0, 0, 0], [1.0, 0, 0]],
                      [[1.5, 1.5, 1.5], [3.5, 3.5, 3.5]], [[0.4, -0.2, 0.7], [-0.3, 0.5, 0.1]],
                      DegeneracyKind.SIMULTANEOUS_EVENTS),
+    # an exact tie between a pair and a wall column: spheres 0 and 1 meet
+    # and sphere 2 reaches the upper x wall, both at t = 0.5 exactly, so
+    # the row is degenerate whichever column the kernel takes first
+    "tie": (BOX, [[1.0, 2.5, 2.5], [3.0, 2.5, 2.5], [4.0, 1.0, 1.0]],
+            [[1.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]],
+            [[1.5, 1.5, 1.5], [3.5, 3.5, 3.5], [1.2, 3.8, 1.1]],
+            [[0.4, -0.2, 0.7], [-0.3, 0.5, 0.1], [0.2, 0.6, -0.5]],
+            DegeneracyKind.SIMULTANEOUS_EVENTS),
 }
 
 
@@ -157,6 +169,22 @@ def test_degenerate_rows_are_flagged(case):
     with pytest.raises(DegeneracyError) as err:
         evolve(config_from_arrays(q[0], p[0], domain), 2.0)
     assert err.value.kind is kind
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("limit", list(Limit))
+def test_micro_box_rows_match_scalar(limit, sign):
+    # the grand-canonical micro box, where walls and corners are met most:
+    # per-row durations, with every particle number that fits (centers
+    # span 1.5 in x, and three spheres need more than 1.9)
+    rng = np.random.default_rng(23 + (sign > 0) + 2 * (limit is Limit.FROM_PAST))
+    for n in (1, 2):
+        q, p = sample_starts(rng, 150, n, MICRO)
+        t = sign * rng.uniform(0.0, 6.0, size=150)
+        t[::13] = 0.0
+        degenerate = assert_rows_match(q, p, MICRO, t, limit)
+        assert degenerate.sum() <= 150 // 20
+        assert lockstep(q, p, MICRO, t, limit).n_wall.sum() > 150 * 6 * n
 
 
 def test_grazing_row_is_flagged(monkeypatch):
@@ -237,6 +265,39 @@ def test_per_row_durations_match_scalar(sign):
         assert np.array_equal(qf[::7], q[::7]) and np.array_equal(pf[::7], p[::7])
     with pytest.raises(ValueError, match="one sign"):
         evolve_batch(q[:2], p[:2], BOX, np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("pair_events", [False, True])
+def test_rows_without_spheres_come_back_as_they_came(pair_events):
+    q = np.zeros((3, 0, 3))
+    for t in (3.0, np.array([-1.0, 0.0, -2.5])):
+        out = evolve_batch(q, q, BOX, t, pair_events=pair_events)
+        assert out.q.shape == out.p.shape == q.shape
+        assert not out.n_pair.any() and not out.n_wall.any() and not out.degenerate.any()
+        if pair_events:
+            assert len(out.events.row) == 0 and out.events.q.shape == (0, 0, 3)
+            assert (out.gap == math.inf).all()
+        else:
+            assert out.events is None and out.gap is None
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("rows, n", [(1, 1), (dyn._BATCH_ROWS, 3)])
+def test_kernel_never_writes_its_inputs(rows, n, sign, record):
+    # the working arrays are copies, also where a transpose of the input
+    # is already contiguous, as it is for one row of one sphere; starts
+    # that settle a wall and a pair at once write momenta in place
+    rng = np.random.default_rng(rows)
+    q, p = with_settling(*sample_starts(rng, rows, n), sign)
+    if n == 1:
+        q[0, 0], p[0, 0] = [0.5, 2.5, 2.5], [-sign * 0.7, 0.2, 0.1]
+    t = sign * rng.uniform(0.5, 9.0, size=rows)
+    q0, p0 = q.copy(), p.copy()
+    out = dyn._lockstep(q, p, BOX, t, Limit.FROM_FUTURE, record)
+    assert out.n_wall.sum() > 0
+    evolve_batch(q, p, BOX, t, pair_events=record)
+    assert bits(q) == bits(q0) and bits(p) == bits(p0)
 
 
 def test_event_cap_row_is_flagged(monkeypatch):
