@@ -15,20 +15,18 @@ A configuration that starts with a touching pair is legitimate input; the
 pair collides immediately when it is approaching in the direction of
 integration and simply separates otherwise.
 
-Two engines share these rules.  The scalar engine integrates one
-configuration on plain floats and is the reference: ``evolve_arrays`` on
-(n, 3) position and momentum arrays, ``evolve`` on a ``Configuration``.
-``evolve_batch``, the program's one entry to the flow, runs independent
-configurations of one particle number, each with its own duration.  A
-recorded call, and any call from _BATCH_ROWS moving rows on, runs them
-in lockstep on arrays, bit for bit as the scalar engine would,
-degenerate rows included; the kernel is the one recorder of pair events.
-The kernel keeps rows on the last axis: the state is (component,
-particle, row) and the candidate times (column, row), pairs first, then
-walls, an order that parts from the scalar engine's only on exact ties,
-which are degenerate in both.  An unrecorded call on fewer rows runs the
-scalar engine row by row.  Either way a degenerate row is reported and
-comes back as it went in, as does a row without spheres.
+Two engines share these rules.  ``evolve_batch``, the program's one
+entry to the flow, runs independent configurations of one particle
+number, each with its own duration, on the lockstep kernel alone, on any
+row count, recorded or not: bit for bit as the scalar engine would,
+degenerate rows included.  The kernel keeps rows on the last axis: the
+state is (component, particle, row) and the candidate times (column,
+row), pairs first, then walls, an order that parts from the scalar
+engine's only on exact ties, which are degenerate in both.  A degenerate
+row is reported and comes back as it went in, as does a row without
+spheres.  The scalar engine, on plain floats, is the public edge
+(``evolve_arrays`` on (n, 3) arrays, ``evolve`` on a ``Configuration``,
+``next_event``) and the reference of the differential tests.
 """
 
 from __future__ import annotations
@@ -542,55 +540,33 @@ def evolve_arrays(q: np.ndarray, p: np.ndarray, domain, t: float,
     return np.array(q, dtype=float).reshape(-1, 3), np.array(p, dtype=float).reshape(-1, 3), log
 
 
-# From this many moving rows on, an unrecorded ``evolve_batch`` call runs
-# the lockstep kernel; fewer run on the scalar engine.  Which is faster
-# depends on the event steps per row, so this is a compromise, not the
-# crossover.
-_BATCH_ROWS = 48
-
-
 def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
                  limit: Limit = Limit.FROM_FUTURE, pair_events: bool = False) -> BatchFlow:
-    """Flow B independent N-sphere configurations by a signed time t.
+    """Flow B independent N-sphere configurations by a signed time t on
+    the lockstep kernel.
 
     ``q`` and ``p`` have shape (B, N, 3); ``t`` is one time for all rows
-    or one per row (all of one sign; a row with t = 0 or without spheres
-    is returned as it came).  Each row ends as the scalar engine ends it,
-    bit for bit.  Returns a ``BatchFlow``: a row that meets a degenerate
-    trajectory is marked, has no events and comes back as it went in.
-    With ``pair_events`` the call is recorded, on the lockstep kernel
-    whatever its row count: ``events`` holds the pair entries of each
-    row's scalar log and ``gap`` the smallest difference of consecutive
-    entry times, pair or wall (inf below two entries), bit for bit.  An
-    overlapping start raises ValueError and a row past the event cap
-    RuntimeError, as in ``evolve``.
+    or one per row, of shape (B,) (all of one sign; a row with t = 0 or
+    without spheres is returned as it came).  Each row ends as the scalar
+    engine ends it, bit for bit.  Returns a ``BatchFlow``: a row that
+    meets a degenerate trajectory is marked, has no events and comes back
+    as it went in.  With ``pair_events`` the call is recorded: ``events``
+    holds the pair entries of each row's scalar log and ``gap`` the
+    smallest difference of consecutive entry times, pair or wall (inf
+    below two entries), bit for bit.  A ``t`` of another shape or of
+    mixed signs raises ValueError, as does an overlapping start; a row
+    past the event cap raises RuntimeError, as in ``evolve``.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    # plain floats: the scalar path on a few rows costs little more than
-    # the rows' own scalar runs
     t = np.asarray(t, dtype=float)
-    dur = t.tolist() if t.ndim else [float(t)] * len(q)
-    if min(dur, default=0.0) < 0.0 < max(dur, default=0.0):
+    if t.ndim and t.shape != (len(q),):
+        raise ValueError(f"per-row times must have shape ({len(q)},), not {t.shape}")
+    if t.min(initial=0.0) < 0.0 < t.max(initial=0.0):
         raise ValueError("per-row times must share one sign")
-    rows = [r for r, d in enumerate(dur) if d != 0.0] if q.shape[1] else []
-    if q.shape[1] and (pair_events or len(rows) >= _BATCH_ROWS):
-        return _lockstep(q, p, domain, np.array(dur), limit, pair_events)
-    q_out, p_out = q.copy(), p.copy()
-    n_pair = np.zeros(len(q), dtype=np.int64)
-    n_wall = np.zeros(len(q), dtype=np.int64)
-    degenerate = np.zeros(len(q), dtype=bool)
-    for r in rows:
-        qr, pr = q[r].tolist(), p[r].tolist()
-        try:
-            log = _flow(qr, pr, domain, dur[r], limit, False, _MAX_EVENTS_DEFAULT)
-        except DegeneracyError:
-            degenerate[r] = True
-            continue
-        q_out[r], p_out[r], n_pair[r], n_wall[r] = qr, pr, log.n_pair, log.n_wall
-    # a recorded call lands here only without spheres, so without events
-    return BatchFlow(q_out, p_out, n_pair, n_wall, degenerate,
-                     *((PairEvents.of([], 0), np.full(len(q), math.inf)) if pair_events else ()))
+    # a row without spheres has nothing to flow
+    dur = np.broadcast_to(t if q.shape[1] else 0.0, len(q))
+    return _lockstep(q, p, domain, dur, limit, pair_events)
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +575,8 @@ def evolve_batch(q: np.ndarray, p: np.ndarray, domain, t,
 
 def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limit,
               record: bool = False) -> BatchFlow:
-    """The lockstep kernel of ``evolve_batch`` on (B, N, 3) rows, N >= 1,
-    with durations ``dur`` (B,) of one sign.
+    """The lockstep kernel of ``evolve_batch`` on (B, N, 3) rows with
+    durations ``dur`` (B,) of one sign, zero on every row when N = 0.
 
     Every row follows the scalar engine's arithmetic exactly, so each row
     of the result equals the scalar engine on that row bit for bit.  The
@@ -675,11 +651,10 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # eps_t from the left-to-right sum of all squared components
-        v2 = pw[0, 0] * pw[0, 0]
+        v2 = np.zeros(len(idx))
         for i in range(n):
             for ax in range(3):
-                if i or ax:
-                    v2 = v2 + pw[ax, i] * pw[ax, i]
+                v2 = v2 + pw[ax, i] * pw[ax, i]
         eps_t = (EPS_EVENT_REL * a) / np.sqrt(v2)
 
         # settle_contacts: an overlap is the caller's error; touching pairs

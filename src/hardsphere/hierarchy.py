@@ -198,8 +198,14 @@ _VALID, _BLOCKED, _DEGENERATE = 0, 1, 2
 _STATUS = (HistoryStatus.VALID, HistoryStatus.BLOCKED, HistoryStatus.DEGENERATE)
 
 # rows of one level of a block's history tree; the block's terminals are
-# evaluated before the next block is drawn
-_LEVEL_ROWS = 4096
+# evaluated before the next block is drawn.  The value bounds memory and
+# is not part of the stream: legs draw nothing, and the draws are made in
+# sample and history order whatever the block.  A lockstep call runs as
+# many event steps as its longest row, each at a dispatch cost that
+# hardly depends on the row count, so blocks are large: at 16384 a
+# grand-canonical m = 1 stratum of 180 samples with 48 histories each is
+# one tree, not three.
+_LEVEL_ROWS = 16384
 
 
 def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:

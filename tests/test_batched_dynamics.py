@@ -268,6 +268,18 @@ def test_per_row_durations_match_scalar(sign):
 
 
 @pytest.mark.parametrize("pair_events", [False, True])
+@pytest.mark.parametrize("rows", [3, 60])
+def test_per_row_times_must_fit_the_batch(rows, pair_events):
+    # one time for all rows or one per row; a t of any other shape is
+    # refused, not truncated or broadcast
+    q, p = sample_starts(np.random.default_rng(rows), rows, 2)
+    for shape in ((rows - 1,), (rows + 1,), (rows, 1)):
+        with pytest.raises(ValueError, match="per-row times must have shape"):
+            evolve_batch(q, p, BOX, np.full(shape, 2.0), pair_events=pair_events)
+    assert not evolve_batch(q, p, BOX, np.full(rows, 2.0), pair_events=pair_events).degenerate.all()
+
+
+@pytest.mark.parametrize("pair_events", [False, True])
 def test_rows_without_spheres_come_back_as_they_came(pair_events):
     q = np.zeros((3, 0, 3))
     for t in (3.0, np.array([-1.0, 0.0, -2.5])):
@@ -283,7 +295,7 @@ def test_rows_without_spheres_come_back_as_they_came(pair_events):
 
 @pytest.mark.parametrize("record", [False, True])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("rows, n", [(1, 1), (dyn._BATCH_ROWS, 3)])
+@pytest.mark.parametrize("rows, n", [(1, 1), (48, 3)])
 def test_kernel_never_writes_its_inputs(rows, n, sign, record):
     # the working arrays are copies, also where a transpose of the input
     # is already contiguous, as it is for one row of one sphere; starts
@@ -312,15 +324,16 @@ def test_event_cap_row_is_flagged(monkeypatch):
         evolve(config_from_arrays(q[0], p[0], BOX), 10.0, max_events=3)
 
 
-# -- the batch entry: lockstep kernel or scalar engine ------------------------------
+# -- the batch entry runs the lockstep kernel alone ------------------------------
 
 def _forced_degenerate(x: float) -> bool:
     return int(x * 1e4) % 5 == 0
 
 
 def force_degeneracies(monkeypatch, forced=_forced_degenerate):
-    """The scalar engine raises, and the lockstep kernel marks degenerate,
-    the same starts, those whose first coordinate ``forced`` selects."""
+    """The scalar engine, which the oracles call, raises, and the lockstep
+    kernel marks degenerate, the same starts, those whose first
+    coordinate ``forced`` selects."""
     real_flow = dyn._flow
 
     def flow(q, p, *args):
@@ -332,20 +345,34 @@ def force_degeneracies(monkeypatch, forced=_forced_degenerate):
     monkeypatch.setattr(dyn, "_lockstep", marking_kernel(dyn._lockstep, forced))
 
 
+def flow_calls(monkeypatch) -> list:
+    """The calls into the scalar engine from now on, which still run."""
+    calls = []
+    flow = dyn._flow
+    monkeypatch.setattr(dyn, "_flow", lambda *args: calls.append(args) or flow(*args))
+    return calls
+
+
 @pytest.mark.parametrize("force", [False, True])
-@pytest.mark.parametrize("rows", [dyn._BATCH_ROWS - 1, 3 * dyn._BATCH_ROWS])
+@pytest.mark.parametrize("rows", [1, 12, 47, 144])
 def test_batch_entry_matches_row_by_row(rows, force, monkeypatch):
-    # below the threshold the entry runs the scalar engine, from it the
-    # kernel; either way each row is evolve_arrays on it, and a degenerate
-    # row comes back as it went in
-    if force:
-        force_degeneracies(monkeypatch)
+    # an unrecorded call runs the kernel on one row as on many, backward
+    # and forward, never the scalar engine: each row is evolve_arrays on
+    # it, and a degenerate row comes back as it went in; with ``force``
+    # the last row is among the degenerate ones
     rng = np.random.default_rng(rows)
     q, p = sample_starts(rng, rows, 3)
-    t = -rng.uniform(0.0, 9.0, size=rows)
-    t[::9] = 0.0
-    degenerate = assert_entry_rows(q, p, t, *evolve_batch(q, p, BOX, t)[:5])
-    assert degenerate.any() == force
+    if force:
+        force_degeneracies(monkeypatch, lambda x: x == q[-1, 0, 0] or _forced_degenerate(x))
+    calls = flow_calls(monkeypatch)
+    for sign in (-1.0, 1.0):
+        t = sign * rng.uniform(0.0, 9.0, size=rows)
+        t[:-1:9] = 0.0
+        calls.clear()
+        out = evolve_batch(q, p, BOX, t)
+        assert calls == []
+        degenerate = assert_entry_rows(q, p, t, *out[:5])
+        assert degenerate.any() == force
 
 
 def assert_entry_rows(q, p, t, qf, pf, n_pair, n_wall, degenerate):
@@ -366,7 +393,7 @@ def assert_entry_rows(q, p, t, qf, pf, n_pair, n_wall, degenerate):
     return degenerate
 
 
-@pytest.mark.parametrize("rows", [1, dyn._BATCH_ROWS])
+@pytest.mark.parametrize("rows", [1, 48])
 def test_batch_entry_raises_as_the_scalar_engine(rows, monkeypatch):
     rng = np.random.default_rng(5)
     q, p = sample_starts(rng, rows, 2)
@@ -413,13 +440,13 @@ def bits(x) -> bytes:
 
 
 @pytest.mark.parametrize("force", [False, True])
-@pytest.mark.parametrize("rows", [dyn._BATCH_ROWS - 1, 3 * dyn._BATCH_ROWS])
+@pytest.mark.parametrize("rows", [47, 144])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_pair_events_match_scalar_log(n, sign, rows, force, monkeypatch):
     # the pair entries of each row's scalar log and the smallest gap
-    # between its consecutive entries, bit for bit, below the row
-    # threshold too; a degenerate row has no events and no gap
+    # between its consecutive entries, bit for bit; a degenerate row has
+    # no events and no gap
     if force:
         force_degeneracies(monkeypatch)
     rng = np.random.default_rng(100 * n + rows)
@@ -433,7 +460,7 @@ def test_pair_events_match_scalar_log(n, sign, rows, force, monkeypatch):
 
 
 @pytest.mark.parametrize("force", [False, True])
-@pytest.mark.parametrize("rows", [1, 12, dyn._BATCH_ROWS - 1])
+@pytest.mark.parametrize("rows", [1, 12, 47])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_recording_runs_on_the_kernel_alone(sign, rows, force, monkeypatch):
     # recording has one home: a recorded call on few rows runs the kernel,
@@ -444,9 +471,7 @@ def test_recording_runs_on_the_kernel_alone(sign, rows, force, monkeypatch):
     t = sign * rng.uniform(0.5, 12.0, size=rows)
     if force:
         force_degeneracies(monkeypatch, forced=lambda x: x == q[0, 0, 0])
-    calls = []
-    flow = dyn._flow
-    monkeypatch.setattr(dyn, "_flow", lambda *args: calls.append(args) or flow(*args))
+    calls = flow_calls(monkeypatch)
     out = evolve_batch(q, p, BOX, t, pair_events=True)
     assert calls == []
     assert_recorded_rows(q, p, t, out)
@@ -490,15 +515,8 @@ def test_kernel_rows_never_reach_the_scalar_engine(monkeypatch):
     # at-contact starts included: the scalar engine is never called, and
     # each row is still evolve_arrays on it
     force_degeneracies(monkeypatch)
-    calls = []
-    flow = dyn._flow
-
-    def counting(*args):
-        calls.append(args)
-        return flow(*args)
-
-    monkeypatch.setattr(dyn, "_flow", counting)
-    rows = 3 * dyn._BATCH_ROWS
+    calls = flow_calls(monkeypatch)
+    rows = 144
     rng = np.random.default_rng(17)
     q, p = with_contacts(rng, *sample_starts(rng, rows, 3))
     t = -rng.uniform(0.0, 9.0, size=rows)

@@ -17,7 +17,6 @@ from hardsphere.geometry import Domain, Vec3
 from hardsphere.hierarchy import PhaseBox, SeriesParams
 from hardsphere.measures import GrandCanonicalEq, InitialMeasure, ModulatedProduct, get_measure
 from hardsphere.cli import default_experiment, main
-from hardsphere.dynamics import DegeneracyError, DegeneracyKind
 from marking_kernel import marking_kernel
 
 SMALL_INI = """
@@ -638,32 +637,24 @@ def test_runtime_error_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_reversibility_pilot_without_usable_trajectory(monkeypatch):
-    def degenerate(*args, **kwargs):
-        raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
-
-    # the scalar engine, which runs the 32 pilot trajectories
-    monkeypatch.setattr(dyn, "_flow", degenerate)
+    # every trajectory the lockstep kernel runs, the 32 pilot ones
+    # included, is degenerate
+    monkeypatch.setattr(dyn, "_lockstep", marking_kernel(dyn._lockstep, lambda x: True))
     with pytest.raises(RuntimeError, match=r"reversibility.*n=2"):
         C.run_check(small_exp(), "reversibility", params={"trajectories": 4, "n_list": [2]})
 
 
 def test_checks_reach_the_flow_only_through_evolve_batch(monkeypatch):
     # every trajectory a check runs, reversibility's and the redrawn
-    # degenerate rows' included, is flowed by evolve_batch: the scalar
-    # engine is never called from anywhere else.  A fixed subset of starts
+    # degenerate rows' included, is flowed by evolve_batch on the lockstep
+    # kernel: the scalar engine is never called.  A fixed subset of starts
     # is degenerate, so forward runs redraw rows
     forced = lambda x: int(abs(float(x)) * 1e4) % 97 == 0
-    callers = []
-    real = dyn._flow
-
-    def flow(q, p, *args):
-        callers.append(sys._getframe(1).f_code.co_name)
-        if forced(q[0][0]):
-            raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
-        return real(q, p, *args)
-
-    monkeypatch.setattr(dyn, "_flow", flow)
-    monkeypatch.setattr(dyn, "_lockstep", marking_kernel(dyn._lockstep, forced))
+    flows, callers = [], []
+    flow, kernel = dyn._flow, marking_kernel(dyn._lockstep, forced)
+    monkeypatch.setattr(dyn, "_flow", lambda *args: flows.append(args) or flow(*args))
+    monkeypatch.setattr(dyn, "_lockstep", lambda *args: callers.append(
+        sys._getframe(1).f_code.co_name) or kernel(*args))
     exp = small_exp()
     exp.checks += [("reversibility", "", {"trajectories": 60, "n_list": [2, 3]}),
                    ("prop1_decomposition", "", {"samples": 400, "t": 4.0, "deltas": ["bulk"]})]
@@ -671,7 +662,7 @@ def test_checks_reach_the_flow_only_through_evolve_batch(monkeypatch):
     assert {r.check for r in reports} >= {"reversibility", "lemma2_rate",
                                           "prop1_decomposition", "series_identity"}
     assert all(r.degenerate_rate > 0 for r in reports if r.check == "lemma2_rate")
-    assert callers and set(callers) == {"evolve_batch"}
+    assert flows == [] and callers and set(callers) == {"evolve_batch"}
 
 
 def test_conservation_certifies_the_engines_pair_law(monkeypatch):
@@ -814,12 +805,9 @@ def test_check_that_raises_cancels_the_other_checks_chunks(monkeypatch, tmp_path
 
 def test_error_in_pooled_chunk_exits_2(tmp_path, monkeypatch, capsys):
     # every trajectory is degenerate (the forked pool workers inherit the
-    # patched engine), so each forward chunk passes its resample cap inside
+    # patched kernel), so each forward chunk passes its resample cap inside
     # a worker; the error must end the run with exit 2, not come back as a
     # failed check
-    def degenerate(*args, **kwargs):
-        raise DegeneracyError(DegeneracyKind.SIMULTANEOUS_EVENTS)
-
     pooled = []
     map_ordered = C._map_ordered
 
@@ -827,7 +815,7 @@ def test_error_in_pooled_chunk_exits_2(tmp_path, monkeypatch, capsys):
         pooled.append(workers > 1 and len(payloads) > 1)
         return map_ordered(fn, payloads, workers)
 
-    monkeypatch.setattr(dyn, "_flow", degenerate)
+    monkeypatch.setattr(dyn, "_lockstep", marking_kernel(dyn._lockstep, lambda x: True))
     monkeypatch.setattr(C, "_map_ordered", spy)
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")

@@ -545,7 +545,8 @@ def oracle_evolve(config, t, limit):
 @pytest.fixture
 def forced(monkeypatch):
     """Force the same legs degenerate in the oracles and in the code under
-    test: the lockstep kernel marks them and the scalar engine raises."""
+    test: the lockstep kernel marks them and the scalar engine, which the
+    oracles call, raises."""
     real_flow = dyn._flow
 
     def flow(q, p, *args):
@@ -933,9 +934,11 @@ def test_stratum_stats_match_oracle(measures_by_n, monkeypatch, big_n, box_name,
 @pytest.mark.parametrize("force", [False, True])
 def test_top_stratum_with_many_draws_builds_blocks(measures_by_n, monkeypatch, force, request):
     # the grand-canonical m = 1 stratum with 24 direction draws (48
-    # histories a sample) is built in blocks of 4096 // 48 samples, one
-    # tree each, and every admissible row is built once, whether or not a
-    # sample meets a degenerate history
+    # histories a sample) is built in blocks of _LEVEL_ROWS // 48 samples,
+    # one tree each, and every admissible row is built once, whether or
+    # not a sample meets a degenerate history.  The block size is not part
+    # of the stream: every size gives the same statistics, counter and
+    # next random number
     if force:
         request.getfixturevalue("forced")
     starts = []
@@ -949,11 +952,20 @@ def test_top_stratum_with_many_draws_builds_blocks(measures_by_n, monkeypatch, f
     ms = measures_by_n["grand"]
     box = grand_box(ms.domain)
     rows = int(ms.admissible_batch(box.sample(np.random.default_rng(31), 200)[0]).sum())
-    _, counter = _series_stratum_stats(correlation_map(ms), 1, 2.0, box, 1, 200, 1.0, 32, True,
-                                       np.random.default_rng(31), 24)
-    assert rows == 200 and len(starts) == math.ceil(200 * 48 / 4096)
-    assert sum(starts) == rows
-    assert (counter.degenerate > 0) == force
+    assert rows == 200
+    results = []
+    # blocks of 2 samples, of 85 and of the shipped size
+    for level_rows in (96, 4096, hierarchy._LEVEL_ROWS):
+        monkeypatch.setattr(hierarchy, "_LEVEL_ROWS", level_rows)
+        starts.clear()
+        rng = np.random.default_rng(31)
+        stats, counter = _series_stratum_stats(correlation_map(ms), 1, 2.0, box, 1, 200, 1.0,
+                                               32, True, rng, 24)
+        assert len(starts) == math.ceil(200 * 48 / hierarchy._LEVEL_ROWS)
+        assert sum(starts) == rows
+        assert (counter.degenerate > 0) == force
+        results.append((stats, counter, rng.random()))
+    assert results[0] == results[1] == results[2]
 
 
 def assert_matches_prop5_oracle(got, rng, want, want_rng):
@@ -1248,8 +1260,7 @@ def worker_and_stream(monkeypatch, worker, chunk):
 @pytest.mark.parametrize("force", [False, True])
 @pytest.mark.parametrize("count", [12, 160])
 def test_prop1_forward_matches_oracle(count, force, monkeypatch, request):
-    # 12 trajectories give fewer group legs than the lockstep threshold,
-    # 160 more; for groups of one and two spheres, each chunk tallied in
+    # 12 trajectories give group legs of a few rows, 160 of many; for groups of one and two spheres, each chunk tallied in
     # several boxes, every one of which equals its own one-box loop
     if force:
         request.getfixturevalue("forced")
@@ -1330,20 +1341,22 @@ def test_chunk_grand_matches_oracle(measures_by_n, force, request):
 @pytest.mark.parametrize("force", [False, True])
 def test_chunk_grand_small_group_and_cap_match_oracle(measures_by_n, force, monkeypatch,
                                                       request):
-    # one particle number is drawn too rarely for the lockstep kernel and
-    # runs on the scalar engine, another often enough for the kernel; with
+    # one particle number is drawn rarely, so its group is a call of a few
+    # rows, another often; both run on the lockstep kernel.  With
     # degenerate draws, the resample cap trips at the same draw as the loop's
     if force:
         request.getfixturevalue("forced")
     ms = measures_by_n["grand"]
-    rows = []
-    real = hierarchy.evolve_batch
+    rows, kernel_rows = [], []
+    real, kernel = hierarchy.evolve_batch, dyn._lockstep
 
     def spy(q, *args, **kw):
         rows.append(len(q))
         return real(q, *args, **kw)
 
     monkeypatch.setattr(hierarchy, "evolve_batch", spy)
+    monkeypatch.setattr(dyn, "_lockstep", lambda q, *args: kernel_rows.append(len(q))
+                        or kernel(q, *args))
     boxes = grand_boxes(ms.domain)
     args = (ms, 1, 2.0)
     rng_new = np.random.default_rng(9)
@@ -1355,7 +1368,7 @@ def test_chunk_grand_small_group_and_cap_match_oracle(measures_by_n, force, monk
         assert ((box_stats, counter)
                 == oracle_chunk_grand(*args, box, Limit.FROM_FUTURE, 150, rng_old))
         assert rng_old.random() == after
-    assert min(rows[:2]) < dyn._BATCH_ROWS <= max(rows[:2])
+    assert min(rows[:2]) < 48 <= max(rows[:2]) and kernel_rows == rows
     assert (counter.degenerate > 0) == force
     if force:
         cap = counter.degenerate - 150
