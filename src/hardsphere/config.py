@@ -68,9 +68,10 @@ _ELEMENTS = {"deltas": ("object", "string"), "n_list": ("integer",), "times": ("
 _NONEMPTY = ("deltas", "n_list", "times")
 # the least value of a count, or of each entry of a list, below which a
 # check passes vacuously or crashes: the inverse map's error bar needs two
-# outer samples, one sphere never collides, and no sphere has no events
+# outer samples, the rate's two rate samples, one sphere never collides,
+# and no sphere has no events
 _AT_LEAST = {("map_roundtrip", "outer_samples"): 2, ("lemma2_rate", "n_list"): 2,
-             ("reversibility", "n_list"): 1}
+             ("lemma2_rate", "rate_samples"): 2, ("reversibility", "n_list"): 1}
 # the checks that need a fixed particle number N, and whether N must
 # exceed the check's n: the decomposition and the one-step identity
 # follow particle n + 1

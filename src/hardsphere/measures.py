@@ -15,6 +15,7 @@ occupancy they give.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -37,6 +38,11 @@ _NORM_BLOCK = 4096
 _INNER_BLOCK = 1 << 16
 # the seed of every measure's normalization stream
 _NORM_SEED = 2_0250_101
+# placements that ``place`` tests in its first batch; later batches double.
+# Not part of the stream: the generator is rewound to the accepted one.
+_PLACE_BATCH = 8
+# the largest uniform that Generator.random returns
+_U_MAX = 1.0 - 2.0 ** -53
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,12 +176,20 @@ class InitialMeasure:
         self.g, self.g_max = _g_factory(spec, domain)
         self._ins_lo = np.array(domain.inset_lower)
         self._ins_hi = np.array(domain.inset_upper)
+        self._ins_span = self._ins_hi - self._ins_lo
         self._ins_vol = domain.inset_volume
         # admissible_batch's coordinate-major wall bounds and squared
         # diameter, each widened by a tolerance so that contact counts
         tol = 1e-9 * domain.a
         self._margins = ((self._ins_lo - tol)[:, None, None],
                          (self._ins_hi + tol)[:, None, None], (domain.a - tol) ** 2)
+        # Whether every center that uniform_positions draws passes the wall
+        # test, so that place() may skip it.  Both roundings in lo + u * span
+        # are monotone in u, so the largest draw is at _U_MAX and the
+        # smallest is lo itself; with round to nearest the largest is at
+        # most hi unless the span overflows, but it is tested, not assumed.
+        self._draws_in_margins = bool(
+            (self._ins_lo + _U_MAX * self._ins_span <= self._margins[1].ravel()).all())
         self._norm_proposals = norm_proposals
         if isinstance(spec, GrandCanonicalEq):
             rng = self._norm_rng()
@@ -190,9 +204,10 @@ class InitialMeasure:
             total = sum(weights)
             self.grand_partition = total
             self.occupancy = np.array(weights) / total
-            # the cdf that rng.choice(p=occupancy) builds on every call
-            self._occupancy_cdf = self.occupancy.cumsum()
-            self._occupancy_cdf /= self._occupancy_cdf[-1]
+            # the cdf that rng.choice(p=occupancy) builds on every call, as
+            # floats for bisect_right, the index of searchsorted(side="right")
+            cdf = self.occupancy.cumsum()
+            self._occupancy_cdf = (cdf / cdf[-1]).tolist()
             self.z_rel_err = math.sqrt(sum(e * e for e in errs)) / total
         else:
             self.n_max = spec.n_particles
@@ -223,7 +238,7 @@ class InitialMeasure:
     def uniform_positions(self, rng, count: int, n: int) -> np.ndarray:
         """Uniform center proposals in the inset box, shape (count, n, 3)."""
         u = rng.random((count, n, 3))
-        return self._ins_lo + u * (self._ins_hi - self._ins_lo)
+        return self._ins_lo + u * self._ins_span
 
     def _position_integral(self, n: int, proposals: int, rng) -> tuple[float, float]:
         """MC estimate of the n-particle position integral of prod g with
@@ -271,7 +286,7 @@ class InitialMeasure:
         (3, n, L) buffer, and its hard-core mask."""
         n = u.shape[1]
         buf = np.empty((3, n, min(_NORM_BLOCK, len(u))))
-        span = (self._ins_hi - self._ins_lo)[:, None, None]
+        span = self._ins_span[:, None, None]
         lo = self._ins_lo[:, None, None]
         a2 = self.domain.a * self.domain.a
         for r in range(0, len(u), _NORM_BLOCK):
@@ -357,11 +372,13 @@ class InitialMeasure:
                       max_attempts: int = 1000) -> tuple[np.ndarray, np.ndarray]:
         """Positions and momenta (n, 3) of one configuration distributed
         per the measure.  Grand-canonical variants first draw the particle
-        number from the induced occupancy distribution."""
+        number from the induced occupancy distribution with one uniform,
+        then ``place`` n centers with a cap of 100 * max_attempts
+        proposals, which consumes the stream as a one-at-a-time loop does
+        and tests the walls wherever a draw could leave them; a fixed-N
+        one is ``sample_batch`` of one."""
         if isinstance(self.spec, GrandCanonicalEq):
-            n = int(self._occupancy_cdf.searchsorted(rng.random(), side="right"))
-            if n == 0:
-                return np.zeros((0, 3)), np.zeros((0, 3))
+            n = bisect_right(self._occupancy_cdf, rng.random())
             return self.place(rng, n, max_attempts * 100)
         q, p = self.sample_batch(rng, 1, max_attempts)
         return q[0], p[0]
@@ -370,26 +387,42 @@ class InitialMeasure:
               attempts: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
         """The first admissible one of uniform placements of n centers
         drawn one after another, then its Maxwellian momenta; raises
-        RuntimeError once ``attempts`` placements have failed.
+        RuntimeError once ``attempts`` placements (proposals) have failed.
 
-        Placements are drawn and tested in batches that double in size.
-        The generator is then rewound and the placements up to the
-        accepted one are drawn again, so the stream is consumed exactly as
-        by a loop that draws and tests one placement at a time."""
+        The stream is consumed exactly as by a loop that draws and tests
+        one placement at a time: the same uniforms, the same position of
+        the generator afterwards, and ``attempts`` placements drawn before
+        it raises.  No centers draw nothing.  Where every inset draw is
+        within the wall margins (established once per measure, exactly),
+        one center is never tested and more are tested on the hard core
+        alone; elsewhere the walls are tested as ``admissible`` tests them.
+        Placements are tested in batches of 8, 16, 32, ...; the generator
+        is then rewound and the placements up to the accepted one are
+        drawn again."""
+        if n == 0:
+            return np.zeros((0, 3)), np.zeros((0, 3))
+        if n == 1 and attempts > 0 and self._draws_in_margins:
+            q = self._ins_lo + rng.random((1, 3)) * self._ins_span
+            return q, self.maxwellian.sample(rng, (1, 3))
+        a2 = self._margins[2]
         tried = 0
+        k = _PLACE_BATCH
         while tried < attempts:
-            k = min(tried + 1, attempts - tried)
+            k = min(k, attempts - tried)
             # a batch of one is never rewound
             state = rng.bit_generator.state if k > 1 else None
             q = self.uniform_positions(rng, k, n)
-            hit = np.flatnonzero(self.admissible_batch(q))
-            if len(hit):
-                if hit[0] + 1 < k:
+            ok = (_clear(np.ascontiguousarray(q.transpose(2, 1, 0)), a2)
+                  if self._draws_in_margins else self.admissible_batch(q))
+            j = int(ok.argmax())
+            if ok[j]:
+                if j + 1 < k:
                     rng.bit_generator.state = state
-                    rng.random((hit[0] + 1, n, 3))
-                return q[hit[0]], self.maxwellian.sample(rng, (n, 3))
+                    rng.random((j + 1, n, 3))
+                return q[j], self.maxwellian.sample(rng, (n, 3))
             tried += k
-        raise RuntimeError(f"no admissible {n}-sphere placement in {attempts} attempts")
+            k *= 2
+        raise RuntimeError(f"no admissible {n}-sphere placement in {attempts} proposals")
 
     def sample(self, rng: np.random.Generator, max_attempts: int = 1000) -> Configuration:
         """``sample_arrays`` as a Configuration."""
@@ -506,7 +539,7 @@ class CorrelationVector:
             u = rng.random((len(r), 3 * k * sum(sizes)))
             # mapped in place to the inner positions, as uniform_positions maps
             pos = u.reshape(-1, 3)
-            pos *= ms._ins_hi - ms._ins_lo
+            pos *= ms._ins_span
             pos += ms._ins_lo
             # each size's exclusion integrals and their stderrs
             ex, off = {}, 0

@@ -221,6 +221,8 @@ def test_direction_draws_and_m_max_out_of_range_exit_2(tmp_path, capsys):
              "allocation must be three positive numbers"),
             # one outer sample reported a NaN error bar and passed
             ("map_roundtrip", "outer_samples", "1", "outer_samples must be at least 2"),
+            # one rate sample gave both cases z = NaN from a one-sample std
+            ("lemma2_rate", "rate_samples", "1", "rate_samples must be at least 2"),
             # a non-positive beta0 raised from the proposal Maxwellian, a
             # negative z ran and failed, and a side of one diameter or less
             # raised from Domain, each after "config ok"
@@ -240,7 +242,8 @@ def test_direction_draws_and_m_max_out_of_range_exit_2(tmp_path, capsys):
         assert f"config error: {section}: {message}" in capsys.readouterr().err
     exp = small_exp()
     exp.checks = [("series_identity", "", {"m_max": 0, "direction_draws": 2, "beta0": 0.5}),
-                  ("map_roundtrip", "", {"z": 0.5, "micro_box": [1.1, 1.1, 1.1]})]
+                  ("map_roundtrip", "", {"z": 0.5, "micro_box": [1.1, 1.1, 1.1]}),
+                  ("lemma2_rate", "", {"rate_samples": 2})]
     assert exp.validate() == []
     for draws in (0, -3):
         with pytest.raises(ValueError, match=f"^direction_draws must be at least 1, got {draws}$"):

@@ -599,7 +599,9 @@ def gc_tight():
 
 def verbatim_grand_sample_arrays(self, rng, max_attempts=1000):
     """The grand-canonical draw that tested one placement at a time."""
-    n = int(self._occupancy_cdf.searchsorted(rng.random(), side="right"))
+    cdf = self.occupancy.cumsum()
+    cdf /= cdf[-1]
+    n = int(cdf.searchsorted(rng.random(), side="right"))
     if n == 0:
         return np.zeros((0, 3)), np.zeros((0, 3))
     attempts = 0
@@ -649,8 +651,116 @@ def test_placement_cap_trips_where_the_loop_does(gc_tight):
     assert gc_tight.admissible(q) and np.array_equal(p, want_p)
     assert rng.random() == after
     rng = np.random.default_rng(48)
-    with pytest.raises(RuntimeError, match=f"in {j} attempts"):
+    with pytest.raises(RuntimeError, match=f"in {j} proposals"):
         gc_tight.place(rng, 2, j)
     ref = np.random.default_rng(48)
     ref.random((j, 2, 3))
+    assert rng.random() == ref.random()
+
+
+MICRO = Domain(Vec3(0, 0, 0), Vec3(2.5, 1.2, 1.2), A)
+
+
+@pytest.fixture(scope="module")
+def gc_shipped():
+    """The grand-canonical checks' micro box and fugacity: about a tenth of
+    the uniform 2-sphere placements are admissible."""
+    ms = InitialMeasure(GrandCanonicalEq(50.0, 1.0), MICRO, norm_proposals=PROPOSALS)
+    assert ms.n_max == 2 and ms._draws_in_margins
+    return ms
+
+
+def same_draws(ms, seed, draws):
+    """Whether ``draws`` grand-canonical draws and the next random number
+    equal the one-at-a-time loop's, shapes included; and the particle
+    numbers drawn."""
+    r_new, r_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    sizes = set()
+    for _ in range(draws):
+        (q, p), (q0, p0) = ms.sample_arrays(r_new), verbatim_grand_sample_arrays(ms, r_old)
+        if not (q.shape == q0.shape == p.shape and np.array_equal(q, q0)
+                and np.array_equal(p, p0)):
+            return False, sizes
+        sizes.add(len(q))
+    return r_new.random() == r_old.random(), sizes
+
+
+def test_lean_grand_draw_matches_verbatim_loop_in_the_micro_box(gc_shipped):
+    # n = 0, 1 and 2 all drawn: equal arrays and (0, 3) shapes, and the
+    # generator left where the loop leaves it
+    for seed in range(50, 55):
+        same, sizes = same_draws(gc_shipped, seed, 2000)
+        assert same and sizes == {0, 1, 2}
+
+
+def test_placement_edges_match_the_loop(gc_shipped):
+    ms = gc_shipped
+    # no centers draw nothing; a cap of no proposals raises before drawing
+    rng, ref = np.random.default_rng(56), np.random.default_rng(56)
+    q, p = ms.place(rng, 0)
+    assert q.shape == p.shape == (0, 3)
+    with pytest.raises(RuntimeError, match="^no admissible 1-sphere placement in 0 proposals$"):
+        ms.place(rng, 1, 0)
+    assert rng.random() == ref.random()
+    # the loop first accepts the last placement of the first batch, or the
+    # first of the second: the same placement, momenta and next number
+    first = measures._PLACE_BATCH
+    want = {first - 1: None, first: None}
+    for seed in range(57, 1000):
+        rng = np.random.default_rng(seed)
+        j = 0
+        while not ms.admissible(ms.uniform_positions(rng, 1, 2)[0]):
+            j += 1
+        if j in want and want[j] is None:
+            want[j] = seed
+            rng = np.random.default_rng(seed)
+            q, p = ms.place(rng, 2)
+            ref = np.random.default_rng(seed)
+            q0 = ref.random((j + 1, 2, 3))[-1] * ms._ins_span + ms._ins_lo
+            assert np.array_equal(q, q0)
+            assert np.array_equal(p, ms.maxwellian.sample(ref, (2, 3)))
+            assert rng.random() == ref.random()
+        if None not in want.values():
+            break
+    assert None not in want.values()
+
+
+class TopDraws:
+    """A generator stub whose uniforms are all the largest that
+    ``Generator.random`` returns, and whose normals are all 0."""
+
+    def random(self, size):
+        return np.full(size, measures._U_MAX)
+
+    def normal(self, loc, scale, size):
+        return np.zeros(size)
+
+
+def test_margins_decide_where_draws_can_leave_them():
+    # 1e-9 * a below an ulp of the inset coordinates: the tolerance widens
+    # no bound, yet the largest draw is within the walls, and the lean
+    # draw equals the loop
+    tiny = 1e-8
+    ms = InitialMeasure(GrandCanonicalEq(1.0, 1.0), Domain(Vec3(0, 0, 0), Vec3(2.5, 1.2, 1.2),
+                                                           tiny), norm_proposals=2_000)
+    assert np.array_equal(ms._ins_hi + 1e-9 * tiny, ms._ins_hi)
+    top = ms.uniform_positions(TopDraws(), 1, 1)[0]
+    assert ms._draws_in_margins and ms.admissible(top)
+    assert np.array_equal(ms.place(TopDraws(), 1)[0], top)
+    same, sizes = same_draws(ms, 58, 2000)
+    assert same and {1, 2, 3, 4} <= sizes
+    # a span that overflows: every draw leaves the walls, so place() tests
+    # them, refuses the largest draw and raises after the cap, having
+    # drawn as many placements as the cap
+    with np.errstate(over="ignore"):
+        huge = InitialMeasure(CanonicalEq(1, 1.0), Domain(Vec3(-1e308, 0, 0),
+                                                          Vec3(1e308, 1.2, 1.2), A))
+    assert not huge._draws_in_margins
+    assert not huge.admissible(huge.uniform_positions(TopDraws(), 1, 1)[0])
+    with pytest.raises(RuntimeError, match="^no admissible 1-sphere placement in 1 proposals$"):
+        huge.place(TopDraws(), 1, 1)
+    rng, ref = np.random.default_rng(59), np.random.default_rng(59)
+    with pytest.raises(RuntimeError, match="^no admissible 1-sphere placement in 100 proposals$"):
+        huge.place(rng, 1, 100)
+    ref.random((100, 1, 3))
     assert rng.random() == ref.random()
