@@ -20,10 +20,19 @@ def exclusion_integral(ms, q_base, m, rng, samples=INNER_SAMPLES):
 
 
 def exclusion_of(ms, q, q_base):
-    """exclusion_integral over the drawn positions q (samples, m, 3)."""
+    """exclusion_integral over the drawn positions q (samples, m, 3), each
+    placement weighed with its own arithmetic: prod g times the indicator
+    that every drawn center is at squared distance a^2 or more, summed
+    dx*dx + dy*dy + dz*dz, from each base center and each other."""
     samples, m = q.shape[:2]
-    q_base = np.asarray(q_base, dtype=float).reshape(1, -1, 3)
-    vals = ms._placement_weights(q_base, q[None])[0]
+    q_base = np.asarray(q_base, dtype=float).reshape(-1, 3)
+    a2 = ms.domain.a ** 2
+    ok = np.ones(samples, dtype=bool)
+    for j in range(m):
+        for other in [*q_base, *(q[:, i] for i in range(j))]:
+            d = other - q[:, j]
+            ok &= d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2] >= a2
+    vals = np.prod(ms.g(q), axis=1) * ok
     vol = ms._ins_vol ** m
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
