@@ -636,13 +636,16 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
     cnt_wall = np.zeros(len(idx), dtype=np.int64)
 
     def collide(r, i, j, at):
-        # _Engine.apply_pair on rows r (pair i, j per row) at elapsed times at
-        o = qw[:, j, r] - qw[:, i, r]
+        # _Engine.apply_pair on rows r (pair i, j per row) at elapsed times
+        # at, through the flat (3, N * rows) views
+        fi, fj = i * len(idx) + r, j * len(idx) + r
+        qf, pf = qw.reshape(3, -1), pw.reshape(3, -1)
+        o = qf[:, fj] - qf[:, fi]
         o2 = o * o
         o /= np.sqrt(o2[0] + o2[1] + o2[2])
         if record:
             p_before = p_sign * pw[:, :, r].T
-        pw[:, i, r], pw[:, j, r] = pair_exchange(o, pw[:, i, r], pw[:, j, r])
+        pf[:, fi], pf[:, fj] = pair_exchange(o, pf[:, fi], pf[:, fj])
         cnt_pair[r] += 1
         if record:
             k = len(r)
@@ -680,6 +683,10 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
             np.negative(pw, out=pw, where=out)
             cnt_wall += out.sum(axis=(0, 1))
         remaining = np.abs(dur[idx])
+        # one event a step at most: no row can pass the cap before this step
+        cap_step = _MAX_EVENTS_DEFAULT - int((cnt_pair + cnt_wall).max(initial=0))
+        step = 0
+        cols = np.arange(len(idx))
         if record:
             # the elapsed time, the time of the last event and the smallest
             # gap so far; settling happens at elapsed 0
@@ -690,16 +697,17 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
         while len(idx):
             m = len(idx)
             cand = np.empty((ncol, m))
-            # pair roots as find_next takes them, component sums left to right
-            rx, wx = state.take(pi_idx, axis=2) - state.take(pj_idx, axis=2)
-            b, c, w2 = rx * wx, rx * rx, wx * wx
-            b = b[0] + b[1] + b[2]
-            c = c[0] + c[1] + c[2] - a2
-            w2 = w2[0] + w2[1] + w2[2]
-            disc = b * b - w2 * c
-            tau = np.divide(c, np.sqrt(disc) - b, out=cand[:npair])
-            np.copyto(tau, 0.0, where=c <= 0.0)
-            np.copyto(tau, np.inf, where=(b >= 0.0) | (disc <= 0.0))
+            if npair:
+                # pair roots as find_next takes them, component sums left to right
+                rx, wx = state.take(pi_idx, axis=2) - state.take(pj_idx, axis=2)
+                b, c, w2 = rx * wx, rx * rx, wx * wx
+                b = b[0] + b[1] + b[2]
+                c = c[0] + c[1] + c[2] - a2
+                w2 = w2[0] + w2[1] + w2[2]
+                disc = b * b - w2 * c
+                tau = np.divide(c, np.sqrt(disc) - b, out=cand[:npair])
+                np.copyto(tau, 0.0, where=c <= 0.0)
+                np.copyto(tau, np.inf, where=(b >= 0.0) | (disc <= 0.0))
             # the scalar (hi - q) / v or (lo - q) / v, written in place
             walls = np.subtract(np.where(pw > 0.0, hi, lo), qw, out=cand[npair:].reshape(3, n, m))
             walls /= pw
@@ -707,23 +715,25 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
 
             best_t = cand.min(axis=0)
             best = ncol - ((cand == best_t) * weight).max(axis=0).astype(np.intp)
-            cand[best, np.arange(m)] = np.inf
+            cand[best, cols] = np.inf
             second_t = cand.min(axis=0)
 
             # without events best_t = second_t = inf, a nan gap, never flagged
             none = best_t == np.inf
             flag = second_t - best_t <= eps_t
             is_pair = best < npair
-            pr = np.flatnonzero(is_pair & ~none)
-            k = best[pr]
-            flag[pr] |= disc[k, pr] <= graze * w2[k, pr]
+            if npair:
+                pr = (is_pair & ~none).nonzero()[0]
+                k = best[pr]
+                flag[pr] |= disc[k, pr] <= graze * w2[k, pr]
             # the soonest event lies past the end, or before it by more than
             # eps_t; in between it lands on the end
             beyond = none | (best_t > remaining + eps_t)
             cont = ~(flag | (best_t >= remaining - eps_t))
             apply = ~(flag | beyond) if from_future else cont
-            if (apply & (cnt_pair + cnt_wall >= _MAX_EVENTS_DEFAULT)).any():
+            if step >= cap_step and (apply & (cnt_pair + cnt_wall >= _MAX_EVENTS_DEFAULT)).any():
                 raise RuntimeError(f"event count exceeded {_MAX_EVENTS_DEFAULT}")
+            step += 1
 
             dt = np.where(beyond, remaining, np.where(flag, 0.0, best_t))
             qw += dt * pw
@@ -732,11 +742,11 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
                 gap = np.where(apply, np.minimum(gap, elapsed - last), gap)
                 last = np.where(apply, elapsed, last)
 
-            r = np.flatnonzero(apply & is_pair)
+            r = (apply & is_pair).nonzero()[0]
             if len(r):
                 at = elapsed[r] if record else None
                 collide(r, pi_idx[best[r]], pj_idx[best[r]], at)
-            r = np.flatnonzero(apply & ~is_pair)
+            r = (apply & ~is_pair).nonzero()[0]
             if len(r):
                 # wall column npair + axis * n + i flips pw[axis, i]
                 pw.reshape(3 * n, m)[best[r] - npair, r] *= -1.0
@@ -760,6 +770,7 @@ def _lockstep(q: np.ndarray, p: np.ndarray, domain, dur: np.ndarray, limit: Limi
                     gap_out[dest] = gap[ok]
                     elapsed, last, gap = elapsed[cont], last[cont], gap[cont]
                 cnt_pair, cnt_wall = cnt_pair[cont], cnt_wall[cont]
+                cols = cols[:len(idx)]
 
     kept = [tuple(f[~degenerate[part[0]]] for f in part) for part in parts]
     return BatchFlow(out_q, out_p, n_pair, n_wall, degenerate,

@@ -87,6 +87,9 @@ class Domain:
                     f"box side [{lo}, {hi}] too small for diameter {self.a}: "
                     "need side > a for one center with wall margin a/2"
                 )
+        # a side, or the product of three, can overflow to inf
+        if not math.isfinite(self.inset_volume):
+            raise ValueError(f"box [{self.lower}, {self.upper}] too large: its volume overflows")
 
     @property
     def sides(self) -> tuple[float, float, float]:

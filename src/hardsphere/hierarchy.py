@@ -667,8 +667,8 @@ def pair_collision_rate(measure: InitialMeasure, samples: int,
     a = dom.a
     momentum_flux = 1.0 / math.sqrt(math.pi * measure.beta)
 
-    lo = np.array(dom.inset_lower)
-    hi = np.array(dom.inset_upper)
+    lo = np.array(dom.inset_lower)[:, None, None]
+    hi = np.array(dom.inset_upper)[:, None, None]
     vol = measure.domain.inset_volume
 
     vals = np.empty(samples)
@@ -678,15 +678,20 @@ def pair_collision_rate(measure: InitialMeasure, samples: int,
         b = min(batch, samples - done)
         u = rng.normal(size=(b, 3))
         u /= np.linalg.norm(u, axis=1)[:, None]
-        q1 = lo + rng.random((b, 3)) * (hi - lo)
-        q2 = q1 + a * u
-        rest = lo + rng.random((b, big_n - 2, 3)) * (hi - lo)
-        pos = np.concatenate([q1[:, None, :], q2[:, None, :], rest], axis=1)
-        ok = ((pos >= lo - 1e-12) & (pos <= hi + 1e-12)).all(axis=(1, 2))
-        # every pair but the contact pair (0, 1), which sits exactly at a
-        ok &= _clear(np.ascontiguousarray(pos.transpose(2, 1, 0)), a * a * (1.0 - 1e-12), 2)
-        w = np.prod(measure.g(pos), axis=1) * ok
-        vals[done:done + b] = w
+        # the centers of each sample, coordinate-major (3, N, b): the
+        # contact pair q1 and q2 = q1 + a u, then the rest, each mapped as
+        # lo + uniform * (hi - lo)
+        c = np.empty((3, big_n, b))
+        np.multiply(rng.random((b, 1, 3)).T, hi - lo, out=c[:, :1])
+        c[:, :1] += lo
+        np.multiply(u.T, a, out=c[:, 1])
+        c[:, 1] += c[:, 0]
+        np.multiply(rng.random((b, big_n - 2, 3)).T, hi - lo, out=c[:, 2:])
+        c[:, 2:] += lo
+        ok = ((c >= lo - 1e-12) & (c <= hi + 1e-12)).all(axis=(0, 1))
+        # every pair but the contact pair, which sits exactly at a
+        ok &= _clear(c[:, 2:], a * a * (1.0 - 1e-12), c[:, :2])
+        vals[done:done + b] = np.prod(measure.g(c.transpose(1, 2, 0)), axis=0) * ok
         done += b
     geom_mean = float(vals.mean())
     geom_se = float(vals.std(ddof=1) / math.sqrt(samples))

@@ -32,10 +32,10 @@ _NORM_BATCH = 250_000
 # so that the block's temporaries stay in cache.
 _NORM_BLOCK = 4096
 # Inner positions drawn and evaluated per block by
-# CorrelationVector.eval_batch; bounds its uniforms and inner positions to a
-# few MB whatever the number of rows (the hard-core kernel's
-# coordinate-major copy of a block's centers included).
-_INNER_BLOCK = 1 << 16
+# CorrelationVector.eval_batch: about 1 MB of uniforms and centers, so that a
+# block's temporaries stay in cache whatever the number of rows.  Not part
+# of the stream: the rows draw in row order whatever the block.
+_INNER_BLOCK = 1 << 14
 # the seed of every measure's normalization stream
 _NORM_SEED = 2_0250_101
 # placements that ``place`` tests in its first batch; later batches double.
@@ -139,20 +139,22 @@ def _g_factory(spec, domain: Domain):
     return g, 1.0 + amp
 
 
-def _clear(c: np.ndarray, a2: float, fixed: int = 0) -> np.ndarray:
-    """The hard-core test on contiguous coordinate-major centers c
-    (3, n, L): True where every pair is at squared distance a2 or more,
-    except pairs among the first ``fixed`` centers, which are not tested.
-    Every hard-core test of the measures runs here, each squared distance
+def _clear(c: np.ndarray, a2: float, base: np.ndarray | None = None) -> np.ndarray:
+    """The hard-core test on coordinate-major centers c (3, m, *L): True
+    where every pair of them, and each of them with each base center of
+    ``base`` (3, n, ...), broadcast against L, is at squared distance a2
+    or more; pairs among the base centers are not tested.  Every
+    hard-core test of the measures runs here, each squared distance
     summed dx*dx + dy*dy + dz*dz, so a configuration near a threshold gets
     one verdict.  Most calls have a few rows, so nothing is written in
     place into a one-element array, where numpy's aliased ``out=`` costs
-    twice a new array; the (3, L) difference never has one element."""
-    ok = np.empty(c.shape[2], dtype=bool)
+    twice a new array; the (3, *L) difference never has one element."""
+    ok = np.empty(c.shape[2:], dtype=bool)
     ok.fill(True)   # a third of np.ones' cost on one row
-    for j in range(max(fixed, 1), c.shape[1]):
-        for i in range(j):
-            d = c[:, i] - c[:, j]
+    fixed = [] if base is None else list(base.swapaxes(0, 1))
+    for j in range(c.shape[1]):
+        for other in fixed + [c[:, i] for i in range(j)]:
+            d = other - c[:, j]
             d *= d
             ok = ok & (d[0] + d[1] + d[2] >= a2)
     return ok
@@ -310,7 +312,8 @@ class InitialMeasure:
         """``admissible`` for each row of (B, n, 3) position sets."""
         c = np.ascontiguousarray(q.transpose(2, 1, 0))
         lo, hi, a2 = self._margins
-        return ~((c < lo) | (c > hi)).any(axis=(0, 1)) & _clear(c, a2)
+        # written so that a NaN coordinate fails
+        return ((c >= lo) & (c <= hi)).all(axis=(0, 1)) & _clear(c, a2)
 
     # -- the spec operations --------------------------------------------------
 
@@ -446,24 +449,18 @@ class InitialMeasure:
                         q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The exclusion integral of each row over its drawn positions,
         with its inner-sample standard error (0 for one sample): q_base
-        (R, n, 3), q (R, samples, m, 3) with m >= 1."""
+        (R, n, 3), q (R, samples, m, 3) with m >= 1.  Each placement
+        weighs prod g, zero where it overlaps the base centers or itself,
+        both computed on coordinate-major centers (3, m, R, samples), which
+        ``eval_batch`` draws q as a view of; the base centers are
+        broadcast over the samples."""
         samples, m = q.shape[1:3]
-        w = self._placement_weights(q_base, q)
+        c = np.ascontiguousarray(q.transpose(3, 2, 0, 1))
+        ok = _clear(c, self.domain.a ** 2, q_base.transpose(2, 1, 0)[..., None])
+        w = np.prod(self.g(c.transpose(1, 2, 3, 0)), axis=0) * ok
         vol = self._ins_vol ** m
         se = w.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(len(w))
         return vol * w.mean(axis=1), vol * se
-
-    def _placement_weights(self, q_base: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """prod g of each drawn placement q (R, samples, m, 3), zero where it
-        overlaps the base centers q_base (R, n, 3) or itself."""
-        rows, k, m = q.shape[:3]
-        n = q_base.shape[1]
-        # the base centers, then the drawn ones, of each placement
-        c = np.empty((3, n + m, rows, k))
-        c[:, :n] = q_base.transpose(2, 1, 0)[..., None]
-        c[:, n:] = q.transpose(3, 2, 0, 1)
-        ok = _clear(c.reshape(3, n + m, rows * k), self.domain.a ** 2, n)
-        return np.prod(self.g(q), axis=2) * ok.reshape(rows, k)
 
 
 def config_from_arrays(q: np.ndarray, p: np.ndarray, domain: Domain) -> Configuration:
@@ -534,17 +531,21 @@ class CorrelationVector:
                 else np.zeros(0, dtype=int))
         step = max(1, _INNER_BLOCK // (k * sum(sizes))) if sizes else max(1, len(rows))
         spec = ms.spec
+        span = ms._ins_span[:, None, None, None]
+        lo = ms._ins_lo[:, None, None, None]
         for b in range(0, len(rows), step):
             r = rows[b:b + step]
             u = rng.random((len(r), 3 * k * sum(sizes)))
-            # mapped in place to the inner positions, as uniform_positions maps
-            pos = u.reshape(-1, 3)
-            pos *= ms._ins_span
-            pos += ms._ins_lo
-            # each size's exclusion integrals and their stderrs
+            # each size's exclusion integrals and their stderrs, its inner
+            # positions mapped as uniform_positions maps them, straight
+            # into coordinate-major centers (3, m, rows, k)
             ex, off = {}, 0
             for m in sizes:
-                ex[m] = ms.exclusion_batch(q[r], u[:, off:off + 3 * k * m].reshape(-1, k, m, 3))
+                c = np.empty((3, m, len(r), k))
+                np.multiply(u[:, off:off + 3 * k * m].reshape(-1, k, m, 3).transpose(3, 2, 0, 1),
+                            span, out=c)
+                c += lo
+                ex[m] = ms.exclusion_batch(q[r], c.transpose(2, 3, 1, 0))
                 off += 3 * k * m
             # the products over no particles are 1
             gw = np.prod(ms.g(q[r]), axis=1)

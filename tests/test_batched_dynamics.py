@@ -96,7 +96,7 @@ def assert_rows_match(q, p, domain, t, limit):
     return degenerate
 
 
-@pytest.mark.parametrize("n, rows", [(2, 120), (3, 80), (5, 40)])
+@pytest.mark.parametrize("n, rows", [(1, 200), (2, 120), (3, 80), (5, 40)])
 @pytest.mark.parametrize("t", [12.0, -7.5])
 @pytest.mark.parametrize("limit", list(Limit))
 def test_sampled_rows_match_scalar(n, rows, t, limit):
@@ -176,7 +176,8 @@ def test_degenerate_rows_are_flagged(case):
 def test_micro_box_rows_match_scalar(limit, sign):
     # the grand-canonical micro box, where walls and corners are met most:
     # per-row durations, with every particle number that fits (centers
-    # span 1.5 in x, and three spheres need more than 1.9)
+    # span 1.5 in x, and three spheres need more than 1.9); recorded, each
+    # row's events and gap are its scalar log's and the rows are unchanged
     rng = np.random.default_rng(23 + (sign > 0) + 2 * (limit is Limit.FROM_PAST))
     for n in (1, 2):
         q, p = sample_starts(rng, 150, n, MICRO)
@@ -184,7 +185,12 @@ def test_micro_box_rows_match_scalar(limit, sign):
         t[::13] = 0.0
         degenerate = assert_rows_match(q, p, MICRO, t, limit)
         assert degenerate.sum() <= 150 // 20
-        assert lockstep(q, p, MICRO, t, limit).n_wall.sum() > 150 * 6 * n
+        plain = lockstep(q, p, MICRO, t, limit)
+        assert plain.n_wall.sum() > 150 * 6 * n
+        out = evolve_batch(q, p, MICRO, t, limit, pair_events=True)
+        assert all(bits(a) == bits(b) for a, b in zip(out[:5], plain[:5]))
+        events = assert_recorded_rows(q, p, t, out, MICRO, limit)[0]
+        assert (events > 0) == (n == 2)
 
 
 def test_grazing_row_is_flagged(monkeypatch):
@@ -478,7 +484,7 @@ def test_recording_runs_on_the_kernel_alone(sign, rows, force, monkeypatch):
     assert out.degenerate.tolist() == [force] + [False] * (rows - 1)
 
 
-def assert_recorded_rows(q, p, t, out):
+def assert_recorded_rows(q, p, t, out, domain=BOX, limit=Limit.FROM_FUTURE):
     """Each row's pair events and event gap in a recorded call's result
     are those of its scalar log, bit for bit; a row on which that raises
     DegeneracyError is marked and has neither.  Returns the number of
@@ -490,7 +496,7 @@ def assert_recorded_rows(q, p, t, out):
     for r in range(len(q)):
         got = np.flatnonzero(ev.row == r)
         try:
-            log = evolve_arrays(q[r], p[r], BOX, t[r], collect_log=True)[2]
+            log = evolve_arrays(q[r], p[r], domain, t[r], limit, collect_log=True)[2]
         except DegeneracyError:
             assert degenerate[r] and not len(got) and out.gap[r] == math.inf
             continue

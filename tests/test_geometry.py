@@ -43,6 +43,11 @@ def test_vec3_algebra():
 def test_domain_needs_room_for_one_center():
     with pytest.raises(ValueError):
         Domain(Vec3(0, 0, 0), Vec3(1.0, 5.0, 5.0), 1.0)
+    # sides, or their product, past the largest float
+    with pytest.raises(ValueError, match="overflows"):
+        Domain(Vec3(-1e308, 0, 0), Vec3(1e308, 1.2, 1.2), 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        Domain(Vec3(0, 0, 0), Vec3(1e200, 1e200, 1e200), 1.0)
     # micro-domains between a and 2a per side are legitimate
     d = Domain(Vec3(0, 0, 0), Vec3(1.5, 1.5, 1.5), 1.0)
     assert d.inset_volume == pytest.approx(0.125)

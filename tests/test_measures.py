@@ -385,28 +385,48 @@ def test_admissible_batch_matches_scalar(modulated2, ulps):
         assert 0 < want.sum() < len(want)
 
 
-@pytest.mark.parametrize("spec_name", ["modulated3", "grand"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_nan_center_is_inadmissible(modulated2, n):
+    # a NaN coordinate fails the wall test, which every comparison with NaN
+    # used to pass; an admissible row stays admissible
+    q = np.zeros((3, n, 3)) + 1.0 + 1.5 * np.arange(n)[:, None]
+    q[1, 0, 0] = np.nan
+    q[2, n - 1, 2] = np.nan
+    assert modulated2.admissible_batch(q).tolist() == [True, False, False]
+    assert [modulated2.admissible(row) for row in q] == [True, False, False]
+
+
+@pytest.mark.parametrize("spec_name", ["modulated3", "grand", "grand3"])
 def test_batched_evaluation_matches_eval_arrays(spec_name, monkeypatch):
     # values and stderrs of all rows, admissible or not, bit for bit against
     # the scalar evaluator, and the random stream left where it leaves it,
-    # across blocks of a few rows; eval_arrays, the batch of one, too
-    monkeypatch.setattr(measures, "_INNER_BLOCK", 300)
-    if spec_name == "grand":
-        ms = InitialMeasure(GrandCanonicalEq(50.0, 1.0), Domain(Vec3(0, 0, 0),
-                            Vec3(2.5, 1.2, 1.2), A), norm_proposals=20_000)
-    else:
+    # with blocks of one row, of an odd number of inner positions (a short
+    # last block) and of the shipped size; eval_arrays, the batch of one,
+    # too.  In the longer grand-canonical box one row draws two sizes.
+    shipped = measures._INNER_BLOCK
+    if spec_name == "modulated3":
         ms = InitialMeasure(ModulatedProduct(3, 1.0), BOX, norm_proposals=20_000)
+    else:
+        side = 2.5 if spec_name == "grand" else 3.5
+        ms = InitialMeasure(GrandCanonicalEq(50.0, 1.0), Domain(Vec3(0, 0, 0),
+                            Vec3(side, 1.2, 1.2), A), norm_proposals=20_000)
+        assert ms.n_max == int(side)
     rho = correlation_map(ms, inner_samples=48)
     rng = np.random.default_rng(42)
     for n in range(1, ms.n_max + 1):
         q = ms.uniform_positions(rng, 200, n)
         p = rng.normal(size=(200, n, 3))
-        r_batch, r_one, r_rows = (np.random.default_rng(n) for _ in range(3))
-        got = np.stack(rho.eval_batch(q, p, r_batch), axis=1)
+        r_one, r_rows = (np.random.default_rng(n) for _ in range(2))
         want = [scalar_rho.eval_arrays(rho, q[i], p[i], r_rows) for i in range(len(q))]
-        assert differing_rows(got, want) == []
         assert [rho.eval_arrays(q[i], p[i], r_one) for i in range(len(q))] == want
-        assert r_batch.random() == r_one.random() == r_rows.random()
+        after = r_rows.random()
+        assert r_one.random() == after
+        for block in (1, 1111, shipped):
+            monkeypatch.setattr(measures, "_INNER_BLOCK", block)
+            r_batch = np.random.default_rng(n)
+            got = np.stack(rho.eval_batch(q, p, r_batch), axis=1)
+            assert differing_rows(got, want) == []
+            assert r_batch.random() == after
 
 
 @STRADDLE
@@ -425,7 +445,8 @@ def test_exclusion_batch_near_contact_matches_scalar(ulps):
 
 
 def verbatim_placement_weights(self, q_base, q):
-    """``_placement_weights`` with the broadcast test that the kernel
+    """The weights of the placements q (R, samples, m, 3) over the base
+    centers q_base (R, n, 3), with the broadcast test that the kernel
     replaced."""
     m = q.shape[2]
     a2 = self.domain.a ** 2
@@ -441,7 +462,9 @@ def verbatim_placement_weights(self, q_base, q):
 def test_placement_weights_match_verbatim_broadcast(modulated2, n, m):
     # a drawn center a few ulps either side of the diameter from a base
     # center, and the next drawn one from it: the weights equal the old
-    # broadcast test's bit for bit
+    # broadcast test's bit for bit, each placement its own row of one
+    # sample, whose integral is the weight times the inset volume, 4^3 in
+    # BOX, so exactly
     rng = np.random.default_rng(49 + 10 * n + m)
     rows, k = 40, 16
     base = 0.5 + rng.random((rows, n, 3)) * 4.0
@@ -452,9 +475,11 @@ def test_placement_weights_match_verbatim_broadcast(modulated2, n, m):
     if m > 1:
         inner[:, :, 1] = touching(rng, rows * k, inner[:, :, 0].reshape(-1, 3),
                                   A).reshape(rows, k, 3)
-    got = modulated2._placement_weights(base, inner)
+    got, se = modulated2.exclusion_batch(np.repeat(base, k, axis=0),
+                                         inner.reshape(rows * k, 1, m, 3))
     want = verbatim_placement_weights(modulated2, base, inner)
-    assert differing_rows(got.ravel(), want.ravel()) == []
+    assert differing_rows(got, 64.0 ** m * want.ravel()) == []
+    assert not se.any()
     assert 0 < (want > 0).sum() < want.size
 
 
@@ -552,8 +577,8 @@ def test_clear_matches_verbatim_pairwise_ok(n, rows):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_clear_skips_only_pairs_among_the_fixed_centers(n):
-    # for each fixed, the verdict is the old per-pair test on every pair
-    # but those among the first fixed centers
+    # for each fixed, the verdict with the first fixed centers as base
+    # centers is the old per-pair test on every pair but those among them
     q = near_contact_sets(np.random.default_rng(45 + n), 2000, n)
     c = np.ascontiguousarray(q.transpose(2, 1, 0))
     for fixed in range(n + 1):
@@ -561,7 +586,8 @@ def test_clear_skips_only_pairs_among_the_fixed_centers(n):
         for i in range(n):
             for j in range(max(i + 1, fixed), n):
                 want &= sq3(q[:, i] - q[:, j]) >= A * A
-        assert differing_rows(measures._clear(c, A * A, fixed), want) == []
+        got = measures._clear(c[:, fixed:], A * A, c[:, :fixed])
+        assert differing_rows(got, want) == []
 
 
 def verbatim_probe_occupancy(self, cap, rng):
@@ -749,12 +775,15 @@ def test_margins_decide_where_draws_can_leave_them():
     assert np.array_equal(ms.place(TopDraws(), 1)[0], top)
     same, sizes = same_draws(ms, 58, 2000)
     assert same and {1, 2, 3, 4} <= sizes
-    # a span that overflows: every draw leaves the walls, so place() tests
+    # a span that overflows, in a box that Domain refuses and so is built
+    # here without its check: every draw leaves the walls, so place() tests
     # them, refuses the largest draw and raises after the cap, having
     # drawn as many placements as the cap
+    overflowing = object.__new__(Domain)
+    for name, v in (("lower", Vec3(-1e308, 0, 0)), ("upper", Vec3(1e308, 1.2, 1.2)), ("a", A)):
+        object.__setattr__(overflowing, name, v)
     with np.errstate(over="ignore"):
-        huge = InitialMeasure(CanonicalEq(1, 1.0), Domain(Vec3(-1e308, 0, 0),
-                                                          Vec3(1e308, 1.2, 1.2), A))
+        huge = InitialMeasure(CanonicalEq(1, 1.0), overflowing)
     assert not huge._draws_in_margins
     assert not huge.admissible(huge.uniform_positions(TopDraws(), 1, 1)[0])
     with pytest.raises(RuntimeError, match="^no admissible 1-sphere placement in 1 proposals$"):
