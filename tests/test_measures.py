@@ -385,13 +385,12 @@ def test_admissible_batch_matches_scalar(modulated2, ulps):
         assert 0 < want.sum() < len(want)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_a_nan_center_is_inadmissible(modulated2, n):
+def test_a_nan_center_is_inadmissible(modulated2):
     # a NaN coordinate fails the wall test, which every comparison with NaN
-    # used to pass; an admissible row stays admissible
-    q = np.zeros((3, n, 3)) + 1.0 + 1.5 * np.arange(n)[:, None]
+    # used to pass; an admissible center stays admissible
+    q = np.full((3, 1, 3), 2.5)
     q[1, 0, 0] = np.nan
-    q[2, n - 1, 2] = np.nan
+    q[2, 0, 2] = np.nan
     assert modulated2.admissible_batch(q).tolist() == [True, False, False]
     assert [modulated2.admissible(row) for row in q] == [True, False, False]
 
