@@ -4,15 +4,11 @@ with a check harness that confirms simulated and series-predicted
 correlation functions agree within statistical error."""
 
 from hardsphere.geometry import (
-    AdmissibilityClass,
     Configuration,
     Domain,
     PhasePoint,
-    SignClass,
     Vec3,
-    classify,
     omega_admissible,
-    omega_sign_class,
 )
 from hardsphere.dynamics import (
     DegeneracyError,
@@ -30,7 +26,6 @@ from hardsphere.dynamics import (
 )
 
 __all__ = [
-    "AdmissibilityClass",
     "Configuration",
     "DegeneracyError",
     "DegeneracyKind",
@@ -40,14 +35,11 @@ __all__ = [
     "EventKind",
     "Limit",
     "PhasePoint",
-    "SignClass",
     "TrajectoryLog",
     "Vec3",
-    "classify",
     "evolve",
     "next_event",
     "omega_admissible",
-    "omega_sign_class",
     "pair_collide",
     "reverse_momenta",
     "wall_reflect",

@@ -208,7 +208,6 @@ class Chunk:
     m: int = 0
     beta0: float | None = None
     inner: int = 0
-    antithetic: bool = True
     draws: int = 1
 
     @property
@@ -282,7 +281,8 @@ def _w_series(c: Chunk):
     flow (the collision-free term), and at m = 1 with N = n + 1 the
     time-integrated collision-operator term of the one-step identity."""
     return _series_stratum_stats(correlation_map(c.measure), c.n, c.t, c.boxes[0], c.m, c.count,
-                                 c.beta0, c.inner, c.antithetic, c.rng, c.draws)
+                                 c.beta0, c.inner, antithetic=True, rng=c.rng,
+                                 direction_draws=c.draws)
 
 
 def _w_lemma2(c: Chunk):
@@ -372,8 +372,7 @@ def _empirical(exp, spec, domain, n, t, boxes, samples, key, role) -> Estimator:
                                      for part in merged[:-1]])
 
 
-def _series(exp, spec, domain, n, t, box, strata, beta0, inner, antithetic=True,
-            draws=1) -> Estimator:
+def _series(exp, spec, domain, n, t, box, strata, beta0, inner, draws=1) -> Estimator:
     """The series (``series_eval``) chunk by chunk, as a ``SeriesResult``:
     stratum m takes ``strata[m]``, its sample count and the seed tuple of
     its streams (exp.seed, *seed, idx).  Its workers read the measure's Z,
@@ -381,7 +380,7 @@ def _series(exp, spec, domain, n, t, box, strata, beta0, inner, antithetic=True,
     norm_err = get_measure(spec, domain, norm_proposals=exp.norm_proposals).z_rel_err
     return Estimator(_w_series, [
         _chunks(exp, spec, count, seed, domain, n=n, t=t, boxes=(box,), m=m, beta0=beta0,
-                inner=inner, antithetic=antithetic, draws=draws)
+                inner=inner, draws=draws)
         for m, (count, seed) in enumerate(strata)], lambda *s: SeriesResult.of(s, norm_err))
 
 
@@ -496,7 +495,6 @@ def _run_special_flow(exp, label, params, key):
         RotationBase,
         SpecialFlow,
         collision_count_sum,
-        flow_from_block,
         partition_masses,
         verify_identity,
     )
@@ -535,9 +533,6 @@ def _run_special_flow(exp, label, params, key):
 
     exch = SpecialFlow(ExchangeBase((0.3, 0.75), (2, 0, 1)), Ceiling(0.8, 0.2, 2))
     reports.append(report("exchange", verify_identity(exch, t, resolution)))
-    for idx, block in enumerate(params["flows"]):
-        reports.append(report(f"custom{idx}",
-                              verify_identity(flow_from_block(block), t, resolution)))
     return reports
 
 
@@ -616,7 +611,6 @@ def _run_series_identity(exp, label, params, key):
         allocation=tuple(params["allocation"]),
         beta0=params["beta0"],
         inner_samples=int(params["inner_samples"]),
-        antithetic=bool(params["antithetic"]),
         direction_draws=int(params["direction_draws"]),
     )
     beta0, counts = sp.plan(n, get_measure(spec, exp.domain, norm_proposals=exp.norm_proposals))
@@ -625,7 +619,7 @@ def _run_series_identity(exp, label, params, key):
     forward, *series = yield [
         _empirical(exp, spec, exp.domain, n, t, boxes, samples, key, 1),
         *(_series(exp, spec, exp.domain, n, t, box, strata, beta0, sp.inner_samples,
-                  sp.antithetic, sp.direction_draws) for box in boxes)]
+                  sp.direction_draws) for box in boxes)]
     reports = []
     for name, box, lhs, res in zip(names, boxes, forward, series):
         detail = {f"stratum_m{m}": {"value": e.value, "stderr": e.stderr, "count": e.count}
@@ -666,7 +660,7 @@ def _run_grand_canonical(exp, label, params, key):
     strata = [(count, (key, 2, m)) for m, count in enumerate(counts)]
     (lhs,), res = yield [_empirical(exp, spec, domain, n, t, (box,), samples, key, 1),
                          _series(exp, spec, domain, n, t, box, strata, beta0, sp.inner_samples,
-                                 sp.antithetic, sp.direction_draws)]
+                                 sp.direction_draws)]
     return [_stat_report(
         "grand_canonical_identity", label or "micro", lhs.estimate, res.total_with_norm_err, exp,
         (lhs.counter, res.counter), n=n, t=t, box=box,

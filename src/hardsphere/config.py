@@ -38,7 +38,7 @@ CHECK_PARAMS = {
     "conservation": {"samples": 600_000},
     "reversibility": {"trajectories": 1000, "n_list": (2, 3, 5), "events_target": 20.0},
     "liouville": {"n": 1, "t": 12.0, "times": list, "samples": 30_000, "delta": "bulk"},
-    "special_flow": {"resolution": 1024, "t": 3.7, "flows": ()},
+    "special_flow": {"resolution": 1024, "t": 3.7},
     "lemma2_rate": {"t": 12.0, "trajectories": 100_000, "rate_samples": 2_000_000,
                     "n_list": (2, 3)},
     "prop1_decomposition": {"n": 1, "t": 12.0, "samples": 100_000, "inner_samples": 128,
@@ -47,8 +47,7 @@ CHECK_PARAMS = {
                       "beta0": float, "deltas": ("bulk",)},
     "series_identity": {"n": 1, "t": 12.0, "samples": 100_000, "m_max": int,
                         "allocation": (0.5, 0.3, 0.2), "beta0": float, "inner_samples": 128,
-                        "antithetic": True, "direction_draws": 1,
-                        "deltas": ("bulk", "near_wall")},
+                        "direction_draws": 1, "deltas": ("bulk", "near_wall")},
     "grand_canonical_identity": {"micro_box": (2.5, 1.2, 1.2), "z": 50.0, "n": 1, "t": 2.0,
                                  "samples": 40_000, "inner_samples": 128,
                                  "allocation": (0.35, 0.45, 0.2), "direction_draws": 24},
@@ -296,15 +295,47 @@ def _unknown_keys(section: str, given, known) -> list[str]:
     return [f"unknown key {k!r} in [{section}]" for k in given if k not in known]
 
 
+# the keys of a density block besides box, a and beta, by variant: the
+# first is required, the others have defaults
+_DENSITY_KEYS = {"canonical": ("n",), "grand_canonical": ("z", "n_cap"),
+                 "modulated": ("n", "g_choice", "g_amplitude")}
+
+
+def _block_problems(sections: dict) -> list[str]:
+    """The problems of the [domain] and [density] sections, found before
+    any of their keys is read: missing sections and required keys, keys
+    no block of the variant has, and a box that is not six numbers."""
+    problems = [f"missing section [{name}]" for name in ("domain", "density")
+                if name not in sections]
+    dom, dens = sections.get("domain", {}), sections.get("density", {})
+    variant = dens.get("variant")
+    own = _DENSITY_KEYS.get(variant) if isinstance(variant, str) else None
+    if "variant" in dens and own is None:
+        problems.append(f"unknown density variant {variant!r}")
+    known = own or {k for keys in _DENSITY_KEYS.values() for k in keys}
+    problems += _unknown_keys("domain", dom, ("box", "a"))
+    problems += _unknown_keys("density", dens, ("box", "a", "beta", "variant", *known))
+    for name, block, required in (("domain", dom, ("box", "a")),
+                                  ("density", dens, ("variant", "beta", *(own or ())[:1]))):
+        if name in sections:
+            problems += [f"missing key {k!r} in [{name}]" for k in required if k not in block]
+        box = block.get("box")
+        if "box" in block and not (isinstance(box, list) and len(box) == 6
+                                   and all(_element_ok(x, ("number",)) for x in box)):
+            problems.append(f"box in [{name}] must be six numbers")
+    return problems
+
+
 def loads_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(text)
-    exp = {k: _parse_value(v) for k, v in parser.items("experiment")} \
-        if parser.has_section("experiment") else {}
+    sections = {name: {k: _parse_value(v) for k, v in parser.items(name)}
+                for name in parser.sections()}
+    exp = sections.get("experiment", {})
     version = int(exp.get("schema_version", SCHEMA_VERSION))
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version}")
-    problems = [f"unknown section [{section}]" for section in parser.sections()
+    problems = [f"unknown section [{section}]" for section in sections
                 if section not in ("experiment", "domain", "density")
                 and not section.startswith("check.")]
     problems += _unknown_keys("experiment", exp, _EXPERIMENT_DEFAULTS)
@@ -312,54 +343,25 @@ def loads_config(text: str) -> ExperimentConfig:
              for k, d in _EXPERIMENT_DEFAULTS.items()}
     problems += [f"key {k!r} in [experiment] must be {kinds[k]}" for k, v in exp.items()
                  if k in kinds and not _element_ok(v, (kinds[k],))]
+    problems += _block_problems(sections)
+    if problems:
+        raise ValueError("; ".join(problems))
 
-    dom_sec = {k: _parse_value(v) for k, v in parser.items("domain")}
-    problems += _unknown_keys("domain", dom_sec, ("box", "a"))
+    dom_sec, dens = sections["domain"], sections["density"]
     box = [float(x) for x in dom_sec["box"]]
     domain = Domain(Vec3(*box[:3]), Vec3(*box[3:]), float(dom_sec["a"]))
-
-    dens = {k: _parse_value(v) for k, v in parser.items("density")}
     dens.setdefault("box", box)
     dens.setdefault("a", dom_sec["a"])
     spec, spec_domain = spec_from_block(dens)
     if spec_domain != domain:
         raise ValueError("density block box/a disagree with [domain]")
-    # the keys a block of this variant is written with
-    problems += _unknown_keys("density", dens, spec_to_block(spec, domain))
-    if problems:
-        raise ValueError("; ".join(problems))
 
     checks = []
-    for section in parser.sections():
-        if not section.startswith("check."):
-            continue
-        rest = section[len("check."):]
-        cid, _, label = rest.partition(".")
-        params = {k: _parse_value(v) for k, v in parser.items(section)}
-        checks.append((cid, label or "", params))
+    for section, params in sections.items():
+        if section.startswith("check."):
+            cid, _, label = section[len("check."):].partition(".")
+            checks.append((cid, label, params))
 
     # each run-wide setting has the type of its default
     settings = {k: type(_EXPERIMENT_DEFAULTS[k])(v) for k, v in exp.items()}
     return ExperimentConfig(domain=domain, density=spec, checks=checks, **settings)
-
-
-def dump_config(exp: ExperimentConfig) -> str:
-    """Render a config back to INI text (values as JSON)."""
-    lines = ["[experiment]"]
-    lines.extend(f"{key} = {json.dumps(getattr(exp, key))}" for key in _EXPERIMENT_DEFAULTS)
-    lines.append("")
-    lines.append("[domain]")
-    lo, hi = exp.domain.lower, exp.domain.upper
-    lines.append(f"box = [{lo.x}, {lo.y}, {lo.z}, {hi.x}, {hi.y}, {hi.z}]")
-    lines.append(f"a = {exp.domain.a}")
-    lines.append("")
-    lines.append("[density]")
-    for key, value in spec_to_block(exp.density, exp.domain).items():
-        if key not in ("box", "a"):
-            lines.append(f"{key} = {json.dumps(value)}")
-    for cid, label, params in exp.checks:
-        lines.append("")
-        lines.append(f"[check.{cid}{'.' + label if label else ''}]")
-        for k, v in params.items():
-            lines.append(f"{k} = {json.dumps(v)}")
-    return "\n".join(lines) + "\n"

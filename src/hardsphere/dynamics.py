@@ -129,18 +129,6 @@ class TrajectoryLog:
     def n_events(self) -> int:
         return self.n_pair + self.n_wall
 
-    def to_csv_lines(self) -> list[str]:
-        """Trajectory dump, one CSV row per event (debugging aid)."""
-        rows = ["time,kind,i,j,axis,side,p_before,p_after"]
-        for e in self.entries:
-            ev = e.event
-            pb = ";".join(f"{c:.17g}" for pp in e.momenta_before for c in pp)
-            pa = ";".join(f"{c:.17g}" for pp in e.momenta_after for c in pp)
-            rows.append(
-                f"{e.time:.17g},{ev.kind.value},{ev.i},{ev.j},{ev.axis},{ev.side},{pb},{pa}"
-            )
-        return rows
-
 
 class PairEvents(NamedTuple):
     """The pair events of a batch as arrays, grouped by row in row order

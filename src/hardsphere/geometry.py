@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-# Relative tolerances for boundary classification.  Contact means within
+# Relative tolerances for boundary tests.  Contact means within
 # EPS_CONTACT_REL * a of an exact equality; a collision counts as grazing
 # when the normal relative speed is below EPS_GRAZE_REL of the relative
 # speed.  Chosen so that rejection of near-degenerate samples is
@@ -144,46 +143,6 @@ class Configuration:
         return Configuration(tuple(particles), self.domain)
 
 
-class AdmissibilityClass(Enum):
-    INTERIOR = "interior"
-    CONTACT = "contact"
-    EXCLUDED = "excluded"
-
-
-class SignClass(Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-    GRAZING = "grazing"
-
-
-def min_separation(config: Configuration) -> float:
-    """Smallest of all wall clearances and pair-distance excesses over a."""
-    dom = config.domain
-    worst = math.inf
-    pts = config.particles
-    for i, pt in enumerate(pts):
-        worst = min(worst, dom.wall_clearance(pt.q))
-        for j in range(i + 1, len(pts)):
-            worst = min(worst, (pt.q - pts[j].q).norm() - dom.a)
-    return worst
-
-
-def classify(config: Configuration, eps_contact: float | None = None) -> AdmissibilityClass:
-    """Classify a configuration as interior, contact, or excluded.
-
-    Contact means some wall clearance or pair separation sits within
-    eps_contact (default EPS_CONTACT_REL * a) of exact equality.
-    """
-    if eps_contact is None:
-        eps_contact = EPS_CONTACT_REL * config.domain.a
-    worst = min_separation(config)
-    if worst < -eps_contact:
-        return AdmissibilityClass.EXCLUDED
-    if worst <= eps_contact:
-        return AdmissibilityClass.CONTACT
-    return AdmissibilityClass.INTERIOR
-
-
 def require_unit(omega: Vec3, tol: float = UNIT_NORM_TOL) -> None:
     if abs(omega.norm() - 1.0) > tol:
         raise ValueError(f"direction must be a unit vector, |omega| = {omega.norm()!r}")
@@ -195,8 +154,8 @@ def omega_admissible(config: Configuration, j: int, p_new: Vec3, omega: Vec3) ->
     The candidate center is q_j + a*omega with momentum p_new.  Returns
     True when the enlarged configuration is admissible: the contact point
     keeps the a/2 wall margin and overlaps no other sphere.  Admissibility
-    is a statement about positions only; p_new is accepted for interface
-    symmetry with the sign classification.
+    is a statement about positions only; p_new, the inserted sphere's
+    momentum, is not read.
     """
     require_unit(omega)
     pts = config.particles
@@ -213,20 +172,3 @@ def omega_admissible(config: Configuration, j: int, p_new: Vec3, omega: Vec3) ->
         if (q_new - pt.q).norm() < dom.a - eps:
             return False
     return True
-
-
-def omega_sign_class(p_j: Vec3, p_new: Vec3, omega: Vec3,
-                     eps_graze: float = EPS_GRAZE_REL) -> SignClass:
-    """Side of the collision hemisphere: sign of omega . (p_new - p_j).
-
-    The grazing band is relative: |omega . dp| <= eps_graze * |dp|.
-    """
-    require_unit(omega)
-    dp = p_new - p_j
-    s = omega.dot(dp)
-    band = eps_graze * dp.norm()
-    if s > band:
-        return SignClass.PLUS
-    if s < -band:
-        return SignClass.MINUS
-    return SignClass.GRAZING

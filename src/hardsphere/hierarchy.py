@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -105,9 +105,6 @@ class PhaseBox:
                 for a, b in zip(row_lo, row_hi):
                     v *= b - a
         return v
-
-    def contains(self, q: np.ndarray, p: np.ndarray) -> bool:
-        return bool(self.contains_batch(q[None], p[None])[0])
 
     def contains_batch(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Vectorized membership for arrays of shape (B, n, 3).  The bounds
@@ -421,7 +418,7 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     label_factor = falling_factorial(n + m - 1, m - 1) if m else 1.0
     time_factor = t ** m / math.factorial(m)
     sphere_factor = (4.0 * math.pi) ** m
-    combo_list = list(_sign_combos(m)) if (antithetic and m) else [(1.0,) * m]
+    combo_list = list(product((1.0, -1.0), repeat=m)) if antithetic else [(1.0,) * m]
     combos = len(combo_list)
     signs = np.array(combo_list, dtype=float).reshape(combos, m, 1)
     draws = direction_draws if m else 1
@@ -478,12 +475,6 @@ def _series_stratum_stats(rho0: CorrelationVector, n: int, t: float, box: PhaseB
     # the samples outside the admissible set count as accepted, with value 0
     counter.accepted = count - counter.degenerate
     return RunningStats().add_many(values), counter
-
-
-def _sign_combos(m: int):
-    from itertools import product
-
-    return product((1.0, -1.0), repeat=m)
 
 
 def series_eval(rho0: CorrelationVector, n: int, t: float, box: PhaseBox,

@@ -41,8 +41,6 @@ _NORM_SEED = 2_0250_101
 # placements that ``place`` tests in its first batch; later batches double.
 # Not part of the stream: the generator is rewound to the accepted one.
 _PLACE_BATCH = 8
-# the largest uniform that Generator.random returns
-_U_MAX = 1.0 - 2.0 ** -53
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,13 +183,6 @@ class InitialMeasure:
         tol = 1e-9 * domain.a
         self._margins = ((self._ins_lo - tol)[:, None, None],
                          (self._ins_hi + tol)[:, None, None], (domain.a - tol) ** 2)
-        # Whether every center that uniform_positions draws passes the wall
-        # test, so that place() may skip it.  Both roundings in lo + u * span
-        # are monotone in u, so the largest draw is at _U_MAX and the
-        # smallest is lo itself; with round to nearest the largest is at
-        # most hi unless the span overflows, but it is tested, not assumed.
-        self._draws_in_margins = bool(
-            (self._ins_lo + _U_MAX * self._ins_span <= self._margins[1].ravel()).all())
         self._norm_proposals = norm_proposals
         if isinstance(spec, GrandCanonicalEq):
             rng = self._norm_rng()
@@ -377,9 +368,8 @@ class InitialMeasure:
         per the measure.  Grand-canonical variants first draw the particle
         number from the induced occupancy distribution with one uniform,
         then ``place`` n centers with a cap of 100 * max_attempts
-        proposals, which consumes the stream as a one-at-a-time loop does
-        and tests the walls wherever a draw could leave them; a fixed-N
-        one is ``sample_batch`` of one."""
+        proposals, which consumes the stream as a one-at-a-time loop does;
+        a fixed-N one is ``sample_batch`` of one."""
         if isinstance(self.spec, GrandCanonicalEq):
             n = bisect_right(self._occupancy_cdf, rng.random())
             return self.place(rng, n, max_attempts * 100)
@@ -395,16 +385,22 @@ class InitialMeasure:
         The stream is consumed exactly as by a loop that draws and tests
         one placement at a time: the same uniforms, the same position of
         the generator afterwards, and ``attempts`` placements drawn before
-        it raises.  No centers draw nothing.  Where every inset draw is
-        within the wall margins (established once per measure, exactly),
-        one center is never tested and more are tested on the hard core
-        alone; elsewhere the walls are tested as ``admissible`` tests them.
-        Placements are tested in batches of 8, 16, 32, ...; the generator
-        is then rewound and the placements up to the accepted one are
-        drawn again."""
+        it raises.  No centers draw nothing, one center is never tested and
+        more are tested on the hard core alone.  Placements are tested in
+        batches of 8, 16, 32, ...; the generator is then rewound and the
+        placements up to the accepted one are drawn again.
+
+        No draw lo + u * span leaves the inset box [lo, hi], so the walls
+        need no test.  Generator.random returns u <= 1 - 2^-53, and both
+        roundings are monotone in u.  For a finite span s > 2^-1022 the
+        product (1 - 2^-53) * s rounds to the float just below s.  As s is
+        hi - lo rounded to nearest, no float lies strictly between s and
+        the exact hi - lo, so that float is at most hi - lo, and lo plus it
+        rounds to at most hi.  A span s <= 2^-1022 makes hi - lo exact, and
+        lo + s is hi."""
         if n == 0:
             return np.zeros((0, 3)), np.zeros((0, 3))
-        if n == 1 and attempts > 0 and self._draws_in_margins:
+        if n == 1 and attempts > 0:
             q = self._ins_lo + rng.random((1, 3)) * self._ins_span
             return q, self.maxwellian.sample(rng, (1, 3))
         a2 = self._margins[2]
@@ -415,8 +411,7 @@ class InitialMeasure:
             # a batch of one is never rewound
             state = rng.bit_generator.state if k > 1 else None
             q = self.uniform_positions(rng, k, n)
-            ok = (_clear(np.ascontiguousarray(q.transpose(2, 1, 0)), a2)
-                  if self._draws_in_margins else self.admissible_batch(q))
+            ok = _clear(np.ascontiguousarray(q.transpose(2, 1, 0)), a2)
             j = int(ok.argmax())
             if ok[j]:
                 if j + 1 < k:
@@ -624,7 +619,7 @@ def inverse_correlation_map(rho: CorrelationVector, outer_samples: int = 256) ->
 # plain-text serialization of density blocks (versioned schema)
 # ---------------------------------------------------------------------------
 
-def spec_to_block(spec: DensitySpec, domain: Domain, seed: int | None = None) -> dict:
+def spec_to_block(spec: DensitySpec, domain: Domain) -> dict:
     block = {
         "box": [*domain.lower.as_tuple(), *domain.upper.as_tuple()],
         "a": domain.a,
@@ -642,8 +637,6 @@ def spec_to_block(spec: DensitySpec, domain: Domain, seed: int | None = None) ->
         block["n"] = spec.n_particles
         block["g_choice"] = spec.g_choice
         block["g_amplitude"] = spec.g_amplitude
-    if seed is not None:
-        block["seed"] = seed
     return block
 
 

@@ -256,40 +256,6 @@ def _inv_perm(perm):
     return tuple(inv)
 
 
-def flow_to_block(flow: SpecialFlow) -> dict:
-    """Plain-dict form, same block style as the density serialization."""
-    base = flow.base
-    if isinstance(base, AtomBase):
-        return {"variant": "atoms", "masses": list(base.masses),
-                "perm": list(base.perm), "ceilings": list(base.ceilings)}
-    ceiling = {"base": flow.ceiling.base, "amp": flow.ceiling.amp,
-               "freq": flow.ceiling.freq}
-    if isinstance(base, RotationBase):
-        return {"variant": "rotation", "alpha": base.alpha, "mass": base.mass,
-                "ceiling": ceiling}
-    return {"variant": "exchange", "breaks": list(base.breaks),
-            "perm": list(base.perm), "mass": base.mass, "ceiling": ceiling}
-
-
-def flow_from_block(block: dict) -> SpecialFlow:
-    variant = block["variant"]
-    if variant == "atoms":
-        return SpecialFlow(AtomBase(tuple(float(m) for m in block["masses"]),
-                                    tuple(int(p) for p in block["perm"]),
-                                    tuple(float(h) for h in block["ceilings"])))
-    c = block.get("ceiling", {"base": 1.0})
-    ceiling = Ceiling(float(c.get("base", 1.0)), float(c.get("amp", 0.0)),
-                      int(c.get("freq", 1)))
-    if variant == "rotation":
-        return SpecialFlow(RotationBase(float(block["alpha"]),
-                                        float(block.get("mass", 1.0))), ceiling)
-    if variant == "exchange":
-        return SpecialFlow(ExchangeBase(tuple(float(b) for b in block["breaks"]),
-                                        tuple(int(p) for p in block["perm"]),
-                                        float(block.get("mass", 1.0))), ceiling)
-    raise ValueError(f"unknown flow variant {variant!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class FlowCheck:
     value: float

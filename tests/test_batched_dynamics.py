@@ -558,7 +558,7 @@ def reference_chunk_fixed(measure, n, t, box, limit, count, rng, max_resample=20
                     q1, p1 = measure.sample_batch(rng, 1)
                     qs[i], ps[i] = q1[0], p1[0]
             qf, pf = config_to_arrays(final)
-            hits += box.contains(qf[:n], pf[:n])
+            hits += bool(box.contains_batch(qf[None, :n], pf[None, :n])[0])
             counter.accepted += 1
         done += want
     return hits, counter

@@ -12,7 +12,7 @@ import pytest
 
 import hardsphere.dynamics as dyn
 from hardsphere import checks as C
-from hardsphere.config import CHECK_IDS, check_params, dump_config, load_config, loads_config
+from hardsphere.config import CHECK_IDS, check_params, load_config, loads_config
 from hardsphere.geometry import Domain, Vec3
 from hardsphere.hierarchy import PhaseBox, SeriesParams
 from hardsphere.measures import GrandCanonicalEq, InitialMeasure, ModulatedProduct, get_measure
@@ -67,18 +67,19 @@ def test_config_parse_fields():
 
 
 def test_config_dump_roundtrip():
+    # the worker count and the report path leave the canonical dict, and
+    # so the hash, as they are
     exp = small_exp()
-    text = dump_config(exp)
-    back = loads_config(text)
+    back = loads_config(SMALL_INI.format(out="elsewhere.jsonl").replace("workers = 1",
+                                                                        "workers = 2"))
     assert back.canonical_dict() == exp.canonical_dict()
     assert back.config_hash == exp.config_hash
     # a grand-canonical density keeps its occupancy cap, which the hash sees
-    exp.density = GrandCanonicalEq(2.0, 1.0, n_cap=3)
-    back = loads_config(dump_config(exp))
-    assert back.density == exp.density
-    assert back.config_hash == exp.config_hash
-    exp.density = GrandCanonicalEq(2.0, 1.0)
-    assert exp.config_hash != back.config_hash
+    grand = SMALL_INI.format(out="r.jsonl").replace('variant = "modulated"\nn = 2',
+                                                   'variant = "grand_canonical"\nz = 2.0')
+    capped = loads_config(grand.replace("beta = 1.0", "beta = 1.0\nn_cap = 3"))
+    assert capped.density == GrandCanonicalEq(2.0, 1.0, n_cap=3)
+    assert capped.config_hash != loads_config(grand).config_hash
 
 
 def test_config_validation_catches_problems():
@@ -100,7 +101,6 @@ def test_config_validation_catches_problems():
     # delta preset name also takes an explicit box
     for cid, key, value, kinds in (("reversibility", "n_list", 2, "array"),
                                    ("series_identity", "samples", "many", "number"),
-                                   ("series_identity", "antithetic", 1, "boolean"),
                                    ("liouville", "times", 4.0, "array or null"),
                                    ("liouville", "delta", 3, "object or string")):
         exp = small_exp()
@@ -154,7 +154,24 @@ def test_nonpositive_count_exits_2(tmp_path, capsys):
             ("workers = 1", 'workers = 1\nsigma = "three"',
              "error: key 'sigma' in [experiment] must be number"),
             ("samples = 5000", "samples = 300.5",
-             "config error: series_identity: samples must be integer")):
+             "config error: series_identity: samples must be integer"),
+            # a misspelled or missing required key, a missing section and
+            # a short box were reported as the bare key or a Vec3 argument
+            ("box = [", "bxo = [",
+             "error: unknown key 'bxo' in [domain]; missing key 'box' in [domain]"),
+            ("beta = 1.0", "betta = 1.0",
+             "error: unknown key 'betta' in [density]; missing key 'beta' in [density]"),
+            ('variant = "modulated"\n', "", "error: missing key 'variant' in [density]"),
+            ("n = 2\nbeta", "beta", "error: missing key 'n' in [density]"),
+            ('variant = "modulated"\nn = 2', 'variant = "grand_canonical"',
+             "error: missing key 'z' in [density]"),
+            ("\na = 1.0\n", "\n", "error: missing key 'a' in [domain]"),
+            ("[domain]\nbox = [0, 0, 0, 5, 5, 5]\na = 1.0\n", "",
+             "error: missing section [domain]"),
+            ("box = [0, 0, 0, 5, 5, 5]", "box = [0, 0, 0, 5, 5]",
+             "error: box in [domain] must be six numbers"),
+            ("box = [0, 0, 0, 5, 5, 5]", 'box = [0, 0, 0, 5, 5, "5"]',
+             "error: box in [domain] must be six numbers")):
         cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl").replace(old, new))
         assert main(["validate", "--config", str(cfg_path)]) == 2
         assert main(["run", "--config", str(cfg_path), "--check", "lemma2_rate"]) == 2
@@ -234,7 +251,11 @@ def test_direction_draws_and_m_max_out_of_range_exit_2(tmp_path, capsys):
              "micro_box must be three sides above 1"),
             ("map_roundtrip", "micro_box", "[0.5, 1.2, 1.2]",
              "micro_box must be three sides above 1"),
-            ("map_roundtrip", "micro_box", "[2.5, 1.2]", "micro_box must be three sides above 1")):
+            ("map_roundtrip", "micro_box", "[2.5, 1.2]", "micro_box must be three sides above 1"),
+            # two parameters no config set: extra special flows, whose blocks
+            # were not validated, and the series' sign-flip switch
+            ("special_flow", "flows", '[{"variant": "rotation"}]', "unknown parameter 'flows'"),
+            ("series_identity", "antithetic", "false", "unknown parameter 'antithetic'")):
         cfg_path.write_text(SMALL_INI.format(out=tmp_path / "r.jsonl")
                             + f"\n[check.{section}.bad]\n{key} = {value}\n")
         assert main(["validate", "--config", str(cfg_path)]) == 2

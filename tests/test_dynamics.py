@@ -310,12 +310,3 @@ def test_grazing_contact_degenerate(monkeypatch):
     with pytest.raises(DegeneracyError) as err:
         evolve(cfg, 4.0)
     assert err.value.kind is DegeneracyKind.GRAZING_CONTACT
-
-
-def test_trajectory_log_csv_dump():
-    cfg = make([(0, 0, 0), (3 * A, 0, 0)], [(1, 0, 0), (-1, 0, 0)])
-    _, log = evolve(cfg, 2.0, collect_log=True)
-    lines = log.to_csv_lines()
-    assert lines[0].startswith("time,kind")
-    assert len(lines) == 1 + log.n_events
-    assert "pair" in lines[1]

@@ -60,8 +60,8 @@ def test_phase_box_volume_and_membership():
     box = bulk_box()
     assert box.n == 1
     assert box.volume == pytest.approx(8.0 * 2.4 ** 3)
-    assert box.contains(np.array([[2.0, 2.0, 2.0]]), np.array([[0.0, 0.0, 0.0]]))
-    assert not box.contains(np.array([[0.5, 2.0, 2.0]]), np.zeros((1, 3)))
+    assert box.contains_batch(np.array([[[2.0, 2.0, 2.0]]]), np.zeros((1, 1, 3)))[0]
+    assert not box.contains_batch(np.array([[[0.5, 2.0, 2.0]]]), np.zeros((1, 1, 3)))[0]
     rng = np.random.default_rng(0)
     q, p = box.sample(rng, 100)
     assert box.contains_batch(q, p).all()
@@ -1163,7 +1163,7 @@ def oracle_prop1_forward(c, box):
                     continue
                 qf = np.array([pt.q.as_tuple() for pt in fin.particles])
                 pf = np.array([pt.p.as_tuple() for pt in fin.particles])
-                if box.contains(qf, pf):
+                if box.contains_batch(qf[None], pf[None])[0]:
                     if tag == "plus":
                         c_plus += 1.0
                     else:
@@ -1224,7 +1224,7 @@ def oracle_evolved_tuple_count(config, n, t, box, limit):
     count = 0
     for perm in permutations(range(config.n), n):
         idx = list(perm)
-        if box.contains(qf[idx], pf[idx]):
+        if box.contains_batch(qf[idx][None], pf[idx][None])[0]:
             count += 1
     return float(count), True
 

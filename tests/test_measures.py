@@ -285,7 +285,7 @@ def test_roundtrip_recovers_density(gc_micro):
 def test_spec_block_roundtrip():
     for spec in (CanonicalEq(3, 1.5), GrandCanonicalEq(4.0, 0.8),
                  ModulatedProduct(2, 1.0, "cos_x", 0.25)):
-        block = spec_to_block(spec, BOX, seed=9)
+        block = spec_to_block(spec, BOX)
         back, dom = spec_from_block(block)
         assert back == spec and dom == BOX
 
@@ -691,7 +691,7 @@ def gc_shipped():
     """The grand-canonical checks' micro box and fugacity: about a tenth of
     the uniform 2-sphere placements are admissible."""
     ms = InitialMeasure(GrandCanonicalEq(50.0, 1.0), MICRO, norm_proposals=PROPOSALS)
-    assert ms.n_max == 2 and ms._draws_in_margins
+    assert ms.n_max == 2
     return ms
 
 
@@ -755,13 +755,28 @@ class TopDraws:
     ``Generator.random`` returns, and whose normals are all 0."""
 
     def random(self, size):
-        return np.full(size, measures._U_MAX)
+        return np.full(size, 1.0 - 2.0 ** -53)
 
     def normal(self, loc, scale, size):
         return np.zeros(size)
 
 
 def test_margins_decide_where_draws_can_leave_them():
+    # place() tests no wall: the largest draw lo + (1 - 2^-53) * span is
+    # at most the inset box's upper corner, so every draw is within it.
+    # Far offsets (an ulp of 0.125 at 1e15), power-of-two spans, where the
+    # largest draw is the float just below the span, and mixed-sign corners
+    for lower, upper, a in (((1e15, 1e15, 1e15), (1e15 + 2.5, 1e15 + 1.25, 1e15 + 3.0), A),
+                            ((-1e15 - 2.5, -1e15, -1e15 - 3), (-1e15, -1e15 + 1.25, -1e15), A),
+                            ((0, 0, 0), (1 + 2.0 ** -20, 3.0, 2.0 ** 40 + 1), A),
+                            ((0, 0, 0), (3 * 2.0 ** -1000, 1.0, 1.0), 2.0 ** -1000),
+                            ((-1.7, -0.3, -1e-3), (0.9, 2.3, 1.3), A),
+                            ((-2.5, -1.2, -1.2), (-1e-300, 0.0, 1e-300), A)):
+        ms = InitialMeasure(CanonicalEq(1, 1.0), Domain(Vec3(*lower), Vec3(*upper), a))
+        top = ms.uniform_positions(TopDraws(), 1, 1)[0]
+        assert (top <= ms._ins_hi).all() and ms.admissible(top)
+        assert np.array_equal(ms.place(TopDraws(), 1)[0], top)
+        assert ms.admissible_batch(ms.uniform_positions(np.random.default_rng(59), 4096, 1)).all()
     # 1e-9 * a below an ulp of the inset coordinates: the tolerance widens
     # no bound, yet the largest draw is within the walls, and the lean
     # draw equals the loop
@@ -770,25 +785,7 @@ def test_margins_decide_where_draws_can_leave_them():
                                                            tiny), norm_proposals=2_000)
     assert np.array_equal(ms._ins_hi + 1e-9 * tiny, ms._ins_hi)
     top = ms.uniform_positions(TopDraws(), 1, 1)[0]
-    assert ms._draws_in_margins and ms.admissible(top)
+    assert ms.admissible(top)
     assert np.array_equal(ms.place(TopDraws(), 1)[0], top)
     same, sizes = same_draws(ms, 58, 2000)
     assert same and {1, 2, 3, 4} <= sizes
-    # a span that overflows, in a box that Domain refuses and so is built
-    # here without its check: every draw leaves the walls, so place() tests
-    # them, refuses the largest draw and raises after the cap, having
-    # drawn as many placements as the cap
-    overflowing = object.__new__(Domain)
-    for name, v in (("lower", Vec3(-1e308, 0, 0)), ("upper", Vec3(1e308, 1.2, 1.2)), ("a", A)):
-        object.__setattr__(overflowing, name, v)
-    with np.errstate(over="ignore"):
-        huge = InitialMeasure(CanonicalEq(1, 1.0), overflowing)
-    assert not huge._draws_in_margins
-    assert not huge.admissible(huge.uniform_positions(TopDraws(), 1, 1)[0])
-    with pytest.raises(RuntimeError, match="^no admissible 1-sphere placement in 1 proposals$"):
-        huge.place(TopDraws(), 1, 1)
-    rng, ref = np.random.default_rng(59), np.random.default_rng(59)
-    with pytest.raises(RuntimeError, match="^no admissible 1-sphere placement in 100 proposals$"):
-        huge.place(rng, 1, 100)
-    ref.random((100, 1, 3))
-    assert rng.random() == ref.random()

@@ -10,8 +10,6 @@ from hardsphere.specialflow import (
     SpecialFlow,
     _forward,
     collision_count_sum,
-    flow_from_block,
-    flow_to_block,
     partition_masses,
     verify_identity,
 )
@@ -93,19 +91,6 @@ def test_partition_is_exhaustive():
 def test_ceiling_must_stay_positive():
     with pytest.raises(ValueError):
         Ceiling(1.0, 1.0)
-
-
-def test_flow_block_roundtrip():
-    flows = [
-        SpecialFlow(AtomBase((1.0, 1.0), (1, 0), (0.5, 0.9))),
-        SpecialFlow(RotationBase(GOLDEN, 2.0), Ceiling(1.0, 0.3, 2)),
-        SpecialFlow(ExchangeBase((0.25, 0.5), (1, 2, 0)), Ceiling(0.7, 0.1)),
-    ]
-    for flow in flows:
-        back = flow_from_block(flow_to_block(flow))
-        assert back == flow
-        chk = verify_identity(back, 1.1, 512)
-        assert chk.passed
 
 
 def oracle_exchange_step(base, x):
